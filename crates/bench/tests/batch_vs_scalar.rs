@@ -184,6 +184,43 @@ proptest! {
     }
 }
 
+/// A young NAT's slot arenas double their first chunk (moving rows)
+/// while it fills. One burst that mixes refreshes of existing mappings
+/// with enough new flows to force several of those moves must still
+/// match the scalar path: slot hints resolved in the burst's first
+/// pass are ids, not addresses.
+#[test]
+fn burst_straddling_arena_promotions_matches_scalar() {
+    let flow = |host: usize, port: usize, gap_ms: u8| Step {
+        host: host as u8,
+        port: port as u8,
+        dst: 0,
+        kind: 0,
+        gap_ms,
+    };
+    // 100 mappings up front, then one same-millisecond group that
+    // alternates a refresh of one of them with a new flow: 200 more
+    // mappings, so the group's bursts carry the store from 100 to 300
+    // slots.
+    let mut steps: Vec<Step> = (0..100).map(|i| flow(i % 50, i / 50, 0)).collect();
+    for i in 0..200 {
+        steps.push(flow(i % 50, (i / 50) % 2, if i == 0 { 5 } else { 0 }));
+        steps.push(flow(50 + i % 50, i / 50, 0));
+    }
+    let mut nat = fresh_nat(1);
+    for (now, group) in groups(&steps) {
+        nat.process_burst(group, now);
+    }
+    assert_eq!(
+        nat.store_occupancy().slots,
+        300,
+        "the scenario grows the arena"
+    );
+    for burst in [7, 64, 400] {
+        engine_equivalence(&steps, burst, 1);
+    }
+}
+
 fn driver_config(seed: u64, shards: u16, burst: usize, threads: usize) -> DriverConfig {
     let mut config = DriverConfig::new(WorkloadMix::all()[0].clone(), seed);
     config.subscribers = 120;

@@ -1,21 +1,41 @@
-//! Chunked, 2 MiB-aligned arena storage with stable addresses.
+//! Chunked arena storage that pays for itself in proportion to its
+//! population.
 //!
 //! [`MappingStore`](crate::store::MappingStore) originally kept its
 //! hot and cold slot rows in plain `Vec`s. A `Vec` doubles by
 //! reallocating: at the millions-of-mappings populations a CGN is
 //! dimensioned for (§6.2), every growth step memcpys the entire slab
 //! through the cache — a copy storm that evicts exactly the working
-//! set the burst pipeline just prefetched, and it moves every row, so
-//! any address the pipeline resolved mid-burst would dangle.
+//! set the burst pipeline just prefetched.
 //!
-//! [`Arena`] removes both problems. Storage is a list of fixed-size
-//! chunks allocated at 2 MiB alignment (the x86-64 hugepage size, so a
-//! chunk maps onto a single TLB entry under transparent hugepages).
-//! Growth appends a chunk; existing elements never move, so element
-//! addresses are stable for the arena's lifetime and growth cost is
-//! O(1) — no reallocation copies, ever. Indexing stays as cheap as a
-//! `Vec`: the per-chunk capacity is a power of two, so `index ->
-//! (chunk, offset)` is one shift and one mask.
+//! [`Arena`] bounds that cost. Storage is a list of chunks of
+//! [`Arena::CAP`] elements — as many as fit in 2 MiB — each allocated
+//! at 2 MiB alignment (the x86-64 hugepage size, so a chunk maps onto
+//! a single TLB entry under transparent hugepages). Growth appends a
+//! chunk: elements in a full-size chunk never move, and growth is
+//! O(1). Indexing stays as cheap as a `Vec`: the per-chunk capacity is
+//! a power of two, so `index -> (chunk, offset)` is one shift and one
+//! mask.
+//!
+//! The exception is **chunk 0 while it is young**. A zeroed 2 MiB
+//! hugepage is the wrong price for a home CPE NAT holding a handful of
+//! mappings — the paper's own pipeline (§4–§6) builds hundreds of
+//! those — so chunk 0 starts as a plain allocation of at most 4 KiB
+//! and doubles (allocate, copy, free) until it holds `CAP` elements.
+//! That last step lands it in the same aligned, hugepage-advised 2 MiB
+//! chunk every later chunk is, and from then on nothing moves again.
+//! The copies total less than one chunk (under 2 MiB) over an arena's
+//! whole life and all happen inside its first `CAP` pushes, which a
+//! dimensioning-scale shard leaves behind in its first few thousand
+//! flows. What callers may rely on:
+//!
+//! * elements in chunks ≥ 1 never move, and chunk 0's never move once
+//!   it holds `CAP` elements; before that a `push` may move them, so
+//!   no raw element pointer may be held across a `push` (the store
+//!   only ever reaches rows through `&self` / `&mut self` borrows);
+//! * chunks ≥ 1, and chunk 0 from `CAP` elements on, are 2 MiB-aligned;
+//! * [`Arena::chunks`] is `len.div_ceil(CAP)` whatever chunk 0's
+//!   current size.
 //!
 //! Elements are append-only (`push`); the store layers slot reuse on
 //! top with its own free-list. The arena only drops elements when it
@@ -26,20 +46,29 @@ use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 use std::ptr::NonNull;
 
-/// Best-effort `madvise(MADV_HUGEPAGE)` on a fresh chunk. The chunks
-/// are already 2 MiB-sized and 2 MiB-aligned, but on hosts with
-/// transparent hugepages in `madvise` mode (the common server
-/// default) an aligned mapping alone is *not* backed by a hugepage —
-/// without the advice every random slot access at dimensioning scale
-/// pays a 4 KiB-page TLB walk (tens of thousands of pages for a 16×
-/// working set vs. ~one TLB entry per chunk). Advisory only: the
-/// return value is ignored, and on non-Linux or non-x86-64 targets
-/// this is a no-op.
+/// Best-effort `madvise(MADV_HUGEPAGE)` on a fresh full-size chunk.
+/// The chunks are already 2 MiB-aligned, but on hosts with transparent
+/// hugepages in `madvise` mode (the common server default) an aligned
+/// mapping alone is *not* backed by a hugepage — without the advice
+/// every random slot access at dimensioning scale pays a 4 KiB-page
+/// TLB walk (tens of thousands of pages for a 16× working set vs. ~one
+/// TLB entry per chunk). Advisory only: the return value is ignored,
+/// and on non-Linux or non-x86-64 targets (and under Miri, which has
+/// no inline assembly) this is a no-op.
+///
+/// The kernel backs an extent with a hugepage only if the advice
+/// covers all 2 MiB of it, so callers pass the whole extent even when
+/// the chunk's elements fill less (a chunk of 112-byte rows is
+/// 1.75 MiB). Whether such a chunk then gets its hugepage depends on
+/// what the allocator mapped behind it; a chunk that fills the extent
+/// always does.
 ///
 /// # Safety
 ///
-/// `ptr..ptr + len` must be a live allocation.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+/// `ptr` must be the start of a live allocation. `ptr + len` may lie
+/// past its end: the call reads and writes no memory, it only sets a
+/// paging hint on whatever mappings the range touches.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 unsafe fn advise_hugepage(ptr: *mut u8, len: usize) {
     const SYS_MADVISE: u64 = 28;
     const MADV_HUGEPAGE: u64 = 14;
@@ -56,22 +85,36 @@ unsafe fn advise_hugepage(ptr: *mut u8, len: usize) {
     );
 }
 
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 unsafe fn advise_hugepage(_ptr: *mut u8, _len: usize) {}
 
-/// Bytes per arena chunk: 2 MiB, the x86-64 hugepage size.
-pub(crate) const ARENA_CHUNK_BYTES: usize = 2 * 1024 * 1024;
+/// Bytes per full-size arena chunk: 2 MiB, the x86-64 hugepage size.
+/// `cgn_arena_chunks` × this bounds the slab's footprint from above
+/// (chunk 0 of a small arena is smaller).
+pub const ARENA_CHUNK_BYTES: usize = 2 * 1024 * 1024;
+
+/// Upper bound on chunk 0's first allocation: one base page.
+const FIRST_CHUNK_BYTES: usize = 4096;
+
+/// Largest power of two not above `n` (`n > 0`).
+const fn floor_pow2(n: usize) -> usize {
+    1 << (usize::BITS - 1 - n.leading_zeros())
+}
 
 /// A chunked vector: `Vec`-shaped reads (`Index`, `get`, `iter`),
-/// append-only writes, stable element addresses, O(1) growth with no
-/// reallocation copies. See the module docs for why the store wants
-/// those properties.
+/// append-only writes, O(1) growth once chunk 0 is full-size, and
+/// storage proportional to the population before that. See the module
+/// docs for the exact movement and alignment contract.
 pub(crate) struct Arena<T> {
-    /// 2 MiB-aligned chunks of [`Arena::CAP`] elements each; all but
-    /// the last are full.
+    /// Chunks of [`Arena::CAP`] elements each, 2 MiB-aligned; all but
+    /// the last are full. While `cap < CAP` there is at most one, and
+    /// it is a plain allocation of `cap` elements.
     chunks: Vec<NonNull<T>>,
     /// Initialised elements, contiguous from index 0.
     len: usize,
+    /// Element slots allocated: chunk 0's current capacity while it is
+    /// still doubling, `chunks.len() * CAP` from then on.
+    cap: usize,
     _marker: PhantomData<T>,
 }
 
@@ -79,36 +122,76 @@ impl<T> Arena<T> {
     /// Elements per chunk: the largest power of two that fits in
     /// [`ARENA_CHUNK_BYTES`] — a power of two so indexing is
     /// shift + mask instead of division.
-    const CAP: usize = {
+    pub(crate) const CAP: usize = {
         let per = ARENA_CHUNK_BYTES / std::mem::size_of::<T>();
         assert!(per > 0, "arena element larger than a chunk");
-        1 << (usize::BITS - 1 - per.leading_zeros())
+        floor_pow2(per)
     };
     const SHIFT: u32 = Self::CAP.trailing_zeros();
     const MASK: usize = Self::CAP - 1;
+    /// Elements in chunk 0's first allocation: the largest power of
+    /// two that fits in [`FIRST_CHUNK_BYTES`] (one element if none
+    /// does). Never above `CAP`, and doubling lands exactly on it.
+    pub(crate) const FIRST: usize = {
+        let per = FIRST_CHUNK_BYTES / std::mem::size_of::<T>();
+        if per == 0 {
+            1
+        } else {
+            floor_pow2(per)
+        }
+    };
 
     pub fn new() -> Self {
         Arena {
             chunks: Vec::new(),
             len: 0,
+            cap: 0,
             _marker: PhantomData,
         }
     }
 
-    fn chunk_layout() -> Layout {
-        // 2 MiB alignment dominates any element alignment; the size is
-        // CAP * size_of::<T>() <= ARENA_CHUNK_BYTES, far below the
-        // Layout overflow bound.
-        Layout::from_size_align(Self::CAP * std::mem::size_of::<T>(), ARENA_CHUNK_BYTES)
-            .expect("arena chunk layout")
+    /// Layout of a chunk holding `cap` elements: the 2 MiB-aligned
+    /// hugepage shape at `CAP`, a plain array below it.
+    fn chunk_layout(cap: usize) -> Layout {
+        let align = if cap == Self::CAP {
+            // Dominates any element alignment.
+            ARENA_CHUNK_BYTES
+        } else {
+            std::mem::align_of::<T>()
+        };
+        // cap <= CAP, so the size is at most ARENA_CHUNK_BYTES — far
+        // below the Layout overflow bound.
+        Layout::from_size_align(cap * std::mem::size_of::<T>(), align).expect("arena chunk layout")
     }
 
-    /// Raw element pointer. Caller guarantees `i` is within an
-    /// allocated chunk (initialised for reads).
+    /// Allocate an uninitialised chunk of `cap` (1..=`CAP`) elements,
+    /// hugepage-advised when it is full-size.
+    fn alloc_chunk(cap: usize) -> NonNull<T> {
+        let layout = Self::chunk_layout(cap);
+        // SAFETY: the layout has non-zero size (cap >= 1, and T is not
+        // a ZST by the CAP assertion's division).
+        let ptr = unsafe { alloc(layout) };
+        let Some(chunk) = NonNull::new(ptr.cast::<T>()) else {
+            handle_alloc_error(layout)
+        };
+        if cap == Self::CAP {
+            // SAFETY: `ptr` is a live allocation at 2 MiB alignment.
+            // The advice covers the whole aligned 2 MiB extent, which
+            // for element sizes that do not divide it runs past the
+            // allocation's end (see `advise_hugepage`).
+            unsafe { advise_hugepage(ptr, ARENA_CHUNK_BYTES) };
+        }
+        chunk
+    }
+
+    /// Raw element pointer. Caller guarantees `i < cap` (and
+    /// initialised for reads).
     #[inline]
     fn slot_ptr(&self, i: usize) -> *mut T {
         // SAFETY: `i >> SHIFT` is a live chunk (checked by the Vec
-        // index) and `i & MASK < CAP` stays inside its allocation.
+        // index) and `i & MASK` stays inside its allocation: a
+        // full-size chunk holds CAP elements, and a still-small chunk
+        // 0 holds `cap > i` of them.
         unsafe { self.chunks[i >> Self::SHIFT].as_ptr().add(i & Self::MASK) }
     }
 
@@ -118,11 +201,18 @@ impl<T> Arena<T> {
         self.len
     }
 
-    /// Chunks allocated so far — the `cgn_arena_chunks` gauge. Stable
-    /// after warm-up: growth only ever appends, so a steady-state
-    /// shard performs zero storage reallocations.
+    /// Chunks allocated so far, `len.div_ceil(CAP)` — the
+    /// `cgn_arena_chunks` gauge. Chunk 0 counts as one chunk at every
+    /// size. Stable after warm-up: growth only ever appends, so a
+    /// steady-state shard performs zero storage reallocations.
     pub fn chunks(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Bytes of element storage currently allocated.
+    #[cfg(test)]
+    pub fn reserved_bytes(&self) -> usize {
+        self.cap * std::mem::size_of::<T>()
     }
 
     /// Bounds-checked borrow, `Vec::get`-shaped (the prefetch path's
@@ -137,35 +227,51 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Append an element, growing by one chunk when the last is full.
-    /// Existing elements never move.
+    /// Append an element, growing when every allocated slot is taken.
+    /// Elements already in a full-size chunk never move (see the
+    /// module docs for young chunk 0).
     pub fn push(&mut self, value: T) {
         let i = self.len;
-        if i == self.chunks.len() << Self::SHIFT {
+        if i == self.cap {
             self.grow();
         }
-        // SAFETY: the slot is allocated (grow above) and uninitialised
-        // (`i == len`); write takes ownership without dropping it.
+        // SAFETY: the slot is allocated (`i < cap` after grow) and
+        // uninitialised (`i == len`); write takes ownership without
+        // dropping it.
         unsafe { std::ptr::write(self.slot_ptr(i), value) };
         self.len = i + 1;
     }
 
+    /// Make room for one more element (`len == cap` on entry): append
+    /// a full-size chunk, or — while chunk 0 is still small — replace
+    /// it with one twice the size.
     #[cold]
     fn grow(&mut self) {
-        let layout = Self::chunk_layout();
-        // SAFETY: layout has non-zero size (CAP >= 1, T is not a ZST
-        // by the CAP assertion's division).
-        let ptr = unsafe { alloc(layout) }.cast::<T>();
-        match NonNull::new(ptr) {
-            Some(chunk) => {
-                // SAFETY: the chunk is a live ARENA_CHUNK_BYTES
-                // allocation at 2 MiB alignment; the advice call only
-                // reads the mapping metadata.
-                unsafe { advise_hugepage(ptr.cast(), ARENA_CHUNK_BYTES) };
-                self.chunks.push(chunk);
-            }
-            None => handle_alloc_error(layout),
+        if self.cap >= Self::CAP {
+            self.chunks.push(Self::alloc_chunk(Self::CAP));
+            self.cap += Self::CAP;
+            return;
         }
+        let new_cap = if self.cap == 0 {
+            Self::FIRST
+        } else {
+            self.cap * 2
+        };
+        let new = Self::alloc_chunk(new_cap);
+        if let Some(old) = self.chunks.pop() {
+            // SAFETY: `old` is chunk 0, a live allocation of `cap`
+            // elements made with `chunk_layout(cap)`, all of them
+            // initialised (`len == cap`); `new` is a distinct
+            // allocation of `2 * cap`. The copy moves the elements
+            // bitwise, so the old storage is freed without dropping
+            // them, and `&mut self` means no borrow of them is live.
+            unsafe {
+                std::ptr::copy_nonoverlapping(old.as_ptr(), new.as_ptr(), self.len);
+                dealloc(old.as_ptr().cast::<u8>(), Self::chunk_layout(self.cap));
+            }
+        }
+        self.chunks.push(new);
+        self.cap = new_cap;
     }
 
     /// Iterate initialised elements in index order.
@@ -204,7 +310,9 @@ impl<T> Default for Arena<T> {
 
 impl<T> Drop for Arena<T> {
     fn drop(&mut self) {
-        let layout = Self::chunk_layout();
+        // Every chunk is full-size except a lone, still-small chunk 0
+        // (then `cap < CAP` is its size).
+        let layout = Self::chunk_layout(self.cap.min(Self::CAP));
         for (c, chunk) in self.chunks.iter().enumerate() {
             let filled = self.len.saturating_sub(c << Self::SHIFT).min(Self::CAP);
             // SAFETY: the first `filled` elements of each chunk are
@@ -221,8 +329,9 @@ impl<T> Drop for Arena<T> {
 }
 
 // SAFETY: Arena<T> owns its elements like Vec<T>; the raw chunk
-// pointers carry no extra sharing, so the auto-trait story is exactly
-// Vec's. Needed because NonNull suppresses the auto impls.
+// pointers carry no extra sharing (`len` and `cap` are plain
+// integers), so the auto-trait story is exactly Vec's. Needed because
+// NonNull suppresses the auto impls.
 unsafe impl<T: Send> Send for Arena<T> {}
 unsafe impl<T: Sync> Sync for Arena<T> {}
 
@@ -230,6 +339,7 @@ impl<T> std::fmt::Debug for Arena<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Arena")
             .field("len", &self.len)
+            .field("cap", &self.cap)
             .field("chunks", &self.chunks.len())
             .finish()
     }
@@ -240,6 +350,15 @@ mod tests {
     use super::*;
     use std::cell::Cell;
     use std::rc::Rc;
+
+    /// A 1 KiB row: `CAP` is 2048 and `FIRST` 4, so a test can walk
+    /// every promotion step and cross into chunk 1 in ~2k pushes.
+    type Row = [u64; 128];
+    const ROW_CAP: usize = Arena::<Row>::CAP;
+
+    fn row(i: usize) -> Row {
+        [i as u64; 128]
+    }
 
     #[test]
     fn pushes_and_reads_across_chunk_boundaries() {
@@ -261,22 +380,77 @@ mod tests {
 
     #[test]
     fn addresses_are_stable_across_growth() {
-        let mut a: Arena<u64> = Arena::new();
-        a.push(7);
-        let p = &a[0] as *const u64;
-        for i in 0..3 * Arena::<u64>::CAP {
-            a.push(i as u64);
+        // The contract: rows never move once chunk 0 holds CAP rows,
+        // and rows in chunks >= 1 never move at all.
+        let mut a: Arena<Row> = Arena::new();
+        for i in 0..ROW_CAP {
+            a.push(row(i));
         }
-        assert_eq!(p, &a[0] as *const u64, "growth must never move rows");
-        assert_eq!(a[0], 7);
+        let first = &a[0] as *const Row;
+        let last = &a[ROW_CAP - 1] as *const Row;
+        a.push(row(ROW_CAP));
+        let next = &a[ROW_CAP] as *const Row;
+        for i in ROW_CAP + 1..3 * ROW_CAP {
+            a.push(row(i));
+        }
+        assert_eq!(first, &a[0] as *const Row, "full chunk 0 must not move");
+        assert_eq!(last, &a[ROW_CAP - 1] as *const Row);
+        assert_eq!(next, &a[ROW_CAP] as *const Row, "chunk 1 must not move");
+        assert_eq!(a[0], row(0));
+        assert_eq!(a[ROW_CAP], row(ROW_CAP));
     }
 
     #[test]
     fn chunks_are_two_mib_aligned() {
-        let mut a: Arena<u64> = Arena::new();
-        a.push(1);
-        let addr = &a[0] as *const u64 as usize;
-        assert_eq!(addr % ARENA_CHUNK_BYTES, 0);
+        // Aligned once chunk 0 holds CAP rows; chunks >= 1 always.
+        let mut a: Arena<Row> = Arena::new();
+        for i in 0..2 * ROW_CAP + 1 {
+            a.push(row(i));
+        }
+        for c in 0..3 {
+            let addr = &a[c * ROW_CAP] as *const Row as usize;
+            assert_eq!(addr % ARENA_CHUNK_BYTES, 0, "chunk {c}");
+        }
+    }
+
+    #[test]
+    fn chunk_count_is_len_over_cap_rounded_up() {
+        let mut a: Arena<Row> = Arena::new();
+        assert_eq!(a.chunks(), 0);
+        for i in 0..2 * ROW_CAP + 2 {
+            a.push(row(i));
+            assert_eq!(a.chunks(), a.len().div_ceil(ROW_CAP), "len {}", a.len());
+        }
+    }
+
+    #[test]
+    fn storage_tracks_population_until_chunk_zero_is_full() {
+        let mut a: Arena<Row> = Arena::new();
+        assert_eq!(a.reserved_bytes(), 0);
+        a.push(row(0));
+        assert_eq!(a.reserved_bytes(), FIRST_CHUNK_BYTES);
+        for i in 1..ROW_CAP {
+            a.push(row(i));
+            let held = a.len() * std::mem::size_of::<Row>();
+            assert!(a.reserved_bytes() < 2 * held.max(FIRST_CHUNK_BYTES));
+        }
+        assert_eq!(a.reserved_bytes(), ARENA_CHUNK_BYTES);
+        a.push(row(ROW_CAP));
+        assert_eq!(a.reserved_bytes(), 2 * ARENA_CHUNK_BYTES);
+    }
+
+    #[test]
+    fn element_larger_than_the_first_allocation_starts_at_one() {
+        // 8 KiB rows: FIRST is 1, CAP 256 — the doubling still lands
+        // exactly on CAP.
+        type Big = [u64; 1024];
+        let mut a: Arena<Big> = Arena::new();
+        let n = Arena::<Big>::CAP + 1;
+        for i in 0..n {
+            a.push([i as u64; 1024]);
+        }
+        assert_eq!(a.chunks(), 2);
+        assert!(a.iter().enumerate().all(|(i, r)| r[1023] == i as u64));
     }
 
     #[test]
@@ -288,24 +462,58 @@ mod tests {
         assert_eq!(a[1], 99);
     }
 
+    struct Witness {
+        id: usize,
+        drops: Rc<Cell<usize>>,
+        _pad: [u64; 125],
+    }
+
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            self.drops.set(self.drops.get() + 1);
+        }
+    }
+
     #[test]
     fn drop_runs_element_destructors_once() {
-        struct Witness(Rc<Cell<usize>>);
-        impl Drop for Witness {
-            fn drop(&mut self) {
-                self.0.set(self.0.get() + 1);
-            }
-        }
+        // Through every doubling of chunk 0 and three rows into chunk
+        // 1: no step may drop, duplicate or scramble an element.
         let drops = Rc::new(Cell::new(0));
+        let n = Arena::<Witness>::CAP + 3;
         {
             let mut a: Arena<Witness> = Arena::new();
-            let n = Arena::<Witness>::CAP + 3;
-            for _ in 0..n {
-                a.push(Witness(Rc::clone(&drops)));
+            let mut mirror = Vec::new();
+            for id in 0..n {
+                a.push(Witness {
+                    id,
+                    drops: Rc::clone(&drops),
+                    _pad: [0; 125],
+                });
+                mirror.push(id);
+                assert!(a.iter().map(|w| w.id).eq(mirror.iter().copied()));
+                assert_eq!(drops.get(), 0, "growth must move, not drop");
             }
-            assert_eq!(drops.get(), 0);
+            assert_eq!(a.chunks(), 2);
         }
-        assert_eq!(drops.get(), Arena::<Witness>::CAP + 3);
+        assert_eq!(drops.get(), n);
+    }
+
+    #[test]
+    fn drop_of_a_still_small_arena_frees_its_elements() {
+        let drops = Rc::new(Cell::new(0));
+        for n in [0, 1, Arena::<Witness>::FIRST, Arena::<Witness>::FIRST + 1] {
+            drops.set(0);
+            let mut a: Arena<Witness> = Arena::new();
+            for id in 0..n {
+                a.push(Witness {
+                    id,
+                    drops: Rc::clone(&drops),
+                    _pad: [0; 125],
+                });
+            }
+            drop(a);
+            assert_eq!(drops.get(), n);
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod store;
 pub mod telemetry;
 pub mod wheel;
 
+pub use arena::ARENA_CHUNK_BYTES;
 pub use compliance::{
     check as check_compliance, check_runtime, ComplianceReport, Requirement, RuntimeReport,
     RuntimeViolation,

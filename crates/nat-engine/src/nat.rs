@@ -355,9 +355,13 @@ impl Nat {
         self.store.occupancy()
     }
 
-    /// Arena chunks backing this shard's slot storage — stable after
-    /// warm-up, because arena growth appends chunks instead of
-    /// reallocating (the `cgn_arena_chunks` gauge).
+    /// Arena chunks backing this shard's slot storage (the
+    /// `cgn_arena_chunks` gauge) — stable after warm-up, because growth
+    /// past the first chunk appends chunks instead of reallocating. A
+    /// count, not a size: times
+    /// [`ARENA_CHUNK_BYTES`](crate::ARENA_CHUNK_BYTES) it bounds the
+    /// slab's bytes from above, since a small NAT's first hot and cold
+    /// chunks are allocated smaller.
     pub fn arena_chunks(&self) -> u64 {
         self.store.arena_chunks()
     }

@@ -363,7 +363,8 @@ impl ShardedNat {
 
     /// Arena chunks summed across shards (the fleet-wide
     /// `cgn_arena_chunks` reading) — stable once every shard is past
-    /// warm-up, since arena growth never reallocates.
+    /// warm-up, since arena growth past a shard's first chunks never
+    /// reallocates.
     pub fn arena_chunks(&self) -> u64 {
         self.shards.iter().map(|s| s.arena_chunks()).sum()
     }

@@ -10,16 +10,19 @@
 //! composite keys. [`MappingStore`] replaces all of it with dense
 //! storage:
 //!
-//! * **Slab arena** — mappings live inline in chunked fixed-size
-//!   arenas (the crate-private `arena` module): 2 MiB-aligned chunks
-//!   with stable
-//!   addresses, so growth appends a chunk instead of reallocating and
-//!   copying the slab (no copy storms, no mid-burst invalidation of
-//!   prefetched rows). A freed slot goes onto an address-ordered
-//!   free-list — the next insert reuses the *lowest* free id, packing
-//!   live slots toward the front of the arena for locality. Slot ids
-//!   are `u32` (half the old `u64` ids) and index the arena directly —
-//!   no second hash lookup to reach the mapping.
+//! * **Slab arena** — mappings live inline in chunked arenas (the
+//!   crate-private `arena` module): 2 MiB-aligned chunks, so growth
+//!   appends a chunk instead of reallocating and copying the slab (no
+//!   copy storms at CGN populations). Only the first chunk, while it
+//!   holds less than a chunkful, is a small allocation that doubles —
+//!   a home CPE NAT with ten mappings reserves kilobytes, not two
+//!   hugepages. Rows are only ever reached by slot id through the
+//!   store's own borrows, never by a pointer held across an insert,
+//!   so that early movement is invisible. A freed slot goes onto an
+//!   address-ordered free-list — the next insert reuses the *lowest*
+//!   free id, packing live slots toward the front of the arena for
+//!   locality. Slot ids are `u32` (half the old `u64` ids) and index
+//!   the arena directly — no second hash lookup to reach the mapping.
 //!
 //! * **Interned keys** — internal hosts intern to dense `u32` ids
 //!   ([`MappingStore::intern_host`]); `(external IP, protocol)` pairs
@@ -1066,10 +1069,11 @@ impl MappingStore {
     }
 
     /// Arena chunks allocated across the hot and cold slot arenas —
-    /// the `cgn_arena_chunks` gauge. Monotone and stable after
-    /// warm-up: a steady-state shard performs zero storage
-    /// reallocation copies, which the perf harness asserts by reading
-    /// this before and after the measured window.
+    /// the `cgn_arena_chunks` gauge (a chunk counts as one at any
+    /// size). Monotone and stable after warm-up: a steady-state shard
+    /// performs zero storage reallocation copies, which the perf
+    /// harness asserts by reading this before and after the measured
+    /// window.
     pub fn arena_chunks(&self) -> u64 {
         (self.slots.chunks() + self.hot.chunks()) as u64
     }
@@ -1343,6 +1347,128 @@ mod tests {
         assert_eq!(s.len(), 1);
         let (_, due) = s.sweep_due(t(300_000));
         assert_eq!(due, vec![slots[4]]);
+    }
+
+    #[test]
+    fn ten_mappings_reserve_kilobytes_not_hugepages() {
+        let (s, _) = store_with(10, 60);
+        assert_eq!(s.arena_chunks(), 2, "one hot + one cold chunk");
+        let reserved = s.slots.reserved_bytes() + s.hot.reserved_bytes();
+        assert!(reserved <= 16 * 1024, "{reserved} bytes for 10 mappings");
+    }
+
+    /// What the store should hold, by slot id.
+    struct ModelRow {
+        key: u128,
+        ext: Endpoint,
+        expiry_secs: u64,
+    }
+
+    #[test]
+    fn lookups_and_timers_survive_every_arena_promotion() {
+        // Grow the live population across every size chunk 0 of either
+        // arena passes through (FIRST, 2·FIRST, … CAP) and one row
+        // into chunk 1, with removes and lowest-id slot reuse mixed
+        // in. Past each boundary every key must still resolve to its
+        // slot, every removed key to nothing, and the wheel must hand
+        // back exactly the mappings whose expiry has passed.
+        fn doublings(first: usize, cap: usize) -> impl Iterator<Item = usize> {
+            std::iter::successors(Some(first), |b| Some(b * 2)).take_while(move |&b| b <= cap)
+        }
+        let mut boundaries: Vec<usize> = doublings(Arena::<Slot>::FIRST, Arena::<Slot>::CAP)
+            .chain(doublings(Arena::<HotSlot>::FIRST, Arena::<HotSlot>::CAP))
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+
+        let mut s = MappingStore::new();
+        let mut model: Vec<Option<ModelRow>> = Vec::new();
+        let mut free = std::collections::BTreeSet::new();
+        let mut removed: Vec<ModelRow> = Vec::new();
+        let mut now_secs = 0u64;
+        let mut k = 0u32; // one fresh key per insert, never reused
+        for b in boundaries {
+            while s.len() <= b {
+                let internal = Endpoint::new(
+                    Ipv4Addr::from(0x6440_0000 + k / 60_000),
+                    1024 + (k % 60_000) as u16,
+                );
+                let ext = Endpoint::new(
+                    Ipv4Addr::from(0xC633_6401 + k / 60_000),
+                    1024 + (k % 60_000) as u16,
+                );
+                // One mapping in seven is short-lived, so every sweep
+                // below has work; the rest outlive the test.
+                let expiry_secs = if k % 7 == 0 {
+                    now_secs + 1 + (k % 5) as u64
+                } else {
+                    1_000_000
+                };
+                let key = s.out_key(
+                    MappingBehavior::EndpointIndependent,
+                    Protocol::Udp,
+                    internal,
+                    Endpoint::new(ip(203, 0, 113, 1), 80),
+                );
+                let slot = s.insert(key, Protocol::Udp, mapping(internal, ext, t(expiry_secs)));
+                let expect = free.pop_first().unwrap_or(model.len() as u32);
+                assert_eq!(slot, expect, "lowest free id first, else append");
+                let row = Some(ModelRow {
+                    key,
+                    ext,
+                    expiry_secs,
+                });
+                if slot as usize == model.len() {
+                    model.push(row);
+                } else {
+                    model[slot as usize] = row;
+                }
+                if k % 4 == 3 {
+                    // Remove some older live mapping.
+                    let start = k.wrapping_mul(2_654_435_761) as usize % model.len();
+                    let victim = (start..model.len())
+                        .chain(0..start)
+                        .find(|&i| model[i].is_some())
+                        .expect("something is live");
+                    s.remove(victim as u32).expect("model says live");
+                    free.insert(victim as u32);
+                    removed.push(model[victim].take().expect("live"));
+                }
+                k += 1;
+            }
+            assert!(s.occupancy().slots > b as u64, "arena crossed {b}");
+
+            now_secs += 3;
+            let (_, mut due) = s.sweep_due(t(now_secs));
+            due.sort_unstable();
+            let expect_due: Vec<u32> = (0..model.len() as u32)
+                .filter(|&i| matches!(&model[i as usize], Some(r) if r.expiry_secs <= now_secs))
+                .collect();
+            assert_eq!(due, expect_due, "due set past boundary {b}");
+            for slot in due {
+                s.remove(slot).expect("due slots are live");
+                free.insert(slot);
+                removed.push(model[slot as usize].take().expect("live"));
+            }
+
+            assert_eq!(s.len(), model.iter().flatten().count());
+            for (slot, row) in model.iter().enumerate() {
+                let Some(row) = row else { continue };
+                assert_eq!(s.lookup_out(row.key), Some(slot as u32), "past {b}");
+                assert_eq!(s.lookup_ext(Protocol::Udp, row.ext), Some(slot as u32));
+                assert_eq!(s.get(slot as u32).external, row.ext);
+            }
+            for row in &removed {
+                assert_eq!(s.lookup_out(row.key), None, "past {b}");
+                assert_eq!(s.lookup_ext(Protocol::Udp, row.ext), None);
+            }
+        }
+        let slots = s.occupancy().slots as usize;
+        assert_eq!(
+            s.arena_chunks() as usize,
+            slots.div_ceil(Arena::<HotSlot>::CAP) + slots.div_ceil(Arena::<Slot>::CAP),
+            "a chunk per chunkful, whatever chunk 0 went through"
+        );
     }
 
     #[test]

@@ -43,9 +43,9 @@ use std::path::PathBuf;
 /// Schema tag of [`SoakReport`]; bump on any incompatible change.
 pub const SOAK_SCHEMA: &str = "cgn-soak/1";
 
-/// Bytes behind one 2 MiB slab-arena chunk (`cgn_arena_chunks` is a
-/// chunk count; the RSS proxy converts it to bytes).
-pub const ARENA_CHUNK_BYTES: u64 = 2 * 1024 * 1024;
+/// Bytes behind one full-size slab-arena chunk (`cgn_arena_chunks` is
+/// a chunk count; the RSS proxy converts it to bytes).
+pub use nat_engine::ARENA_CHUNK_BYTES;
 
 /// Modeled resident bytes per retained metrics window (a normalized
 /// snapshot of every instrument: tens of samples, each a name plus a
@@ -348,8 +348,11 @@ fn fnv_fold(hash: u64, text: &str) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Modeled resident bytes — an upper bound on the slab's share: every
+/// chunk is charged at full size, though a shard's first hot and cold
+/// chunks are allocated smaller until they hold a chunkful of rows.
 fn rss_proxy(chunks: u64, health: &SessionHealth) -> u64 {
-    chunks * ARENA_CHUNK_BYTES
+    chunks * ARENA_CHUNK_BYTES as u64
         + health.windows_retained as u64 * WINDOW_RESIDENT_BYTES
         + health.event_wheel_depth * EVENT_RESIDENT_BYTES
 }

@@ -579,39 +579,49 @@ impl Network {
             self.host(origin).addr,
             "source address must be the sending host's address"
         );
-        self.send_traced(origin, pkt).1
+        match self.walk_counted(origin, pkt) {
+            (SendOutcome::Delivered { node, pkt }, _) => vec![Delivery { node, pkt }],
+            (SendOutcome::Dropped(_), icmp) => Self::icmp_delivery(origin, icmp),
+        }
     }
 
     /// Send and additionally report the outcome (where the packet ended
     /// up, or where and why it died). Deliveries are as in [`Network::send`].
     pub fn send_traced(&mut self, origin: NodeId, pkt: Packet) -> (SendOutcome, Vec<Delivery>) {
+        let (outcome, icmp) = self.walk_counted(origin, pkt);
+        let out = match &outcome {
+            SendOutcome::Delivered { node, pkt } => vec![Delivery {
+                node: *node,
+                pkt: pkt.clone(),
+            }],
+            SendOutcome::Dropped(_) => Self::icmp_delivery(origin, icmp),
+        };
+        (outcome, out)
+    }
+
+    /// The ICMP error a dropped packet hands back to its origin, if any.
+    fn icmp_delivery(origin: NodeId, icmp: Option<Packet>) -> Vec<Delivery> {
+        icmp.into_iter()
+            .map(|pkt| Delivery { node: origin, pkt })
+            .collect()
+    }
+
+    /// [`Network::walk`] plus the forwarding counters.
+    fn walk_counted(&mut self, origin: NodeId, pkt: Packet) -> (SendOutcome, Option<Packet>) {
         self.stats.sent += 1;
         let (outcome, icmp) = self.walk(origin, pkt);
-        let mut out = Vec::new();
         match &outcome {
-            SendOutcome::Delivered { node, pkt } => {
-                self.stats.delivered += 1;
-                out.push(Delivery {
-                    node: *node,
-                    pkt: pkt.clone(),
-                });
-            }
+            SendOutcome::Delivered { .. } => self.stats.delivered += 1,
             SendOutcome::Dropped(site) => {
                 match site {
                     DropSite::TtlExpired(_) => self.stats.dropped_ttl += 1,
                     DropSite::Nat(_) => self.stats.dropped_nat += 1,
                     DropSite::NoRoute => self.stats.dropped_no_route += 1,
                 }
-                if let Some(err) = icmp {
-                    self.stats.icmp_generated += 1;
-                    out.push(Delivery {
-                        node: origin,
-                        pkt: err,
-                    });
-                }
+                self.stats.icmp_generated += icmp.is_some() as u64;
             }
         }
-        (outcome, out)
+        (outcome, icmp)
     }
 
     /// Deliver a link-local multicast datagram to every other host in the
@@ -654,24 +664,32 @@ impl Network {
             .collect()
     }
 
+    /// Spend one TTL unit at each of `hops`, in order. `Err` is the
+    /// walk's result when the TTL runs out: the drop site plus the ICMP
+    /// error for the origin.
+    fn cross<'a>(
+        pkt: &mut Packet,
+        hops: impl IntoIterator<Item = &'a Ipv4Addr>,
+    ) -> Result<(), (SendOutcome, Option<Packet>)> {
+        for &hop in hops {
+            if !pkt.decrement_ttl() {
+                let err = pkt.ttl_exceeded_reply(hop);
+                return Err((SendOutcome::Dropped(DropSite::TtlExpired(hop)), Some(err)));
+            }
+        }
+        Ok(())
+    }
+
     /// The full walk. Returns the outcome plus an optional ICMP error to
     /// hand back to the origin.
     fn walk(&mut self, origin: NodeId, mut pkt: Packet) -> (SendOutcome, Option<Packet>) {
         let now = self.clock;
-        let (mut realm, up_chain) = {
-            let h = self.host(origin);
-            (h.realm, h.chain.clone())
-        };
+        let h = self.host(origin);
+        let mut realm = h.realm;
 
         // Ascend the origin's router chain.
-        for router in &up_chain {
-            if !pkt.decrement_ttl() {
-                let err = pkt.ttl_exceeded_reply(*router);
-                return (
-                    SendOutcome::Dropped(DropSite::TtlExpired(*router)),
-                    Some(err),
-                );
-            }
+        if let Err(dead) = Self::cross(&mut pkt, &h.chain) {
+            return dead;
         }
 
         let mut guard = 0;
@@ -686,54 +704,24 @@ impl Network {
             match target {
                 Some(RealmTarget::Host(hid)) => {
                     // Descend the target's chain.
-                    let chain = self.host(hid).chain.clone();
-                    for router in chain.iter().rev() {
-                        if !pkt.decrement_ttl() {
-                            let err = pkt.ttl_exceeded_reply(*router);
-                            return (
-                                SendOutcome::Dropped(DropSite::TtlExpired(*router)),
-                                Some(err),
-                            );
-                        }
+                    if let Err(dead) = Self::cross(&mut pkt, self.host(hid).chain.iter().rev()) {
+                        return dead;
                     }
                     return (SendOutcome::Delivered { node: hid, pkt }, None);
                 }
                 Some(RealmTarget::NatExternal(nid)) => {
-                    // Descend to the NAT's external interface, then
-                    // translate inbound.
-                    let chain = match &self.nodes[nid.0 as usize] {
-                        Node::Nat(n) => n.external_chain.clone(),
-                        Node::Host(_) => unreachable!(),
-                    };
-                    for router in chain.iter().rev() {
-                        if !pkt.decrement_ttl() {
-                            let err = pkt.ttl_exceeded_reply(*router);
-                            return (
-                                SendOutcome::Dropped(DropSite::TtlExpired(*router)),
-                                Some(err),
-                            );
-                        }
-                    }
-                    // The NAT itself is a hop.
+                    // Descend to the NAT's external interface — the NAT
+                    // itself is the last hop — then translate inbound.
                     let nat_addr = pkt.dst.ip;
-                    if !pkt.decrement_ttl() {
-                        let err = pkt.ttl_exceeded_reply(nat_addr);
-                        return (
-                            SendOutcome::Dropped(DropSite::TtlExpired(nat_addr)),
-                            Some(err),
-                        );
+                    let n = self.nat_node_mut(nid);
+                    let down = n.external_chain.iter().rev().chain([&nat_addr]);
+                    if let Err(dead) = Self::cross(&mut pkt, down) {
+                        return dead;
                     }
-                    let (verdict, internal_realm) = {
-                        let n = match &mut self.nodes[nid.0 as usize] {
-                            Node::Nat(n) => n,
-                            Node::Host(_) => unreachable!(),
-                        };
-                        (n.nat.process_inbound(pkt, now), n.internal_realm)
-                    };
-                    match verdict {
+                    match n.nat.process_inbound(pkt, now) {
                         NatVerdict::Forward(p) => {
                             pkt = p;
-                            realm = internal_realm;
+                            realm = n.internal_realm;
                         }
                         NatVerdict::Hairpin(_) => {
                             unreachable!("inbound processing never hairpins")
@@ -745,62 +733,30 @@ impl Network {
                 }
                 None => {
                     // Ascend through the gateway, if any.
-                    let gw = self.realms[realm.0 as usize].gateway;
-                    match gw {
-                        Some(gid) => {
-                            let (internal_addr, external_realm) = {
-                                let n = match &self.nodes[gid.0 as usize] {
-                                    Node::Nat(n) => n,
-                                    Node::Host(_) => unreachable!(),
-                                };
-                                (n.internal_addr, n.external_realm)
-                            };
-                            // The NAT is a hop.
-                            if !pkt.decrement_ttl() {
-                                let err = pkt.ttl_exceeded_reply(internal_addr);
-                                return (
-                                    SendOutcome::Dropped(DropSite::TtlExpired(internal_addr)),
-                                    Some(err),
-                                );
+                    let Some(gid) = self.realms[realm.0 as usize].gateway else {
+                        return (SendOutcome::Dropped(DropSite::NoRoute), None);
+                    };
+                    let n = self.nat_node_mut(gid);
+                    // The NAT is a hop.
+                    if let Err(dead) = Self::cross(&mut pkt, [&n.internal_addr]) {
+                        return dead;
+                    }
+                    match n.nat.process_outbound(pkt, now) {
+                        NatVerdict::Forward(p) => {
+                            pkt = p;
+                            // Ascend the NAT's external chain.
+                            if let Err(dead) = Self::cross(&mut pkt, &n.external_chain) {
+                                return dead;
                             }
-                            let verdict = {
-                                let n = match &mut self.nodes[gid.0 as usize] {
-                                    Node::Nat(n) => n,
-                                    Node::Host(_) => unreachable!(),
-                                };
-                                n.nat.process_outbound(pkt, now)
-                            };
-                            match verdict {
-                                NatVerdict::Forward(p) => {
-                                    pkt = p;
-                                    // Ascend the NAT's external chain.
-                                    let chain = match &self.nodes[gid.0 as usize] {
-                                        Node::Nat(n) => n.external_chain.clone(),
-                                        Node::Host(_) => unreachable!(),
-                                    };
-                                    for router in &chain {
-                                        if !pkt.decrement_ttl() {
-                                            let err = pkt.ttl_exceeded_reply(*router);
-                                            return (
-                                                SendOutcome::Dropped(DropSite::TtlExpired(*router)),
-                                                Some(err),
-                                            );
-                                        }
-                                    }
-                                    realm = external_realm;
-                                }
-                                NatVerdict::Hairpin(p) => {
-                                    // Looped back into the same internal
-                                    // realm with an internal destination.
-                                    pkt = p;
-                                }
-                                NatVerdict::Drop(_) => {
-                                    return (SendOutcome::Dropped(DropSite::Nat(gid)), None);
-                                }
-                            }
+                            realm = n.external_realm;
                         }
-                        None => {
-                            return (SendOutcome::Dropped(DropSite::NoRoute), None);
+                        NatVerdict::Hairpin(p) => {
+                            // Looped back into the same internal
+                            // realm with an internal destination.
+                            pkt = p;
+                        }
+                        NatVerdict::Drop(_) => {
+                            return (SendOutcome::Dropped(DropSite::Nat(gid)), None);
                         }
                     }
                 }
