@@ -3,11 +3,12 @@
 //! 16× subscriber scale.
 //!
 //! Burst = 1 is the scalar-equivalent reference (one packet per
-//! `process_burst` call — no useful prefetch lookahead, no sorted
-//! slot sweep); the larger sizes measure what the batched hot path
-//! buys once the prefetcher can run ahead of translation. The setup
-//! also asserts every burst size reproduces the burst=1 digest
-//! bit-for-bit, so the bench doubles as an equivalence check.
+//! `process_burst` call — nothing to overlap a packet's cache misses
+//! with); the larger sizes measure what the batched hot path buys
+//! once a burst's index-cell and slot-row misses are in flight
+//! together. The setup also asserts every burst size reproduces the
+//! burst=1 digest bit-for-bit, so the bench doubles as an equivalence
+//! check.
 //!
 //! ```text
 //! cargo bench -p cgn-bench --bench batch

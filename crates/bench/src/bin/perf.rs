@@ -292,8 +292,8 @@ fn main() {
             fold_best_batch(&mut section, &settings, report.threads);
         }
         println!(
-            "  burst sweep at {}x ({} subscribers), prefetch distance {}:",
-            section.scale, section.subscribers, section.prefetch_distance
+            "  burst sweep at {}x ({} subscribers):",
+            section.scale, section.subscribers
         );
         for row in &section.rows {
             println!(

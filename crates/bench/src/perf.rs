@@ -418,8 +418,6 @@ pub struct BatchSection {
     /// Scale the leg was measured at.
     pub scale: u32,
     pub subscribers: u32,
-    /// Prefetch lookahead of the burst pipeline (packets).
-    pub prefetch_distance: usize,
     pub rows: Vec<BurstPerf>,
     /// Folded per-mix digest, identical across every burst size by
     /// construction (the leg panics otherwise).
@@ -1279,7 +1277,6 @@ pub fn measure_batch_leg(settings: &PerfSettings, scale: u32, threads: usize) ->
     BatchSection {
         scale,
         subscribers,
-        prefetch_distance: nat_engine::PREFETCH_DISTANCE,
         rows,
         digest: format!("{digest:016x}"),
         inbound: Some(InboundBatchSection {
@@ -1669,7 +1666,6 @@ mod tests {
         let r = run_perf(&settings);
         let section = r.batch.as_ref().expect("batch section attached");
         assert_eq!(section.scale, settings.scales[1], "middle scale");
-        assert_eq!(section.prefetch_distance, nat_engine::PREFETCH_DISTANCE);
         let bursts: Vec<usize> = section.rows.iter().map(|row| row.burst).collect();
         assert_eq!(bursts, BATCH_BURSTS);
         assert_eq!(section.rows[0].relative_throughput, 1.0);

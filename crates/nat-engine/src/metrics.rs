@@ -36,16 +36,18 @@ pub struct EngineMetrics {
     /// Distribution of burst fill (packets per burst) — how full the
     /// driver's event-wheel drains keep the batched hot path.
     pub burst_fill: Histogram,
-    /// Slot prefetches issued by the burst pipeline (resolved reuse
-    /// slots; capped at the burst fill).
+    /// Candidate rows the burst pipeline handed to the prefetcher:
+    /// one per packet whose tag-only index probe named a slot. The
+    /// probe is unverified, so this is not a hit count — a
+    /// fingerprint collision counts a row no packet will use.
     pub prefetches: Counter,
     /// Calls to [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst).
     pub bursts_in: Counter,
     /// Distribution of inbound burst fill (packets per burst) — how
     /// full the driver's reply drains keep the inbound pipeline.
     pub burst_in_fill: Histogram,
-    /// Slot prefetches issued by the inbound burst pipeline (resolved
-    /// ext-key hits; capped at the burst fill).
+    /// The same for the inbound burst pipeline's tag-only ext-key
+    /// probes.
     pub prefetches_in: Counter,
 }
 
@@ -104,8 +106,8 @@ impl EngineMetrics {
     }
 
     /// Burst fire site: once per [`Nat::process_burst`](crate::Nat::process_burst)
-    /// call, recording the burst fill and how many slot prefetches the
-    /// resolve pass issued.
+    /// call, recording the burst fill and how many candidate rows the
+    /// prefetch stage's tag-only probes named.
     #[cold]
     #[inline(never)]
     pub fn on_burst(&mut self, fill: u64, prefetched: u64) {
@@ -116,9 +118,9 @@ impl EngineMetrics {
 
     /// Inbound-burst fire site: once per
     /// [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst)
-    /// call, recording the burst fill and how many slot prefetches the
-    /// resolve pass issued. Fired only on the burst path — the scalar
-    /// inbound API touches no instrument.
+    /// call, recording the burst fill and how many candidate rows the
+    /// prefetch stage's tag-only probes named. Fired only on the burst
+    /// path — the scalar inbound API touches no instrument.
     #[cold]
     #[inline(never)]
     pub fn on_burst_inbound(&mut self, fill: u64, prefetched: u64) {
@@ -180,10 +182,6 @@ impl EngineMetrics {
             "cgn_inbound_prefetch_issued_total",
             Value::Counter(self.prefetches_in.get()),
         );
-        out.push(
-            "cgn_prefetch_distance",
-            Value::Gauge(crate::nat::PREFETCH_DISTANCE as u64),
-        );
     }
 }
 
@@ -232,6 +230,6 @@ mod tests {
         assert_eq!(snap.scalar("cgn_prefetch_issued_total"), 7);
         assert_eq!(snap.scalar("cgn_inbound_bursts_total"), 1);
         assert_eq!(snap.scalar("cgn_inbound_prefetch_issued_total"), 5);
-        assert_eq!(snap.samples.len(), 16, "every instrument renders");
+        assert_eq!(snap.samples.len(), 15, "every instrument renders");
     }
 }

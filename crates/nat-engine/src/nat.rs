@@ -29,12 +29,15 @@ use std::net::Ipv4Addr;
 
 pub use crate::store::Mapping;
 
-/// How many packets ahead of the translation cursor
-/// [`Nat::process_burst`] issues software prefetches for resolved
-/// slots. One slot costs two cache lines (hot row + cold slab row);
-/// a handful of packets of lead time is enough to overlap the LLC
-/// miss with the preceding translations without thrashing the L1.
-pub const PREFETCH_DISTANCE: usize = 4;
+/// One planned packet of an outbound burst: protocol, TCP flags and
+/// packed out-key; `None` marks an ICMP pass-through.
+type OutboundPlan = Option<(Protocol, Option<TcpFlags>, u128)>;
+
+/// One planned packet of an inbound burst: protocol, TCP flags and
+/// packed ext-key (`None` when the destination pool was never
+/// interned — a stray that can only drop); the outer `None` marks an
+/// inbound ICMP error.
+type InboundPlan = Option<(Protocol, Option<TcpFlags>, Option<u64>)>;
 
 /// Outcome of processing one packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +182,12 @@ pub struct Nat {
     /// discipline again: absent by default, one untaken branch per
     /// fire site when disabled.
     tracer: TraceSlot,
+    /// Scratch for [`Nat::process_burst`]'s plan, kept between calls
+    /// so a burst allocates nothing; empty, and unallocated until the
+    /// first burst, outside a call.
+    outbound_plan: Vec<OutboundPlan>,
+    /// The same for [`Nat::process_inbound_burst`].
+    inbound_plan: Vec<InboundPlan>,
 }
 
 /// `Option`-slot wrapper for the tracer; the custom `Debug` keeps
@@ -215,6 +224,8 @@ impl Nat {
             sink: SinkSlot(None),
             metrics: MetricsSlot(None),
             tracer: TraceSlot(None),
+            outbound_plan: Vec::new(),
+            inbound_plan: Vec::new(),
         }
     }
 
@@ -456,7 +467,8 @@ impl Nat {
         if let Some(m) = &mut self.metrics.0 {
             m.on_sweep(inspected > 0, due.len() as u64);
         }
-        for slot in due {
+        for (i, &slot) in due.iter().enumerate() {
+            self.store.prefetch_removals(&due, i);
             self.remove_mapping(slot, now);
             self.stats.mappings_expired += 1;
         }
@@ -587,28 +599,31 @@ impl Nat {
     /// Translate a burst of outbound packets at one instant, returning
     /// one verdict per packet in arrival order.
     ///
-    /// The burst pipeline runs in three passes: **resolve** every
-    /// packet's out-key and reuse-slot in arrival order (key packing
-    /// interns hosts, so the interner evolves exactly as under
-    /// [`Nat::process_outbound`]); **prefetch** the resolved slots'
-    /// hot/cold rows in slot order (sequential slab strides), so the
-    /// LLC misses of the whole burst overlap instead of serializing;
-    /// **translate** in arrival order through the same code path as
-    /// the scalar API, prefetching [`PREFETCH_DISTANCE`] packets
-    /// ahead. RNG draws, interner growth, sink/metrics fire order and
-    /// verdict commit order are all arrival-order, so results —
-    /// verdicts, [`NatStats`], store state, telemetry logs — are
-    /// bit-identical to calling `process_outbound` once per packet,
-    /// for every burst size.
+    /// A lookup in a table far larger than the cache is two dependent
+    /// misses — a random index cell, then the slab rows it names — and
+    /// the burst exists to take the whole burst's misses of each kind
+    /// at once instead of one packet's after another's. Three stages:
+    /// **resolve**, in arrival order, packs every packet's out-key
+    /// (key packing interns hosts, so the interner evolves exactly as
+    /// under [`Nat::process_outbound`]) and prefetches the index cell
+    /// its probe starts at; **prefetch** reads those cells, now
+    /// cached, with a tag-only probe ([`MappingStore::hint_out`]) and
+    /// prefetches every line of the candidate slot's rows;
+    /// **translate** runs in arrival order through the same code path
+    /// as the scalar API, which probes again and verifies the full
+    /// key. The hint is left unverified on purpose: verifying it
+    /// means reading the cold row, the very miss the stage exists to
+    /// overlap, and a wrong or stale hint (a fingerprint collision, a
+    /// slot an earlier packet of the burst freed or re-used) costs one
+    /// useless prefetch and can change nothing. RNG draws, interner
+    /// growth, sink/metrics fire order and verdict commit order are
+    /// all arrival-order, so results — verdicts, [`NatStats`], store
+    /// state, telemetry logs — are bit-identical to calling
+    /// `process_outbound` once per packet, for every burst size.
     pub fn process_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
-        // One resolved packet: protocol, TCP flags, packed out-key,
-        // and the slot hint from the pre-translation index probe.
-        // `None` marks an ICMP pass-through.
-        type PlanEntry = Option<(Protocol, Option<TcpFlags>, u128, Option<u32>)>;
-        let fill = pkts.len() as u64;
         let mut clock = self.phase_clock();
-        // Pass 1 — resolve keys and reuse-slot hints in arrival order.
-        let mut plan: Vec<PlanEntry> = Vec::with_capacity(pkts.len());
+        let mut plan = std::mem::take(&mut self.outbound_plan);
+        // Stage 1 — keys in arrival order, index cells on their way.
         for pkt in &pkts {
             let (proto, flags) = match &pkt.body {
                 PacketBody::Udp { .. } => (Protocol::Udp, None),
@@ -621,44 +636,34 @@ impl Nat {
             let key = self
                 .store
                 .out_key(self.config.mapping, proto, pkt.src, pkt.dst);
-            plan.push(Some((proto, flags, key, self.store.lookup_out(key))));
+            self.store.prefetch_out_cell(key);
+            plan.push(Some((proto, flags, key)));
         }
         self.phase_lap(&mut clock, Phase::BurstResolve);
 
-        // Pass 2 — prefetch sweep over the resolved slots, sorted so
-        // the hardware sees sequential slab strides. The sort feeds
-        // only the prefetcher; translation order is untouched.
-        let mut slots: Vec<u32> = plan
-            .iter()
-            .filter_map(|p| p.as_ref().and_then(|&(_, _, _, hint)| hint))
-            .collect();
-        let prefetched = slots.len() as u64;
-        slots.sort_unstable();
-        for &s in &slots {
-            self.store.prefetch_slot(s);
+        // Stage 2 — candidate rows on their way.
+        let mut rows = 0u64;
+        for &(_, _, key) in plan.iter().flatten() {
+            if let Some(slot) = self.store.hint_out(key) {
+                self.store.prefetch_slot(slot);
+                rows += 1;
+            }
         }
         if let Some(m) = &mut self.metrics.0 {
-            m.on_burst(fill, prefetched);
+            m.on_burst(pkts.len() as u64, rows);
         }
         self.phase_lap(&mut clock, Phase::BurstPrefetch);
 
-        // Pass 3 — translate in arrival order. Hints are a prefetch
-        // aid only: translation re-probes the index, so a hint
-        // invalidated by an earlier packet in the burst (an expiry
-        // removal, a new mapping) costs nothing but a cold miss.
+        // Stage 3 — translate in arrival order.
         let mut verdicts = Vec::with_capacity(pkts.len());
-        for (i, pkt) in pkts.into_iter().enumerate() {
-            if let Some(Some((_, _, _, Some(ahead)))) = plan.get(i + PREFETCH_DISTANCE) {
-                self.store.prefetch_slot(*ahead);
-            }
+        for (pkt, planned) in pkts.into_iter().zip(plan.drain(..)) {
             self.stats.out_packets += 1;
-            verdicts.push(match plan[i] {
+            verdicts.push(match planned {
                 None => NatVerdict::Forward(pkt),
-                Some((proto, flags, key, _)) => {
-                    self.translate_outbound(pkt, now, proto, flags, key)
-                }
+                Some((proto, flags, key)) => self.translate_outbound(pkt, now, proto, flags, key),
             });
         }
+        self.outbound_plan = plan;
         self.phase_lap(&mut clock, Phase::BurstTranslate);
         verdicts
     }
@@ -908,7 +913,8 @@ impl Nat {
             PacketBody::Udp { .. } => (Protocol::Udp, None),
             PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
             PacketBody::Icmp { original_src, .. } => {
-                return self.inbound_icmp(pkt.clone(), *original_src, now);
+                let original_src = *original_src;
+                return self.inbound_icmp(pkt, original_src, now);
             }
         };
         let key = self.store.ext_key_of(proto, pkt.dst);
@@ -917,93 +923,72 @@ impl Nat {
 
     /// Translate a burst of inbound packets at one instant, returning
     /// one verdict per packet in arrival order — the inbound mirror of
-    /// [`Nat::process_burst`].
+    /// [`Nat::process_burst`], over the ext-key index.
     ///
-    /// Three passes over the ext-key open-addressed index: **resolve**
-    /// classifies each packet, then derives every packed ext-key in
-    /// one tight batch pass (inbound key derivation never interns —
-    /// a stray pool stays uninterned and simply cannot match — so the
-    /// packed pass is branch-free with respect to store state) and
-    /// probes the reuse-slot hints; **prefetch** sweeps the resolved
-    /// slots' hot/cold rows in slot order, overlapping the burst's LLC
-    /// misses; **translate** runs in arrival order through the same
-    /// code path as the scalar API ([`Nat::process_inbound`]),
-    /// prefetching [`PREFETCH_DISTANCE`] packets ahead. Filtering
-    /// (`ContactSet` checks), expiry-on-touch removal, TCP tracking,
-    /// stats and sink/metrics fire order are all arrival-order, so
-    /// results are bit-identical to calling `process_inbound` once per
-    /// packet, for every burst size.
+    /// The same three stages: **resolve** packs every packet's ext-key
+    /// (inbound key derivation never interns — a stray pool stays
+    /// uninterned and simply cannot match) and prefetches the index
+    /// cell its probe starts at; **prefetch** reads the cached cells
+    /// with a tag-only probe ([`MappingStore::hint_ext`]) and
+    /// prefetches every line of the candidate slot's rows;
+    /// **translate** runs in arrival order through the same code path
+    /// as the scalar API ([`Nat::process_inbound`]), which probes
+    /// again and verifies the full key, so an unverified hint can
+    /// change nothing. Filtering (`ContactSet` checks),
+    /// expiry-on-touch removal, TCP tracking, stats and sink/metrics
+    /// fire order are all arrival-order, so results are bit-identical
+    /// to calling `process_inbound` once per packet, for every burst
+    /// size.
     pub fn process_inbound_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
-        // One resolved packet: protocol, TCP flags, packed ext-key
-        // (`None` when the destination pool was never interned — a
-        // stray that can only drop), and the slot hint from the
-        // pre-translation index probe. The outer `None` marks an
-        // inbound ICMP error.
-        type PlanEntry = Option<(Protocol, Option<TcpFlags>, Option<u64>, Option<u32>)>;
-        let fill = pkts.len() as u64;
         let mut clock = self.phase_clock();
-
-        // Pass 1 — resolve. Classification in arrival order, then the
-        // packed ext-key batch pass and the index probes as tight
-        // loops over the plan (no per-packet verdict branching).
-        let mut plan: Vec<PlanEntry> = Vec::with_capacity(pkts.len());
+        let mut plan = std::mem::take(&mut self.inbound_plan);
+        // Stage 1 — keys in arrival order, index cells on their way.
         for pkt in &pkts {
-            plan.push(match &pkt.body {
-                PacketBody::Udp { .. } => Some((Protocol::Udp, None, None, None)),
-                PacketBody::Tcp { flags, .. } => Some((Protocol::Tcp, Some(*flags), None, None)),
-                PacketBody::Icmp { .. } => None,
-            });
-        }
-        for (entry, pkt) in plan.iter_mut().zip(&pkts) {
-            if let Some((proto, _, key, _)) = entry {
-                *key = self.store.ext_key_of(*proto, pkt.dst);
+            let (proto, flags) = match &pkt.body {
+                PacketBody::Udp { .. } => (Protocol::Udp, None),
+                PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
+                PacketBody::Icmp { .. } => {
+                    plan.push(None);
+                    continue;
+                }
+            };
+            let key = self.store.ext_key_of(proto, pkt.dst);
+            if let Some(key) = key {
+                self.store.prefetch_ext_cell(key);
             }
-        }
-        for entry in &mut plan {
-            if let Some((_, _, Some(key), hint)) = entry {
-                *hint = self.store.lookup_ext_key(*key);
-            }
+            plan.push(Some((proto, flags, key)));
         }
         self.phase_lap(&mut clock, Phase::BurstResolve);
 
-        // Pass 2 — prefetch sweep over the resolved slots, sorted so
-        // the hardware sees sequential slab strides. The sort feeds
-        // only the prefetcher; translation order is untouched.
-        let mut slots: Vec<u32> = plan
-            .iter()
-            .filter_map(|p| p.as_ref().and_then(|&(_, _, _, hint)| hint))
-            .collect();
-        let prefetched = slots.len() as u64;
-        slots.sort_unstable();
-        for &s in &slots {
-            self.store.prefetch_slot(s);
+        // Stage 2 — candidate rows on their way.
+        let mut rows = 0u64;
+        for &(_, _, key) in plan.iter().flatten() {
+            if let Some(slot) = key.and_then(|k| self.store.hint_ext(k)) {
+                self.store.prefetch_slot(slot);
+                rows += 1;
+            }
         }
         if let Some(m) = &mut self.metrics.0 {
-            m.on_burst_inbound(fill, prefetched);
+            m.on_burst_inbound(pkts.len() as u64, rows);
         }
         self.phase_lap(&mut clock, Phase::BurstPrefetch);
 
-        // Pass 3 — translate in arrival order. Hints are a prefetch
-        // aid only: translation re-probes the index, so a hint
-        // invalidated by an earlier packet in the burst (an expiry
-        // removal) costs nothing but a cold miss.
+        // Stage 3 — translate in arrival order.
         let mut verdicts = Vec::with_capacity(pkts.len());
-        for (i, pkt) in pkts.into_iter().enumerate() {
-            if let Some(Some((_, _, _, Some(ahead)))) = plan.get(i + PREFETCH_DISTANCE) {
-                self.store.prefetch_slot(*ahead);
-            }
+        for (pkt, planned) in pkts.into_iter().zip(plan.drain(..)) {
             self.stats.in_packets += 1;
-            verdicts.push(match plan[i] {
+            verdicts.push(match planned {
                 None => {
                     let original_src = match &pkt.body {
                         PacketBody::Icmp { original_src, .. } => *original_src,
-                        _ => unreachable!("pass 1 classified this packet as ICMP"),
+                        _ => unreachable!("stage 1 classified this packet as ICMP"),
                     };
                     self.inbound_icmp(pkt, original_src, now)
                 }
-                Some((proto, flags, key, _)) => self.translate_inbound(pkt, now, proto, flags, key),
+                Some((proto, flags, key)) => self.translate_inbound(pkt, now, proto, flags, key),
             });
         }
+        self.inbound_plan = plan;
         self.phase_lap(&mut clock, Phase::BurstTranslate);
         verdicts
     }
@@ -1840,6 +1825,111 @@ mod tests {
         assert_eq!(snap.scalar("cgn_inbound_prefetch_issued_total"), 10);
         assert!(snap.scalar("cgn_arena_chunks") >= 2, "hot + cold chunks");
         assert_eq!(snap.scalar("cgn_arena_slots_free"), 0, "nothing expired");
+    }
+
+    /// Event log as bytes, one debug-formatted event per line.
+    #[derive(Default)]
+    struct LineSink(Vec<u8>);
+
+    impl EventSink for LineSink {
+        fn mapping_created(&mut self, e: &MappingEvent) {
+            self.0.extend(format!("created {e:?}\n").bytes());
+        }
+        fn mapping_expired(&mut self, e: &MappingEvent) {
+            self.0.extend(format!("expired {e:?}\n").bytes());
+        }
+        fn block_allocated(&mut self, e: &BlockEvent) {
+            self.0.extend(format!("granted {e:?}\n").bytes());
+        }
+        fn block_released(&mut self, e: &BlockEvent) {
+            self.0.extend(format!("returned {e:?}\n").bytes());
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// The hint a burst prefetches from is taken before any packet of
+    /// the burst is translated, so it can go stale inside the burst:
+    /// here the slot it names is freed by an earlier packet's
+    /// expiry-on-touch and handed to another flow's new mapping before
+    /// the hinted packet is reached. Nothing but the prefetch may
+    /// depend on it.
+    #[test]
+    fn stale_burst_hints_change_nothing() {
+        let (e, f, g) = (internal_host(1), internal_host(2), internal_host(3));
+        let run = |burst: bool| {
+            let mut n = nat(NatConfig::cgn_default()); // EIM, 60 s UDP timeout
+            n.set_sink(Box::<LineSink>::default());
+            n.set_metrics(Box::<EngineMetrics>::default());
+            udp_out(&mut n, e, server(), t(0)); // slot 0, expires at 60 s
+            udp_out(&mut n, f, server(), t(30)); // slot 1, expires at 90 s
+            n.sweep(t(61)); // frees slot 0
+            let mapping = n.config.mapping;
+            let f_key = n.store.out_key(mapping, Protocol::Udp, f, server());
+            assert_eq!(n.store.hint_out(f_key), Some(1));
+
+            // Outbound at 100 s, F expired: the first F packet frees
+            // slot 1 and re-creates F in slot 0 (lowest free id), G's
+            // new mapping takes slot 1, and the second F packet —
+            // hinted slot 1 — must find F in slot 0.
+            let pkts: Vec<Packet> = [f, g, f]
+                .iter()
+                .map(|&src| Packet::udp(src, server(), vec![1]))
+                .collect();
+            let mut verdicts = if burst {
+                n.process_burst(pkts, t(100))
+            } else {
+                pkts.into_iter()
+                    .map(|p| n.process_outbound(p, t(100)))
+                    .collect()
+            };
+            let g_key = n.store.out_key(mapping, Protocol::Udp, g, server());
+            assert_eq!(n.store.lookup_out(f_key), Some(0));
+            assert_eq!(n.store.lookup_out(g_key), Some(1));
+
+            // Inbound at 200 s, F and G expired: the first reply to F
+            // frees the slot the second reply's hint names.
+            let ext_of = |v: &NatVerdict| match v {
+                NatVerdict::Forward(p) => p.src,
+                v => panic!("expected Forward, got {v:?}"),
+            };
+            let replies: Vec<Packet> = [&verdicts[0], &verdicts[2], &verdicts[1]]
+                .iter()
+                .map(|v| Packet::udp(server(), ext_of(v), vec![2]))
+                .collect();
+            verdicts.extend(if burst {
+                n.process_inbound_burst(replies, t(200))
+            } else {
+                replies
+                    .into_iter()
+                    .map(|p| n.process_inbound(p, t(200)))
+                    .collect()
+            });
+            assert_eq!(n.store.lookup_out(f_key), None);
+            let log = n.take_sink().expect("sink installed").into_any();
+            let log = log.downcast::<LineSink>().expect("concrete sink type").0;
+            let snap = n.metrics_snapshot().expect("registry installed");
+            let rows = (
+                snap.scalar("cgn_prefetch_issued_total"),
+                snap.scalar("cgn_inbound_prefetch_issued_total"),
+            );
+            let occupancy = (n.store_occupancy(), n.port_occupancy());
+            (verdicts, n.stats().clone(), log, occupancy, rows)
+        };
+        let (scalar, burst) = (run(false), run(true));
+        assert_eq!(scalar.0, burst.0, "verdicts");
+        assert_eq!(scalar.1, burst.1, "stats");
+        assert_eq!(scalar.2, burst.2, "log bytes");
+        assert_eq!(scalar.3, burst.3, "store and port occupancy");
+        assert_eq!(
+            scalar.1.mappings_expired, 4,
+            "E swept; F, F again, G on touch"
+        );
+        assert_eq!(scalar.1.drop_no_mapping, 3);
+        // Rows prefetched: both F packets (hinted slot 1; G was not
+        // indexed yet), then all three replies.
+        assert_eq!((scalar.4, burst.4), ((0, 0), (2, 3)));
     }
 
     #[test]

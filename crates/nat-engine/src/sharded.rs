@@ -460,8 +460,8 @@ impl ShardedNat {
     /// [`Nat::process_burst`] resolve → prefetch → translate pipeline
     /// instead of the packet-at-a-time loop, so the full fleet path is
     /// "sort by shard ([`ShardedNat::partition_outbound`]), then
-    /// prefetch by resolved slot". Contract is unchanged: verdicts per
-    /// shard in batch order, bit-identical to
+    /// prefetch each shard's index cells and slot rows". Contract is
+    /// unchanged: verdicts per shard in batch order, bit-identical to
     /// [`ShardedNat::process_batches`] for every thread count and
     /// burst size.
     ///

@@ -46,8 +46,10 @@
 //!   tag + the slot id); full keys are verified against the slab on
 //!   fingerprint hits. Compared to the previous `HashMap` (16/32-byte
 //!   entries plus per-group control metadata), probes touch half the
-//!   index bytes, and [`MappingStore::prefetch_slot`] can pull the
-//!   verified slot's rows into cache ahead of the burst pipeline.
+//!   index bytes. A burst overlaps its misses in two steps: prefetch
+//!   the cell each key's probe starts at, then read the cached cells
+//!   with a tag-only probe and [`MappingStore::prefetch_slot`] the
+//!   candidate's rows, before any packet is translated.
 //!
 //! * **Hierarchical timer wheel** — instead of scanning the whole
 //!   table on [`sweep`](MappingStore::sweep_due) (or short-circuiting
@@ -380,6 +382,20 @@ impl TimerWheel {
     }
 }
 
+/// Ask the cache for the line holding `p`. A no-op off x86_64 and
+/// under Miri, which has no model of the intrinsic.
+#[inline(always)]
+fn prefetch_line<T>(p: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    // SAFETY: PREFETCHT0 is a hint: it reads and writes no memory the
+    // program can observe and cannot fault, whatever address it names.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch(p as *const i8, std::arch::x86_64::_MM_HINT_T0);
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = p;
+}
+
 // ---------------------------------------------------------------------------
 // Open-addressed key index
 // ---------------------------------------------------------------------------
@@ -471,6 +487,25 @@ impl OpenIndex {
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Prefetch the cell a probe for `hash` starts at.
+    #[inline]
+    fn prefetch(&self, hash: u64) {
+        prefetch_line(&self.cells[hash as usize & self.mask()]);
+    }
+
+    /// Tag-only probe: the slot of the first cell on `hash`'s probe
+    /// path that carries its fingerprint, with no key verify — so it
+    /// reads index cells only. Returns a slot whenever [`get`] would
+    /// (the verified cell is on the same path), but under a tag
+    /// collision it may name another key's slot, or one for a key
+    /// that is not indexed at all. Good for prefetching, nothing else.
+    ///
+    /// [`get`]: OpenIndex::get
+    #[inline]
+    fn hint(&self, hash: u64) -> Option<u32> {
+        self.get(hash, |_| true)
     }
 
     /// Remove the cell holding exactly `slot` under `hash` (slot ids
@@ -602,6 +637,13 @@ impl StoreOccupancy {
         self.timers += other.timers;
     }
 }
+
+/// How many entries ahead the expiry path prefetches: over a drained
+/// wheel bucket in [`MappingStore::sweep_due`], and (twice: rows, then
+/// index cells) over the due list in
+/// [`MappingStore::prefetch_removals`]. A removal costs a few hundred
+/// nanoseconds, a memory miss about one hundred.
+const SWEEP_LOOKAHEAD: usize = 8;
 
 const KIND_EIM: u128 = 0;
 const KIND_ADM: u128 = 1;
@@ -822,26 +864,73 @@ impl MappingStore {
         self.hot[slot as usize].expiry_ms <= now.as_millis()
     }
 
-    /// Software-prefetch a slot's hot and cold rows into cache — the
-    /// burst pipeline issues this one step ahead of translation so the
-    /// LLC miss overlaps the previous packet's work. No-op on
-    /// non-x86_64 targets.
+    /// Burst stage 1, outbound: prefetch the out-index cell the probe
+    /// for `key` starts at.
+    #[inline]
+    pub fn prefetch_out_cell(&self, key: u128) {
+        self.out_index.prefetch(Self::hash_out(key));
+    }
+
+    /// Burst stage 1, inbound: prefetch the ext-index cell the probe
+    /// for `key` starts at.
+    #[inline]
+    pub fn prefetch_ext_cell(&self, key: u64) {
+        self.ext_index.prefetch(Self::hash_ext(key));
+    }
+
+    /// Burst stage 2, outbound: the slot a tag-only probe of the
+    /// out-index finds for `key`. Reads index cells only, never the
+    /// slab, so it does not wait on a cold row — and is therefore
+    /// unverified: it names a slot whenever
+    /// [`MappingStore::lookup_out`] does, but under a fingerprint
+    /// collision possibly a different one. Feed it to
+    /// [`MappingStore::prefetch_slot`] and nothing else.
+    #[inline]
+    pub fn hint_out(&self, key: u128) -> Option<u32> {
+        self.out_index.hint(Self::hash_out(key))
+    }
+
+    /// Burst stage 2, inbound: the ext-index twin of
+    /// [`MappingStore::hint_out`].
+    #[inline]
+    pub fn hint_ext(&self, key: u64) -> Option<u32> {
+        self.ext_index.hint(Self::hash_ext(key))
+    }
+
+    /// Prefetch the whole of a slot's rows: the 32-byte hot row and
+    /// every cache line of the cold row. Cold rows sit at 16-byte
+    /// multiples, so a 112-byte row spans two or three lines; its
+    /// first byte, its 65th and its last name all of them. A hint
+    /// only: any slot id is accepted, out-of-range ones are ignored.
     #[inline]
     pub fn prefetch_slot(&self, slot: u32) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint; both pointers come from live
-        // in-bounds borrows.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            if let (Some(hot), Some(cold)) =
-                (self.hot.get(slot as usize), self.slots.get(slot as usize))
-            {
-                _mm_prefetch(hot as *const HotSlot as *const i8, _MM_HINT_T0);
-                _mm_prefetch(cold as *const Slot as *const i8, _MM_HINT_T0);
-            }
+        if let (Some(hot), Some(cold)) =
+            (self.hot.get(slot as usize), self.slots.get(slot as usize))
+        {
+            prefetch_line(hot);
+            let row = (cold as *const Slot).cast::<u8>();
+            prefetch_line(row);
+            prefetch_line(row.wrapping_add(64));
+            prefetch_line(row.wrapping_add(std::mem::size_of::<Slot>() - 1));
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
+    }
+
+    /// Look-ahead for a caller that removes the slots of `due` in
+    /// order and is about to remove `due[i]`: prefetch the rows of the
+    /// slot `2 * SWEEP_LOOKAHEAD` places on, and — from the keys in
+    /// the cold row fetched that way `SWEEP_LOOKAHEAD` removals ago —
+    /// the two index cells [`MappingStore::remove`] will tombstone for
+    /// the slot `SWEEP_LOOKAHEAD` places on.
+    #[inline]
+    pub fn prefetch_removals(&self, due: &[u32], i: usize) {
+        if let Some(&slot) = due.get(i + 2 * SWEEP_LOOKAHEAD) {
+            self.prefetch_slot(slot);
+        }
+        if let Some(&slot) = due.get(i + SWEEP_LOOKAHEAD) {
+            let cold = &self.slots[slot as usize];
+            self.out_index.prefetch(Self::hash_out(cold.out_key));
+            self.ext_index.prefetch(Self::hash_ext(cold.ext_key));
+        }
     }
 
     /// Borrow a live mapping. Panics on a freed slot id.
@@ -1005,12 +1094,18 @@ impl MappingStore {
                 continue;
             }
             let drained = std::mem::take(&mut self.wheel.buckets[bucket]);
-            for e in drained {
+            for (i, e) in drained.iter().enumerate() {
                 self.wheel.entries -= 1;
                 inspected += 1;
                 // Pure hot-array pass: stale check, expiry check, and
                 // lazy rescheduling all read the 32-byte row — the
-                // cold slot is never touched during a sweep.
+                // cold slot is never touched during a sweep. Entries
+                // name rows in no order, so the row a few entries on
+                // is fetched while this one is judged.
+                let ahead = drained.get(i + SWEEP_LOOKAHEAD);
+                if let Some(hot) = ahead.and_then(|e| self.hot.get(e.slot as usize)) {
+                    prefetch_line(hot);
+                }
                 let hot = &mut self.hot[e.slot as usize];
                 if hot.gen != e.gen || hot.wheel_seq != e.seq || !hot.live {
                     continue; // stale: freed, reused, or superseded entry
@@ -1469,6 +1564,103 @@ mod tests {
             slots.div_ceil(Arena::<HotSlot>::CAP) + slots.div_ceil(Arena::<Slot>::CAP),
             "a chunk per chunkful, whatever chunk 0 went through"
         );
+    }
+
+    /// A hash with a chosen fingerprint (high 32 bits) and probe start
+    /// (low bits); `salt` lands in bits neither reads while the table
+    /// has fewer than 2^16 cells, so it makes distinct "keys" that
+    /// collide on both.
+    fn hash_of(fingerprint: u32, start: u16, salt: u16) -> u64 {
+        (fingerprint as u64) << 32 | (salt as u64) << 16 | start as u64
+    }
+
+    #[test]
+    fn open_index_hint_names_a_slot_whenever_get_does() {
+        // `get` verifies by slot identity here: the model knows which
+        // slot each hash was inserted under.
+        let mut idx = OpenIndex::new();
+        let hashes: Vec<u64> = (0..500u64).map(mix64).collect();
+        for (slot, &h) in hashes.iter().enumerate() {
+            idx.insert(h, slot as u32, |s| hashes[s as usize]);
+        }
+        for slot in (0..500u32).step_by(3) {
+            assert!(idx.remove(hashes[slot as usize], slot));
+        }
+        for (slot, &h) in hashes.iter().enumerate() {
+            let slot = slot as u32;
+            idx.prefetch(h);
+            let got = idx.get(h, |s| s == slot);
+            if slot % 3 == 0 {
+                assert_eq!(got, None, "removed");
+            } else {
+                assert_eq!(got, Some(slot));
+                assert!(idx.hint(h).is_some(), "hint misses what get finds");
+            }
+        }
+    }
+
+    #[test]
+    fn open_index_hint_is_unverified_under_a_tag_collision() {
+        let mut idx = OpenIndex::new();
+        let (a, b, never) = (
+            hash_of(0xABCD, 3, 0),
+            hash_of(0xABCD, 3, 1),
+            hash_of(0xABCD, 3, 2),
+        );
+        let rehash = |s: u32| if s == 10 { a } else { b };
+        idx.insert(a, 10, rehash);
+        idx.insert(b, 20, rehash);
+        // Same start cell, same tag: `get` tells them apart by asking
+        // the slab, the hint takes the first cell on the path.
+        assert_eq!(idx.get(a, |s| s == 10), Some(10));
+        assert_eq!(idx.get(b, |s| s == 20), Some(20));
+        assert_eq!(idx.hint(a), Some(10));
+        assert_eq!(idx.hint(b), Some(10), "a different slot than get's");
+        // A key that was never indexed still gets a candidate ...
+        assert_eq!(idx.get(never, |_| false), None);
+        assert_eq!(idx.hint(never), Some(10));
+        // ... while another tag on the same path gets none.
+        assert_eq!(idx.hint(hash_of(0xABCE, 3, 0)), None);
+        // Tombstones are skipped like any other foreign cell.
+        assert!(idx.remove(a, 10));
+        assert_eq!(idx.hint(a), Some(20), "stale: a is gone, b's cell answers");
+        assert_eq!(idx.hint(b), Some(20));
+        assert!(idx.remove(b, 20));
+        assert_eq!(idx.hint(b), None);
+    }
+
+    #[test]
+    fn prefetch_slot_covers_the_cold_row_it_assumes() {
+        // `prefetch_slot` names a cold row's lines by its first byte,
+        // its 65th and its last: enough for any row of 65 to 128
+        // bytes wherever it starts, and never a byte outside the row.
+        let size = std::mem::size_of::<Slot>();
+        assert_eq!(size, 112, "update prefetch_slot and its rustdoc");
+        assert!(size > 64 && size - 1 < 128);
+        assert_eq!(std::mem::size_of::<HotSlot>(), 32);
+        // Any id is accepted; out-of-range ones are ignored.
+        let (s, slots) = store_with(3, 60);
+        for slot in slots.into_iter().chain([3, u32::MAX]) {
+            s.prefetch_slot(slot);
+        }
+    }
+
+    #[test]
+    fn store_hints_follow_lookups_and_survive_removal() {
+        let (mut s, slots) = store_with(40, 60);
+        let key_of = |s: &MappingStore, slot: u32| s.slots[slot as usize].out_key;
+        for &slot in &slots {
+            let key = key_of(&s, slot);
+            s.prefetch_out_cell(key);
+            assert_eq!(s.lookup_out(key), Some(slot));
+            assert_eq!(s.hint_out(key), Some(slot), "no collisions among 40 keys");
+            let ext = s.slots[slot as usize].ext_key;
+            s.prefetch_ext_cell(ext);
+            assert_eq!(s.hint_ext(ext), s.lookup_ext_key(ext));
+        }
+        let gone = key_of(&s, 7);
+        s.remove(7).expect("live");
+        assert_eq!((s.lookup_out(gone), s.hint_out(gone)), (None, None));
     }
 
     #[test]

@@ -471,7 +471,9 @@ fn pool() -> Vec<Ipv4Addr> {
     vec![ip(198, 51, 100, 1), ip(198, 51, 100, 2)]
 }
 
-fn run_differential(cfg: NatConfig, seed: u64, ops: &[Op]) {
+/// Drive both engines through `ops`, holding them equal; returns the
+/// (shared) final stats for callers that pin the scenario they built.
+fn run_differential(cfg: NatConfig, seed: u64, ops: &[Op]) -> NatStats {
     let mut slab = nat_engine::Nat::new(cfg.clone(), pool(), seed);
     let mut reference = RefNat::new(cfg, pool(), seed);
     let mut now_ms = 0u64;
@@ -566,6 +568,7 @@ fn run_differential(cfg: NatConfig, seed: u64, ops: &[Op]) {
     // And the slab store upholds its own invariants after the churn.
     let audit = check_runtime(&slab, now);
     assert!(audit.is_clean(), "{:?}", audit.violations);
+    b
 }
 
 fn out_op(r: u64) -> Op {
@@ -667,4 +670,41 @@ fn long_deterministic_churn_matches_reference() {
         }
     }
     run_differential(cfg, 2016, &ops);
+}
+
+/// One wheel bucket far longer than the expiry path's look-ahead (8
+/// entries over a drained bucket, 8 and 16 over the due list), holding
+/// all three kinds of entry in interleaved order: 96 mappings created
+/// in one millisecond share a deadline and so a bucket; before it
+/// drains, a third are refreshed (lazily extended: the parked entry
+/// must re-file, not expire), a third are touched after their expiry
+/// (removed on touch and re-created in a re-used slot: the parked
+/// entry is stale) and a third are left alone (due).
+#[test]
+fn long_bucket_of_stale_due_and_extended_entries_matches_reference() {
+    let mut cfg = build_config(0, 0, 0, 1, true, true, None, 30);
+    cfg.port_range = (5000, 5999); // room for every flow on either address
+    let flow = |k: u8| Op::Out {
+        host: k % 8,
+        sport: k / 8,
+        dst: 0,
+        dport: 0,
+        kind: 0,
+        to_external: false,
+    };
+    let every_third = |r: u8| (0..96u8).filter(move |k| k % 3 == r);
+    let mut ops: Vec<Op> = (0..96).map(flow).collect(); // t = 0: expiry 30 s
+    ops.push(Op::Advance(40)); // t = 10 s
+    ops.extend(every_third(0).map(flow)); // extended to 40 s
+    ops.push(Op::Advance(84)); // t = 31 s: everything else has expired
+    ops.extend(every_third(1).map(flow)); // removed on touch, re-created: expiry 61 s
+    ops.push(Op::Sweep); // drains the 30 s bucket: 32 extended, 32 stale, 32 due
+    ops.push(Op::Advance(40)); // t = 41 s
+    ops.push(Op::Sweep); // the extended third, from the bucket it re-filed into
+    ops.push(Op::Advance(84)); // t = 62 s
+    ops.push(Op::Sweep); // the re-created third
+    let stats = run_differential(cfg, 14, &ops);
+    assert_eq!(stats.mappings_created, 96 + 32);
+    assert_eq!(stats.mappings_expired, 32 + 32 + 32 + 32);
+    assert_eq!(stats.drops, 0);
 }

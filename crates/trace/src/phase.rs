@@ -31,11 +31,11 @@ pub enum Phase {
     Sweep,
     /// Sample barrier: demand sampling + snapshot merge.
     Sample,
-    /// Burst pass 1: out-key packing + index hint resolution.
+    /// Burst stage 1: key packing + index-cell prefetch.
     BurstResolve,
-    /// Burst pass 2: slot-sorted software prefetch sweep.
+    /// Burst stage 2: tag-only index probes + slot-row prefetch.
     BurstPrefetch,
-    /// Burst pass 3: in-order translate.
+    /// Burst stage 3: in-order translate.
     BurstTranslate,
 }
 

@@ -115,8 +115,9 @@ pub struct DriverConfig {
 }
 
 /// Burst size used when [`DriverConfig::burst`] is `0`: large enough
-/// to keep [`nat_engine::nat::PREFETCH_DISTANCE`] slots in flight,
-/// small enough that a burst's packets stay L1-resident.
+/// that the burst pipeline has a burst's worth of cache misses to
+/// overlap, small enough that the rows it prefetches (four lines per
+/// packet) are still L1-resident when they are translated.
 pub const DEFAULT_BURST: usize = 32;
 
 /// Metrics windows retained when [`DriverConfig::metrics_retention`]
