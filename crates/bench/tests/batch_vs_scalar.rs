@@ -12,13 +12,15 @@
 //!   byte-identical.
 //! * **driver** — full traffic-driver runs at burst {1, 7, 64} ×
 //!   threads {1, 2, 4} must reproduce the burst=1/threads=1 run's
-//!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit.
+//!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit;
+//!   and again at burst {1, 2, 7, 32, 1024} under a configuration
+//!   whose windows hold refused flows and refused keepalives.
 
 use cgn_telemetry::BinaryLogSink;
-use cgn_traffic::{DriverConfig, WorkloadMix};
+use cgn_traffic::{DriverConfig, FlashCrowd, WorkloadMix};
 use nat_engine::telemetry::TelemetryMode;
 use nat_engine::{Nat, NatConfig, NatVerdict};
-use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimTime, TcpFlags};
+use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimDuration, SimTime, TcpFlags};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -233,6 +235,66 @@ fn driver_config(seed: u64, shards: u16, burst: usize, threads: usize) -> Driver
     config.telemetry = TelemetryMode::PerConnection;
     config.burst = burst;
     config
+}
+
+/// The window rule under verdict-dependent commits: 48 ports per
+/// address and twelve sessions per host refuse most of a flash crowd
+/// whose next arrivals are a millisecond or two out, timeouts shorter
+/// than the keepalive interval get keepalives refused, and a mostly-TCP
+/// mix tears flows down in the same windows; a quarter of forwarded
+/// packets is answered.
+fn hostile_driver_config(seed: u64, shards: u16) -> DriverConfig {
+    let mut config = driver_config(seed, shards, 1, 1);
+    config.duration_secs = 60;
+    config.sample_secs = 20;
+    config.sweep_secs = 15;
+    config.nat.port_range = (1024, 1024 + 47);
+    config.nat.max_sessions_per_host = Some(12);
+    config.nat.udp_timeout = SimDuration::from_secs(4);
+    config.nat.tcp_transitory_timeout = SimDuration::from_secs(4);
+    config.nat.tcp_established_timeout = SimDuration::from_secs(8);
+    config.inbound_reply_permille = 250;
+    config.modulation.flash = Some(FlashCrowd::new(20, 23, 5_000.0));
+    config
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn prop_driver_windows_holding_drops_are_identical_across_bursts_and_threads(
+        seed in any::<u64>(),
+        shards in 1u16..=3,
+    ) {
+        let mut config = hostile_driver_config(seed, shards);
+        let (reference, ref_logs) = cgn_traffic::run_with_logs(&config);
+        prop_assert!(reference.stats.drop_session_limit > 0, "first packets refused");
+        prop_assert!(reference.stats.drops > reference.flows_blocked, "keepalives refused");
+        let ref_bytes: Vec<&[u8]> = ref_logs.iter().map(|l| l.bytes()).collect();
+        for burst in [2, 7, 32, 1024] {
+            for threads in THREADS {
+                config.burst = burst;
+                config.threads = threads;
+                let (summary, logs) = cgn_traffic::run_with_logs(&config);
+                prop_assert_eq!(
+                    &summary,
+                    &reference,
+                    "summary diverged at burst={} threads={}",
+                    burst,
+                    threads
+                );
+                prop_assert_eq!(summary.digest(), reference.digest());
+                let bytes: Vec<&[u8]> = logs.iter().map(|l| l.bytes()).collect();
+                prop_assert_eq!(
+                    &bytes,
+                    &ref_bytes,
+                    "per-shard logs diverged at burst={} threads={}",
+                    burst,
+                    threads
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -23,6 +23,11 @@ fn published_state() -> (Snapshot, SessionHealth) {
     snap.push("cgn_mappings_expired_total", Value::Counter(1223));
     snap.push("cgn_shard_flows_total{shard=\"0\"}", Value::Counter(1500));
     snap.push("cgn_shard_flows_total{shard=\"1\"}", Value::Counter(900));
+    snap.push("cgn_bursts_total", Value::Counter(2));
+    let mut fill = cgn_metrics::Histogram::default();
+    fill.record(30);
+    fill.record(35);
+    snap.push("cgn_burst_fill", Value::Histogram(fill));
     snap.push(
         "cgn_phase_nanos_count{phase=\"translate\"}",
         Value::Counter(150),
@@ -86,6 +91,13 @@ fn top_mode_renders_live_dashboard_frames() {
     assert!(stdout.contains("live 777"), "{stdout}");
     assert!(stdout.contains("fill 310‰"), "{stdout}");
     assert!(stdout.contains("wheel 42"), "{stdout}");
+    // Burst-fill rows, from the histogram's `_sum` / `_count`.
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.contains("outbound") && l.contains("32.5")),
+        "{stdout}"
+    );
     // Per-shard table and phase-latency row with its sparkline.
     assert!(stdout.contains("shard     flows/s"), "{stdout}");
     assert!(stdout.contains("translate"), "{stdout}");

@@ -63,17 +63,18 @@ pub struct DimensioningConfig {
     /// Populates [`RunSummary::metrics`]
     /// (`cgn_traffic::MetricsSummary`) for every mix.
     pub metrics_window_secs: Option<u64>,
-    /// Packets per burst the driver hands to
-    /// `Nat::process_burst` per shard; `0` = the driver's default
-    /// ([`cgn_traffic::DEFAULT_BURST`]). Never changes the results,
+    /// Packets per window the driver stages through the engine's
+    /// burst pipeline per shard
+    /// ([`cgn_traffic::DriverConfig::burst`]); `0` = the driver's
+    /// default ([`cgn_traffic::DEFAULT_BURST`]). Never changes the results,
     /// only the wall time — the perf harness's batch leg sweeps it.
     pub burst: usize,
     /// Permille of forwarded outbound packets whose flow receives an
-    /// inbound reply in the same millisecond batch
+    /// inbound reply in the same millisecond
     /// ([`cgn_traffic::DriverConfig::inbound_reply_permille`]). `0`
     /// (the default) keeps the workload outbound-only; the perf
-    /// harness's inbound leg sets it to exercise
-    /// `Nat::process_inbound_burst` under load.
+    /// harness's inbound leg sets it to exercise the engine's inbound
+    /// path under load.
     pub inbound_reply_permille: u32,
     /// Flow-lifecycle tracing / phase profiling applied to every mix
     /// run ([`cgn_traffic::DriverConfig::trace`]). `off` (the

@@ -31,20 +31,24 @@ pub struct EngineMetrics {
     /// Distribution of due-mapping batch sizes per scanning sweep —
     /// the "how bursty is expiry work" observable.
     pub sweep_batch: Histogram,
-    /// Calls to [`Nat::process_burst`](crate::Nat::process_burst).
+    /// Calls to [`Nat::stage_burst`](crate::Nat::stage_burst), the
+    /// first half of every [`Nat::process_burst`](crate::Nat::process_burst).
     pub bursts: Counter,
-    /// Distribution of burst fill (packets per burst) — how full the
-    /// driver's event-wheel drains keep the batched hot path.
+    /// Distribution of burst fill (packets per stage call) — how full
+    /// the driver's windows keep the batched hot path.
     pub burst_fill: Histogram,
     /// Candidate rows the burst pipeline handed to the prefetcher:
     /// one per packet whose tag-only index probe named a slot. The
     /// probe is unverified, so this is not a hit count — a
     /// fingerprint collision counts a row no packet will use.
     pub prefetches: Counter,
-    /// Calls to [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst).
+    /// Calls to [`Nat::stage_inbound_burst`](crate::Nat::stage_inbound_burst),
+    /// the first half of every
+    /// [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst).
     pub bursts_in: Counter,
-    /// Distribution of inbound burst fill (packets per burst) — how
-    /// full the driver's reply drains keep the inbound pipeline.
+    /// Distribution of inbound burst fill (packets per stage call).
+    /// Small on the driver path by design: the reply leg answers one
+    /// millisecond bucket at a time.
     pub burst_in_fill: Histogram,
     /// The same for the inbound burst pipeline's tag-only ext-key
     /// probes.
@@ -105,7 +109,7 @@ impl EngineMetrics {
         self.block_grants.inc();
     }
 
-    /// Burst fire site: once per [`Nat::process_burst`](crate::Nat::process_burst)
+    /// Burst fire site: once per [`Nat::stage_burst`](crate::Nat::stage_burst)
     /// call, recording the burst fill and how many candidate rows the
     /// prefetch stage's tag-only probes named.
     #[cold]
@@ -117,7 +121,7 @@ impl EngineMetrics {
     }
 
     /// Inbound-burst fire site: once per
-    /// [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst)
+    /// [`Nat::stage_inbound_burst`](crate::Nat::stage_inbound_burst)
     /// call, recording the burst fill and how many candidate rows the
     /// prefetch stage's tag-only probes named. Fired only on the burst
     /// path — the scalar inbound API touches no instrument.

@@ -24,7 +24,7 @@ use netcore::{Endpoint, Packet, PacketBody, Protocol, SimDuration, SimTime, TcpF
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 pub use crate::store::Mapping;
@@ -182,12 +182,14 @@ pub struct Nat {
     /// discipline again: absent by default, one untaken branch per
     /// fire site when disabled.
     tracer: TraceSlot,
-    /// Scratch for [`Nat::process_burst`]'s plan, kept between calls
-    /// so a burst allocates nothing; empty, and unallocated until the
-    /// first burst, outside a call.
-    outbound_plan: Vec<OutboundPlan>,
-    /// The same for [`Nat::process_inbound_burst`].
-    inbound_plan: Vec<InboundPlan>,
+    /// The staged outbound plan: [`Nat::stage_burst`] appends one
+    /// entry per packet, [`Nat::translate_staged`] consumes them from
+    /// the front. Storage is kept between bursts so staging allocates
+    /// nothing; unallocated until a NAT's first burst.
+    outbound_plan: VecDeque<OutboundPlan>,
+    /// The same for [`Nat::stage_inbound_burst`] /
+    /// [`Nat::translate_inbound_staged`].
+    inbound_plan: VecDeque<InboundPlan>,
 }
 
 /// `Option`-slot wrapper for the tracer; the custom `Debug` keeps
@@ -224,8 +226,8 @@ impl Nat {
             sink: SinkSlot(None),
             metrics: MetricsSlot(None),
             tracer: TraceSlot(None),
-            outbound_plan: Vec::new(),
-            inbound_plan: Vec::new(),
+            outbound_plan: VecDeque::new(),
+            inbound_plan: VecDeque::new(),
         }
     }
 
@@ -497,6 +499,22 @@ impl Nat {
         }
     }
 
+    /// Record under `phase` the time from `since` to `clock`'s latest
+    /// lap, without reading the wall clock: for a caller's phase that
+    /// is exactly a run of laps already taken on `clock` (the driver's
+    /// `Translate` is the engine's stage and translate laps).
+    #[inline]
+    pub fn phase_span(
+        &mut self,
+        phase: Phase,
+        since: Option<std::time::Instant>,
+        clock: Option<std::time::Instant>,
+    ) {
+        if let (Some(t0), Some(t1), Some(tr)) = (since, clock, self.tracer.0.as_deref_mut()) {
+            tr.record_phase(phase, t1.duration_since(t0).as_nanos() as u64);
+        }
+    }
+
     fn remove_mapping(&mut self, slot: u32, now: SimTime) {
         if let Some((m, pool)) = self.store.remove(slot) {
             if let Some(t) = &mut self.tracer.0 {
@@ -602,34 +620,55 @@ impl Nat {
     /// A lookup in a table far larger than the cache is two dependent
     /// misses — a random index cell, then the slab rows it names — and
     /// the burst exists to take the whole burst's misses of each kind
-    /// at once instead of one packet's after another's. Three stages:
-    /// **resolve**, in arrival order, packs every packet's out-key
-    /// (key packing interns hosts, so the interner evolves exactly as
-    /// under [`Nat::process_outbound`]) and prefetches the index cell
-    /// its probe starts at; **prefetch** reads those cells, now
-    /// cached, with a tag-only probe ([`MappingStore::hint_out`]) and
-    /// prefetches every line of the candidate slot's rows;
-    /// **translate** runs in arrival order through the same code path
-    /// as the scalar API, which probes again and verifies the full
-    /// key. The hint is left unverified on purpose: verifying it
-    /// means reading the cold row, the very miss the stage exists to
-    /// overlap, and a wrong or stale hint (a fingerprint collision, a
-    /// slot an earlier packet of the burst freed or re-used) costs one
-    /// useless prefetch and can change nothing. RNG draws, interner
-    /// growth, sink/metrics fire order and verdict commit order are
-    /// all arrival-order, so results — verdicts, [`NatStats`], store
-    /// state, telemetry logs — are bit-identical to calling
-    /// `process_outbound` once per packet, for every burst size.
+    /// at once instead of one packet's after another's. Three stages,
+    /// in two halves: [`Nat::stage_burst`] (**resolve**, then
+    /// **prefetch**) followed by [`Nat::translate_staged`]
+    /// (**translate**) over the same packets — this function is
+    /// literally that pair. A caller whose packets do not share one
+    /// instant (the traffic driver's window of millisecond buckets)
+    /// calls the halves itself: one stage call over everything, then
+    /// one translate call per instant.
+    ///
+    /// RNG draws, interner growth, sink/metrics fire order and verdict
+    /// commit order are all arrival-order, so results — verdicts,
+    /// [`NatStats`], store state, telemetry logs — are bit-identical
+    /// to calling `process_outbound` once per packet, for every burst
+    /// size.
     pub fn process_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
         let mut clock = self.phase_clock();
-        let mut plan = std::mem::take(&mut self.outbound_plan);
+        self.stage_burst(&pkts, &mut clock);
+        let mut verdicts = Vec::with_capacity(pkts.len());
+        self.translate_staged(pkts, now, &mut verdicts, &mut clock);
+        verdicts
+    }
+
+    /// Stages 1–2 of the outbound burst pipeline over `pkts`, which
+    /// must then be handed to [`Nat::translate_staged`] in the same
+    /// order (in one call or several). **Resolve**, in arrival order,
+    /// packs every packet's out-key (key packing interns hosts, so the
+    /// interner evolves exactly as under [`Nat::process_outbound`])
+    /// and prefetches the index cell its probe starts at; **prefetch**
+    /// reads those cells, now cached, with a tag-only probe
+    /// ([`MappingStore::hint_out`]) and prefetches every line of the
+    /// candidate slot's rows. The hint is left unverified on purpose:
+    /// verifying it means reading the cold row, the very miss the
+    /// stage exists to overlap, and a wrong or stale hint (a
+    /// fingerprint collision, a slot an earlier packet freed or
+    /// re-used before the hinted one is translated) costs one useless
+    /// prefetch and can change nothing. Neither stage reads simulated
+    /// time: staging is independent of the instant(s) the packets are
+    /// translated at. The two stages lap `clock` (the caller's
+    /// [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
+    /// [`Phase::BurstPrefetch`].
+    pub fn stage_burst(&mut self, pkts: &[Packet], clock: &mut Option<std::time::Instant>) {
+        let staged = self.outbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
-        for pkt in &pkts {
+        for pkt in pkts {
             let (proto, flags) = match &pkt.body {
                 PacketBody::Udp { .. } => (Protocol::Udp, None),
                 PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
                 PacketBody::Icmp { .. } => {
-                    plan.push(None); // ICMP passes through untranslated
+                    self.outbound_plan.push_back(None); // ICMP passes through untranslated
                     continue;
                 }
             };
@@ -637,13 +676,13 @@ impl Nat {
                 .store
                 .out_key(self.config.mapping, proto, pkt.src, pkt.dst);
             self.store.prefetch_out_cell(key);
-            plan.push(Some((proto, flags, key)));
+            self.outbound_plan.push_back(Some((proto, flags, key)));
         }
-        self.phase_lap(&mut clock, Phase::BurstResolve);
+        self.phase_lap(clock, Phase::BurstResolve);
 
         // Stage 2 — candidate rows on their way.
         let mut rows = 0u64;
-        for &(_, _, key) in plan.iter().flatten() {
+        for &(_, _, key) in self.outbound_plan.range(staged..).flatten() {
             if let Some(slot) = self.store.hint_out(key) {
                 self.store.prefetch_slot(slot);
                 rows += 1;
@@ -652,24 +691,37 @@ impl Nat {
         if let Some(m) = &mut self.metrics.0 {
             m.on_burst(pkts.len() as u64, rows);
         }
-        self.phase_lap(&mut clock, Phase::BurstPrefetch);
+        self.phase_lap(clock, Phase::BurstPrefetch);
+    }
 
-        // Stage 3 — translate in arrival order.
-        let mut verdicts = Vec::with_capacity(pkts.len());
-        for (pkt, planned) in pkts.into_iter().zip(plan.drain(..)) {
+    /// Stage 3 of the outbound burst pipeline: translate `pkts` — the
+    /// next packets [`Nat::stage_burst`] staged, in staging order — at
+    /// `now`, appending one verdict per packet to `verdicts`. Runs in
+    /// arrival order through the same code path as the scalar API,
+    /// which probes again and verifies the full key. Laps `clock` as
+    /// [`Phase::BurstTranslate`].
+    ///
+    /// Panics if more packets are handed in than were staged.
+    pub fn translate_staged(
+        &mut self,
+        pkts: impl IntoIterator<Item = Packet>,
+        now: SimTime,
+        verdicts: &mut Vec<NatVerdict>,
+        clock: &mut Option<std::time::Instant>,
+    ) {
+        for pkt in pkts {
+            let planned = self.outbound_plan.pop_front().expect("packet was staged");
             self.stats.out_packets += 1;
             verdicts.push(match planned {
                 None => NatVerdict::Forward(pkt),
                 Some((proto, flags, key)) => self.translate_outbound(pkt, now, proto, flags, key),
             });
         }
-        self.outbound_plan = plan;
-        self.phase_lap(&mut clock, Phase::BurstTranslate);
-        verdicts
+        self.phase_lap(clock, Phase::BurstTranslate);
     }
 
     /// The shared outbound translation path behind
-    /// [`Nat::process_outbound`] and [`Nat::process_burst`]: reuse or
+    /// [`Nat::process_outbound`] and [`Nat::translate_staged`]: reuse or
     /// create the mapping for an already-packed out-key, refresh it,
     /// and rewrite the packet.
     fn translate_outbound(
@@ -923,32 +975,40 @@ impl Nat {
 
     /// Translate a burst of inbound packets at one instant, returning
     /// one verdict per packet in arrival order — the inbound mirror of
-    /// [`Nat::process_burst`], over the ext-key index.
-    ///
-    /// The same three stages: **resolve** packs every packet's ext-key
-    /// (inbound key derivation never interns — a stray pool stays
-    /// uninterned and simply cannot match) and prefetches the index
-    /// cell its probe starts at; **prefetch** reads the cached cells
-    /// with a tag-only probe ([`MappingStore::hint_ext`]) and
-    /// prefetches every line of the candidate slot's rows;
-    /// **translate** runs in arrival order through the same code path
-    /// as the scalar API ([`Nat::process_inbound`]), which probes
-    /// again and verifies the full key, so an unverified hint can
-    /// change nothing. Filtering (`ContactSet` checks),
-    /// expiry-on-touch removal, TCP tracking, stats and sink/metrics
-    /// fire order are all arrival-order, so results are bit-identical
-    /// to calling `process_inbound` once per packet, for every burst
-    /// size.
+    /// [`Nat::process_burst`], over the ext-key index, and likewise
+    /// literally [`Nat::stage_inbound_burst`] followed by
+    /// [`Nat::translate_inbound_staged`]. Filtering (`ContactSet`
+    /// checks), expiry-on-touch removal, TCP tracking, stats and
+    /// sink/metrics fire order are all arrival-order, so results are
+    /// bit-identical to calling `process_inbound` once per packet, for
+    /// every burst size.
     pub fn process_inbound_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
         let mut clock = self.phase_clock();
-        let mut plan = std::mem::take(&mut self.inbound_plan);
+        self.stage_inbound_burst(&pkts, &mut clock);
+        let mut verdicts = Vec::with_capacity(pkts.len());
+        self.translate_inbound_staged(pkts, now, &mut verdicts, &mut clock);
+        verdicts
+    }
+
+    /// Stages 1–2 of the inbound burst pipeline over `pkts`, which
+    /// must then be handed to [`Nat::translate_inbound_staged`] in the
+    /// same order. **Resolve** packs every packet's ext-key (inbound
+    /// key derivation never interns — a stray pool stays uninterned
+    /// and simply cannot match) and prefetches the index cell its
+    /// probe starts at; **prefetch** reads the cached cells with a
+    /// tag-only probe ([`MappingStore::hint_ext`]) and prefetches
+    /// every line of the candidate slot's rows. As outbound, the hint
+    /// is unverified and can change nothing, and the stages lap the
+    /// caller's `clock`.
+    pub fn stage_inbound_burst(&mut self, pkts: &[Packet], clock: &mut Option<std::time::Instant>) {
+        let staged = self.inbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
-        for pkt in &pkts {
+        for pkt in pkts {
             let (proto, flags) = match &pkt.body {
                 PacketBody::Udp { .. } => (Protocol::Udp, None),
                 PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
                 PacketBody::Icmp { .. } => {
-                    plan.push(None);
+                    self.inbound_plan.push_back(None);
                     continue;
                 }
             };
@@ -956,13 +1016,13 @@ impl Nat {
             if let Some(key) = key {
                 self.store.prefetch_ext_cell(key);
             }
-            plan.push(Some((proto, flags, key)));
+            self.inbound_plan.push_back(Some((proto, flags, key)));
         }
-        self.phase_lap(&mut clock, Phase::BurstResolve);
+        self.phase_lap(clock, Phase::BurstResolve);
 
         // Stage 2 — candidate rows on their way.
         let mut rows = 0u64;
-        for &(_, _, key) in plan.iter().flatten() {
+        for &(_, _, key) in self.inbound_plan.range(staged..).flatten() {
             if let Some(slot) = key.and_then(|k| self.store.hint_ext(k)) {
                 self.store.prefetch_slot(slot);
                 rows += 1;
@@ -971,11 +1031,26 @@ impl Nat {
         if let Some(m) = &mut self.metrics.0 {
             m.on_burst_inbound(pkts.len() as u64, rows);
         }
-        self.phase_lap(&mut clock, Phase::BurstPrefetch);
+        self.phase_lap(clock, Phase::BurstPrefetch);
+    }
 
-        // Stage 3 — translate in arrival order.
-        let mut verdicts = Vec::with_capacity(pkts.len());
-        for (pkt, planned) in pkts.into_iter().zip(plan.drain(..)) {
+    /// Stage 3 of the inbound burst pipeline: translate `pkts` — the
+    /// next packets [`Nat::stage_inbound_burst`] staged, in staging
+    /// order — at `now`, appending one verdict per packet to
+    /// `verdicts`, through the same code path as the scalar API
+    /// ([`Nat::process_inbound`]). Laps `clock` as
+    /// [`Phase::BurstTranslate`].
+    ///
+    /// Panics if more packets are handed in than were staged.
+    pub fn translate_inbound_staged(
+        &mut self,
+        pkts: impl IntoIterator<Item = Packet>,
+        now: SimTime,
+        verdicts: &mut Vec<NatVerdict>,
+        clock: &mut Option<std::time::Instant>,
+    ) {
+        for pkt in pkts {
+            let planned = self.inbound_plan.pop_front().expect("packet was staged");
             self.stats.in_packets += 1;
             verdicts.push(match planned {
                 None => {
@@ -988,13 +1063,11 @@ impl Nat {
                 Some((proto, flags, key)) => self.translate_inbound(pkt, now, proto, flags, key),
             });
         }
-        self.inbound_plan = plan;
-        self.phase_lap(&mut clock, Phase::BurstTranslate);
-        verdicts
+        self.phase_lap(clock, Phase::BurstTranslate);
     }
 
     /// The shared inbound translation path behind
-    /// [`Nat::process_inbound`] and [`Nat::process_inbound_burst`]:
+    /// [`Nat::process_inbound`] and [`Nat::translate_inbound_staged`]:
     /// look up the mapping under an already-packed ext-key (`None`
     /// when the destination pool was never interned), apply filtering,
     /// track TCP state, refresh, and rewrite the packet.

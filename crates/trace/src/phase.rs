@@ -1,8 +1,8 @@
 //! Wall-clock phase profiler: where hot-path time goes.
 //!
 //! Phases are the fixed pipeline regions worth attributing wall-clock
-//! to — the driver's per-millisecond passes and barrier duties, and
-//! the burst pipeline's three passes inside the engine. Each phase
+//! to — the driver's per-window and per-bucket passes and barrier
+//! duties, and the burst pipeline's three passes inside the engine. Each phase
 //! owns a log2 [`Histogram`] of nanoseconds; shards record into their
 //! own profiler (no synchronization) and profiles merge in shard
 //! order at render time, exactly like snapshots.
@@ -17,25 +17,47 @@ use cgn_metrics::{Histogram, Snapshot, Value};
 use serde::{Deserialize, Serialize};
 
 /// One attributed pipeline region.
+///
+/// On the driver path the unit of work is a *window* of consecutive
+/// millisecond buckets (`cgn_traffic`'s `advance_shard`): generate and
+/// the two outbound staging passes run once per window, translate /
+/// commit / inbound once per bucket of it. The engine laps its three
+/// `Burst*` phases on the driver's own clock, and the driver records
+/// `Translate` and `Inbound` as the spans those laps add up to — so
+/// the `Burst*` phases are a breakdown of those two, not additional
+/// time, and a span costs no clock read of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
-    /// Driver pass 1: draw flow events, build the packet batch.
+    /// Driver pass 1: drain a window's buckets from the event wheel,
+    /// draw its flow events, build its packets. One lap per window.
     Generate,
-    /// Driver pass 2: outbound bursts through the engine.
+    /// Driver pass 2: outbound packets through the engine. One span
+    /// per bucket, equal to that bucket's `BurstTranslate` lap — plus,
+    /// for a window's first bucket, the `BurstResolve` and
+    /// `BurstPrefetch` laps of the stage call made for the whole
+    /// window. The phase's sum is all outbound engine time, as it was
+    /// when a lap wrapped one `process_burst` call.
     Translate,
-    /// Driver pass 3: apply verdicts in event order, schedule replies.
+    /// Driver pass 3: apply a bucket's verdicts in event order,
+    /// schedule follow-ups, queue replies. One lap per bucket.
     Commit,
-    /// Driver reply leg: inbound bursts through the engine.
+    /// Driver reply leg: a bucket's inbound replies through the
+    /// engine. One span per bucket that drew a reply, equal to that
+    /// call pair's three `Burst*` laps.
     Inbound,
     /// Sweep barrier: expiry wheel advance + mapping teardown.
     Sweep,
     /// Sample barrier: demand sampling + snapshot merge.
     Sample,
-    /// Burst stage 1: key packing + index-cell prefetch.
+    /// Burst stage 1: key packing + index-cell prefetch. One lap per
+    /// stage call: per window outbound, per replied bucket inbound.
     BurstResolve,
-    /// Burst stage 2: tag-only index probes + slot-row prefetch.
+    /// Burst stage 2: tag-only index probes + slot-row prefetch. Laps
+    /// as `BurstResolve`.
     BurstPrefetch,
-    /// Burst stage 3: in-order translate.
+    /// Burst stage 3: in-order translate. One lap per translate call:
+    /// per bucket on the driver path, per burst under
+    /// `Nat::process_burst` / `process_inbound_burst`.
     BurstTranslate,
 }
 

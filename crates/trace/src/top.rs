@@ -89,6 +89,19 @@ fn rate(prev: &Scalars, cur: &Scalars, name: &str, secs: f64) -> f64 {
     delta(prev, cur, name) as f64 / secs
 }
 
+/// Mean of a histogram family (`_sum` / `_count`) over the interval,
+/// or over the process's lifetime when the interval recorded nothing
+/// (two scrapes between publishes see the same snapshot).
+fn mean(prev: &Scalars, cur: &Scalars, family: &str) -> f64 {
+    let (sum, count) = (format!("{family}_sum"), format!("{family}_count"));
+    let lifetime = |name: &str| cur.get(name).copied().unwrap_or(0);
+    let (sum, count) = match delta(prev, cur, &count) {
+        0 => (lifetime(&sum), lifetime(&count)),
+        n => (delta(prev, cur, &sum), n),
+    };
+    sum as f64 / count.max(1) as f64
+}
+
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
@@ -133,6 +146,24 @@ pub fn render_top(header: &str, prev: &Scalars, cur: &Scalars, interval_secs: f6
             let name = format!("cgn_shard_flows_total{{shard=\"{shard}\"}}");
             let fps = rate(prev, cur, &name, interval_secs);
             let _ = writeln!(out, " {shard:>5}  {fps:>10.0}  {total:>8}");
+        }
+    }
+
+    // Burst fill: whether the engine's burst pipeline is handed bursts
+    // (outbound should sit near the driver's burst size; the reply leg
+    // answers millisecond by millisecond, so inbound is small).
+    if cur.contains_key("cgn_bursts_total") {
+        let _ = writeln!(out, "\n burst      calls/s  packets/call");
+        for (dir, calls, fill) in [
+            ("outbound", "cgn_bursts_total", "cgn_burst_fill"),
+            (
+                "inbound",
+                "cgn_inbound_bursts_total",
+                "cgn_inbound_burst_fill",
+            ),
+        ] {
+            let cps = rate(prev, cur, calls, interval_secs);
+            let _ = writeln!(out, " {dir:<8} {cps:>9.0}  {:>12.1}", mean(prev, cur, fill));
         }
     }
 
@@ -205,8 +236,17 @@ mod tests {
             ("cgn_shard_flows_total{shard=\"0\"}", 500),
             ("cgn_shard_flows_total{shard=\"1\"}", 400),
             ("cgn_phase_nanos_count{phase=\"generate\"}", 50),
+            ("cgn_bursts_total", 100),
+            ("cgn_burst_fill_sum", 3_000),
+            ("cgn_burst_fill_count", 100),
         ]);
         let cur = scalars(&[
+            ("cgn_bursts_total", 300),
+            ("cgn_burst_fill_sum", 9_500),
+            ("cgn_burst_fill_count", 300),
+            ("cgn_inbound_bursts_total", 40),
+            ("cgn_inbound_burst_fill_sum", 60),
+            ("cgn_inbound_burst_fill_count", 40),
             ("cgn_mappings_created_total", 2000),
             ("cgn_mappings_live", 777),
             ("cgn_event_wheel_depth", 42),
@@ -238,6 +278,17 @@ mod tests {
         // Shard rows: (1500-500)/2 and (900-400)/2.
         assert!(text.contains("500"), "{text}");
         assert!(text.contains("250"), "{text}");
+        // Burst rows: (300-100)/2 calls/s at (9500-3000)/200 packets
+        // per call; inbound has no previous scrape to difference.
+        let row = |dir: &str| {
+            let line = text.lines().find(|l| l.trim_start().starts_with(dir));
+            line.unwrap_or_else(|| panic!("{dir} row: {text}"))
+                .split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("outbound"), ["outbound", "100", "32.5"]);
+        assert_eq!(row("inbound"), ["inbound", "20", "1.5"]);
         assert!(text.contains("generate"), "{text}");
         assert!(text.contains("1.5µs"), "p50 renders in µs: {text}");
         assert!(
@@ -253,5 +304,6 @@ mod tests {
         let text = render_top("hdr", &empty, &empty, 1.0);
         assert!(text.contains("live 0"));
         assert!(!text.contains("phase "), "no phase table without data");
+        assert!(!text.contains("burst "), "no burst rows without data");
     }
 }

@@ -23,9 +23,10 @@
 //! in strictly ascending millisecond order, each batch sorted by
 //! sequence number — exactly the `(at_ms, seq)` lexicographic order
 //! the heap produced, so run results are independent of the queue
-//! implementation. Events pushed while a batch is being processed must
-//! be strictly in the future (the driver's generators guarantee ≥ 1 ms
-//! gaps), which keeps the already-drained prefix immutable.
+//! implementation. The already-drained prefix is immutable: a push
+//! behind the horizon panics. The driver drains a window of buckets
+//! before it commits any of them, and bounds the window so that no
+//! commit can schedule into it (see `driver::advance_shard`).
 
 use nat_engine::wheel::WheelGeometry;
 
@@ -67,15 +68,17 @@ impl<T> EventWheel<T> {
         self.len
     }
 
-    /// Schedule `item` at `at_ms`. Must not be earlier than the wheel's
-    /// horizon (the driver only schedules strictly-future events).
+    /// Schedule `item` at `at_ms`.
+    ///
+    /// Panics if `at_ms` is behind the wheel's horizon: that
+    /// millisecond has been handed out, and delivering the event late
+    /// would silently re-time it.
     pub fn push(&mut self, at_ms: u64, seq: u64, item: T) {
-        debug_assert!(
+        assert!(
             at_ms >= self.horizon_ms,
             "event at {at_ms} behind horizon {}",
             self.horizon_ms
         );
-        let at_ms = at_ms.max(self.horizon_ms);
         self.len += 1;
         // Shared placement: level 0 is the exact-millisecond ring, the
         // upper levels (and the beyond-span farthest-bucket fallback)
@@ -96,16 +99,21 @@ impl<T> EventWheel<T> {
         }
     }
 
-    /// The next pending batch at or before `boundary_ms`: all events of
-    /// one millisecond, sorted by sequence number. `None` once every
+    /// Hand out the next pending batch at or before `boundary_ms` —
+    /// all events of one millisecond, sorted by sequence number — by
+    /// swapping it into `batch`, whose old contents are dropped and
+    /// whose storage becomes the bucket's, so a drain loop that keeps
+    /// passing the same `Vec` recycles capacity instead of allocating
+    /// per bucket. Returns `false`, leaving `batch` empty, once every
     /// event up to the boundary (inclusive) has been delivered; the
-    /// horizon then rests just past the boundary. Events pushed while a
-    /// returned batch is processed land at later milliseconds and are
-    /// picked up by subsequent calls of the same drain.
-    pub fn next_bucket(&mut self, boundary_ms: u64) -> Option<Vec<Entry<T>>> {
+    /// horizon then rests just past the boundary. Events pushed
+    /// between calls land at or past the horizon and are picked up by
+    /// later calls of the same drain.
+    pub fn next_bucket(&mut self, boundary_ms: u64, batch: &mut Vec<Entry<T>>) -> bool {
+        batch.clear();
         if self.len == 0 {
             self.horizon_ms = self.horizon_ms.max(boundary_ms + 1);
-            return None;
+            return false;
         }
         while self.horizon_ms <= boundary_ms {
             let tick = self.horizon_ms;
@@ -118,14 +126,14 @@ impl<T> EventWheel<T> {
             let bucket = (tick & 255) as usize;
             self.horizon_ms = tick + 1;
             if !self.l0[bucket].is_empty() {
-                let mut batch = std::mem::take(&mut self.l0[bucket]);
+                std::mem::swap(batch, &mut self.l0[bucket]);
                 self.len -= batch.len();
                 debug_assert!(batch.iter().all(|e| e.0 == tick));
                 batch.sort_by_key(|e| e.1);
-                return Some(batch);
+                return true;
             }
         }
-        None
+        false
     }
 }
 
@@ -133,12 +141,15 @@ impl<T> EventWheel<T> {
 mod tests {
     use super::*;
 
-    /// Reference: drain via a plain sort on `(at_ms, seq)`.
+    /// Drain to `boundary` the way the driver does: one caller-owned
+    /// `Vec` handed back to the wheel on every call.
     fn drain_all(wheel: &mut EventWheel<u32>, boundary: u64) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
-        while let Some(batch) = wheel.next_bucket(boundary) {
-            out.extend(batch);
+        let mut batch = Vec::new();
+        while wheel.next_bucket(boundary, &mut batch) {
+            out.extend(batch.iter().copied());
         }
+        assert!(batch.is_empty(), "a finished drain leaves the batch empty");
         out
     }
 
@@ -176,7 +187,7 @@ mod tests {
         w.push(30_000, 3, 2);
         let first = drain_all(&mut w, 30);
         assert_eq!(first, vec![(10, 1, 0), (30, 2, 1)]);
-        assert!(w.next_bucket(29_999).is_none(), "not yet due");
+        assert!(drain_all(&mut w, 29_999).is_empty(), "not yet due");
         let second = drain_all(&mut w, 30_000);
         assert_eq!(second, vec![(30_000, 3, 2)]);
     }
@@ -187,8 +198,9 @@ mod tests {
         w.push(5, 1, 0);
         let mut seen = Vec::new();
         let mut injected = false;
-        while let Some(batch) = w.next_bucket(1_000) {
-            for (at, seq, id) in batch {
+        let mut batch = Vec::new();
+        while w.next_bucket(1_000, &mut batch) {
+            for &(at, seq, id) in &batch {
                 seen.push((at, seq, id));
                 if !injected {
                     injected = true;
@@ -204,11 +216,58 @@ mod tests {
     #[test]
     fn empty_wheel_fast_forwards_horizon() {
         let mut w: EventWheel<u32> = EventWheel::new();
-        assert!(w.next_bucket(10_000_000).is_none());
+        assert!(drain_all(&mut w, 10_000_000).is_empty());
         // A push after the jump must still be delivered at its time.
         w.push(10_000_500, 1, 7);
-        assert!(w.next_bucket(10_000_499).is_none());
+        assert!(drain_all(&mut w, 10_000_499).is_empty());
         assert_eq!(drain_all(&mut w, 10_000_500), vec![(10_000_500, 1, 7)]);
+    }
+
+    /// A millisecond that has been handed out is closed: the driver's
+    /// window rule is what keeps commits from scheduling into it, and
+    /// a violation must stop the run rather than re-time the event.
+    #[test]
+    #[should_panic(expected = "behind horizon")]
+    fn push_behind_the_horizon_panics() {
+        let mut w = EventWheel::new();
+        w.push(5, 1, 0u32);
+        w.push(9, 2, 1);
+        assert_eq!(drain_all(&mut w, 7), vec![(5, 1, 0)]);
+        w.push(7, 3, 2);
+    }
+
+    /// The swap hand-out: the caller's `Vec` becomes the drained
+    /// bucket's storage, so a bucket that was filled once is pushed
+    /// into again without reallocating, and each batch comes out in
+    /// `(ms, seq)` order whatever the push order was.
+    #[test]
+    fn handed_out_buckets_recycle_their_capacity() {
+        let mut w = EventWheel::new();
+        let mut batch = Vec::new();
+        for round in 0..3u64 {
+            // Milliseconds 10 and 11 of each 256 ms lap share two
+            // level-0 buckets; sequence numbers pushed descending.
+            let base = round * 256;
+            for i in 0..40u64 {
+                w.push(base + 10 + i % 2, 1_000 - i, i as u32);
+            }
+            for ms in [base + 10, base + 11] {
+                assert!(w.next_bucket(base + 255, &mut batch));
+                assert_eq!(batch.len(), 20);
+                assert!(batch.iter().all(|e| e.0 == ms));
+                assert!(batch.windows(2).all(|p| p[0].1 < p[1].1), "seq order");
+                if round > 0 {
+                    assert!(
+                        batch.capacity() >= 20 && w.l0[(ms & 255) as usize].capacity() >= 20,
+                        "round {round}: both the batch and the bucket it was swapped \
+                         into kept storage from earlier rounds"
+                    );
+                }
+            }
+            assert!(!w.next_bucket(base + 255, &mut batch));
+            assert!(batch.is_empty() && batch.capacity() >= 20);
+        }
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
