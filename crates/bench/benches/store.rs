@@ -103,8 +103,11 @@ fn populate_slab(n: usize) -> MappingStore {
             internal(k),
             dst(),
         );
-        s.insert(key, Protocol::Udp, mapping(k));
+        let m = mapping(k);
+        let pool = s.intern_pool(m.external.ip, m.proto);
+        s.insert(key, pool, m);
     }
+    s.flush_ext_index();
     s
 }
 
@@ -197,7 +200,9 @@ fn bench_store(c: &mut Criterion) {
                         if let Some(slot) = slab.lookup_out(key) {
                             slab.remove(slot);
                         }
-                        slab.insert(key, Protocol::Udp, mapping(k));
+                        let m = mapping(k);
+                        let pool = slab.intern_pool(m.external.ip, m.proto);
+                        slab.insert(key, pool, m);
                     }
                     slab.len()
                 })

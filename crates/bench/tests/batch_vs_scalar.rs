@@ -15,11 +15,19 @@
 //!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit;
 //!   and again at burst {1, 2, 7, 32, 1024} under a configuration
 //!   whose windows hold refused flows and refused keepalives.
+//!
+//! Plus scripted engine-level cases aimed at the create path's
+//! write-behind ext index (a create's external-index cell is written
+//! a few creates after the mapping exists): hairpins to an endpoint
+//! handed out one packet earlier, mappings created and expired on
+//! touch inside one call, a burst of creates that grows the index,
+//! and inbound replies right behind — per burst and per driver-style
+//! window, at burst {1, 2, 7, 32, 128}.
 
 use cgn_telemetry::BinaryLogSink;
 use cgn_traffic::{DriverConfig, FlashCrowd, WorkloadMix};
 use nat_engine::telemetry::TelemetryMode;
-use nat_engine::{Nat, NatConfig, NatVerdict};
+use nat_engine::{FilteringBehavior, MappingBehavior, Nat, NatConfig, NatVerdict, PortAllocation};
 use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimDuration, SimTime, TcpFlags};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -220,6 +228,185 @@ fn burst_straddling_arena_promotions_matches_scalar() {
     );
     for burst in [7, 64, 400] {
         engine_equivalence(&steps, burst, 1);
+    }
+}
+
+/// One scripted outbound packet and the millisecond it is sent at.
+type Timed = (u64, Packet);
+
+/// Everything a scripted run leaves behind that a caller can see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    verdicts: Vec<NatVerdict>,
+    stats: nat_engine::NatStats,
+    store: nat_engine::StoreOccupancy,
+    ports: Vec<nat_engine::PortOccupancy>,
+    log: Vec<u8>,
+}
+
+/// How a scripted run hands its packets to the engine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Feed {
+    /// `process_outbound` / `process_inbound`, one packet at a time.
+    Scalar,
+    /// One `process_burst` per run of packets sharing an instant.
+    Burst,
+    /// As the traffic driver does: one `stage_burst` over the whole
+    /// chunk, then one `translate_staged` per instant.
+    Window,
+}
+
+/// Play `script` in chunks of `chunk` packets (a chunk may span
+/// instants). Right behind each chunk, every packet it got forwarded
+/// is answered from the remote it was sent to, at the chunk's last
+/// instant — the external endpoints the replies look up are the ones
+/// the chunk has only just created.
+fn play(config: &NatConfig, script: &[Timed], chunk: usize, feed: Feed) -> Observed {
+    let mut nat = Nat::new(config.clone(), vec![Ipv4Addr::new(198, 18, 0, 1)], 5);
+    nat.set_sink(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
+    let mut verdicts: Vec<NatVerdict> = Vec::new();
+    let mut clock = None; // phase laps are off
+    for timed in script.chunks(chunk) {
+        let first = verdicts.len();
+        let pkts: Vec<Packet> = timed.iter().map(|(_, p)| p.clone()).collect();
+        if feed == Feed::Window {
+            nat.stage_burst(&pkts, &mut clock);
+        }
+        let mut pkts = pkts.into_iter();
+        let mut instants = timed.iter().map(|t| t.0).peekable();
+        while let Some(at_ms) = instants.next() {
+            let mut same = 1;
+            while instants.next_if_eq(&at_ms).is_some() {
+                same += 1;
+            }
+            let now = SimTime::from_millis(at_ms);
+            let run = pkts.by_ref().take(same);
+            match feed {
+                Feed::Scalar => verdicts.extend(run.map(|p| nat.process_outbound(p, now))),
+                Feed::Burst => verdicts.extend(nat.process_burst(run.collect(), now)),
+                Feed::Window => nat.translate_staged(run, now, &mut verdicts, &mut clock),
+            }
+        }
+        let now = SimTime::from_millis(timed.last().expect("chunks are non-empty").0);
+        let replies: Vec<Packet> = timed
+            .iter()
+            .zip(&verdicts[first..])
+            .filter_map(|((_, sent), verdict)| match verdict {
+                NatVerdict::Forward(out) => Some(Packet::udp(sent.dst, out.src, vec![9])),
+                _ => None,
+            })
+            .collect();
+        match feed {
+            Feed::Scalar => {
+                verdicts.extend(replies.into_iter().map(|p| nat.process_inbound(p, now)))
+            }
+            Feed::Burst => verdicts.extend(nat.process_inbound_burst(replies, now)),
+            Feed::Window => {
+                nat.stage_inbound_burst(&replies, &mut clock);
+                nat.translate_inbound_staged(replies, now, &mut verdicts, &mut clock);
+            }
+        }
+    }
+    let end = SimTime::from_millis(script.last().map_or(0, |t| t.0) + 120_000);
+    nat.sweep(end);
+    Observed {
+        verdicts,
+        stats: nat.stats().clone(),
+        store: nat.store_occupancy(),
+        ports: nat.port_occupancy(),
+        log: taken_log(&mut nat),
+    }
+}
+
+/// Chunk sizes for the scripted cases: 1 (scalar-equivalent), sizes
+/// below, at and far above the write-behind depth, and 128 — the
+/// replay workloads' burst.
+const CHUNKS: [usize; 5] = [1, 2, 7, 32, 128];
+
+/// The scripted scalar run, after checking every chunked burst and
+/// window run against it.
+fn write_behind_is_invisible(config: &NatConfig, script: &[Timed]) -> Observed {
+    for chunk in CHUNKS {
+        // Scalar per chunk size too: the chunking decides when the
+        // replies are sent.
+        let scalar = play(config, script, chunk, Feed::Scalar);
+        for feed in [Feed::Burst, Feed::Window] {
+            let batched = play(config, script, chunk, feed);
+            assert_eq!(scalar, batched, "chunk={chunk} {feed:?}");
+        }
+    }
+    play(config, script, 1, Feed::Scalar)
+}
+
+fn scripted_src(host: u32, port: u16) -> Endpoint {
+    Endpoint::new(
+        Ipv4Addr::from(u32::from(Ipv4Addr::new(100, 64, 0, 1)) + host),
+        port,
+    )
+}
+
+/// (a) + (c) + (d): every packet opens a mapping, and under sequential
+/// allocation on one address the `k`-th gets port `1024 + k` — so a
+/// packet can be addressed to the external endpoint an earlier one of
+/// its own burst is about to be given. Two packets in five hairpin:
+/// to the endpoint created one packet earlier (its index cell still
+/// written behind), and to one created nine packets earlier (just
+/// written). 300 creates from an empty table take the ext index
+/// through five growths, all inside bursts at chunk 128.
+#[test]
+fn hairpins_to_endpoints_created_in_the_same_burst_match_scalar() {
+    let mut config = NatConfig::cgn_default();
+    config.mapping = MappingBehavior::AddressAndPortDependent;
+    config.filtering = FilteringBehavior::EndpointIndependent;
+    config.port_alloc = PortAllocation::Sequential;
+    let ext = |k: u64| Endpoint::new(Ipv4Addr::new(198, 18, 0, 1), 1024 + k as u16);
+    let script: Vec<Timed> = (0..300u64)
+        .map(|k| {
+            let dst = match k % 5 {
+                2 => ext(k - 1),
+                4 if k >= 9 => ext(k - 9),
+                _ => Endpoint::new(Ipv4Addr::new(203, 0, 113, 1 + (k % 7) as u8), 443),
+            };
+            let src = scripted_src(k as u32 % 24, 3000 + k as u16);
+            (k / 6, Packet::udp(src, dst, vec![1]))
+        })
+        .collect();
+    let seen = write_behind_is_invisible(&config, &script);
+    assert_eq!(seen.stats.mappings_created, 300, "a mapping per packet");
+    assert_eq!(seen.stats.hairpins, 119, "every hairpin found its target");
+    assert_eq!(seen.stats.drops, 0);
+}
+
+/// (b) + (d): with a zero idle timeout a mapping is expired the
+/// instant it exists, so the second packet of a flow in the same
+/// millisecond removes what the first created — while its ext-index
+/// cell may still be written behind — and creates it again; the reply
+/// right behind removes it once more. With 1 ms the same happens
+/// across the instants of one window. Port blocks of four put block
+/// grants and returns in the log.
+#[test]
+fn mappings_created_and_expired_inside_one_call_match_scalar() {
+    for timeout_ms in [0, 1] {
+        let mut config = NatConfig::cgn_default();
+        config.udp_timeout = SimDuration::from_millis(timeout_ms);
+        config.port_alloc = PortAllocation::PortBlock { block_size: 4 };
+        let script: Vec<Timed> = (0..240u64)
+            .map(|k| {
+                // Six flows a millisecond, each sent twice in it.
+                let flow = (k % 12 / 2 + k / 12 % 2 * 3) as u32;
+                let dst = Endpoint::new(Ipv4Addr::new(203, 0, 113, 9), 443);
+                (
+                    k / 12,
+                    Packet::udp(scripted_src(flow % 5, 4000 + flow as u16), dst, vec![1]),
+                )
+            })
+            .collect();
+        let seen = write_behind_is_invisible(&config, &script);
+        assert!(
+            seen.stats.mappings_expired >= 100 && seen.stats.mappings_created >= 100,
+            "timeout {timeout_ms} ms: {:?}",
+            seen.stats
+        );
     }
 }
 

@@ -611,7 +611,9 @@ impl Nat {
         let key = self
             .store
             .out_key(self.config.mapping, proto, pkt.src, pkt.dst);
-        self.translate_outbound(pkt, now, proto, flags, key)
+        let verdict = self.translate_outbound(pkt, now, proto, flags, key);
+        self.store.flush_ext_index();
+        verdict
     }
 
     /// Translate a burst of outbound packets at one instant, returning
@@ -649,16 +651,31 @@ impl Nat {
     /// interner evolves exactly as under [`Nat::process_outbound`])
     /// and prefetches the index cell its probe starts at; **prefetch**
     /// reads those cells, now cached, with a tag-only probe
-    /// ([`MappingStore::hint_out`]) and prefetches every line of the
-    /// candidate slot's rows. The hint is left unverified on purpose:
-    /// verifying it means reading the cold row, the very miss the
-    /// stage exists to overlap, and a wrong or stale hint (a
-    /// fingerprint collision, a slot an earlier packet freed or
-    /// re-used before the hinted one is translated) costs one useless
-    /// prefetch and can change nothing. Neither stage reads simulated
-    /// time: staging is independent of the instant(s) the packets are
-    /// translated at. The two stages lap `clock` (the caller's
-    /// [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
+    /// ([`MappingStore::hint_out`]), whose result triggers one of
+    /// three things:
+    ///
+    /// * a **candidate slot** — every line of its hot and cold row is
+    ///   prefetched: the packet will most likely refresh that mapping;
+    /// * **no candidate** — the packet will most likely create a
+    ///   mapping. It is counted, and when the burst has been probed
+    ///   the rows of that many of the *lowest free slots* are
+    ///   prefetched ([`MappingStore::prefetch_free_slots`]): the
+    ///   store's next inserts fill exactly those, in that order;
+    /// * no candidate and **no free slot left** to name — nothing:
+    ///   that create appends to the arena, where no row exists yet.
+    ///
+    /// Both kinds of hint are left unverified on purpose. Verifying a
+    /// candidate means reading the cold row, the very miss the stage
+    /// exists to overlap; and whether a create happens, and into which
+    /// row, is only settled in arrival order. A wrong or stale one (a
+    /// fingerprint collision; a slot an earlier packet freed or
+    /// re-used before the hinted one is translated; a predicted create
+    /// an earlier packet of the burst turned into a hit, or the
+    /// session limit refused; a lower slot freed on touch in between)
+    /// costs a useless prefetch and can change nothing. Neither stage
+    /// reads simulated time: staging is independent of the instant(s)
+    /// the packets are translated at. The two stages lap `clock` (the
+    /// caller's [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
     /// [`Phase::BurstPrefetch`].
     pub fn stage_burst(&mut self, pkts: &[Packet], clock: &mut Option<std::time::Instant>) {
         let staged = self.outbound_plan.len();
@@ -680,14 +697,19 @@ impl Nat {
         }
         self.phase_lap(clock, Phase::BurstResolve);
 
-        // Stage 2 — candidate rows on their way.
-        let mut rows = 0u64;
+        // Stage 2 — candidate rows on their way, and for the packets
+        // without a candidate the rows their creates will fill.
+        let (mut rows, mut creates) = (0u64, 0usize);
         for &(_, _, key) in self.outbound_plan.range(staged..).flatten() {
-            if let Some(slot) = self.store.hint_out(key) {
-                self.store.prefetch_slot(slot);
-                rows += 1;
+            match self.store.hint_out(key) {
+                Some(slot) => {
+                    self.store.prefetch_slot(slot);
+                    rows += 1;
+                }
+                None => creates += 1,
             }
         }
+        self.store.prefetch_free_slots(creates);
         if let Some(m) = &mut self.metrics.0 {
             m.on_burst(pkts.len() as u64, rows);
         }
@@ -698,8 +720,11 @@ impl Nat {
     /// next packets [`Nat::stage_burst`] staged, in staging order — at
     /// `now`, appending one verdict per packet to `verdicts`. Runs in
     /// arrival order through the same code path as the scalar API,
-    /// which probes again and verifies the full key. Laps `clock` as
-    /// [`Phase::BurstTranslate`].
+    /// which probes again and verifies the full key. The creates of
+    /// one call overlap their external-index misses: each cell is
+    /// written a few creates after it was asked for, the last ones
+    /// before the call returns (see [`MappingStore::insert`]). Laps
+    /// `clock` as [`Phase::BurstTranslate`].
     ///
     /// Panics if more packets are handed in than were staged.
     pub fn translate_staged(
@@ -717,6 +742,7 @@ impl Nat {
                 Some((proto, flags, key)) => self.translate_outbound(pkt, now, proto, flags, key),
             });
         }
+        self.store.flush_ext_index();
         self.phase_lap(clock, Phase::BurstTranslate);
     }
 
@@ -807,9 +833,11 @@ impl Nat {
             }
         }
         let mut block_granted = false;
-        let external = if self.config.transparent {
-            // Stateful firewall: state is kept, addresses are not touched.
-            internal
+        let (external, pool) = if self.config.transparent {
+            // Stateful firewall: state is kept, addresses are not
+            // touched — and no port is allocated, so the pool is
+            // interned here for the ext-key alone.
+            (internal, self.store.intern_pool(internal.ip, proto))
         } else {
             // Deterministic NAT computes both the external IP and the
             // port block from the internal address (RFC 7422) — no
@@ -829,14 +857,14 @@ impl Nat {
                 Some((ip_index, _, _)) => self.external_ips[ip_index],
                 None => self.pick_external_ip(host),
             };
-            let pool = self.store.intern_pool(ext_ip, proto) as usize;
-            if self.allocators.len() <= pool {
-                self.allocators.resize_with(pool + 1, || None);
+            let pool = self.store.intern_pool(ext_ip, proto);
+            if self.allocators.len() <= pool as usize {
+                self.allocators.resize_with(pool as usize + 1, || None);
             }
             let strategy = self.config.port_alloc;
             let range = self.config.port_range;
-            let alloc =
-                self.allocators[pool].get_or_insert_with(|| PortAllocator::new(strategy, range));
+            let alloc = self.allocators[pool as usize]
+                .get_or_insert_with(|| PortAllocator::new(strategy, range));
             let port = match det {
                 Some((_, start, len)) => alloc.allocate_deterministic(start, len),
                 None => alloc.allocate(internal.ip, internal.port, proto, &mut self.rng),
@@ -861,11 +889,11 @@ impl Nat {
                     block_len: g.len,
                 });
             }
-            Endpoint::new(ext_ip, port)
+            (Endpoint::new(ext_ip, port), pool)
         };
         let timeout = self.timeout_for(proto, None);
         let m = Mapping::new(proto, internal, external, now, now + timeout);
-        let slot = self.store.insert(key, proto, m);
+        let slot = self.store.insert(key, pool, m);
         self.stats.mappings_created += 1;
         self.stats.peak_mappings = self.stats.peak_mappings.max(self.store.len() as u64);
         if let Some(reg) = &mut self.metrics.0 {
@@ -920,6 +948,10 @@ impl Nat {
         // configured to leave the internal source in place — the leak
         // mechanism of §4.1 — the delivered packet carries `original_src`.
         let proto = translated.protocol().expect("hairpin only for UDP/TCP");
+        // The one ext-index reader inside a create run: settle the
+        // index first, so that it answers as it would without the
+        // queue even where two mappings share an external endpoint.
+        self.store.flush_ext_index();
         let target = match self.store.lookup_ext(proto, translated.dst) {
             Some(slot) if !self.store.get(slot).expired(now) => slot,
             _ => {
@@ -2003,6 +2035,104 @@ mod tests {
         // Rows prefetched: both F packets (hinted slot 1; G was not
         // indexed yet), then all three replies.
         assert_eq!((scalar.4, burst.4), ((0, 0), (2, 3)));
+    }
+
+    /// The create-side twin of `stale_burst_hints_change_nothing`.
+    /// Stage 2 counts the packets it finds no candidate for as creates
+    /// and prefetches that many of the lowest free rows — before any
+    /// packet of the burst is translated, so the count can be wrong in
+    /// both directions and the rows can be the wrong ones. Nothing but
+    /// the prefetch may depend on it.
+    #[test]
+    fn wrong_create_predictions_change_nothing() {
+        let (e, f, g, h) = (
+            internal_host(1),
+            internal_host(2),
+            internal_host(3),
+            internal_host(4),
+        );
+        let g_again = Endpoint::new(g.ip, g.port + 1);
+        let run = |burst: bool| {
+            let mut config = NatConfig::cgn_default(); // EIM, 60 s UDP timeout
+            config.max_sessions_per_host = Some(1);
+            let mut n = nat(config);
+            n.set_sink(Box::<LineSink>::default());
+            n.set_metrics(Box::<EngineMetrics>::default());
+            udp_out(&mut n, e, server(), t(0)); // slot 0
+            udp_out(&mut n, f, server(), t(30)); // slot 1, expires at 90 s
+            n.sweep(t(61)); // slot 0 is the one free row
+
+            // Outbound at 100 s. Four packets have no candidate, so
+            // four creates are predicted where one row is free:
+            //   g        creates, in slot 0;
+            //   g        a predicted create that finds the first's
+            //            mapping — a hit;
+            //   f        a predicted hit (candidate slot 1) that has
+            //            expired — removed on touch, then a create,
+            //            in the row it has just freed;
+            //   g_again  a predicted create the one-session limit
+            //            refuses;
+            //   h        creates, appending: the free-list stage 2
+            //            read was used up and refilled in between.
+            let pkts: Vec<Packet> = [g, g, f, g_again, h]
+                .iter()
+                .map(|&src| Packet::udp(src, server(), vec![1]))
+                .collect();
+            let mut verdicts = if burst {
+                n.process_burst(pkts, t(100))
+            } else {
+                pkts.into_iter()
+                    .map(|p| n.process_outbound(p, t(100)))
+                    .collect()
+            };
+            let mapping = n.config.mapping;
+            let slots: Vec<Option<u32>> = [g, f, g_again, h]
+                .iter()
+                .map(|&src| {
+                    let key = n.store.out_key(mapping, Protocol::Udp, src, server());
+                    n.store.lookup_out(key)
+                })
+                .collect();
+            assert_eq!(slots, [Some(0), Some(1), None, Some(2)]);
+
+            // The replies look up external endpoints whose index cells
+            // were written behind their creates.
+            let replies: Vec<Packet> = verdicts
+                .iter()
+                .filter_map(|v| match v {
+                    NatVerdict::Forward(p) => Some(Packet::udp(server(), p.src, vec![2])),
+                    _ => None,
+                })
+                .collect();
+            verdicts.extend(if burst {
+                n.process_inbound_burst(replies, t(101))
+            } else {
+                replies
+                    .into_iter()
+                    .map(|p| n.process_inbound(p, t(101)))
+                    .collect()
+            });
+            let log = n.take_sink().expect("sink installed").into_any();
+            let log = log.downcast::<LineSink>().expect("concrete sink type").0;
+            let snap = n.metrics_snapshot().expect("registry installed");
+            let rows = snap.scalar("cgn_prefetch_issued_total");
+            let occupancy = (n.store_occupancy(), n.port_occupancy());
+            (verdicts, n.stats().clone(), log, occupancy, rows)
+        };
+        let (scalar, burst) = (run(false), run(true));
+        assert_eq!(scalar.0, burst.0, "verdicts");
+        assert_eq!(scalar.1, burst.1, "stats");
+        assert_eq!(scalar.2, burst.2, "log bytes");
+        assert_eq!(scalar.3, burst.3, "store and port occupancy");
+        assert_eq!(scalar.1.mappings_created, 5, "E, F, then g, f and h");
+        assert_eq!(scalar.1.drop_session_limit, 1);
+        assert_eq!(scalar.0.len(), 5 + 4, "four forwarded packets answered");
+        assert!(scalar.0[5..]
+            .iter()
+            .all(|v| matches!(v, NatVerdict::Forward(_))));
+        // Candidate rows prefetched: f's alone. Free rows prefetched
+        // for predicted creates are not candidates and are not counted.
+        assert_eq!((scalar.4, burst.4), (0, 1));
     }
 
     #[test]

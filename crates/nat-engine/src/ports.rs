@@ -15,10 +15,11 @@
 //! is needed at all).
 
 use crate::config::PortAllocation;
+use crate::store::MixMap;
 use netcore::Protocol;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Dense membership set over the full `u16` port space: a fixed 8 KiB
@@ -190,6 +191,8 @@ pub fn deterministic_block(
 struct BlockState {
     owner: Option<Ipv4Addr>,
     in_use: u16,
+    /// The block its owner was granted after this one, if any.
+    next: Option<u16>,
 }
 
 /// Free-port bookkeeping for one (external IP, protocol).
@@ -201,13 +204,18 @@ pub struct PortAllocator {
     /// Next candidate for sequential allocation.
     next_seq: u16,
     /// Chunk assignment per internal host (chunk strategies only).
-    chunks: HashMap<Ipv4Addr, u16>, // host -> chunk index
+    chunks: MixMap<Ipv4Addr, u16>, // host -> chunk index
     chunks_taken: HashSet<u16>,
     /// Per-block owner/fill state (`PortBlock` strategy only; lazily
     /// sized to `capacity / block_size` on first use).
     blocks: Vec<BlockState>,
-    /// Blocks currently granted per host, in grant order.
-    host_blocks: HashMap<Ipv4Addr, Vec<u16>>,
+    /// Every block below this index is owned: where the search for a
+    /// block to grant starts. Lowered when a block is returned.
+    first_unowned: usize,
+    /// Head of each host's list of granted blocks, which runs in grant
+    /// order through [`BlockState::next`]: walking it reads only rows
+    /// the allocation reads anyway, and allocates nothing.
+    host_blocks: MixMap<Ipv4Addr, u16>,
     /// Block grant/return recorded by the last allocate/release call,
     /// awaiting [`PortAllocator::take_block_grant`].
     pending_block: Option<BlockGrant>,
@@ -221,10 +229,11 @@ impl PortAllocator {
             range,
             in_use: PortSet::new(),
             next_seq: range.0,
-            chunks: HashMap::new(),
+            chunks: MixMap::default(),
             chunks_taken: HashSet::new(),
             blocks: Vec::new(),
-            host_blocks: HashMap::new(),
+            first_unowned: 0,
+            host_blocks: MixMap::default(),
             pending_block: None,
         }
     }
@@ -286,13 +295,10 @@ impl PortAllocator {
     /// no RNG, no grant records.
     pub fn allocate_deterministic(&mut self, start: u16, len: u16) -> Result<u16, PortError> {
         let hi = (start as u32 + len as u32).min(self.range.1 as u32 + 1);
-        if hi > start as u32 {
-            if let Some(p) = self.in_use.first_free_in(start, (hi - 1) as u16) {
-                self.in_use.insert(p);
-                return Ok(p);
-            }
-        }
-        Err(PortError::Exhausted)
+        let free = (hi > start as u32)
+            .then(|| self.in_use.first_free_in(start, (hi - 1) as u16))
+            .flatten();
+        self.claim(free, PortError::Exhausted)
     }
 
     /// Release a previously allocated port (mapping expiry). Under the
@@ -313,13 +319,17 @@ impl PortAllocator {
             state.in_use = state.in_use.saturating_sub(1);
             if state.in_use == 0 {
                 if let Some(owner) = state.owner.take() {
-                    if let Some(list) = self.host_blocks.get_mut(&owner) {
-                        list.retain(|x| *x as usize != b);
-                        if list.is_empty() {
-                            self.host_blocks.remove(&owner);
-                        }
+                    // Re-point the link that named `b`: a predecessor's, else the head.
+                    let (b, next) = (b as u16, state.next.take());
+                    let links_to_b = |&p: &u16| self.blocks[p as usize].next == Some(b);
+                    let prev = self.owned_blocks(owner).find(links_to_b);
+                    match (prev, next) {
+                        (Some(prev), _) => self.blocks[prev as usize].next = next,
+                        (None, Some(next)) => drop(self.host_blocks.insert(owner, next)),
+                        (None, None) => drop(self.host_blocks.remove(&owner)),
                     }
-                    let (start, len) = self.block_bounds(b as u16, block_size);
+                    self.first_unowned = self.first_unowned.min(b as usize);
+                    let (start, len) = self.block_bounds(b, block_size);
                     self.pending_block = Some(BlockGrant {
                         kind: BlockGrantKind::Released,
                         host: owner,
@@ -344,14 +354,16 @@ impl PortAllocator {
         let PortAllocation::PortBlock { block_size } = self.strategy else {
             return Vec::new();
         };
-        self.host_blocks
-            .get(&host)
-            .map(|list| {
-                list.iter()
-                    .map(|&b| self.block_bounds(b, block_size))
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.owned_blocks(host)
+            .map(|b| self.block_bounds(b, block_size))
+            .collect()
+    }
+
+    /// `host`'s blocks in grant order: the list threaded through
+    /// [`BlockState::next`] from its head in `host_blocks`.
+    fn owned_blocks(&self, host: Ipv4Addr) -> impl Iterator<Item = u16> + '_ {
+        let head = self.host_blocks.get(&host).copied();
+        std::iter::successors(head, |&b| self.blocks[b as usize].next)
     }
 
     fn in_range(&self, p: u16) -> bool {
@@ -369,13 +381,14 @@ impl PortAllocator {
         } else {
             self.range.0
         };
-        match self.wrap_scan_after(start) {
-            Some(p) => {
-                self.in_use.insert(p);
-                Ok(p)
-            }
-            None => Err(PortError::Exhausted),
-        }
+        self.claim(self.wrap_scan_after(start), PortError::Exhausted)
+    }
+
+    /// Mark the port a scan found as used; `full` if it found none.
+    fn claim(&mut self, found: Option<u16>, full: PortError) -> Result<u16, PortError> {
+        let p = found.ok_or(full)?;
+        self.in_use.insert(p);
+        Ok(p)
     }
 
     /// First free port in the wrap-around order `start+1..=hi, lo..=start`
@@ -403,18 +416,13 @@ impl PortAllocator {
     }
 
     fn alloc_sequential(&mut self) -> Result<u16, PortError> {
-        match self.wrap_scan_from(self.next_seq) {
-            Some(p) => {
-                self.in_use.insert(p);
-                self.next_seq = if p == self.range.1 {
-                    self.range.0
-                } else {
-                    p + 1
-                };
-                Ok(p)
-            }
-            None => Err(PortError::Exhausted),
-        }
+        let p = self.claim(self.wrap_scan_from(self.next_seq), PortError::Exhausted)?;
+        self.next_seq = if p == self.range.1 {
+            self.range.0
+        } else {
+            p + 1
+        };
+        Ok(p)
     }
 
     fn alloc_random(&mut self, rng: &mut StdRng) -> Result<u16, PortError> {
@@ -430,13 +438,7 @@ impl PortAllocator {
             }
         }
         let start = rng.gen_range(self.range.0..=self.range.1);
-        match self.wrap_scan_from(start) {
-            Some(p) => {
-                self.in_use.insert(p);
-                Ok(p)
-            }
-            None => Err(PortError::Exhausted),
-        }
+        self.claim(self.wrap_scan_from(start), PortError::Exhausted)
     }
 
     fn alloc_chunk(
@@ -474,13 +476,8 @@ impl PortAllocator {
                 return Ok(p);
             }
         }
-        match self.in_use.first_free_in(lo, (hi_exclusive - 1) as u16) {
-            Some(p) => {
-                self.in_use.insert(p);
-                Ok(p)
-            }
-            None => Err(PortError::ChunkFull),
-        }
+        let free = self.in_use.first_free_in(lo, (hi_exclusive - 1) as u16);
+        self.claim(free, PortError::ChunkFull)
     }
 
     /// `(start, len)` of block `b` under a `block_size`-port layout.
@@ -497,14 +494,10 @@ impl PortAllocator {
             return None; // full block: skip the scan entirely
         }
         let hi = (lo as u32 + len as u32 - 1) as u16;
-        match self.in_use.first_free_in(lo, hi) {
-            Some(p) => {
-                self.in_use.insert(p);
-                self.blocks[b as usize].in_use += 1;
-                Some(p)
-            }
-            None => None,
-        }
+        let p = self.in_use.first_free_in(lo, hi)?;
+        self.in_use.insert(p);
+        self.blocks[b as usize].in_use += 1;
+        Some(p)
     }
 
     /// Contiguous-block allocation: sequential fill of the host's
@@ -517,22 +510,28 @@ impl PortAllocator {
             let n_blocks = (self.capacity() / block_size as usize).max(1);
             self.blocks = vec![BlockState::default(); n_blocks];
         }
-        // Fill the host's existing blocks in grant order. (The short
-        // index list is copied out so the block scan can borrow the
-        // allocator mutably; hosts hold a handful of blocks at most.)
-        let owned: Vec<u16> = self.host_blocks.get(&host).cloned().unwrap_or_default();
-        for b in owned {
+        // Fill the host's existing blocks in grant order.
+        let (mut last, mut link) = (None, self.host_blocks.get(&host).copied());
+        while let Some(b) = link {
             if let Some(p) = self.alloc_in_block(b, block_size) {
                 return Ok(p);
             }
+            (last, link) = (link, self.blocks[b as usize].next);
         }
         // Grant the lowest-index free block.
-        let Some(b) = self.blocks.iter().position(|s| s.owner.is_none()) else {
+        let is_owned = |s: &BlockState| s.owner.is_some();
+        while self.blocks.get(self.first_unowned).is_some_and(is_owned) {
+            self.first_unowned += 1;
+        }
+        let Some(state) = self.blocks.get_mut(self.first_unowned) else {
             return Err(PortError::NoFreeChunk);
         };
-        let b = b as u16;
-        self.blocks[b as usize].owner = Some(host);
-        self.host_blocks.entry(host).or_default().push(b);
+        state.owner = Some(host);
+        let b = self.first_unowned as u16;
+        match last {
+            Some(last) => self.blocks[last as usize].next = Some(b),
+            None => drop(self.host_blocks.insert(host, b)),
+        }
         let (start, len) = self.block_bounds(b, block_size);
         self.pending_block = Some(BlockGrant {
             kind: BlockGrantKind::Allocated,
@@ -1036,6 +1035,162 @@ mod tests {
                 prop_assert_eq!(again, Ok(p), "released port must be reusable");
             }
             prop_assert!(a.allocate(host(), 5000, Protocol::Udp, &mut r).is_err());
+        }
+    }
+
+    /// The per-host bookkeeping this allocator had before its block
+    /// lists were threaded through `blocks`, kept as the oracle: a
+    /// SipHash map of `Vec`s copied out per allocation, and a scan from
+    /// block 0 per grant. `random` is the chunk strategy: one randomly
+    /// chosen block per host for good, ports drawn inside it.
+    struct OldAllocator {
+        range: (u16, u16),
+        size: u16,
+        random: bool,
+        used: HashSet<u16>,
+        owner: Vec<Option<Ipv4Addr>>,
+        host_blocks: std::collections::HashMap<Ipv4Addr, Vec<u16>>,
+    }
+
+    impl OldAllocator {
+        fn bounds(&self, b: u16) -> (u16, u16) {
+            let lo = self.range.0 as u32 + b as u32 * self.size as u32;
+            let hi = (lo + self.size as u32).min(self.range.1 as u32 + 1);
+            (lo as u16, (hi - lo) as u16)
+        }
+
+        fn take_in(&mut self, b: u16, rng: &mut StdRng) -> Option<u16> {
+            let (lo, len) = self.bounds(b);
+            let (from, to) = (lo as u32, lo as u32 + len as u32);
+            let tries = if self.random { 64 } else { 0 };
+            let p = (0..tries)
+                .map(|_| rng.gen_range(from..to) as u16)
+                .find(|p| !self.used.contains(p))
+                .or_else(|| (lo..=lo + (len - 1)).find(|p| !self.used.contains(p)))?;
+            self.used.insert(p);
+            Some(p)
+        }
+
+        /// The port or error, and the block granted on the way, if any.
+        fn allocate(
+            &mut self,
+            host: Ipv4Addr,
+            rng: &mut StdRng,
+        ) -> (Result<u16, PortError>, Option<(u16, u16)>) {
+            let owned = self.host_blocks.get(&host).cloned().unwrap_or_default();
+            if let Some(p) = owned.iter().find_map(|&b| self.take_in(b, rng)) {
+                return (Ok(p), None);
+            }
+            if self.random && !owned.is_empty() {
+                return (Err(PortError::ChunkFull), None);
+            }
+            let free: Vec<usize> = (0..self.owner.len())
+                .filter(|&b| self.owner[b].is_none())
+                .collect();
+            let b = match (self.random, self.owner.iter().position(|o| o.is_none())) {
+                (_, None) => return (Err(PortError::NoFreeChunk), None),
+                (true, _) => free[rng.gen_range(0..free.len())],
+                (false, Some(b)) => b,
+            };
+            self.owner[b] = Some(host);
+            self.host_blocks.entry(host).or_default().push(b as u16);
+            let grant = (!self.random).then(|| self.bounds(b as u16));
+            (
+                self.take_in(b as u16, rng).ok_or(PortError::ChunkFull),
+                grant,
+            )
+        }
+
+        /// The owner and block returned by releasing `port`, if that drained one.
+        fn release(&mut self, port: u16) -> Option<(Ipv4Addr, (u16, u16))> {
+            let b = (port - self.range.0) / self.size;
+            let (lo, len) = self.bounds(b);
+            let drained =
+                self.used.remove(&port) && !(lo..=lo + (len - 1)).any(|p| self.used.contains(&p));
+            if self.random || !drained {
+                return None;
+            }
+            let owner = self.owner[b as usize].take()?;
+            let list = self.host_blocks.get_mut(&owner)?;
+            list.retain(|x| *x != b);
+            if list.is_empty() {
+                self.host_blocks.remove(&owner);
+            }
+            Some((owner, (lo, len)))
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of allocate (several hosts), release,
+        /// `take_block_grant` and `blocks_of` read the same from this
+        /// allocator as from the old bookkeeping: ports, errors, grants
+        /// (a later one overwriting an undrained earlier one) and block
+        /// lists. Seven hosts share at most five blocks, so most cases run
+        /// through exhaustion, block return and re-grant.
+        #[test]
+        fn prop_allocator_is_the_old_allocator(
+            size in (0usize..4).prop_map(|i| [1u16, 4, 64, 512][i]),
+            random in any::<bool>(),
+            whole in 2u16..6,
+            ragged in 0u16..512,
+            seed in any::<u64>(),
+            ops in proptest::collection::vec((0u8..10, 0u8..7, any::<u16>()), 1..300),
+        ) {
+            let range = (1000, 1000 + whole * size + ragged % size - 1);
+            let strategy = if random {
+                PortAllocation::RandomChunk { chunk_size: size }
+            } else {
+                PortAllocation::PortBlock { block_size: size }
+            };
+            let mut new = PortAllocator::new(strategy, range);
+            let mut old = OldAllocator {
+                range,
+                size,
+                random,
+                used: HashSet::new(),
+                owner: vec![None; whole as usize],
+                host_blocks: Default::default(),
+            };
+            let (mut new_rng, mut old_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut live: Vec<u16> = Vec::new();
+            let mut pending = None;
+            for (op, h, arg) in ops {
+                let host = ip(100, 64, 0, h);
+                match op {
+                    0..=4 => {
+                        let got = new.allocate(host, arg, Protocol::Udp, &mut new_rng);
+                        let (want, grant) = old.allocate(host, &mut old_rng);
+                        prop_assert_eq!(got, want);
+                        live.extend(got.ok());
+                        if let Some((start, len)) = grant {
+                            let kind = BlockGrantKind::Allocated;
+                            pending = Some(BlockGrant { kind, host, start, len });
+                        }
+                    }
+                    5..=7 if !live.is_empty() => {
+                        let port = live.swap_remove(arg as usize % live.len());
+                        new.release(port);
+                        if let Some((host, (start, len))) = old.release(port) {
+                            let kind = BlockGrantKind::Released;
+                            pending = Some(BlockGrant { kind, host, start, len });
+                        }
+                    }
+                    8 => prop_assert_eq!(new.take_block_grant(), pending.take()),
+                    _ => {
+                        let want: Vec<(u16, u16)> = match old.host_blocks.get(&host) {
+                            Some(list) if !random => list.iter().map(|&b| old.bounds(b)).collect(),
+                            _ => Vec::new(),
+                        };
+                        prop_assert_eq!(new.blocks_of(host), want);
+                        prop_assert_eq!(new.chunk_of(host).map(|(c, _)| c), match old.host_blocks.get(&host) {
+                            Some(list) if random => Some(list[0]),
+                            _ => None,
+                        });
+                    }
+                }
+                prop_assert_eq!(new.allocated(), old.used.len());
+            }
+            prop_assert_eq!(new.take_block_grant(), pending);
         }
     }
 }

@@ -18,11 +18,15 @@
 //!   a home CPE NAT with ten mappings reserves kilobytes, not two
 //!   hugepages. Rows are only ever reached by slot id through the
 //!   store's own borrows, never by a pointer held across an insert,
-//!   so that early movement is invisible. A freed slot goes onto an
-//!   address-ordered free-list — the next insert reuses the *lowest*
-//!   free id, packing live slots toward the front of the arena for
-//!   locality. Slot ids are `u32` (half the old `u64` ids) and index
-//!   the arena directly — no second hash lookup to reach the mapping.
+//!   so that early movement is invisible. A freed slot goes into an
+//!   address-ordered free-set — a hierarchical bitmap, one bit per
+//!   slot under summary words — and the next insert reuses the
+//!   *lowest* free id, packing live slots toward the front of the
+//!   arena for locality. Because the set can be read in order without
+//!   being taken apart, the rows the next few inserts will fill are
+//!   known in advance. Slot ids are `u32` (half the old `u64` ids) and
+//!   index the arena directly — no second hash lookup to reach the
+//!   mapping.
 //!
 //! * **Interned keys** — internal hosts intern to dense `u32` ids
 //!   ([`MappingStore::intern_host`]); `(external IP, protocol)` pairs
@@ -49,7 +53,13 @@
 //!   index bytes. A burst overlaps its misses in two steps: prefetch
 //!   the cell each key's probe starts at, then read the cached cells
 //!   with a tag-only probe and [`MappingStore::prefetch_slot`] the
-//!   candidate's rows, before any packet is translated.
+//!   candidate's rows, before any packet is translated. A key the
+//!   probe finds nothing for is a create about to happen: for those
+//!   the burst prefetches as many of the lowest free rows
+//!   ([`MappingStore::prefetch_free_slots`]). The one cell no stage
+//!   can know in advance — the ext-index cell of a port not yet
+//!   chosen — is prefetched when the port is, and written a few
+//!   creates later ([`MappingStore::insert`]).
 //!
 //! * **Hierarchical timer wheel** — instead of scanning the whole
 //!   table on [`sweep`](MappingStore::sweep_due) (or short-circuiting
@@ -97,8 +107,7 @@ use crate::config::MappingBehavior;
 use crate::wheel::WheelGeometry;
 use netcore::{Endpoint, Protocol, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
@@ -557,6 +566,129 @@ impl OpenIndex {
 }
 
 // ---------------------------------------------------------------------------
+// Free-set
+// ---------------------------------------------------------------------------
+
+/// The free slot ids as a hierarchical bitmap: `levels[0]` holds one
+/// bit per slot id, bit `i` of `levels[l + 1]` says word `i` of
+/// `levels[l]` is non-zero, and the last level is a single word (four
+/// levels cover 16 M slots). [`FreeSet::pop`] hands out the lowest
+/// free id — slot ids reach the trace index and telemetry, so that
+/// order is part of the engine's observable behaviour — in one
+/// `trailing_zeros` per level, where a binary heap would sift through
+/// `log2(len)` data-dependent comparisons. And unlike a heap the set
+/// can be *read* in order ([`FreeSet::for_lowest`]), which is what
+/// lets a burst prefetch the rows its creates are about to fill. One
+/// bit per slot rather than four bytes per free id, and nothing is
+/// allocated until the first id is pushed.
+#[derive(Debug, Default)]
+struct FreeSet {
+    levels: Vec<Vec<u64>>,
+    len: usize,
+}
+
+impl FreeSet {
+    /// Add `id`, which must not be in the set.
+    fn push(&mut self, id: u32) {
+        let mut i = id as usize;
+        if self.levels.first().map_or(0, Vec::len) * 64 <= i {
+            self.grow(i);
+        }
+        debug_assert_eq!(
+            self.levels[0][i / 64] >> (i % 64) & 1,
+            0,
+            "slot {id} freed twice"
+        );
+        for words in &mut self.levels {
+            let word = &mut words[i / 64];
+            let summarised = *word != 0;
+            *word |= 1 << (i % 64);
+            if summarised {
+                break;
+            }
+            i /= 64;
+        }
+        self.len += 1;
+    }
+
+    /// Remove and return the lowest id.
+    fn pop(&mut self) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut i = self.lowest_under(self.levels.len(), 0);
+        let id = i as u32;
+        for words in &mut self.levels {
+            let word = &mut words[i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                break;
+            }
+            i /= 64;
+        }
+        self.len -= 1;
+        Some(id)
+    }
+
+    /// Call `f` with the `n` lowest ids (all of them, if fewer), in
+    /// the order `n` pops would return them; the set is unchanged.
+    fn for_lowest(&self, n: usize, mut f: impl FnMut(u32)) {
+        let mut from = 0;
+        for _ in 0..n.min(self.len) {
+            let id = self.lowest_from(from).expect("len counts the ids");
+            f(id as u32);
+            from = id + 1;
+        }
+    }
+
+    /// The lowest id that is at least `from`.
+    fn lowest_from(&self, from: usize) -> Option<usize> {
+        // Climb until some level has a bit at or after the position:
+        // first inside the word holding it, then from the next word on,
+        // which is the next bit of the level above.
+        let (mut level, mut i) = (0, from);
+        loop {
+            let word = self.levels.get(level)?.get(i / 64)? & !0 << (i % 64);
+            if word != 0 {
+                i = i / 64 * 64 + word.trailing_zeros() as usize;
+                break;
+            }
+            (level, i) = (level + 1, i / 64 + 1);
+        }
+        Some(self.lowest_under(level, i))
+    }
+
+    /// Descend from bit `i` of `levels[level]`, which is set, to the
+    /// lowest id it summarises. One level past the top, `i = 0` stands
+    /// for the single top word of a non-empty set.
+    fn lowest_under(&self, level: usize, mut i: usize) -> usize {
+        for words in self.levels[..level].iter().rev() {
+            i = i * 64 + words[i].trailing_zeros() as usize;
+        }
+        i
+    }
+
+    /// Make room for `id`: lengthen every level to cover the one below
+    /// and add levels until the top one is a single word again. Bits
+    /// keep their positions, so the summaries that exist stay right; a
+    /// new level has only the old single top word to summarise.
+    fn grow(&mut self, id: usize) {
+        let mut words = id / 64 + 1;
+        for level in 0.. {
+            if level == self.levels.len() {
+                let below = level.checked_sub(1).map_or(0, |l| self.levels[l][0]);
+                self.levels.push(vec![(below != 0) as u64]);
+            }
+            self.levels[level].resize(words, 0);
+            if words == 1 {
+                break;
+            }
+            words = words.div_ceil(64);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Interners + slab
 // ---------------------------------------------------------------------------
 
@@ -645,6 +777,11 @@ impl StoreOccupancy {
 /// nanoseconds, a memory miss about one hundred.
 const SWEEP_LOOKAHEAD: usize = 8;
 
+/// How many creates an ext-index insert is written behind its prefetch
+/// (see [`MappingStore::insert`]): the same arithmetic, a create
+/// against a miss, with room for the creates that are refused early.
+const EXT_WRITE_BEHIND: usize = 8;
+
 const KIND_EIM: u128 = 0;
 const KIND_ADM: u128 = 1;
 const KIND_APDM: u128 = 2;
@@ -661,7 +798,7 @@ pub struct MappingStore {
     /// Address-ordered free-list of reusable slot ids: `pop` returns
     /// the lowest free id, so reuse packs live slots toward the front
     /// of the arena and a churning shard's working set stays dense.
-    free: BinaryHeap<Reverse<u32>>,
+    free: FreeSet,
     live: usize,
     wheel: TimerWheel,
     /// Packed out-key (`u128`) → slot id (open-addressed; full keys
@@ -669,6 +806,10 @@ pub struct MappingStore {
     out_index: OpenIndex,
     /// Packed ext-key (`u64`) → slot id (open-addressed).
     ext_index: OpenIndex,
+    /// Ext-index inserts written behind: `(hash, slot)` of the newest
+    /// mappings, oldest first, whose cells have been prefetched but
+    /// not yet written (see [`MappingStore::insert`]).
+    ext_behind: VecDeque<(u64, u32)>,
     hosts: Vec<HostEntry>,
     host_ids: MixMap<Ipv4Addr, u32>,
     pools: Vec<(Ipv4Addr, Protocol)>,
@@ -686,11 +827,12 @@ impl MappingStore {
         MappingStore {
             slots: Arena::new(),
             hot: Arena::new(),
-            free: BinaryHeap::new(),
+            free: FreeSet::default(),
             live: 0,
             wheel: TimerWheel::new(),
             out_index: OpenIndex::new(),
             ext_index: OpenIndex::new(),
+            ext_behind: VecDeque::new(),
             hosts: Vec::new(),
             host_ids: MixMap::default(),
             pools: Vec::new(),
@@ -848,11 +990,16 @@ impl MappingStore {
     }
 
     /// Slot currently indexed under an already-packed ext-key (from
-    /// [`MappingStore::ext_key_of`]).
+    /// [`MappingStore::ext_key_of`]) — or about to be: an insert still
+    /// written behind counts, so a lookup is right whenever it is
+    /// made. The inbound path only ever finds that queue empty.
     #[inline]
     pub fn lookup_ext_key(&self, key: u64) -> Option<u32> {
-        self.ext_index.get(Self::hash_ext(key), |s| {
-            self.slots[s as usize].ext_key == key
+        let hash = Self::hash_ext(key);
+        let holds_key = |s: u32| self.slots[s as usize].ext_key == key;
+        self.ext_index.get(hash, holds_key).or_else(|| {
+            let mut behind = self.ext_behind.iter();
+            behind.find_map(|&(h, s)| (h == hash && holds_key(s)).then_some(s))
         })
     }
 
@@ -891,9 +1038,11 @@ impl MappingStore {
     }
 
     /// Burst stage 2, inbound: the ext-index twin of
-    /// [`MappingStore::hint_out`].
+    /// [`MappingStore::hint_out`]. Reads the index alone, so it is
+    /// for use between engine calls, when nothing is written behind.
     #[inline]
     pub fn hint_ext(&self, key: u64) -> Option<u32> {
+        debug_assert!(self.ext_behind.is_empty(), "hint taken inside a create run");
         self.ext_index.hint(Self::hash_ext(key))
     }
 
@@ -913,6 +1062,19 @@ impl MappingStore {
             prefetch_line(row.wrapping_add(64));
             prefetch_line(row.wrapping_add(std::mem::size_of::<Slot>() - 1));
         }
+    }
+
+    /// Burst stage 2, outbound, for the packets [`MappingStore::hint_out`]
+    /// found nothing for: each of those is about to create a mapping,
+    /// and the next `creates` inserts fill the `creates` lowest free
+    /// slots in order, so prefetch those rows. Inserts beyond the
+    /// free-list append to the arena, where there is no row to fetch
+    /// yet. A hint like any other: a create that does not happen, or
+    /// a lower slot freed in between, makes some of it useless.
+    #[inline]
+    pub fn prefetch_free_slots(&self, creates: usize) {
+        self.free
+            .for_lowest(creates, |slot| self.prefetch_slot(slot));
     }
 
     /// Look-ahead for a caller that removes the slots of `due` in
@@ -962,15 +1124,38 @@ impl MappingStore {
     // -- mutation ----------------------------------------------------------
 
     /// Insert a mapping under its packed out-key, indexing the external
-    /// endpoint and scheduling expiry on the timer wheel. Returns the
-    /// slot id. Increments the owning host's session counter.
-    pub fn insert(&mut self, out_key: u128, proto: Protocol, mapping: Mapping) -> u32 {
+    /// endpoint — `pool` is the interned id of its `(IP, protocol)`
+    /// ([`MappingStore::intern_pool`]) — and scheduling expiry on the
+    /// timer wheel. Returns the slot id. Increments the owning host's
+    /// session counter.
+    ///
+    /// The ext-index half is **written behind**: the external port is
+    /// news to this call, so nothing could prefetch its index cell any
+    /// earlier, and writing it now would stall on that miss. Instead
+    /// the cell is prefetched and `(hash, slot)` queued, and the write
+    /// happens `EXT_WRITE_BEHIND` inserts later or at
+    /// [`MappingStore::flush_ext_index`], whichever comes first — a
+    /// run of creates overlaps its ext-cell misses the way a burst's
+    /// out-cell misses already overlap. Who may read the ext index
+    /// when: [`MappingStore::lookup_ext_key`] also searches the queue;
+    /// [`MappingStore::remove`] flushes it first, which keeps the
+    /// index going through exactly the inserts and removes, in
+    /// exactly the order, it would without the queue; growth happens
+    /// inside the deferred insert itself; [`MappingStore::hint_ext`]
+    /// reads the index alone and asserts the queue empty. The engine
+    /// flushes before each of its entry points returns.
+    pub fn insert(&mut self, out_key: u128, pool: u32, mapping: Mapping) -> u32 {
+        debug_assert_eq!(
+            self.pools[pool as usize],
+            (mapping.external.ip, mapping.proto)
+        );
         let host = Self::host_of_key(out_key);
-        let pool = self.intern_pool(mapping.external.ip, proto);
         let ext_key = Self::pack_ext(pool, mapping.external.port);
+        let ext_hash = Self::hash_ext(ext_key);
+        self.ext_index.prefetch(ext_hash);
         let deadline = mapping.expiry.as_millis();
         let slot = match self.free.pop() {
-            Some(Reverse(s)) => {
+            Some(s) => {
                 let hot = &mut self.hot[s as usize];
                 hot.wheel_seq = 0;
                 hot.wheel_deadline = deadline;
@@ -1007,12 +1192,30 @@ impl MappingStore {
         self.out_index.insert(Self::hash_out(out_key), slot, |s| {
             Self::hash_out(slots[s as usize].out_key)
         });
-        self.ext_index.insert(Self::hash_ext(ext_key), slot, |s| {
-            Self::hash_ext(slots[s as usize].ext_key)
-        });
+        self.ext_behind.push_back((ext_hash, slot));
+        self.write_ext_behind(EXT_WRITE_BEHIND);
         self.hosts[host as usize].sessions += 1;
         self.live += 1;
         slot
+    }
+
+    /// Perform the oldest ext-index inserts written behind until at
+    /// most `keep` are left.
+    #[inline]
+    fn write_ext_behind(&mut self, keep: usize) {
+        while self.ext_behind.len() > keep {
+            let (hash, slot) = self.ext_behind.pop_front().expect("longer than `keep`");
+            let slots = &self.slots;
+            self.ext_index
+                .insert(hash, slot, |s| Self::hash_ext(slots[s as usize].ext_key));
+        }
+    }
+
+    /// Perform every ext-index insert still written behind (see
+    /// [`MappingStore::insert`]), oldest first.
+    #[inline]
+    pub fn flush_ext_index(&mut self) {
+        self.write_ext_behind(0);
     }
 
     /// Remove a mapping: drop it from both indices, decrement its
@@ -1021,6 +1224,7 @@ impl MappingStore {
     /// pool id its external port came from (for the caller's port
     /// release).
     pub fn remove(&mut self, slot: u32) -> Option<(Mapping, u32)> {
+        self.flush_ext_index();
         let cold = &mut self.slots[slot as usize];
         let mapping = cold.mapping.take()?;
         let out_key = cold.out_key;
@@ -1033,7 +1237,7 @@ impl MappingStore {
         self.ext_index.remove(Self::hash_ext(ext_key), slot);
         let sessions = &mut self.hosts[host as usize].sessions;
         *sessions = sessions.saturating_sub(1);
-        self.free.push(Reverse(slot));
+        self.free.push(slot);
         self.live -= 1;
         Some((mapping, (ext_key >> 16) as u32))
     }
@@ -1176,7 +1380,7 @@ impl MappingStore {
     /// Slot ids parked on the address-ordered free-list — the
     /// `cgn_arena_slots_free` gauge.
     pub fn arena_slots_free(&self) -> u64 {
-        self.free.len() as u64
+        self.free.len as u64
     }
 
     /// Current occupancy counters (arena, free-list, interners, wheel).
@@ -1184,7 +1388,7 @@ impl MappingStore {
         StoreOccupancy {
             slots: self.slots.len() as u64,
             live: self.live as u64,
-            free: self.free.len() as u64,
+            free: self.free.len as u64,
             hosts_interned: self.hosts.len() as u64,
             pools_interned: self.pools.len() as u64,
             timers: self.wheel.entries as u64,
@@ -1196,6 +1400,8 @@ impl MappingStore {
 mod tests {
     use super::*;
     use netcore::ip;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -1203,6 +1409,13 @@ mod tests {
 
     fn mapping(internal: Endpoint, external: Endpoint, expiry: SimTime) -> Mapping {
         Mapping::new(Protocol::Udp, internal, external, SimTime::ZERO, expiry)
+    }
+
+    /// `MappingStore::insert` with the pool interned on the way, as
+    /// the engine's create path does.
+    fn insert(s: &mut MappingStore, key: u128, m: Mapping) -> u32 {
+        let pool = s.intern_pool(m.external.ip, m.proto);
+        s.insert(key, pool, m)
     }
 
     fn store_with(n: u16, expiry_secs: u64) -> (MappingStore, Vec<u32>) {
@@ -1217,9 +1430,9 @@ mod tests {
                 internal,
                 Endpoint::new(ip(203, 0, 113, 1), 80),
             );
-            slots.push(s.insert(
+            slots.push(insert(
+                &mut s,
                 key,
-                Protocol::Udp,
                 mapping(internal, external, t(expiry_secs)),
             ));
         }
@@ -1298,9 +1511,9 @@ mod tests {
             internal,
             Endpoint::new(ip(203, 0, 113, 1), 80),
         );
-        let reused = s.insert(
+        let reused = insert(
+            &mut s,
             key,
-            Protocol::Udp,
             mapping(internal, Endpoint::new(ip(198, 51, 100, 1), 11_000), t(60)),
         );
         assert_eq!(reused, 1);
@@ -1322,9 +1535,9 @@ mod tests {
             internal,
             Endpoint::new(ip(203, 0, 113, 1), 80),
         );
-        let slot = s.insert(
+        let slot = insert(
+            &mut s,
             key,
-            Protocol::Udp,
             mapping(internal, Endpoint::new(ip(198, 51, 100, 1), 11_000), t(120)),
         );
         assert_eq!(slot, 0);
@@ -1413,9 +1626,9 @@ mod tests {
                 internal,
                 Endpoint::new(ip(203, 0, 113, 1), 80),
             );
-            slots.push(s.insert(
+            slots.push(insert(
+                &mut s,
                 key,
-                Protocol::Udp,
                 mapping(
                     internal,
                     Endpoint::new(ip(198, 51, 100, 1), 10_000 + k as u16),
@@ -1450,6 +1663,172 @@ mod tests {
         assert_eq!(s.arena_chunks(), 2, "one hot + one cold chunk");
         let reserved = s.slots.reserved_bytes() + s.hot.reserved_bytes();
         assert!(reserved <= 16 * 1024, "{reserved} bytes for 10 mappings");
+    }
+
+    /// The ids where a summary word of the free-set ends: 64 ids to a
+    /// leaf word, 64 leaf words to a level-1 word, and so on up.
+    const FREE_SET_EDGES: [u32; 5] = [64, 4096, 262_144, 524_288, 2_097_152];
+
+    #[test]
+    fn free_set_grows_from_empty_and_pops_lowest_first() {
+        let mut set = FreeSet::default();
+        assert_eq!((set.pop(), set.len), (None, 0));
+        set.for_lowest(3, |id| panic!("empty set named {id}"));
+        assert!(set.levels.is_empty(), "nothing allocated before a push");
+        // Both sides of every edge, lowest first, so every other push
+        // grows the set by a word or a level under the ids it holds.
+        let mut ids = vec![0];
+        ids.extend(FREE_SET_EDGES.iter().flat_map(|&e| [e - 1, e]));
+        for (pushed, &id) in ids.iter().enumerate() {
+            set.push(id);
+            assert_eq!(set.len, pushed + 1);
+            let mut read = Vec::new();
+            set.for_lowest(usize::MAX, |id| read.push(id));
+            assert_eq!(read, ids[..=pushed], "after pushing {id}");
+        }
+        assert_eq!(
+            set.levels.len(),
+            4,
+            "2 M ids: leaf words and three summaries"
+        );
+        assert_eq!(set.levels.last().map(Vec::len), Some(1), "one top word");
+        let popped: Vec<u32> = std::iter::from_fn(|| set.pop()).collect();
+        assert_eq!(popped, ids);
+        assert!(
+            set.levels.iter().flatten().all(|&w| w == 0),
+            "every summary cleared"
+        );
+        // An emptied set starts over without growing.
+        set.push(70);
+        assert_eq!((set.pop(), set.pop()), (Some(70), None));
+    }
+
+    proptest! {
+        /// The free-set is a min-heap that can be read: random pushes
+        /// (clustered on both sides of every summary-word edge, up to
+        /// three million), pops and in-order reads agree with a
+        /// `BTreeSet` on every id, every length and every order.
+        #[test]
+        fn prop_free_set_is_a_readable_min_heap(
+            ops in proptest::collection::vec((0u8..10, 0usize..6, 0u32..3_000_000), 1..400),
+        ) {
+            let mut set = FreeSet::default();
+            let mut model = BTreeSet::new();
+            for (op, edge, any) in ops {
+                match op {
+                    0..=5 => {
+                        let id = match edge.checked_sub(1) {
+                            Some(e) => FREE_SET_EDGES[e] - 3 + any % 6,
+                            None => any,
+                        };
+                        if model.insert(id) {
+                            set.push(id);
+                        }
+                    }
+                    6..=7 => prop_assert_eq!(set.pop(), model.pop_first()),
+                    _ => {
+                        let n = any as usize % 70;
+                        let mut lowest = Vec::new();
+                        set.for_lowest(n, |id| lowest.push(id));
+                        let want: Vec<u32> = model.iter().take(n).copied().collect();
+                        prop_assert_eq!(lowest, want);
+                    }
+                }
+                prop_assert_eq!(set.len, model.len());
+            }
+            while let Some(id) = model.pop_first() {
+                prop_assert_eq!(set.pop(), Some(id));
+            }
+            prop_assert_eq!(set.pop(), None);
+        }
+    }
+
+    #[test]
+    fn free_set_and_write_behind_cost_a_small_nat_nothing() {
+        // The companion of `ten_mappings_reserve_kilobytes_not_hugepages`:
+        // the free-set allocates at the first free, not before, and
+        // the write-behind queue stays a few dozen bytes.
+        let (mut s, _) = store_with(10, 60);
+        assert!(s.free.levels.is_empty() && s.free.levels.capacity() == 0);
+        assert!(s.ext_behind.capacity() <= 2 * EXT_WRITE_BEHIND);
+        s.remove(4).expect("live");
+        let words: usize = s.free.levels.iter().map(Vec::capacity).sum();
+        assert!(words <= 8, "{words} words to remember one free slot");
+    }
+
+    /// `(out-key, external endpoint)` of the `k`-th mapping of the
+    /// write-behind tests, all on one external address.
+    fn behind_flow(s: &mut MappingStore, k: u16) -> (u128, Mapping) {
+        let internal = Endpoint::new(ip(100, 64, 2, (k % 200) as u8 + 1), 30_000 + k);
+        let external = Endpoint::new(ip(198, 51, 100, 7), 20_000 + k);
+        let key = s.out_key(
+            MappingBehavior::AddressAndPortDependent,
+            Protocol::Udp,
+            internal,
+            Endpoint::new(ip(203, 0, 113, 1), 443),
+        );
+        (key, mapping(internal, external, t(60)))
+    }
+
+    #[test]
+    fn ext_write_behind_is_bounded_and_never_hides_a_mapping() {
+        // Forty inserts take the ext index (16 cells at first) through
+        // two growths with the queue non-empty throughout.
+        let mut s = MappingStore::new();
+        let mut placed = Vec::new();
+        for k in 0..40 {
+            let (key, m) = behind_flow(&mut s, k);
+            let ext = m.external;
+            placed.push((ext, insert(&mut s, key, m)));
+            assert_eq!(s.ext_behind.len(), placed.len().min(EXT_WRITE_BEHIND));
+            assert_eq!(s.ext_index.live + s.ext_behind.len(), placed.len());
+            for &(ext, slot) in &placed {
+                assert_eq!(
+                    s.lookup_ext(Protocol::Udp, ext),
+                    Some(slot),
+                    "after insert {k}"
+                );
+            }
+        }
+        assert!(s.ext_index.cells.len() >= 64, "the index grew on the way");
+        s.flush_ext_index();
+        assert_eq!((s.ext_behind.len(), s.ext_index.live), (0, 40));
+        for &(ext, slot) in &placed {
+            assert_eq!(s.lookup_ext(Protocol::Udp, ext), Some(slot));
+            let key = s.ext_key_of(Protocol::Udp, ext).expect("pool interned");
+            assert_eq!(
+                s.hint_ext(key),
+                Some(slot),
+                "no tag collisions among 40 keys"
+            );
+        }
+        s.flush_ext_index(); // nothing left: a no-op
+        assert_eq!(s.ext_index.live, 40);
+    }
+
+    #[test]
+    fn ext_write_behind_is_settled_before_a_remove() {
+        // Removing a mapping whose ext cell is still to be written must
+        // not leave that write behind to index a freed slot.
+        let mut s = MappingStore::new();
+        let mut placed = Vec::new();
+        for k in 0..5 {
+            let (key, m) = behind_flow(&mut s, k);
+            placed.push((m.external, insert(&mut s, key, m)));
+        }
+        assert_eq!(s.ext_behind.len(), 5);
+        let (gone, slot) = placed[3];
+        s.remove(slot).expect("live");
+        assert_eq!((s.ext_behind.len(), s.ext_index.live), (0, 4));
+        assert_eq!(s.lookup_ext(Protocol::Udp, gone), None);
+        // The slot and the endpoint are both free for the next flow.
+        let (key, mut m) = behind_flow(&mut s, 9);
+        m.external = gone;
+        assert_eq!(insert(&mut s, key, m), slot);
+        assert_eq!(s.lookup_ext(Protocol::Udp, gone), Some(slot));
+        for &(ext, slot) in &placed {
+            assert_eq!(s.lookup_ext(Protocol::Udp, ext), Some(slot));
+        }
     }
 
     /// What the store should hold, by slot id.
@@ -1505,7 +1884,7 @@ mod tests {
                     internal,
                     Endpoint::new(ip(203, 0, 113, 1), 80),
                 );
-                let slot = s.insert(key, Protocol::Udp, mapping(internal, ext, t(expiry_secs)));
+                let slot = insert(&mut s, key, mapping(internal, ext, t(expiry_secs)));
                 let expect = free.pop_first().unwrap_or(model.len() as u32);
                 assert_eq!(slot, expect, "lowest free id first, else append");
                 let row = Some(ModelRow {
@@ -1648,6 +2027,7 @@ mod tests {
     #[test]
     fn store_hints_follow_lookups_and_survive_removal() {
         let (mut s, slots) = store_with(40, 60);
+        s.flush_ext_index(); // `hint_ext` reads the index alone
         let key_of = |s: &MappingStore, slot: u32| s.slots[slot as usize].out_key;
         for &slot in &slots {
             let key = key_of(&s, slot);
@@ -1692,9 +2072,9 @@ mod tests {
                 internal,
                 Endpoint::new(ip(203, 0, 113, 1), port),
             );
-            s.insert(
+            insert(
+                &mut s,
                 key,
-                Protocol::Udp,
                 mapping(
                     internal,
                     Endpoint::new(ip(198, 51, 100, 1), port),
