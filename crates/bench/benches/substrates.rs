@@ -65,6 +65,24 @@ fn bench_codecs(c: &mut Criterion) {
     g.bench_function("krpc_decode_nodes_response", |b| {
         b.iter(|| black_box(bt_dht::KrpcMessage::decode(&wire).expect("valid")))
     });
+    // The crawl's other two shapes: the query it sends five times per
+    // peer, and the pong of a validation ping (no allocation but the
+    // payload on either side).
+    {
+        use bt_dht::{KrpcMessage, NodeId160};
+        let find = KrpcMessage::find_node(b"tt", NodeId160::from_u64(9), NodeId160::from_u64(77));
+        let find_wire = find.encode();
+        g.bench_function("krpc_encode_find_node", |b| {
+            b.iter(|| black_box(find.encode()))
+        });
+        g.bench_function("krpc_decode_find_node", |b| {
+            b.iter(|| black_box(KrpcMessage::decode(&find_wire).expect("valid")))
+        });
+        let pong_wire = KrpcMessage::pong(b"tt", NodeId160::from_u64(9)).encode();
+        g.bench_function("krpc_decode_pong", |b| {
+            b.iter(|| black_box(KrpcMessage::decode(&pong_wire).expect("valid")))
+        });
+    }
 
     let stun = netalyzr::StunMessage::response(
         [7; 12],
@@ -94,6 +112,34 @@ fn bench_routing(c: &mut Criterion) {
     });
     g.bench_function("lpm_lookup_miss", |b| {
         b.iter(|| black_box(t.lookup(ip(203, 0, 113, 1))));
+    });
+
+    // A `find_node` answer: the 8 nearest of a 64-contact DHT table.
+    let dht_table = {
+        use bt_dht::{CompactNode, NodeId160, RoutingTable160};
+        let id = |n: u64| {
+            let mut id = [0u8; 20];
+            for (k, word) in id.chunks_mut(8).enumerate() {
+                let bytes = netcore::mix64(n * 3 + k as u64).to_be_bytes();
+                word.copy_from_slice(&bytes[..word.len()]);
+            }
+            NodeId160(id)
+        };
+        let mut t = RoutingTable160::new(id(0));
+        for n in 1.. {
+            t.upsert(CompactNode::new(
+                id(n),
+                Endpoint::new(ip(10, 0, 0, 1), 6881),
+            ));
+            if t.len() == 64 {
+                break;
+            }
+        }
+        t
+    };
+    let target = bt_dht::NodeId160::from_u64(0x5EED);
+    g.bench_function("routing_closest_8_of_64", |b| {
+        b.iter(|| black_box(dht_table.closest(black_box(target), 8)));
     });
     g.finish();
 }

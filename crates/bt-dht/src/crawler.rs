@@ -12,11 +12,11 @@
 use crate::krpc::{CompactNode, KrpcMessage};
 use crate::node_id::NodeId160;
 use crate::world::DhtWorld;
-use netcore::{classify_reserved, Endpoint, Packet, PacketBody, ReservedRange};
+use netcore::{classify_reserved, Endpoint, MixMap, MixSet, Packet, PacketBody, ReservedRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{pump, Network, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use simnet::{pump, Network, NodeId, Outbox};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Crawl parameters, mirroring §4.1.
@@ -66,21 +66,25 @@ pub struct LeakRecord {
 }
 
 /// The raw dataset a crawl produces (the input to Tables 2/3 and Figs 3/4).
+///
+/// The sets hash deterministically ([`netcore::hash`]), so iterating
+/// them — as the crawl's own final ping pass does — visits the same
+/// order in every process.
 #[derive(Debug, Default, Clone)]
 pub struct CrawlReport {
     /// Peers that were sent queries and answered at least once
     /// (Table 2 "Queried").
-    pub queried: HashSet<(Endpoint, NodeId160)>,
+    pub queried: MixSet<(Endpoint, NodeId160)>,
     /// Peers that were queried but never answered.
-    pub unresponsive: HashSet<Endpoint>,
+    pub unresponsive: MixSet<Endpoint>,
     /// Every learned peer tuple (Table 2 "Learned").
-    pub learned: HashSet<(Endpoint, NodeId160)>,
+    pub learned: MixSet<(Endpoint, NodeId160)>,
     /// Learned-tuple multiplicity (a peer can be reported many times).
     pub learned_records: u64,
     /// All leak edges.
     pub leaks: Vec<LeakRecord>,
     /// Peers that answered the final `bt_ping`.
-    pub ping_responders: HashSet<(Endpoint, NodeId160)>,
+    pub ping_responders: MixSet<(Endpoint, NodeId160)>,
     /// find_nodes queries sent.
     pub queries_sent: u64,
 }
@@ -90,7 +94,7 @@ impl CrawlReport {
         self.queried
             .iter()
             .map(|(e, _)| e.ip)
-            .collect::<HashSet<_>>()
+            .collect::<MixSet<_>>()
             .len()
     }
 
@@ -98,62 +102,42 @@ impl CrawlReport {
         self.learned
             .iter()
             .map(|(e, _)| e.ip)
-            .collect::<HashSet<_>>()
+            .collect::<MixSet<_>>()
             .len()
+    }
+
+    /// Per reserved range, the distinct peers `peer` picks out of the leak
+    /// records: (total tuples, unique IPs).
+    fn peers_by_range(
+        &self,
+        peer: impl Fn(&LeakRecord) -> (Endpoint, NodeId160),
+    ) -> MixMap<ReservedRange, (usize, usize)> {
+        type Seen = (MixSet<(Endpoint, NodeId160)>, MixSet<Ipv4Addr>);
+        let mut seen: MixMap<ReservedRange, Seen> = ReservedRange::ALL
+            .into_iter()
+            .map(|r| (r, Seen::default()))
+            .collect();
+        for l in &self.leaks {
+            let (endpoint, id) = peer(l);
+            let (tuples, ips) = seen.entry(l.range).or_default();
+            tuples.insert((endpoint, id));
+            ips.insert(endpoint.ip);
+        }
+        seen.into_iter()
+            .map(|(r, (tuples, ips))| (r, (tuples.len(), ips.len())))
+            .collect()
     }
 
     /// Internal peers per reserved range: (total tuples, unique IPs) —
     /// the left half of Table 3.
-    pub fn internal_peers_by_range(&self) -> HashMap<ReservedRange, (usize, usize)> {
-        let mut tuples: HashMap<ReservedRange, HashSet<(Endpoint, NodeId160)>> = HashMap::new();
-        let mut ips: HashMap<ReservedRange, HashSet<Ipv4Addr>> = HashMap::new();
-        for l in &self.leaks {
-            tuples
-                .entry(l.range)
-                .or_default()
-                .insert((l.internal.endpoint, l.internal.id));
-            ips.entry(l.range)
-                .or_default()
-                .insert(l.internal.endpoint.ip);
-        }
-        ReservedRange::ALL
-            .into_iter()
-            .map(|r| {
-                (
-                    r,
-                    (
-                        tuples.get(&r).map(|s| s.len()).unwrap_or(0),
-                        ips.get(&r).map(|s| s.len()).unwrap_or(0),
-                    ),
-                )
-            })
-            .collect()
+    pub fn internal_peers_by_range(&self) -> MixMap<ReservedRange, (usize, usize)> {
+        self.peers_by_range(|l| (l.internal.endpoint, l.internal.id))
     }
 
     /// Leaking peers per reserved range: (total tuples, unique IPs) — the
     /// right half of Table 3.
-    pub fn leaking_peers_by_range(&self) -> HashMap<ReservedRange, (usize, usize)> {
-        let mut tuples: HashMap<ReservedRange, HashSet<(Endpoint, NodeId160)>> = HashMap::new();
-        let mut ips: HashMap<ReservedRange, HashSet<Ipv4Addr>> = HashMap::new();
-        for l in &self.leaks {
-            tuples
-                .entry(l.range)
-                .or_default()
-                .insert((l.leaker_endpoint, l.leaker_id));
-            ips.entry(l.range).or_default().insert(l.leaker_endpoint.ip);
-        }
-        ReservedRange::ALL
-            .into_iter()
-            .map(|r| {
-                (
-                    r,
-                    (
-                        tuples.get(&r).map(|s| s.len()).unwrap_or(0),
-                        ips.get(&r).map(|s| s.len()).unwrap_or(0),
-                    ),
-                )
-            })
-            .collect()
+    pub fn leaking_peers_by_range(&self) -> MixMap<ReservedRange, (usize, usize)> {
+        self.peers_by_range(|l| (l.leaker_endpoint, l.leaker_id))
     }
 }
 
@@ -181,75 +165,156 @@ impl Crawler {
         }
     }
 
-    fn txn(&mut self) -> Vec<u8> {
+    fn txn(&mut self) -> [u8; 8] {
         let t = self.next_txn;
         self.next_txn += 1;
-        t.to_be_bytes().to_vec()
+        t.to_be_bytes()
+    }
+
+    /// Pump `outbox` through the DHT: every packet that reaches the
+    /// crawler's socket and decodes as KRPC goes to `on_message`,
+    /// everything else to the world it is addressed to.
+    fn exchange(
+        &self,
+        net: &mut Network,
+        world: &mut DhtWorld,
+        outbox: &mut Outbox,
+        mut on_message: impl FnMut(KrpcMessage<'_>),
+    ) {
+        pump(
+            net,
+            outbox,
+            |node, pkt, out| {
+                if node != self.sim_node {
+                    return world.dispatch(node, pkt, out);
+                }
+                if let PacketBody::Udp { payload } = &pkt.body {
+                    if pkt.dst.port == self.endpoint.port {
+                        if let Ok(m) = KrpcMessage::decode(payload) {
+                            on_message(m);
+                        }
+                    }
+                }
+            },
+            self.config.max_pump_steps,
+        );
     }
 
     /// Send a batch of `find_nodes` queries (random targets) to `target`,
-    /// pump the exchange, and return the decoded responses addressed to us.
+    /// pump the exchange, and harvest the responses addressed to us as
+    /// they arrive. Returns the last responder's id (`None`: nobody
+    /// answered) and how many internal contacts the batch reported.
     fn query_batch(
         &mut self,
         net: &mut Network,
         world: &mut DhtWorld,
         target: Endpoint,
         count: usize,
-        report: &mut CrawlReport,
-    ) -> Vec<KrpcMessage> {
-        let mut initial = Vec::new();
+        crawl: &mut Crawl,
+        outbox: &mut Outbox,
+    ) -> (Option<NodeId160>, usize) {
         for _ in 0..count {
             let t = self.txn();
             let q = KrpcMessage::find_node(&t, self.id, NodeId160::random(&mut self.rng));
-            initial.push((
-                self.sim_node,
-                Packet::udp(self.endpoint, target, q.encode()),
-            ));
-            report.queries_sent += 1;
+            let pkt = Packet::udp(self.endpoint, target, q.encode());
+            outbox.push((self.sim_node, pkt));
+            crawl.report.queries_sent += 1;
         }
-        let mut responses = Vec::new();
-        let crawler_node = self.sim_node;
-        let crawler_port = self.endpoint.port;
-        pump(
-            net,
-            initial,
-            |node, pkt| {
-                if node == crawler_node {
-                    if let PacketBody::Udp { payload } = &pkt.body {
-                        if pkt.dst.port == crawler_port {
-                            if let Ok(m) = KrpcMessage::decode(payload) {
-                                responses.push(m);
-                            }
-                        }
-                    }
-                    Vec::new()
-                } else {
-                    world.dispatch(node, pkt)
-                }
-            },
-            self.config.max_pump_steps,
-        );
-        responses
+        let mut responder = None;
+        let mut internal_found = 0;
+        self.exchange(net, world, outbox, |m| {
+            if let KrpcMessage::Response { sender, nodes, .. } = m {
+                responder = Some(sender);
+                internal_found += crawl.harvest(target, sender, &nodes);
+            }
+        });
+        (responder, internal_found)
     }
 
-    /// Record learned nodes from a response; returns the internal contacts.
+    /// Run a full crawl. `world` keeps answering queries while the crawl
+    /// walks it (its peers are the DHT).
+    pub fn crawl(&mut self, net: &mut Network, world: &mut DhtWorld) -> CrawlReport {
+        let mut crawl = Crawl::default();
+        // One outbox for every exchange of the crawl.
+        let mut outbox = Outbox::new();
+        crawl.frontier.push_back(world.bootstrap.endpoint);
+        crawl.enqueued.insert(world.bootstrap.endpoint);
+
+        let mut queried_count = 0usize;
+        while let Some(target) = crawl.frontier.pop_front() {
+            if queried_count >= self.config.max_peers {
+                break;
+            }
+            queried_count += 1;
+            let n_queries = self.config.initial_queries_per_peer;
+            let (responder, mut internal) =
+                self.query_batch(net, world, target, n_queries, &mut crawl, &mut outbox);
+            let Some(responder) = responder else {
+                crawl.report.unresponsive.insert(target);
+                continue;
+            };
+            crawl.report.queried.insert((target, responder));
+
+            // Leak follow-up: keep issuing batches of ten while new
+            // internal peers appear.
+            let mut batches = 0;
+            while internal > 0 && batches < self.config.max_followup_batches {
+                batches += 1;
+                let n_queries = self.config.leak_followup_queries;
+                (_, internal) =
+                    self.query_batch(net, world, target, n_queries, &mut crawl, &mut outbox);
+            }
+        }
+
+        // Responsiveness: bt_ping every learned, routable peer once.
+        let mut report = crawl.report;
+        if self.config.ping_learned {
+            let routable = |(e, _): &&(Endpoint, NodeId160)| classify_reserved(e.ip).is_none();
+            for &(ep, id) in report.learned.iter().filter(routable) {
+                let t = self.txn();
+                let ping = KrpcMessage::ping(&t, self.id).encode();
+                outbox.push((self.sim_node, Packet::udp(self.endpoint, ep, ping)));
+                let mut got_pong = false;
+                self.exchange(net, world, &mut outbox, |m| {
+                    got_pong |= matches!(m, KrpcMessage::Response { .. });
+                });
+                if got_pong {
+                    report.ping_responders.insert((ep, id));
+                }
+            }
+        }
+
+        report
+    }
+}
+
+/// The state of a crawl in progress.
+#[derive(Default)]
+struct Crawl {
+    report: CrawlReport,
+    /// Routable endpoints learned and not yet queried, in learning order.
+    frontier: VecDeque<Endpoint>,
+    /// Every endpoint that ever entered the frontier.
+    enqueued: MixSet<Endpoint>,
+}
+
+impl Crawl {
+    /// Record learned nodes from a response; returns the number of
+    /// internal contacts among them.
     fn harvest(
         &mut self,
         queried_ep: Endpoint,
         responder: NodeId160,
         nodes: &[CompactNode],
-        report: &mut CrawlReport,
-        frontier: &mut VecDeque<Endpoint>,
-        enqueued: &mut HashSet<Endpoint>,
     ) -> usize {
         let mut internal_found = 0;
         for n in nodes {
-            report.learned_records += 1;
-            report.learned.insert((n.endpoint, n.id));
+            self.report.learned_records += 1;
+            self.report.learned.insert((n.endpoint, n.id));
             match classify_reserved(n.endpoint.ip) {
                 Some(range) => {
                     internal_found += 1;
-                    report.leaks.push(LeakRecord {
+                    self.report.leaks.push(LeakRecord {
                         leaker_endpoint: queried_ep,
                         leaker_id: responder,
                         internal: *n,
@@ -258,128 +323,13 @@ impl Crawler {
                 }
                 None => {
                     // Routable contacts join the crawl frontier.
-                    if enqueued.insert(n.endpoint) {
-                        frontier.push_back(n.endpoint);
+                    if self.enqueued.insert(n.endpoint) {
+                        self.frontier.push_back(n.endpoint);
                     }
                 }
             }
         }
         internal_found
-    }
-
-    /// Run a full crawl. `world` keeps answering queries while the crawl
-    /// walks it (its peers are the DHT).
-    pub fn crawl(&mut self, net: &mut Network, world: &mut DhtWorld) -> CrawlReport {
-        let mut report = CrawlReport::default();
-        let mut frontier: VecDeque<Endpoint> = VecDeque::new();
-        let mut enqueued: HashSet<Endpoint> = HashSet::new();
-
-        frontier.push_back(world.bootstrap.endpoint);
-        enqueued.insert(world.bootstrap.endpoint);
-
-        let mut queried_count = 0usize;
-        while let Some(target) = frontier.pop_front() {
-            if queried_count >= self.config.max_peers {
-                break;
-            }
-            queried_count += 1;
-            let n_queries = self.config.initial_queries_per_peer;
-            let responses = self.query_batch(net, world, target, n_queries, &mut report);
-            if responses.is_empty() {
-                report.unresponsive.insert(target);
-                continue;
-            }
-            let mut internal_total = 0;
-            let mut responder = None;
-            for r in &responses {
-                if let KrpcMessage::Response { sender, nodes, .. } = r {
-                    responder = Some(*sender);
-                    internal_total += self.harvest(
-                        target,
-                        *sender,
-                        nodes,
-                        &mut report,
-                        &mut frontier,
-                        &mut enqueued,
-                    );
-                }
-            }
-            let Some(responder) = responder else {
-                report.unresponsive.insert(target);
-                continue;
-            };
-            report.queried.insert((target, responder));
-
-            // Leak follow-up: keep issuing batches of ten while new
-            // internal peers appear.
-            let mut batches = 0;
-            while internal_total > 0 && batches < self.config.max_followup_batches {
-                batches += 1;
-                let responses = self.query_batch(
-                    net,
-                    world,
-                    target,
-                    self.config.leak_followup_queries,
-                    &mut report,
-                );
-                internal_total = 0;
-                for r in &responses {
-                    if let KrpcMessage::Response { sender, nodes, .. } = r {
-                        internal_total += self.harvest(
-                            target,
-                            *sender,
-                            nodes,
-                            &mut report,
-                            &mut frontier,
-                            &mut enqueued,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Responsiveness: bt_ping every learned, routable peer once.
-        if self.config.ping_learned {
-            let targets: Vec<(Endpoint, NodeId160)> = report
-                .learned
-                .iter()
-                .filter(|(e, _)| classify_reserved(e.ip).is_none())
-                .copied()
-                .collect();
-            for (ep, id) in targets {
-                let t = self.txn();
-                let ping = KrpcMessage::ping(&t, self.id);
-                let mut got_pong = false;
-                let crawler_node = self.sim_node;
-                let crawler_port = self.endpoint.port;
-                pump(
-                    net,
-                    vec![(self.sim_node, Packet::udp(self.endpoint, ep, ping.encode()))],
-                    |node, pkt| {
-                        if node == crawler_node {
-                            if let PacketBody::Udp { payload } = &pkt.body {
-                                if pkt.dst.port == crawler_port
-                                    && KrpcMessage::decode(payload)
-                                        .map(|m| matches!(m, KrpcMessage::Response { .. }))
-                                        .unwrap_or(false)
-                                {
-                                    got_pong = true;
-                                }
-                            }
-                            Vec::new()
-                        } else {
-                            world.dispatch(node, pkt)
-                        }
-                    },
-                    self.config.max_pump_steps,
-                );
-                if got_pong {
-                    report.ping_responders.insert((ep, id));
-                }
-            }
-        }
-
-        report
     }
 }
 

@@ -3,11 +3,15 @@
 //! Implements the substrate for §4.1 of the IMC 2016 CGN paper:
 //!
 //! * [`bencode`] — the bencoding wire format (BEP-03) used by all DHT
-//!   traffic;
+//!   traffic: a strict, borrowed, single-pass reader (values are spans
+//!   of the datagram; keys a parser does not name are validated and
+//!   skipped) and a direct writer;
 //! * [`krpc`] — the KRPC protocol (BEP-05): `ping` and `find_node` queries
-//!   and responses with compact node info;
+//!   and responses with compact node info, decoded in that one pass and
+//!   encoded straight into the payload;
 //! * [`node_id`] — 160-bit node identifiers and the Kademlia XOR metric;
-//! * [`routing`] — k-bucket routing tables;
+//! * [`routing`] — k-bucket routing tables, with `closest` as a bounded
+//!   selection;
 //! * [`peer`] — the peer state machine: answering queries, validating
 //!   contacts before propagating them (the property the paper's
 //!   calibration checks), learning internal endpoints via local peer
@@ -21,6 +25,8 @@
 pub mod bencode;
 pub mod crawler;
 pub mod krpc;
+#[cfg(test)]
+mod model;
 pub mod node_id;
 pub mod observer;
 pub mod peer;

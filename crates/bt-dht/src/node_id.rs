@@ -35,6 +35,17 @@ impl NodeId160 {
         NodeId160(d)
     }
 
+    /// The identifier as three big-endian words (64, 64 and 32 bits).
+    /// Arrays compare lexicographically, so these compare as the 160-bit
+    /// integers they spell — and so do the XORs of two of them: the
+    /// order of [`NodeId160::distance`]'s byte arrays, at three XORs per
+    /// distance, not twenty.
+    pub fn words(&self) -> [u64; 3] {
+        let word = |at: usize| u64::from_be_bytes(self.0[at..at + 8].try_into().expect("8 bytes"));
+        // The last word overlaps the second; its low half is what is left.
+        [word(0), word(8), word(12) & 0xFFFF_FFFF]
+    }
+
     /// Index of the k-bucket for a node at this distance: the position of
     /// the highest set bit (0..=159), or `None` for distance zero (self).
     pub fn bucket_index(&self) -> Option<usize> {
@@ -152,6 +163,22 @@ mod tests {
             if a.distance(&b) == a.distance(&c) {
                 prop_assert_eq!(b, c);
             }
+        }
+
+        /// XORs of the word forms order as the byte-form distances do.
+        #[test]
+        fn prop_words_order_as_bytes(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let [t, a, mut b] = [(); 3].map(|()| NodeId160::random(&mut rng));
+            // Often equal up to a late byte, so that the low words decide.
+            let shared = seed as usize % 21;
+            b.0[..shared].copy_from_slice(&a.0[..shared]);
+            let xor = |x: [u64; 3], y: [u64; 3]| [x[0] ^ y[0], x[1] ^ y[1], x[2] ^ y[2]];
+            prop_assert_eq!(
+                xor(t.words(), a.words()).cmp(&xor(t.words(), b.words())),
+                t.distance(&a).cmp(&t.distance(&b))
+            );
+            prop_assert_eq!(xor(t.words(), a.words()), t.distance(&a).words());
         }
 
         /// bucket_index is the floor of log2 of the distance.

@@ -20,11 +20,11 @@
 use crate::krpc::{CompactNode, KrpcMessage, QueryKind};
 use crate::node_id::NodeId160;
 use crate::routing::{RoutingTable160, K};
-use netcore::{Endpoint, Packet, PacketBody};
+use netcore::{Endpoint, MixSet, Packet, PacketBody};
 use rand::rngs::StdRng;
 use rand::Rng;
-use simnet::NodeId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use simnet::{NodeId, Outbox};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// The well-known local peer discovery multicast port (BEP-14).
@@ -74,9 +74,12 @@ pub struct DhtPeer {
     pub config: PeerConfig,
     candidates: VecDeque<Candidate>,
     /// Endpoints already queued or validated — dedup for the candidate queue.
-    seen_candidates: HashSet<Endpoint>,
-    /// Outstanding validation pings: transaction → candidate endpoint.
-    pending_pings: HashMap<Vec<u8>, Endpoint>,
+    seen_candidates: MixSet<Endpoint>,
+    /// The validation pings of the latest [`DhtPeer::tick`], at most
+    /// `validations_per_tick` of them: transaction → candidate endpoint.
+    /// The network is synchronous — a pong arrives inside the round's
+    /// own pump or never — so the next tick forgets what is still here.
+    pending_pings: Vec<(u16, Endpoint)>,
     next_txn: u64,
     /// Counters.
     pub queries_received: u64,
@@ -102,8 +105,8 @@ impl DhtPeer {
             table: RoutingTable160::new(id),
             config,
             candidates: VecDeque::new(),
-            seen_candidates: HashSet::new(),
-            pending_pings: HashMap::new(),
+            seen_candidates: MixSet::default(),
+            pending_pings: Vec::new(),
             next_txn: 0,
             queries_received: 0,
             responses_sent: 0,
@@ -117,10 +120,12 @@ impl DhtPeer {
         Endpoint::new(self.addr, self.port)
     }
 
-    fn txn(&mut self) -> Vec<u8> {
-        let t = self.next_txn;
+    /// The next transaction id: the low 16 bits of a counter, on the
+    /// wire as two big-endian bytes.
+    fn txn(&mut self) -> u16 {
+        let t = self.next_txn as u16;
         self.next_txn += 1;
-        t.to_be_bytes()[6..].to_vec()
+        t
     }
 
     fn udp_to(&self, dst: Endpoint, payload: Vec<u8>) -> Packet {
@@ -155,7 +160,7 @@ impl DhtPeer {
 
     /// Build a `find_node` query packet toward `dst`.
     pub fn find_node_query(&mut self, dst: Endpoint, target: NodeId160) -> Packet {
-        let t = self.txn();
+        let t = self.txn().to_be_bytes();
         self.udp_to(dst, KrpcMessage::find_node(&t, self.id, target).encode())
     }
 
@@ -178,18 +183,14 @@ impl DhtPeer {
         self.udp_to(tracker, format!("BTT ANNOUNCE {swarm}").into_bytes())
     }
 
-    /// Parse a tracker peer-list response; returns the peer endpoints.
-    pub fn parse_tracker_peers(payload: &[u8]) -> Option<Vec<Endpoint>> {
+    /// Parse a tracker peer-list response; yields the peer endpoints.
+    pub fn parse_tracker_peers(payload: &[u8]) -> Option<impl Iterator<Item = Endpoint> + '_> {
         let text = std::str::from_utf8(payload).ok()?;
         let rest = text.strip_prefix("BTT PEERS")?;
-        Some(
-            rest.split_whitespace()
-                .filter_map(|tok| {
-                    let (ip, port) = tok.rsplit_once(':')?;
-                    Some(Endpoint::new(ip.parse().ok()?, port.parse().ok()?))
-                })
-                .collect(),
-        )
+        Some(rest.split_whitespace().filter_map(|tok| {
+            let (ip, port) = tok.rsplit_once(':')?;
+            Some(Endpoint::new(ip.parse().ok()?, port.parse().ok()?))
+        }))
     }
 
     /// Parse an LPD announcement; returns the advertised port.
@@ -203,24 +204,23 @@ impl DhtPeer {
             .and_then(|p| p.trim().parse().ok())
     }
 
-    /// Handle a delivered packet; returns packets to transmit in response.
-    pub fn handle_packet(&mut self, pkt: &Packet) -> Vec<Packet> {
-        let payload = match &pkt.body {
-            PacketBody::Udp { payload } => payload,
-            _ => return Vec::new(),
+    /// Handle a delivered packet; returns the reply to transmit, if the
+    /// packet was a query.
+    pub fn handle_packet(&mut self, pkt: &Packet) -> Option<Packet> {
+        let PacketBody::Udp { payload } = &pkt.body else {
+            return None;
         };
         // Local peer discovery?
         if pkt.dst.port == LPD_PORT {
-            if !self.config.lpd_enabled {
-                return Vec::new();
+            if self.config.lpd_enabled {
+                if let Some(port) = Self::parse_lpd(payload) {
+                    self.consider(None, Endpoint::new(pkt.src.ip, port));
+                }
             }
-            if let Some(port) = Self::parse_lpd(payload) {
-                self.consider(None, Endpoint::new(pkt.src.ip, port));
-            }
-            return Vec::new();
+            return None;
         }
         if pkt.dst.port != self.port {
-            return Vec::new();
+            return None;
         }
         // Tracker peer list?
         if payload.starts_with(b"BTT PEERS") {
@@ -229,13 +229,9 @@ impl DhtPeer {
                     self.consider(None, ep);
                 }
             }
-            return Vec::new();
+            return None;
         }
-        let msg = match KrpcMessage::decode(payload) {
-            Ok(m) => m,
-            Err(_) => return Vec::new(),
-        };
-        match msg {
+        match KrpcMessage::decode(payload).ok()? {
             KrpcMessage::Query {
                 transaction,
                 kind,
@@ -248,18 +244,18 @@ impl DhtPeer {
                 // internal.
                 self.consider(Some(sender), pkt.src);
                 let reply = match kind {
-                    QueryKind::Ping => KrpcMessage::pong(&transaction, self.id),
+                    QueryKind::Ping => KrpcMessage::pong(transaction, self.id),
                     QueryKind::FindNode => {
                         let target = target.expect("find_node always has a target");
                         KrpcMessage::nodes_response(
-                            &transaction,
+                            transaction,
                             self.id,
                             self.table.closest(target, K),
                         )
                     }
                 };
                 self.responses_sent += 1;
-                vec![self.udp_to(pkt.src, reply.encode())]
+                Some(self.udp_to(pkt.src, reply.encode()))
             }
             KrpcMessage::Response {
                 transaction,
@@ -267,66 +263,71 @@ impl DhtPeer {
                 nodes,
             } => {
                 // Validation pong?
-                if let Some(expected) = self.pending_pings.remove(&transaction) {
-                    if expected == pkt.src {
+                let pending = <[u8; 2]>::try_from(transaction).ok().and_then(|t| {
+                    let t = u16::from_be_bytes(t);
+                    self.pending_pings.iter().position(|(p, _)| *p == t)
+                });
+                match pending.map(|i| self.pending_pings.swap_remove(i).1) {
+                    Some(expected) if expected == pkt.src => {
                         self.contacts_validated += 1;
                         self.table.upsert(CompactNode::new(sender, pkt.src));
-                    } else {
-                        // The answer came back from a *different* endpoint
-                        // than we probed — the signature of a hairpinning
-                        // NAT that preserves internal sources. The observed
-                        // endpoint is the peer's internal one; validate it
-                        // directly (§4.1's leak channel).
-                        self.consider(Some(sender), pkt.src);
                     }
-                } else {
-                    // A response observed from an endpoint that differs
-                    // from the stored contact (e.g. hairpinned traffic
-                    // showing the internal source) makes that endpoint a
-                    // candidate: clients track peers by the addresses
-                    // traffic actually arrives from.
-                    self.consider(Some(sender), pkt.src);
+                    // Answered from a *different* endpoint than we probed
+                    // — the signature of a hairpinning NAT that preserves
+                    // internal sources: the observed endpoint is the
+                    // peer's internal one, to be validated directly
+                    // (§4.1's leak channel) — or the answer to no ping of
+                    // ours: a response from an endpoint other than the
+                    // stored contact's makes that endpoint a candidate,
+                    // as clients track peers by the addresses traffic
+                    // actually arrives from.
+                    _ => self.consider(Some(sender), pkt.src),
                 }
                 // Nodes learned from a lookup become candidates.
                 for n in nodes {
                     self.consider(Some(n.id), n.endpoint);
                 }
-                Vec::new()
+                None
             }
-            KrpcMessage::Error { .. } => Vec::new(),
+            KrpcMessage::Error { .. } => None,
         }
     }
 
     /// Periodic maintenance: validate queued candidates and refresh the
-    /// table with a lookup. Returns packets to transmit.
-    pub fn tick(&mut self, rng: &mut StdRng) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// table with a lookup. Pushes the packets to transmit onto `out`.
+    pub fn tick(&mut self, rng: &mut StdRng, out: &mut Outbox) {
+        // Pings the previous round left unanswered never will be
+        // (retired peers, filtering NATs): forget them, so the list is
+        // bounded and a recycled transaction id finds no stale entry.
+        self.pending_pings.clear();
         for _ in 0..self.config.validations_per_tick {
             let Some(c) = self.candidates.pop_front() else {
                 break;
             };
             self.seen_candidates.remove(&c.endpoint);
             let t = self.txn();
-            self.pending_pings.insert(t.clone(), c.endpoint);
-            out.push(self.udp_to(c.endpoint, KrpcMessage::ping(&t, self.id).encode()));
+            self.pending_pings.push((t, c.endpoint));
+            let ping = KrpcMessage::ping(&t.to_be_bytes(), self.id).encode();
+            out.push((self.sim_node, self.udp_to(c.endpoint, ping)));
         }
         // Refresh: ask random known contacts for nodes near a random ID
         // (random-target lookups keep far buckets populated and spread
         // validated endpoints — including internal ones — through the
-        // neighbourhood).
-        let contacts: Vec<CompactNode> = self.table.iter().copied().collect();
-        if !contacts.is_empty() {
+        // neighbourhood). Contacts are drawn by index in the table's
+        // bucket order.
+        if !self.table.is_empty() {
             for _ in 0..2 {
-                let c = contacts[rng.gen_range(0..contacts.len())];
+                let i = rng.gen_range(0..self.table.len());
+                let dst = self.table.nth(i).expect("index below len").endpoint;
                 let target = if rng.gen_bool(0.5) {
                     self.id
                 } else {
                     NodeId160::random(rng)
                 };
-                out.push(self.find_node_query(c.endpoint, target));
+                let query = self.find_node_query(dst, target);
+                out.push((self.sim_node, query));
             }
         }
-        out
     }
 
     /// Number of queued (unvalidated) candidates — diagnostic.
@@ -367,11 +368,10 @@ mod tests {
             p.local_endpoint(),
             KrpcMessage::ping(b"aa", rid).encode(),
         );
-        let out = p.handle_packet(&q);
-        assert_eq!(out.len(), 1);
-        let reply = KrpcMessage::decode(out[0].body.payload()).unwrap();
+        let out = p.handle_packet(&q).expect("a reply");
+        let reply = KrpcMessage::decode(out.body.payload()).unwrap();
         assert_eq!(reply, KrpcMessage::pong(b"aa", p.id));
-        assert_eq!(out[0].dst, rep);
+        assert_eq!(out.dst, rep);
         assert_eq!(p.queries_received, 1);
     }
 
@@ -391,8 +391,8 @@ mod tests {
             p.local_endpoint(),
             KrpcMessage::find_node(b"bb", rid, NodeId160::from_u64(5)).encode(),
         );
-        let out = p.handle_packet(&q);
-        let reply = KrpcMessage::decode(out[0].body.payload()).unwrap();
+        let out = p.handle_packet(&q).expect("a reply");
+        let reply = KrpcMessage::decode(out.body.payload()).unwrap();
         match reply {
             KrpcMessage::Response { nodes, .. } => {
                 assert_eq!(nodes.len(), 8);
@@ -419,9 +419,10 @@ mod tests {
         assert_eq!(p.pending_candidates(), 1);
         // Tick sends the validation ping.
         let mut rng = StdRng::seed_from_u64(0);
-        let out = p.tick(&mut rng);
+        let mut out = Outbox::new();
+        p.tick(&mut rng, &mut out);
         assert!(!out.is_empty());
-        let ping = KrpcMessage::decode(out[0].body.payload()).unwrap();
+        let ping = KrpcMessage::decode(out[0].1.body.payload()).unwrap();
         let txn = ping.transaction().to_vec();
         assert!(matches!(
             ping,
@@ -452,8 +453,9 @@ mod tests {
         );
         p.handle_packet(&q);
         let mut rng = StdRng::seed_from_u64(0);
-        let out = p.tick(&mut rng);
-        let txn = KrpcMessage::decode(out[0].body.payload())
+        let mut out = Outbox::new();
+        p.tick(&mut rng, &mut out);
+        let txn = KrpcMessage::decode(out[0].1.body.payload())
             .unwrap()
             .transaction()
             .to_vec();
@@ -575,14 +577,14 @@ mod tests {
             p.local_endpoint(),
             b"not bencode".to_vec(),
         );
-        assert!(p.handle_packet(&junk).is_empty());
+        assert!(p.handle_packet(&junk).is_none());
         // Wrong destination port.
         let other_port = Packet::udp(
             Endpoint::new(ip(9, 9, 9, 9), 1),
             Endpoint::new(p.addr, 9999),
             KrpcMessage::ping(b"aa", NodeId160::from_u64(1)).encode(),
         );
-        assert!(p.handle_packet(&other_port).is_empty());
+        assert!(p.handle_packet(&other_port).is_none());
         // TCP is not KRPC.
         let tcp = Packet::tcp(
             Endpoint::new(ip(9, 9, 9, 9), 1),
@@ -590,7 +592,7 @@ mod tests {
             netcore::TcpFlags::SYN,
             vec![],
         );
-        assert!(p.handle_packet(&tcp).is_empty());
+        assert!(p.handle_packet(&tcp).is_none());
     }
 
     #[test]
@@ -602,6 +604,86 @@ mod tests {
         assert_eq!(p.pending_candidates(), 0);
     }
 
+    /// Unanswered validation pings are forgotten at the next tick: the
+    /// list never outgrows one tick's worth, and a pong that answers a
+    /// previous round's ping validates nothing.
+    #[test]
+    fn unanswered_pings_are_forgotten_at_the_next_tick() {
+        let mut p = peer();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut out = Outbox::new();
+        let mut first_ping = None;
+        for round in 0..100u64 {
+            // Twelve new candidates a round, none of which ever answers.
+            for n in 0..12 {
+                let (rid, rep) = remote(round * 12 + n + 10, n as u8 + 1);
+                let rep = Endpoint::new(rep.ip, 7000 + round as u16);
+                let q = Packet::udp(
+                    rep,
+                    p.local_endpoint(),
+                    KrpcMessage::ping(b"aa", rid).encode(),
+                );
+                p.handle_packet(&q);
+            }
+            out.clear();
+            p.tick(&mut rng, &mut out);
+            assert_eq!(out.len(), p.config.validations_per_tick);
+            assert!(p.pending_pings.len() <= p.config.validations_per_tick);
+            first_ping.get_or_insert_with(|| out[0].1.clone());
+        }
+        // The very first ping is answered now, from the right endpoint.
+        let ping = first_ping.expect("round 0 pinged");
+        let txn = KrpcMessage::decode(ping.body.payload())
+            .unwrap()
+            .transaction()
+            .to_vec();
+        let late = Packet::udp(
+            ping.dst,
+            p.local_endpoint(),
+            KrpcMessage::pong(&txn, NodeId160::from_u64(10)).encode(),
+        );
+        p.handle_packet(&late);
+        assert_eq!(p.contacts_validated, 0);
+        assert!(p.table.is_empty());
+    }
+
+    /// `tick` draws its refresh contacts by index; the parent copied the
+    /// table into a `Vec` and indexed that. Same draws, same packets,
+    /// same RNG state afterwards.
+    #[test]
+    fn tick_draws_contacts_as_the_copied_table_did() {
+        let mut p = peer();
+        for n in 1..=40u64 {
+            p.table.upsert(CompactNode::new(
+                NodeId160::from_u64(n * 0x0101),
+                Endpoint::new(ip(198, 51, 100, n as u8), 6881),
+            ));
+        }
+        let contacts: Vec<CompactNode> = p.table.iter().copied().collect();
+        for seed in 0..32 {
+            let (mut rng, mut model) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut out = Outbox::new();
+            p.tick(&mut rng, &mut out);
+            assert_eq!(out.len(), 2);
+            for (_, pkt) in &out {
+                let c = contacts[model.gen_range(0..contacts.len())];
+                let target = if model.gen_bool(0.5) {
+                    p.id
+                } else {
+                    NodeId160::random(&mut model)
+                };
+                assert_eq!(pkt.dst, c.endpoint);
+                let KrpcMessage::Query { target: sent, .. } =
+                    KrpcMessage::decode(pkt.body.payload()).unwrap()
+                else {
+                    panic!("expected a query");
+                };
+                assert_eq!(sent, Some(target));
+            }
+            assert_eq!(rng.gen::<u64>(), model.gen::<u64>(), "RNG state diverged");
+        }
+    }
+
     #[test]
     fn tick_refreshes_via_known_contact() {
         let mut p = peer();
@@ -610,9 +692,11 @@ mod tests {
             Endpoint::new(ip(198, 51, 100, 5), 6881),
         ));
         let mut rng = StdRng::seed_from_u64(0);
-        let out = p.tick(&mut rng);
+        let mut out = Outbox::new();
+        p.tick(&mut rng, &mut out);
         assert_eq!(out.len(), 2, "two maintenance lookups per tick");
-        for pkt in &out {
+        for (origin, pkt) in &out {
+            assert_eq!(*origin, p.sim_node);
             let msg = KrpcMessage::decode(pkt.body.payload()).unwrap();
             assert!(matches!(
                 msg,

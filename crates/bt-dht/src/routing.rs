@@ -17,6 +17,8 @@ pub const K: usize = 8;
 pub struct RoutingTable160 {
     own_id: NodeId160,
     buckets: Vec<Vec<CompactNode>>,
+    /// Contacts stored, over all buckets.
+    len: usize,
 }
 
 impl RoutingTable160 {
@@ -24,6 +26,7 @@ impl RoutingTable160 {
         RoutingTable160 {
             own_id,
             buckets: vec![Vec::new(); 160],
+            len: 0,
         }
     }
 
@@ -33,11 +36,11 @@ impl RoutingTable160 {
 
     /// Total number of stored contacts.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Insert or update a contact.
@@ -69,6 +72,7 @@ impl RoutingTable160 {
             return false;
         }
         bucket.push(node);
+        self.len += 1;
         true
     }
 
@@ -85,6 +89,7 @@ impl RoutingTable160 {
         let bucket = &mut self.buckets[idx];
         let before = bucket.len();
         bucket.retain(|c| c.id != id);
+        self.len -= before - bucket.len();
         bucket.len() != before
     }
 
@@ -103,13 +108,57 @@ impl RoutingTable160 {
             .map(|c| c.endpoint)
     }
 
-    /// The `n` contacts closest to `target` — the content of a `find_node`
-    /// response.
+    /// The `n` contacts closest to `target`, nearest first — the content
+    /// of a `find_node` response.
+    ///
+    /// This is a selection, not a sort: one pass over the table, one
+    /// distance per contact (three big-endian words, compared as the
+    /// 160-bit integers they spell), and the best `n` seen so far kept
+    /// sorted in the buffer that is returned, which a contact enters
+    /// only by beating its last entry. The result is what sorting the
+    /// whole table by distance and truncating gives, bit for bit:
+    /// `x ↦ x ⊕ target` is a bijection, so contacts with distinct ids —
+    /// all a table holds — have distinct distances, there are no ties,
+    /// and the order of the `n` nearest is unique.
     pub fn closest(&self, target: NodeId160, n: usize) -> Vec<CompactNode> {
-        let mut all: Vec<CompactNode> = self.buckets.iter().flatten().copied().collect();
-        all.sort_by_key(|c| c.id.distance(&target));
-        all.truncate(n);
-        all
+        let n = n.min(self.len);
+        let mut best: Vec<CompactNode> = Vec::with_capacity(n);
+        if n == 0 {
+            return best;
+        }
+        let t = target.words();
+        let distance = |c: &CompactNode| {
+            let w = c.id.words();
+            [w[0] ^ t[0], w[1] ^ t[1], w[2] ^ t[2]]
+        };
+        // Distance of `best`'s last entry once it holds `n`.
+        let mut worst = [u64::MAX; 3];
+        for c in self.iter() {
+            let d = distance(c);
+            if best.len() == n {
+                if d >= worst {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|b| distance(b) < d);
+            best.insert(at, *c);
+            if best.len() == n {
+                worst = distance(&best[n - 1]);
+            }
+        }
+        best
+    }
+
+    /// The `index`-th contact in [`RoutingTable160::iter`] order.
+    pub fn nth(&self, mut index: usize) -> Option<&CompactNode> {
+        for bucket in &self.buckets {
+            match bucket.get(index) {
+                Some(c) => return Some(c),
+                None => index -= bucket.len(),
+            }
+        }
+        None
     }
 
     /// Iterate all contacts (bucket order — deterministic).
@@ -249,6 +298,50 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             for c in &res {
                 prop_assert!(seen.insert(c.id));
+            }
+        }
+
+        /// `closest` is the prefix of the table sorted by distance — the
+        /// form it replaced: copy every contact, sort, truncate — on
+        /// tables whose ids share long prefixes with the owner's (so low
+        /// buckets fill to `K` and refuse), for every `n` around the
+        /// table's size; `nth` and `len` agree with `iter`.
+        #[test]
+        fn prop_closest_is_the_sorted_prefix(seed in any::<u64>(), contacts in 0usize..300) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let own = NodeId160::random(&mut rng);
+            let mut t = RoutingTable160::new(own);
+            let mut refused = 0;
+            for i in 0..contacts {
+                // Keep a random-length prefix of the owner's id.
+                let mut id = NodeId160::random(&mut rng);
+                let keep = rng.gen_range(if i % 2 == 0 { 0..160usize } else { 140..156 });
+                for bit in 0..keep {
+                    let mask = 0x80u8 >> (bit % 8);
+                    id.0[bit / 8] = (id.0[bit / 8] & !mask) | (own.0[bit / 8] & mask);
+                }
+                let endpoint = Endpoint::new(ip(10, 0, (i >> 8) as u8, i as u8), 6881);
+                refused += !t.upsert(CompactNode::new(id, endpoint)) as usize;
+                if i % 7 == 0 {
+                    t.remove(id);
+                }
+            }
+            let all: Vec<CompactNode> = t.iter().copied().collect();
+            prop_assert!(contacts < 250 || refused > 0, "some bucket filled");
+            prop_assert_eq!(t.len(), all.len());
+            prop_assert_eq!(t.is_empty(), all.is_empty());
+            for (i, c) in all.iter().enumerate() {
+                prop_assert_eq!(t.nth(i), Some(c));
+            }
+            prop_assert_eq!(t.nth(all.len()), None);
+            for target in [own, NodeId160::random(&mut rng), all.first().map_or(own, |c| c.id)] {
+                for n in [0, 1, K, 20, all.len(), all.len() + 3] {
+                    let mut sorted = all.clone();
+                    sorted.sort_by_key(|c| c.id.distance(&target));
+                    sorted.truncate(n);
+                    prop_assert_eq!(t.closest(target, n), sorted);
+                }
             }
         }
 

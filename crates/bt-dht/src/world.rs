@@ -10,11 +10,11 @@
 use crate::krpc::{CompactNode, KrpcMessage, QueryKind};
 use crate::node_id::NodeId160;
 use crate::peer::{DhtPeer, PeerConfig, LPD_PORT};
-use netcore::{Endpoint, Packet, PacketBody, SimDuration};
+use netcore::{Endpoint, MixMap, Packet, PacketBody, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{pump, Network, NodeId};
-use std::collections::HashMap;
+use simnet::{pump, Network, NodeId, Outbox};
+use std::fmt::Write;
 use std::net::Ipv4Addr;
 
 /// Swarm-driving parameters.
@@ -53,6 +53,34 @@ impl Default for WorldConfig {
     }
 }
 
+/// Most contacts one handout carries (a `find_node` response's `K`).
+const HANDOUT: usize = 8;
+
+/// Add to `sample` random members of `known` other than `known[asker]`,
+/// until it holds [`HANDOUT`] or `2 × (known.len() − 1)` draws are spent.
+///
+/// The draws are over the list *without* the asker, which is not built:
+/// its `i`-th entry is `known[i]` below the asker and `known[i + 1]`
+/// from the asker on. (The asker is in `known`, so that is not empty.)
+fn sample_others<T: Copy + PartialEq>(
+    known: &[T],
+    asker: usize,
+    sample: &mut Vec<T>,
+    rng: &mut StdRng,
+) {
+    let others = known.len() - 1;
+    for _ in 0..others * 2 {
+        let i = rng.gen_range(0..others);
+        let c = known[i + (i >= asker) as usize];
+        if !sample.contains(&c) {
+            sample.push(c);
+        }
+        if sample.len() >= HANDOUT {
+            break;
+        }
+    }
+}
+
 /// The DHT bootstrap node: a public host that accumulates the peers that
 /// contact it and hands out random samples of them.
 #[derive(Debug)]
@@ -61,7 +89,7 @@ pub struct BootstrapServer {
     pub endpoint: Endpoint,
     pub id: NodeId160,
     known: Vec<CompactNode>,
-    by_endpoint: HashMap<Endpoint, usize>,
+    by_endpoint: MixMap<Endpoint, usize>,
     /// Long-lived stable nodes always included in handouts. Stable,
     /// always-on participants (like a measurement crawler running for
     /// weeks) end up in virtually every routing table; pinning models
@@ -76,7 +104,7 @@ impl BootstrapServer {
             endpoint: Endpoint::new(addr, port),
             id,
             known: Vec::new(),
-            by_endpoint: HashMap::new(),
+            by_endpoint: MixMap::default(),
             pinned: Vec::new(),
         }
     }
@@ -90,72 +118,49 @@ impl BootstrapServer {
         self.known.len()
     }
 
-    fn learn(&mut self, node: CompactNode) {
-        match self.by_endpoint.get(&node.endpoint) {
-            Some(i) => self.known[*i] = node,
-            None => {
-                self.by_endpoint.insert(node.endpoint, self.known.len());
-                self.known.push(node);
-            }
+    /// Record `node` at its endpoint; returns its index in `known`.
+    fn learn(&mut self, node: CompactNode) -> usize {
+        let next = self.known.len();
+        let i = *self.by_endpoint.entry(node.endpoint).or_insert(next);
+        if i == next {
+            self.known.push(node);
+        } else {
+            self.known[i] = node;
         }
+        i
     }
 
-    /// Handle a delivered packet, emitting replies.
-    pub fn handle_packet(&mut self, pkt: &Packet, rng: &mut StdRng) -> Vec<Packet> {
-        let payload = match &pkt.body {
-            PacketBody::Udp { payload } => payload,
-            _ => return Vec::new(),
+    /// Handle a delivered packet; returns the reply, if it was a query.
+    pub fn handle_packet(&mut self, pkt: &Packet, rng: &mut StdRng) -> Option<Packet> {
+        let PacketBody::Udp { payload } = &pkt.body else {
+            return None;
         };
         if pkt.dst.port != self.endpoint.port {
-            return Vec::new();
+            return None;
         }
-        let msg = match KrpcMessage::decode(payload) {
-            Ok(m) => m,
-            Err(_) => return Vec::new(),
+        let KrpcMessage::Query {
+            transaction,
+            kind,
+            sender,
+            ..
+        } = KrpcMessage::decode(payload).ok()?
+        else {
+            return None;
         };
-        match msg {
-            KrpcMessage::Query {
-                transaction,
-                kind,
-                sender,
-                ..
-            } => {
-                // Record the contact at its observed (translated) source.
-                self.learn(CompactNode::new(sender, pkt.src));
-                let reply = match kind {
-                    QueryKind::Ping => KrpcMessage::pong(&transaction, self.id),
-                    QueryKind::FindNode => {
-                        // Hand out stable nodes plus random known peers
-                        // (not the asker).
-                        let mut sample: Vec<CompactNode> = self
-                            .pinned
-                            .iter()
-                            .filter(|c| c.endpoint != pkt.src)
-                            .copied()
-                            .collect();
-                        let candidates: Vec<&CompactNode> = self
-                            .known
-                            .iter()
-                            .filter(|c| c.endpoint != pkt.src)
-                            .collect();
-                        if !candidates.is_empty() {
-                            for _ in 0..(candidates.len() * 2) {
-                                let c = candidates[rng.gen_range(0..candidates.len())];
-                                if !sample.contains(c) {
-                                    sample.push(*c);
-                                }
-                                if sample.len() >= 8 {
-                                    break;
-                                }
-                            }
-                        }
-                        KrpcMessage::nodes_response(&transaction, self.id, sample)
-                    }
-                };
-                vec![Packet::udp(self.endpoint, pkt.src, reply.encode())]
+        // Record the contact at its observed (translated) source.
+        let asker = self.learn(CompactNode::new(sender, pkt.src));
+        let reply = match kind {
+            QueryKind::Ping => KrpcMessage::pong(transaction, self.id),
+            QueryKind::FindNode => {
+                // Hand out stable nodes plus random known peers
+                // (not the asker).
+                let mut sample = Vec::with_capacity(HANDOUT);
+                sample.extend(self.pinned.iter().filter(|c| c.endpoint != pkt.src));
+                sample_others(&self.known, asker, &mut sample, rng);
+                KrpcMessage::nodes_response(transaction, self.id, sample)
             }
-            _ => Vec::new(),
-        }
+        };
+        Some(Packet::udp(self.endpoint, pkt.src, reply.encode()))
     }
 }
 
@@ -168,7 +173,7 @@ impl BootstrapServer {
 pub struct TrackerServer {
     pub sim_node: NodeId,
     pub endpoint: Endpoint,
-    swarms: HashMap<u32, Vec<Endpoint>>,
+    swarms: MixMap<u32, Vec<Endpoint>>,
 }
 
 impl TrackerServer {
@@ -176,7 +181,7 @@ impl TrackerServer {
         TrackerServer {
             sim_node,
             endpoint: Endpoint::new(addr, port),
-            swarms: HashMap::new(),
+            swarms: MixMap::default(),
         }
     }
 
@@ -185,49 +190,35 @@ impl TrackerServer {
     }
 
     /// Handle an announce; reply with up to 8 random swarm members.
-    pub fn handle_packet(&mut self, pkt: &Packet, rng: &mut StdRng) -> Vec<Packet> {
-        let payload = match &pkt.body {
-            PacketBody::Udp { payload } => payload,
-            _ => return Vec::new(),
+    pub fn handle_packet(&mut self, pkt: &Packet, rng: &mut StdRng) -> Option<Packet> {
+        let PacketBody::Udp { payload } = &pkt.body else {
+            return None;
         };
         if pkt.dst.port != self.endpoint.port {
-            return Vec::new();
+            return None;
         }
-        let Some(text) = std::str::from_utf8(payload).ok() else {
-            return Vec::new();
-        };
-        let Some(swarm) = text
-            .strip_prefix("BTT ANNOUNCE ")
-            .and_then(|s| s.trim().parse::<u32>().ok())
-        else {
-            return Vec::new();
-        };
+        let swarm = std::str::from_utf8(payload)
+            .ok()?
+            .strip_prefix("BTT ANNOUNCE ")?
+            .trim()
+            .parse::<u32>()
+            .ok()?;
         let members = self.swarms.entry(swarm).or_default();
-        if !members.contains(&pkt.src) {
-            members.push(pkt.src);
+        let asker = members
+            .iter()
+            .position(|m| *m == pkt.src)
+            .unwrap_or_else(|| {
+                members.push(pkt.src);
+                members.len() - 1
+            });
+        let mut sample: Vec<Endpoint> = Vec::with_capacity(HANDOUT);
+        sample_others(members, asker, &mut sample, rng);
+        let mut body = String::from("BTT PEERS ");
+        for (i, e) in sample.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(body, "{sep}{e}").expect("writing to a String");
         }
-        let candidates: Vec<Endpoint> = members.iter().copied().filter(|e| *e != pkt.src).collect();
-        let mut sample: Vec<Endpoint> = Vec::new();
-        if !candidates.is_empty() {
-            for _ in 0..(candidates.len() * 2) {
-                let c = candidates[rng.gen_range(0..candidates.len())];
-                if !sample.contains(&c) {
-                    sample.push(c);
-                }
-                if sample.len() >= 8 {
-                    break;
-                }
-            }
-        }
-        let body = format!(
-            "BTT PEERS {}",
-            sample
-                .iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        vec![Packet::udp(self.endpoint, pkt.src, body.into_bytes())]
+        Some(Packet::udp(self.endpoint, pkt.src, body.into_bytes()))
     }
 }
 
@@ -236,7 +227,10 @@ impl TrackerServer {
 pub struct DhtWorld {
     pub config: WorldConfig,
     pub peers: Vec<DhtPeer>,
-    by_node: HashMap<NodeId, usize>,
+    /// Index into `peers` of the live peer on each simulated host: a
+    /// dense table over `NodeId`, `None` where there is none (another
+    /// kind of host, or a retired peer).
+    by_node: Vec<Option<u32>>,
     pub bootstrap: BootstrapServer,
     pub tracker: TrackerServer,
     /// Swarm membership per peer index.
@@ -253,7 +247,7 @@ impl DhtWorld {
         DhtWorld {
             config,
             peers: Vec::new(),
-            by_node: HashMap::new(),
+            by_node: Vec::new(),
             bootstrap: BootstrapServer::new(bootstrap_node, bootstrap_addr, 6881, id),
             tracker: TrackerServer::new(bootstrap_node, bootstrap_addr, 6969),
             swarm_of: Vec::new(),
@@ -275,13 +269,21 @@ impl DhtWorld {
     ) -> usize {
         let id = NodeId160::random(&mut self.rng);
         let port = self.rng.gen_range(6881..=6999);
-        let idx = self.peers.len();
-        self.peers
-            .push(DhtPeer::new(sim_node, addr, port, id, config));
-        self.by_node.insert(sim_node, idx);
+        let idx = self.push_peer(DhtPeer::new(sim_node, addr, port, id, config));
         // Swarm assignment is finalized lazily because the swarm count
         // depends on the final population; store the locality for now.
         self.swarm_of.push(locality as u32);
+        idx
+    }
+
+    fn push_peer(&mut self, peer: DhtPeer) -> usize {
+        let idx = self.peers.len();
+        let node = peer.sim_node.0 as usize;
+        if self.by_node.len() <= node {
+            self.by_node.resize(node + 1, None);
+        }
+        self.by_node[node] = Some(idx as u32);
+        self.peers.push(peer);
         idx
     }
 
@@ -298,15 +300,13 @@ impl DhtWorld {
     /// NATs that later let the crawler query them back.
     pub fn add_service_peer(&mut self, sim_node: NodeId, addr: Ipv4Addr, port: u16) -> usize {
         let id = NodeId160::random(&mut self.rng);
-        let idx = self.peers.len();
-        self.peers.push(DhtPeer::new(
+        let idx = self.push_peer(DhtPeer::new(
             sim_node,
             addr,
             port,
             id,
             PeerConfig::default(),
         ));
-        self.by_node.insert(sim_node, idx);
         // Unique locality: the service host announces no swarms.
         self.swarm_of.push(0xFFFF_FF00u64 as u32 ^ idx as u32);
         // A stable always-on node: the bootstrap hands it out to everyone.
@@ -328,7 +328,7 @@ impl DhtWorld {
                 continue;
             }
             if self.rng.gen_bool(fraction) {
-                self.by_node.remove(&self.peers[idx].sim_node);
+                self.by_node[self.peers[idx].sim_node.0 as usize] = None;
                 retired += 1;
             }
         }
@@ -350,28 +350,28 @@ impl DhtWorld {
         }
     }
 
-    pub fn peer_by_node(&self, node: NodeId) -> Option<&DhtPeer> {
-        self.by_node.get(&node).map(|i| &self.peers[*i])
+    fn peer_index(&self, node: NodeId) -> Option<usize> {
+        let i = self.by_node.get(node.0 as usize).copied().flatten()?;
+        Some(i as usize)
     }
 
-    /// Dispatch a delivered packet to its owner (peer or bootstrap),
-    /// collecting the emissions as (origin, packet) pairs.
-    pub fn dispatch(&mut self, node: NodeId, pkt: &Packet) -> Vec<(NodeId, Packet)> {
-        if node == self.tracker.sim_node && pkt.dst.port == self.tracker.endpoint.port {
-            let out = self.tracker.handle_packet(pkt, &mut self.rng);
-            return out.into_iter().map(|p| (node, p)).collect();
-        }
-        if node == self.bootstrap.sim_node {
-            let out = self.bootstrap.handle_packet(pkt, &mut self.rng);
-            return out.into_iter().map(|p| (node, p)).collect();
-        }
-        match self.by_node.get(&node) {
-            Some(i) => {
-                let out = self.peers[*i].handle_packet(pkt);
-                out.into_iter().map(|p| (node, p)).collect()
-            }
-            None => Vec::new(),
-        }
+    pub fn peer_by_node(&self, node: NodeId) -> Option<&DhtPeer> {
+        self.peer_index(node).map(|i| &self.peers[i])
+    }
+
+    /// Dispatch a delivered packet to its owner (tracker, bootstrap or
+    /// peer); the owner's reply, if any, is pushed onto `out` with
+    /// `node` as its origin.
+    pub fn dispatch(&mut self, node: NodeId, pkt: &Packet, out: &mut Outbox) {
+        let reply = if node == self.tracker.sim_node && pkt.dst.port == self.tracker.endpoint.port {
+            self.tracker.handle_packet(pkt, &mut self.rng)
+        } else if node == self.bootstrap.sim_node {
+            self.bootstrap.handle_packet(pkt, &mut self.rng)
+        } else {
+            self.peer_index(node)
+                .and_then(|i| self.peers[i].handle_packet(pkt))
+        };
+        out.extend(reply.map(|p| (node, p)));
     }
 
     /// Run the configured bootstrap + maintenance schedule.
@@ -387,21 +387,19 @@ impl DhtWorld {
     /// candidate validation and table refresh, then packet exchange until
     /// quiescence, then a clock step.
     pub fn run_round(&mut self, net: &mut Network, round: usize) {
-        let mut initial: Vec<(NodeId, Packet)> = Vec::new();
+        let mut outbox = Outbox::new();
 
         // Local peer discovery: multicast announcements; deliveries are
         // dispatched immediately and any reactions join the initial batch.
         if self.config.lpd_every > 0 && round % self.config.lpd_every == 0 {
-            let announcements: Vec<(NodeId, u16, Vec<u8>)> = self
-                .peers
-                .iter()
-                .filter(|p| p.config.lpd_enabled)
-                .map(|p| (p.sim_node, p.port, p.lpd_payload()))
-                .collect();
-            for (node, src_port, payload) in announcements {
-                let deliveries = net.send_multicast(node, src_port, LPD_PORT, payload);
+            for i in 0..self.peers.len() {
+                let p = &self.peers[i];
+                if !p.config.lpd_enabled {
+                    continue;
+                }
+                let deliveries = net.send_multicast(p.sim_node, p.port, LPD_PORT, p.lpd_payload());
                 for d in deliveries {
-                    initial.extend(self.dispatch(d.node, &d.pkt));
+                    self.dispatch(d.node, &d.pkt, &mut outbox);
                 }
             }
         }
@@ -410,59 +408,25 @@ impl DhtWorld {
         let bootstrap_ep = self.bootstrap.endpoint;
         let tracker_ep = self.tracker.endpoint;
         let bootstrapping = round < self.config.bootstrap_rounds;
-        for i in 0..self.peers.len() {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             if bootstrapping {
-                let own = self.peers[i].id;
-                let q = self.peers[i].find_node_query(bootstrap_ep, own);
-                initial.push((self.peers[i].sim_node, q));
+                let q = peer.find_node_query(bootstrap_ep, peer.id);
+                outbox.push((peer.sim_node, q));
             }
             let swarm = self.swarm_of.get(i).copied().unwrap_or(0);
-            let ann = self.peers[i].tracker_announce(tracker_ep, swarm);
-            initial.push((self.peers[i].sim_node, ann));
-            let node = self.peers[i].sim_node;
-            for p in self.peers[i].tick(&mut self.rng) {
-                initial.push((node, p));
-            }
+            let ann = peer.tracker_announce(tracker_ep, swarm);
+            outbox.push((peer.sim_node, ann));
+            peer.tick(&mut self.rng, &mut outbox);
         }
 
         // Exchange packets until the swarm quiesces.
         let max_steps = self.config.max_pump_steps;
-        let mut world = std::mem::take(&mut self.by_node);
-        // Split borrows: move the index map back after the pump.
-        let peers = &mut self.peers;
-        let bootstrap = &mut self.bootstrap;
-        let tracker = &mut self.tracker;
-        let rng = &mut self.rng;
         pump(
             net,
-            initial,
-            |node, pkt| {
-                if node == tracker.sim_node && pkt.dst.port == tracker.endpoint.port {
-                    return tracker
-                        .handle_packet(pkt, rng)
-                        .into_iter()
-                        .map(|p| (node, p))
-                        .collect();
-                }
-                if node == bootstrap.sim_node {
-                    return bootstrap
-                        .handle_packet(pkt, rng)
-                        .into_iter()
-                        .map(|p| (node, p))
-                        .collect();
-                }
-                match world.get(&node) {
-                    Some(i) => peers[*i]
-                        .handle_packet(pkt)
-                        .into_iter()
-                        .map(|p| (node, p))
-                        .collect(),
-                    None => Vec::new(),
-                }
-            },
+            &mut outbox,
+            |node, pkt, out| self.dispatch(node, pkt, out),
             max_steps,
         );
-        std::mem::swap(&mut self.by_node, &mut world);
 
         net.advance(self.config.round_gap);
     }
@@ -480,6 +444,119 @@ mod tests {
     use nat_engine::{FilteringBehavior, NatConfig};
     use netcore::ip;
     use simnet::RealmId;
+
+    /// The handout the servers used to draw: build the list of everyone
+    /// but the asker, draw indices into it.
+    fn sample_materialised<T: Copy + PartialEq>(
+        known: &[T],
+        asker: usize,
+        sample: &mut Vec<T>,
+        rng: &mut StdRng,
+    ) {
+        let candidates: Vec<&T> = known.iter().filter(|c| **c != known[asker]).collect();
+        if !candidates.is_empty() {
+            for _ in 0..(candidates.len() * 2) {
+                let c = candidates[rng.gen_range(0..candidates.len())];
+                if !sample.contains(c) {
+                    sample.push(*c);
+                }
+                if sample.len() >= 8 {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Sampling around the asker draws what sampling from the list
+    /// without the asker drew: same sample, same RNG state afterwards.
+    #[test]
+    fn sampling_skips_the_asker_without_building_the_list() {
+        for known in [1usize, 2, 3, 5, 8, 9, 40] {
+            let members: Vec<u32> = (0..known as u32).map(|m| m * 7 + 1).collect();
+            for asker in 0..known {
+                for pinned in [0usize, 2, 8, 11] {
+                    let seed = (known * 1000 + asker * 16 + pinned) as u64;
+                    let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    // Pinned nodes are already in the sample; one of
+                    // them is also known, so a draw can be a duplicate.
+                    let mut new: Vec<u32> = (0..pinned as u32).map(|p| 1_000 + p).collect();
+                    new.extend(members.last().filter(|_| pinned > 0));
+                    let (mut old, given) = (new.clone(), new.len());
+                    sample_others(&members, asker, &mut new, &mut a);
+                    sample_materialised(&members, asker, &mut old, &mut b);
+                    assert_eq!(new, old, "known {known}, asker {asker}, pinned {pinned}");
+                    assert!(!new[given..].contains(&members[asker]));
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG state diverged");
+                }
+            }
+        }
+    }
+
+    /// The bootstrap and the tracker hand out what they handed out when
+    /// they materialised their candidates: the replies of a fixed
+    /// conversation are pinned byte for byte by the study digests in
+    /// `tests/end_to_end.rs`; here, that the asker is never in its own
+    /// handout and that a lone asker gets an empty one.
+    #[test]
+    fn servers_never_hand_the_asker_to_itself() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let at = |n: u8| Endpoint::new(ip(198, 51, 100, n), 6881);
+        let mut bs = BootstrapServer::new(NodeId(0), ip(203, 0, 113, 1), 6881, NodeId160::ZERO);
+        let mut tracker = TrackerServer::new(NodeId(0), ip(203, 0, 113, 1), 6969);
+        for round in 0..3 {
+            for n in 1..=12u8 {
+                let id = NodeId160::from_u64(n as u64);
+                let q = KrpcMessage::find_node(b"aa", id, id).encode();
+                let reply = bs
+                    .handle_packet(&Packet::udp(at(n), bs.endpoint, q), &mut rng)
+                    .expect("a handout");
+                let KrpcMessage::Response { nodes, .. } =
+                    KrpcMessage::decode(reply.body.payload()).unwrap()
+                else {
+                    panic!("expected a nodes response");
+                };
+                assert!(nodes.iter().all(|c| c.endpoint != at(n)));
+                assert_eq!(nodes.is_empty(), round == 0 && n == 1);
+                assert!(nodes.len() <= 8);
+
+                let ann = Packet::udp(at(n), tracker.endpoint, b"BTT ANNOUNCE 3".to_vec());
+                let reply = tracker.handle_packet(&ann, &mut rng).expect("a peer list");
+                let peers: Vec<Endpoint> = DhtPeer::parse_tracker_peers(reply.body.payload())
+                    .expect("a peer list")
+                    .collect();
+                assert!(!peers.contains(&at(n)));
+                assert_eq!(peers.is_empty(), round == 0 && n == 1);
+                if peers.is_empty() {
+                    assert_eq!(reply.body.payload(), b"BTT PEERS ");
+                }
+            }
+        }
+        assert_eq!(bs.known_count(), 12);
+    }
+
+    /// One datagram with an overflowing length used to kill whoever
+    /// decoded it. Every decoder on the wire now drops it and lives.
+    #[test]
+    fn overflowing_datagrams_are_dropped_by_every_decoder() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut bs = BootstrapServer::new(NodeId(0), ip(203, 0, 113, 1), 6881, NodeId160::ZERO);
+        let mut peer = DhtPeer::new(
+            NodeId(1),
+            ip(198, 51, 100, 1),
+            6881,
+            NodeId160::from_u64(1),
+            PeerConfig::default(),
+        );
+        let src = Endpoint::new(ip(198, 51, 100, 66), 6881);
+        for data in crate::model::OVERFLOWING {
+            assert!(KrpcMessage::decode(data).is_err());
+            let to_peer = Packet::udp(src, peer.local_endpoint(), data.to_vec());
+            assert!(peer.handle_packet(&to_peer).is_none());
+            let to_bs = Packet::udp(src, bs.endpoint, data.to_vec());
+            assert!(bs.handle_packet(&to_bs, &mut rng).is_none());
+        }
+        assert_eq!((peer.queries_received, bs.known_count()), (0, 0));
+    }
 
     /// Ten public peers + bootstrap: everyone discovers several others.
     #[test]

@@ -317,19 +317,17 @@ pub fn run_scenario(sc: &ScenarioConfig, classifier: &ClassifierConfig) -> Scena
                 let sub = &world.subscribers[*id];
                 let port = 20_000 + ((mix64(*id as u64 ^ round) % 40_000) as u16);
                 let src = Endpoint::new(sub.device_addr, port);
-                let deliveries = world.net.send(
+                let delivery = world.net.send(
                     sub.device_node,
                     Packet::udp(src, observer_ep, b"BT".to_vec()),
                 );
-                for d in deliveries {
-                    if d.pkt.dst == observer_ep {
-                        sightings.push(Sighting {
-                            peer: mix64(((*di as u64) << 40) ^ 0xF00D ^ *id as u64),
-                            internal: sub.device_addr,
-                            external: d.pkt.src,
-                            at_ms: world.net.now().as_millis(),
-                        });
-                    }
+                if let Some(d) = delivery.filter(|d| d.pkt.dst == observer_ep) {
+                    sightings.push(Sighting {
+                        peer: mix64(((*di as u64) << 40) ^ 0xF00D ^ *id as u64),
+                        internal: sub.device_addr,
+                        external: d.pkt.src,
+                        at_ms: world.net.now().as_millis(),
+                    });
                 }
             }
         }

@@ -107,79 +107,10 @@ use crate::config::MappingBehavior;
 use crate::wheel::WheelGeometry;
 use netcore::{Endpoint, Protocol, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-/// SplitMix64 finalizer — stable across runs and platforms, unlike
-/// `std::hash`'s SipHash keys. Doubles as the shard hash
-/// (re-exported as `sharded::mix64`) and the avalanche step of
-/// [`Mix64Hasher`].
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A fast, deterministic hasher for the store's packed-integer keys:
-/// an FxHash-style fold per write, finished with a [`mix64`]
-/// avalanche. Not DoS-resistant — fine for keys the engine itself
-/// constructs, which is the only thing the store hashes.
-#[derive(Debug, Default, Clone)]
-pub struct Mix64Hasher(u64);
-
-const FOLD: u64 = 0x51_7C_C1_B7_27_22_0A_95;
-
-impl Hasher for Mix64Hasher {
-    fn finish(&self) -> u64 {
-        mix64(self.0)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ b as u64).wrapping_mul(FOLD);
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FOLD);
-    }
-    fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn write_i8(&mut self, v: i8) {
-        self.write_u64(v as u64);
-    }
-    fn write_i16(&mut self, v: i16) {
-        self.write_u64(v as u64);
-    }
-    fn write_i32(&mut self, v: i32) {
-        self.write_u64(v as u64);
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-    fn write_isize(&mut self, v: isize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// `HashMap` with the deterministic [`Mix64Hasher`].
-pub type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<Mix64Hasher>>;
+pub use netcore::hash::{mix64, Mix64Hasher, MixMap};
 
 /// The destination endpoints a mapping has contacted — the filter
 /// state for restricted NATs. Semantically a set; physically the
@@ -2111,6 +2042,7 @@ mod tests {
 
     #[test]
     fn mix_hasher_is_deterministic() {
+        use std::hash::Hasher;
         let mut a = Mix64Hasher::default();
         let mut b = Mix64Hasher::default();
         a.write_u128(0xDEAD_BEEF_0123_4567_89AB_CDEF_0011_2233);

@@ -31,20 +31,19 @@ pub fn udp_mapped(
     let mut observed = None;
     pump(
         net,
-        vec![(
+        &mut vec![(
             client,
             Packet::udp(local, lab.echo.udp_endpoint(), b"PING".to_vec()),
         )],
-        |node, p| {
+        |node, p, out| {
             if node == client {
                 if let PacketBody::Udp { payload } = &p.body {
                     if payload.starts_with(b"PONG ") {
                         observed = EchoServer::parse_addr_reply(&payload[5..]);
                     }
                 }
-                Vec::new()
             } else {
-                lab.dispatch(node, p)
+                lab.dispatch(node, p, out)
             }
         },
         1_000,
@@ -76,8 +75,8 @@ pub fn traceroute(
         let mut answered = false;
         pump(
             net,
-            vec![(client, probe)],
-            |node, p| {
+            &mut vec![(client, probe)],
+            |node, p, out| {
                 if node == client {
                     match &p.body {
                         PacketBody::Icmp { .. } => icmp_src = Some(p.src.ip),
@@ -86,9 +85,8 @@ pub fn traceroute(
                         }
                         _ => {}
                     }
-                    Vec::new()
                 } else {
-                    lab.dispatch(node, p)
+                    lab.dispatch(node, p, out)
                 }
             },
             1_000,

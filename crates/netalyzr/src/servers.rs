@@ -17,7 +17,7 @@
 
 use crate::stun::StunService;
 use netcore::{Endpoint, Packet, PacketBody, TcpFlags};
-use simnet::{Network, NodeId, RealmId};
+use simnet::{Network, NodeId, Outbox, RealmId};
 use std::net::Ipv4Addr;
 
 /// The TCP/UDP echo server.
@@ -65,46 +65,31 @@ impl EchoServer {
         Some(Endpoint::new(ip.parse().ok()?, port.parse().ok()?))
     }
 
-    /// Handle a delivered packet, emitting replies from this server.
-    pub fn handle_packet(&self, pkt: &Packet) -> Vec<Packet> {
+    /// Handle a delivered packet; returns this server's reply, if any.
+    pub fn handle_packet(&self, pkt: &Packet) -> Option<Packet> {
         match &pkt.body {
             PacketBody::Tcp { flags, payload } if pkt.dst == self.tcp_endpoint() => {
-                if flags.syn && !flags.ack {
-                    return vec![Packet::tcp(
-                        self.tcp_endpoint(),
-                        pkt.src,
-                        TcpFlags::SYN_ACK,
-                        vec![],
-                    )];
-                }
-                if payload == b"WHOAMI" {
-                    return vec![Packet::tcp(
-                        self.tcp_endpoint(),
-                        pkt.src,
-                        TcpFlags::ACK,
-                        Self::format_addr_reply(pkt.src),
-                    )];
-                }
-                if flags.fin {
-                    return vec![Packet::tcp(
-                        self.tcp_endpoint(),
-                        pkt.src,
-                        TcpFlags::FIN,
-                        vec![],
-                    )];
-                }
-                Vec::new()
+                let (reply, payload) = if flags.syn && !flags.ack {
+                    (TcpFlags::SYN_ACK, vec![])
+                } else if payload == b"WHOAMI" {
+                    (TcpFlags::ACK, Self::format_addr_reply(pkt.src))
+                } else if flags.fin {
+                    (TcpFlags::FIN, vec![])
+                } else {
+                    return None;
+                };
+                Some(Packet::tcp(self.tcp_endpoint(), pkt.src, reply, payload))
             }
             PacketBody::Udp { payload } if pkt.dst == self.udp_endpoint() => {
-                if payload == b"PING" {
-                    let mut reply = b"PONG ".to_vec();
-                    reply.extend_from_slice(&Self::format_addr_reply(pkt.src));
-                    return vec![Packet::udp(self.udp_endpoint(), pkt.src, reply)];
-                }
                 // Keepalives ("KA") and anything else: silence.
-                Vec::new()
+                if payload != b"PING" {
+                    return None;
+                }
+                let mut reply = b"PONG ".to_vec();
+                reply.extend_from_slice(&Self::format_addr_reply(pkt.src));
+                Some(Packet::udp(self.udp_endpoint(), pkt.src, reply))
             }
-            _ => Vec::new(),
+            _ => None,
         }
     }
 }
@@ -141,17 +126,15 @@ impl MeasurementLab {
         }
     }
 
-    /// Dispatch a delivered packet to whichever server owns the node.
-    pub fn dispatch(&self, node: NodeId, pkt: &Packet) -> Vec<(NodeId, Packet)> {
-        if node == self.echo.node {
-            return self
-                .echo
-                .handle_packet(pkt)
-                .into_iter()
-                .map(|p| (node, p))
-                .collect();
-        }
-        self.stun.handle_packet(node, pkt)
+    /// Dispatch a delivered packet to whichever server owns the node;
+    /// the server's reply, if any, is pushed onto `out`.
+    pub fn dispatch(&self, node: NodeId, pkt: &Packet, out: &mut Outbox) {
+        let reply = if node == self.echo.node {
+            self.echo.handle_packet(pkt).map(|p| (node, p))
+        } else {
+            self.stun.handle_packet(node, pkt)
+        };
+        out.extend(reply);
     }
 }
 
@@ -180,34 +163,30 @@ mod tests {
         let mut reported = None;
         pump(
             &mut net,
-            vec![(
+            &mut vec![(
                 client,
                 Packet::tcp(cep, lab.echo.tcp_endpoint(), TcpFlags::SYN, vec![]),
             )],
-            |node, pkt| {
+            |node, pkt, out| {
                 if node == client {
-                    match &pkt.body {
-                        PacketBody::Tcp { flags, payload } => {
-                            if flags.syn && flags.ack {
-                                return vec![(
-                                    client,
-                                    Packet::tcp(
-                                        cep,
-                                        lab.echo.tcp_endpoint(),
-                                        TcpFlags::ACK,
-                                        b"WHOAMI".to_vec(),
-                                    ),
-                                )];
-                            }
-                            if let Some(ep) = EchoServer::parse_addr_reply(payload) {
-                                reported = Some(ep);
-                            }
-                            Vec::new()
+                    if let PacketBody::Tcp { flags, payload } = &pkt.body {
+                        if flags.syn && flags.ack {
+                            return out.push((
+                                client,
+                                Packet::tcp(
+                                    cep,
+                                    lab.echo.tcp_endpoint(),
+                                    TcpFlags::ACK,
+                                    b"WHOAMI".to_vec(),
+                                ),
+                            ));
                         }
-                        _ => Vec::new(),
+                        if let Some(ep) = EchoServer::parse_addr_reply(payload) {
+                            reported = Some(ep);
+                        }
                     }
                 } else {
-                    lab.dispatch(node, pkt)
+                    lab.dispatch(node, pkt, out)
                 }
             },
             100,
@@ -225,7 +204,7 @@ mod tests {
         let mut pongs = 0;
         pump(
             &mut net,
-            vec![
+            &mut vec![
                 (
                     client,
                     Packet::udp(cep, lab.echo.udp_endpoint(), b"PING".to_vec()),
@@ -235,14 +214,13 @@ mod tests {
                     Packet::udp(cep, lab.echo.udp_endpoint(), b"KA".to_vec()),
                 ),
             ],
-            |node, pkt| {
+            |node, pkt, out| {
                 if node == client {
                     if pkt.body.payload().starts_with(b"PONG ") {
                         pongs += 1;
                     }
-                    Vec::new()
                 } else {
-                    lab.dispatch(node, pkt)
+                    lab.dispatch(node, pkt, out)
                 }
             },
             100,
@@ -256,6 +234,6 @@ mod tests {
         let lab = MeasurementLab::install(&mut net, ip(203, 0, 113, 10));
         let src = Endpoint::new(ip(9, 9, 9, 9), 1);
         let to_wrong = Packet::udp(src, Endpoint::new(lab.echo.ip, 1234), b"PING".to_vec());
-        assert!(lab.echo.handle_packet(&to_wrong).is_empty());
+        assert!(lab.echo.handle_packet(&to_wrong).is_none());
     }
 }

@@ -158,25 +158,20 @@ fn run_tcp_flow(
     let mut observed = None;
     pump(
         net,
-        vec![(client_node, Packet::tcp(local, dst, TcpFlags::SYN, vec![]))],
-        |node, pkt| {
-            if node == client_node {
-                if let PacketBody::Tcp { flags, payload } = &pkt.body {
-                    if flags.syn && flags.ack {
-                        return vec![(
-                            client_node,
-                            Packet::tcp(local, dst, TcpFlags::ACK, b"WHOAMI".to_vec()),
-                        )];
-                    }
-                    if let Some(ep) = EchoServer::parse_addr_reply(payload) {
-                        observed = Some(ep);
-                        // Close politely.
-                        return vec![(client_node, Packet::tcp(local, dst, TcpFlags::FIN, vec![]))];
-                    }
+        &mut vec![(client_node, Packet::tcp(local, dst, TcpFlags::SYN, vec![]))],
+        |node, pkt, out| {
+            if node != client_node {
+                return lab.dispatch(node, pkt, out);
+            }
+            if let PacketBody::Tcp { flags, payload } = &pkt.body {
+                if flags.syn && flags.ack {
+                    let whoami = Packet::tcp(local, dst, TcpFlags::ACK, b"WHOAMI".to_vec());
+                    out.push((client_node, whoami));
+                } else if let Some(ep) = EchoServer::parse_addr_reply(payload) {
+                    observed = Some(ep);
+                    // Close politely.
+                    out.push((client_node, Packet::tcp(local, dst, TcpFlags::FIN, vec![])));
                 }
-                Vec::new()
-            } else {
-                lab.dispatch(node, pkt)
             }
         },
         1_000,

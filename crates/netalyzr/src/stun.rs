@@ -231,22 +231,19 @@ impl StunService {
         ip_ok && (dst.port == self.port_a || dst.port == self.port_b)
     }
 
-    /// Handle a packet delivered to either service host. Returns
-    /// `(origin node, packet)` emissions — the response may originate from
-    /// the *other* host when CHANGE-REQUEST asks for it.
-    pub fn handle_packet(&self, node: NodeId, pkt: &Packet) -> Vec<(NodeId, Packet)> {
-        let payload = match &pkt.body {
-            PacketBody::Udp { payload } => payload,
-            _ => return Vec::new(),
+    /// Handle a packet delivered to either service host. Returns the
+    /// response as an `(origin node, packet)` emission — it may originate
+    /// from the *other* host when CHANGE-REQUEST asks for it.
+    pub fn handle_packet(&self, node: NodeId, pkt: &Packet) -> Option<(NodeId, Packet)> {
+        let PacketBody::Udp { payload } = &pkt.body else {
+            return None;
         };
         if !self.is_service_endpoint(node, pkt.dst) {
-            return Vec::new();
+            return None;
         }
-        let Some(req) = StunMessage::decode(payload) else {
-            return Vec::new();
-        };
+        let req = StunMessage::decode(payload)?;
         if req.msg_type != BINDING_REQUEST {
-            return Vec::new();
+            return None;
         }
         // Pick the response origin per CHANGE-REQUEST.
         let (resp_node, resp_ip) = if req.change_ip {
@@ -273,10 +270,10 @@ impl StunService {
             Endpoint::new(self.primary_ip, self.port_b)
         };
         let resp = StunMessage::response(req.transaction, pkt.src, other);
-        vec![(
+        Some((
             resp_node,
             Packet::udp(Endpoint::new(resp_ip, resp_port), pkt.src, resp.encode()),
-        )]
+        ))
     }
 }
 
@@ -324,8 +321,8 @@ fn transact(
     let txn = req.transaction;
     pump(
         net,
-        vec![(client_node, Packet::udp(client_ep, dst, req.encode()))],
-        |node, pkt| {
+        &mut vec![(client_node, Packet::udp(client_ep, dst, req.encode()))],
+        |node, pkt, out| {
             if node == client_node {
                 if let PacketBody::Udp { payload } = &pkt.body {
                     if let Some(m) = StunMessage::decode(payload) {
@@ -334,9 +331,8 @@ fn transact(
                         }
                     }
                 }
-                Vec::new()
             } else {
-                service.handle_packet(node, pkt)
+                out.extend(service.handle_packet(node, pkt));
             }
         },
         10_000,

@@ -102,13 +102,12 @@ impl Ctx<'_> {
         let lab = self.lab;
         pump(
             self.net,
-            vec![(client, pkt)],
-            |node, p| {
+            &mut vec![(client, pkt)],
+            |node, p, out| {
                 if node == client {
                     received.push(p.clone());
-                    Vec::new()
                 } else {
-                    lab.dispatch(node, p)
+                    lab.dispatch(node, p, out)
                 }
             },
             10_000,
@@ -124,15 +123,14 @@ impl Ctx<'_> {
         let lab = self.lab;
         pump(
             self.net,
-            vec![(lab.echo.node, pkt)],
-            |node, p| {
+            &mut vec![(lab.echo.node, pkt)],
+            |node, p, out| {
                 if node == client {
                     if matches!(p.body, PacketBody::Udp { .. }) {
                         reached = true;
                     }
-                    Vec::new()
                 } else {
-                    lab.dispatch(node, p)
+                    lab.dispatch(node, p, out)
                 }
             },
             10_000,

@@ -12,6 +12,8 @@
 //! * [`asn`] — autonomous systems, RIR regions and AS kinds (eyeball,
 //!   cellular, transit, content),
 //! * [`Packet`] — the simulated IPv4 packet (UDP / TCP / ICMP) with TTL,
+//! * [`hash`] — the deterministic [`MixMap`] / [`MixSet`] hasher every table
+//!   keyed by simulation-made values uses,
 //! * [`SimTime`] — virtual time, the clock every component shares.
 //!
 //! Everything in this crate is deterministic and free of I/O.
@@ -19,6 +21,7 @@
 pub mod addr;
 pub mod asn;
 pub mod endpoint;
+pub mod hash;
 pub mod packet;
 pub mod reserved;
 pub mod routing;
@@ -27,6 +30,7 @@ pub mod time;
 pub use addr::Prefix;
 pub use asn::{AsId, AsInfo, AsKind, AsRegistry, Rir};
 pub use endpoint::{Endpoint, Protocol};
+pub use hash::{mix64, Mix64Hasher, MixMap, MixSet};
 pub use packet::{IcmpKind, Packet, PacketBody, TcpFlags};
 pub use reserved::{classify_reserved, ReservedRange};
 pub use routing::{RouteEntry, RoutingTable};

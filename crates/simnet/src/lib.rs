@@ -21,7 +21,7 @@
 //!
 //! The simulator is synchronous and deterministic: [`Network::send`]
 //! immediately walks the packet to its destination (zero link latency) and
-//! returns the deliveries; time only advances when the driver calls
+//! returns the delivery; time only advances when the driver calls
 //! [`Network::advance`]. All timeout-sensitive experiments manipulate the
 //! clock explicitly, which makes them exactly reproducible.
 
@@ -29,4 +29,4 @@ pub mod network;
 pub mod pump;
 
 pub use network::{Delivery, DropSite, HopInfo, HopKind, Network, NodeId, RealmId, SendOutcome};
-pub use pump::{pump, PumpStats};
+pub use pump::{pump, Outbox, PumpStats};

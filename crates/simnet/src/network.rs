@@ -28,8 +28,7 @@
 //! all traceroute-style measurements observe).
 
 use nat_engine::{Nat, NatConfig, NatStats, NatVerdict, ShardedNat};
-use netcore::{Endpoint, Packet, SimDuration, SimTime};
-use std::collections::HashMap;
+use netcore::{Endpoint, MixMap, Packet, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 /// Identifier of a node (host or NAT) in the network.
@@ -55,8 +54,9 @@ enum RealmTarget {
 struct Realm {
     /// NAT node guarding this realm (None only for the public realm).
     gateway: Option<NodeId>,
-    /// Address map of this realm.
-    addrs: HashMap<Ipv4Addr, RealmTarget>,
+    /// Address map of this realm: looked up once per realm a packet
+    /// crosses, never iterated.
+    addrs: MixMap<Ipv4Addr, RealmTarget>,
     /// Whether link-local multicast (e.g. BitTorrent LPD) is delivered
     /// across this realm.
     multicast: bool,
@@ -228,7 +228,7 @@ impl Network {
             nodes: Vec::new(),
             realms: vec![Realm {
                 gateway: None,
-                addrs: HashMap::new(),
+                addrs: MixMap::default(),
                 multicast: false,
                 hosts: Vec::new(),
             }],
@@ -311,7 +311,7 @@ impl Network {
         }
         self.realms.push(Realm {
             gateway: Some(id),
-            addrs: HashMap::new(),
+            addrs: MixMap::default(),
             multicast: internal_multicast,
             hosts: Vec::new(),
         });
@@ -571,39 +571,35 @@ impl Network {
 
     /// Send `pkt` from host `origin`. The source endpoint must carry the
     /// host's own address (apps construct packets from their bound
-    /// sockets). Returns the deliveries this send produced: at most one
-    /// payload delivery, plus possibly one ICMP error back to the origin.
-    pub fn send(&mut self, origin: NodeId, pkt: Packet) -> Vec<Delivery> {
+    /// sockets). Returns the one delivery this send can produce: the
+    /// packet itself at its destination, or — if it died of TTL on the
+    /// way — the ICMP error back at the origin; `None` if it was dropped
+    /// silently.
+    pub fn send(&mut self, origin: NodeId, pkt: Packet) -> Option<Delivery> {
         debug_assert_eq!(
             pkt.src.ip,
             self.host(origin).addr,
             "source address must be the sending host's address"
         );
         match self.walk_counted(origin, pkt) {
-            (SendOutcome::Delivered { node, pkt }, _) => vec![Delivery { node, pkt }],
-            (SendOutcome::Dropped(_), icmp) => Self::icmp_delivery(origin, icmp),
+            (SendOutcome::Delivered { node, pkt }, _) => Some(Delivery { node, pkt }),
+            (SendOutcome::Dropped(_), icmp) => icmp.map(|pkt| Delivery { node: origin, pkt }),
         }
     }
 
     /// Send and additionally report the outcome (where the packet ended
-    /// up, or where and why it died). Deliveries are as in [`Network::send`].
-    pub fn send_traced(&mut self, origin: NodeId, pkt: Packet) -> (SendOutcome, Vec<Delivery>) {
+    /// up, or where and why it died). The delivery is as in
+    /// [`Network::send`].
+    pub fn send_traced(&mut self, origin: NodeId, pkt: Packet) -> (SendOutcome, Option<Delivery>) {
         let (outcome, icmp) = self.walk_counted(origin, pkt);
-        let out = match &outcome {
-            SendOutcome::Delivered { node, pkt } => vec![Delivery {
+        let delivery = match &outcome {
+            SendOutcome::Delivered { node, pkt } => Some(Delivery {
                 node: *node,
                 pkt: pkt.clone(),
-            }],
-            SendOutcome::Dropped(_) => Self::icmp_delivery(origin, icmp),
+            }),
+            SendOutcome::Dropped(_) => icmp.map(|pkt| Delivery { node: origin, pkt }),
         };
-        (outcome, out)
-    }
-
-    /// The ICMP error a dropped packet hands back to its origin, if any.
-    fn icmp_delivery(origin: NodeId, icmp: Option<Packet>) -> Vec<Delivery> {
-        icmp.into_iter()
-            .map(|pkt| Delivery { node: origin, pkt })
-            .collect()
+        (outcome, delivery)
     }
 
     /// [`Network::walk`] plus the forwarding counters.
@@ -642,24 +638,17 @@ impl Network {
             return Vec::new();
         }
         self.stats.multicasts += 1;
-        let members: Vec<NodeId> = self.realms[realm.0 as usize]
+        self.realms[realm.0 as usize]
             .hosts
             .iter()
-            .copied()
-            .filter(|h| *h != origin)
-            .collect();
-        members
-            .into_iter()
-            .map(|node| {
-                let dst_addr = self.host(node).addr;
-                Delivery {
-                    node,
-                    pkt: Packet::udp(
-                        Endpoint::new(src_addr, src_port),
-                        Endpoint::new(dst_addr, dst_port),
-                        payload.clone(),
-                    ),
-                }
+            .filter(|h| **h != origin)
+            .map(|&node| Delivery {
+                node,
+                pkt: Packet::udp(
+                    Endpoint::new(src_addr, src_port),
+                    Endpoint::new(self.host(node).addr, dst_port),
+                    payload.clone(),
+                ),
             })
             .collect()
     }
@@ -862,9 +851,10 @@ mod tests {
     fn scenario_a_single_translation() {
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 100), 40000);
-        let ds = f.net.send(f.dev_a, udp(src, server_ep()));
-        assert_eq!(ds.len(), 1);
-        let d = &ds[0];
+        let d = f
+            .net
+            .send(f.dev_a, udp(src, server_ep()))
+            .expect("delivered");
         assert_eq!(d.node, f.server);
         // One translation: the CPE's public WAN address.
         assert_eq!(d.pkt.src.ip, ip(198, 51, 100, 77));
@@ -874,9 +864,11 @@ mod tests {
     fn scenario_b_cgn_translation() {
         let mut f = fig2();
         let src = Endpoint::new(ip(100, 64, 0, 20), 40000);
-        let ds = f.net.send(f.dev_b, udp(src, server_ep()));
-        assert_eq!(ds.len(), 1);
-        let got = ds[0].pkt.src.ip;
+        let ds = f
+            .net
+            .send(f.dev_b, udp(src, server_ep()))
+            .expect("delivered");
+        let got = ds.pkt.src.ip;
         assert!(
             got == ip(198, 51, 100, 1) || got == ip(198, 51, 100, 2),
             "CGN pool address expected, got {got}"
@@ -887,9 +879,11 @@ mod tests {
     fn scenario_c_nat444_double_translation() {
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 50), 40000);
-        let ds = f.net.send(f.dev_c, udp(src, server_ep()));
-        assert_eq!(ds.len(), 1);
-        let got = ds[0].pkt.src.ip;
+        let ds = f
+            .net
+            .send(f.dev_c, udp(src, server_ep()))
+            .expect("delivered");
+        let got = ds.pkt.src.ip;
         assert!(got == ip(198, 51, 100, 1) || got == ip(198, 51, 100, 2));
         // Both NATs hold state now.
         assert_eq!(f.net.nat(f.cpe_c).mapping_count(), 1);
@@ -900,14 +894,16 @@ mod tests {
     fn reply_path_translates_back() {
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 50), 40000);
-        let out = f.net.send(f.dev_c, udp(src, server_ep()));
-        let ext = out[0].pkt.src;
+        let out = f
+            .net
+            .send(f.dev_c, udp(src, server_ep()))
+            .expect("delivered");
+        let ext = out.pkt.src;
         // Server replies to what it saw.
         let reply = udp(server_ep(), ext);
-        let ds = f.net.send(f.server, reply);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].node, f.dev_c);
-        assert_eq!(ds[0].pkt.dst, src, "reply must arrive fully de-translated");
+        let ds = f.net.send(f.server, reply).expect("delivered");
+        assert_eq!(ds.node, f.dev_c);
+        assert_eq!(ds.pkt.dst, src, "reply must arrive fully de-translated");
     }
 
     #[test]
@@ -916,7 +912,7 @@ mod tests {
         let stray = udp(server_ep(), Endpoint::new(ip(198, 51, 100, 1), 12345));
         let ds = f.net.send(f.server, stray);
         assert!(
-            ds.is_empty(),
+            ds.is_none(),
             "no mapping, no delivery, no ICMP for NAT drops"
         );
     }
@@ -928,7 +924,7 @@ mod tests {
         let ds = f
             .net
             .send(f.server, udp(src, Endpoint::new(ip(192, 0, 2, 99), 1)));
-        assert!(ds.is_empty());
+        assert!(ds.is_none());
         assert_eq!(f.net.stats().dropped_no_route, 1);
     }
 
@@ -938,16 +934,15 @@ mod tests {
         let src = Endpoint::new(ip(192, 168, 1, 50), 40001);
         // TTL 1: dies at the CPE (first hop from device C).
         let pkt = udp(src, server_ep()).with_ttl(1);
-        let ds = f.net.send(f.dev_c, pkt);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].node, f.dev_c);
-        match &ds[0].pkt.body {
+        let ds = f.net.send(f.dev_c, pkt).expect("delivered");
+        assert_eq!(ds.node, f.dev_c);
+        match &ds.pkt.body {
             PacketBody::Icmp { kind, .. } => {
                 assert_eq!(*kind, netcore::IcmpKind::TtlExceeded);
             }
             other => panic!("expected ICMP, got {other:?}"),
         }
-        assert_eq!(ds[0].pkt.src.ip, ip(192, 168, 1, 1), "CPE internal address");
+        assert_eq!(ds.pkt.src.ip, ip(192, 168, 1, 1), "CPE internal address");
     }
 
     #[test]
@@ -958,9 +953,12 @@ mod tests {
         // Walk TTLs 1..n and collect ICMP sources, traceroute-style.
         let mut seen = Vec::new();
         for ttl in 1..=truth.len() as u8 {
-            let ds = f.net.send(f.dev_c, udp(src, server_ep()).with_ttl(ttl));
-            match &ds[0].pkt.body {
-                PacketBody::Icmp { .. } => seen.push(ds[0].pkt.src.ip),
+            let ds = f
+                .net
+                .send(f.dev_c, udp(src, server_ep()).with_ttl(ttl))
+                .expect("delivered");
+            match &ds.pkt.body {
+                PacketBody::Icmp { .. } => seen.push(ds.pkt.src.ip),
                 _ => break, // reached the destination
             }
         }
@@ -977,12 +975,16 @@ mod tests {
         let hops = f.net.path_hops(f.dev_b, server_ep().ip).unwrap().len() as u8;
         // Dies with TTL = hops (zero on the last middlebox), delivered with
         // hops + 1.
-        let d1 = f.net.send(f.dev_b, udp(src, server_ep()).with_ttl(hops));
-        assert!(matches!(d1[0].pkt.body, PacketBody::Icmp { .. }));
+        let d1 = f
+            .net
+            .send(f.dev_b, udp(src, server_ep()).with_ttl(hops))
+            .expect("delivered");
+        assert!(matches!(d1.pkt.body, PacketBody::Icmp { .. }));
         let d2 = f
             .net
-            .send(f.dev_b, udp(src, server_ep()).with_ttl(hops + 1));
-        assert_eq!(d2[0].node, f.server);
+            .send(f.dev_b, udp(src, server_ep()).with_ttl(hops + 1))
+            .expect("delivered");
+        assert_eq!(d2.node, f.server);
     }
 
     #[test]
@@ -1000,9 +1002,9 @@ mod tests {
         let cgn_out_before = f.net.nat_stats(f.cgn).out_packets;
         let ds = f
             .net
-            .send(f.dev_b, udp(src, Endpoint::new(ip(100, 64, 0, 30), 6881)));
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].node, f.dev_c);
+            .send(f.dev_b, udp(src, Endpoint::new(ip(100, 64, 0, 30), 6881)))
+            .expect("delivered");
+        assert_eq!(ds.node, f.dev_c);
         assert_eq!(
             f.net.nat_stats(f.cgn).out_packets,
             cgn_out_before,
@@ -1015,14 +1017,19 @@ mod tests {
         let mut f = fig2();
         // B opens a mapping via the server first.
         let b_src = Endpoint::new(ip(100, 64, 0, 20), 7000);
-        let out = f.net.send(f.dev_b, udp(b_src, server_ep()));
-        let b_ext = out[0].pkt.src;
+        let out = f
+            .net
+            .send(f.dev_b, udp(b_src, server_ep()))
+            .expect("delivered");
+        let b_ext = out.pkt.src;
         // C's device (NAT444) sends to B's *external* endpoint: CGN must
         // hairpin it back to B.
         let c_src = Endpoint::new(ip(192, 168, 1, 50), 7001);
-        let ds = f.net.send(f.dev_c, udp(c_src, b_ext));
-        assert_eq!(ds.len(), 1, "hairpinned packet must be delivered");
-        assert_eq!(ds[0].node, f.dev_b);
+        let ds = f
+            .net
+            .send(f.dev_c, udp(c_src, b_ext))
+            .expect("hairpinned packet must be delivered");
+        assert_eq!(ds.node, f.dev_b);
         assert_eq!(f.net.nat_stats(f.cgn).hairpins, 1);
     }
 
@@ -1085,11 +1092,14 @@ mod tests {
     fn mapping_expiry_via_advance() {
         let mut f = fig2();
         let src = Endpoint::new(ip(100, 64, 0, 20), 7100);
-        let out = f.net.send(f.dev_b, udp(src, server_ep()));
-        let ext = out[0].pkt.src;
+        let out = f
+            .net
+            .send(f.dev_b, udp(src, server_ep()))
+            .expect("delivered");
+        let ext = out.pkt.src;
         f.net.advance(SimDuration::from_secs(120)); // > 60 s CGN UDP timeout
         let ds = f.net.send(f.server, udp(server_ep(), ext));
-        assert!(ds.is_empty(), "expired mapping must drop inbound");
+        assert!(ds.is_none(), "expired mapping must drop inbound");
         assert!(f.net.nat_stats(f.cgn).drop_no_mapping >= 1);
     }
 
@@ -1097,14 +1107,17 @@ mod tests {
     fn keepalive_holds_mapping_open() {
         let mut f = fig2();
         let src = Endpoint::new(ip(100, 64, 0, 20), 7200);
-        let out = f.net.send(f.dev_b, udp(src, server_ep()));
-        let ext = out[0].pkt.src;
+        let out = f
+            .net
+            .send(f.dev_b, udp(src, server_ep()))
+            .expect("delivered");
+        let ext = out.pkt.src;
         for _ in 0..10 {
             f.net.advance(SimDuration::from_secs(30));
             let _ = f.net.send(f.dev_b, udp(src, server_ep()));
         }
         let ds = f.net.send(f.server, udp(server_ep(), ext));
-        assert_eq!(ds.len(), 1, "refreshed mapping stays usable after 300 s");
+        assert!(ds.is_some(), "refreshed mapping stays usable after 300 s");
     }
 
     #[test]
@@ -1114,8 +1127,11 @@ mod tests {
         // expire.
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 50), 7300);
-        let out = f.net.send(f.dev_c, udp(src, server_ep()));
-        let ext = out[0].pkt.src;
+        let out = f
+            .net
+            .send(f.dev_c, udp(src, server_ep()))
+            .expect("delivered");
+        let ext = out.pkt.src;
 
         // Path from dev_c: CPE (hop1), router (hop2), CGN (hop3), ...
         // TTL=2 keepalives die at the aggregation router — refreshing only
@@ -1127,7 +1143,7 @@ mod tests {
         }
         // 120 s elapsed: CGN (60 s timeout) expired, CPE (65 s) alive.
         let ds = f.net.send(f.server, udp(server_ep(), ext));
-        assert!(ds.is_empty(), "server probe must die at the CGN");
+        assert!(ds.is_none(), "server probe must die at the CGN");
         assert!(f.net.nat_stats(f.cgn).drop_no_mapping >= 1);
         assert_eq!(
             f.net.nat(f.cpe_c).mapping_count(),
@@ -1141,13 +1157,13 @@ mod tests {
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 50), 7400);
         let syn = Packet::tcp(src, server_ep(), TcpFlags::SYN, vec![]);
-        let d = f.net.send(f.dev_c, syn);
-        let ext = d[0].pkt.src;
+        let d = f.net.send(f.dev_c, syn).expect("delivered");
+        let ext = d.pkt.src;
         let synack = Packet::tcp(server_ep(), ext, TcpFlags::SYN_ACK, vec![]);
-        let d2 = f.net.send(f.server, synack);
-        assert_eq!(d2[0].node, f.dev_c);
+        let d2 = f.net.send(f.server, synack).expect("delivered");
+        assert_eq!(d2.node, f.dev_c);
         let ack = Packet::tcp(src, server_ep(), TcpFlags::ACK, vec![]);
-        assert_eq!(f.net.send(f.dev_c, ack).len(), 1);
+        assert!(f.net.send(f.dev_c, ack).is_some());
     }
 
     /// A sharded CGN behind the walk: translation end-to-end, replies
@@ -1182,16 +1198,18 @@ mod tests {
         }
         for (node, addr) in &devices {
             let src = Endpoint::new(*addr, 40_000);
-            let ds = net.send(*node, Packet::udp(src, server_ep(), vec![]));
-            assert_eq!(ds.len(), 1);
-            assert_eq!(ds[0].node, server);
-            let ext = ds[0].pkt.src;
+            let ds = net
+                .send(*node, Packet::udp(src, server_ep(), vec![]))
+                .expect("delivered");
+            assert_eq!(ds.node, server);
+            let ext = ds.pkt.src;
             assert!(pool.contains(&ext.ip), "translated to a pool address");
             // The owner shard routes the reply back.
-            let back = net.send(server, Packet::udp(server_ep(), ext, vec![]));
-            assert_eq!(back.len(), 1);
-            assert_eq!(back[0].node, *node);
-            assert_eq!(back[0].pkt.dst, src);
+            let back = net
+                .send(server, Packet::udp(server_ep(), ext, vec![]))
+                .expect("delivered");
+            assert_eq!(back.node, *node);
+            assert_eq!(back.pkt.dst, src);
         }
         assert_eq!(net.nat_mapping_count(cgn), 16);
         assert_eq!(net.cgn_stats(cgn).mappings_created, 16);
@@ -1231,14 +1249,17 @@ mod tests {
         let b = net.add_host(realm, b_addr, vec![]);
         // B opens a mapping toward the public server.
         let b_src = Endpoint::new(b_addr, 7000);
-        let out = net.send(b, Packet::udp(b_src, server_ep(), vec![]));
-        let b_ext = out[0].pkt.src;
+        let out = net
+            .send(b, Packet::udp(b_src, server_ep(), vec![]))
+            .expect("delivered");
+        let b_ext = out.pkt.src;
         // A sends to B's external endpoint: translated, looped through
         // the external realm, delivered through the inbound path.
-        let ds = net.send(a, Packet::udp(Endpoint::new(a_addr, 7001), b_ext, vec![]));
-        assert_eq!(ds.len(), 1, "cross-shard internal traffic delivered");
-        assert_eq!(ds[0].node, b);
-        assert_eq!(ds[0].pkt.dst, b_src, "fully de-translated at B");
+        let ds = net
+            .send(a, Packet::udp(Endpoint::new(a_addr, 7001), b_ext, vec![]))
+            .expect("cross-shard internal traffic delivered");
+        assert_eq!(ds.node, b);
+        assert_eq!(ds.pkt.dst, b_src, "fully de-translated at B");
         // Two traversals: A's outbound mapping plus B's original one.
         assert_eq!(net.nat_mapping_count(cgn), 2);
     }
@@ -1338,13 +1359,11 @@ mod prop_tests {
             let src = Endpoint::new(ip(100, 64, 0, 20), 40_000);
             let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
             if m >= 1 {
-                let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(m));
-                prop_assert_eq!(d.len(), 1);
-                prop_assert_eq!(d[0].node, dev, "ICMP returns to the sender");
+                let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(m)).expect("delivered");
+                prop_assert_eq!(d.node, dev, "ICMP returns to the sender");
             }
-            let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(m + 1));
-            prop_assert_eq!(d.len(), 1);
-            prop_assert_eq!(d[0].node, server);
+            let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(m + 1)).expect("delivered");
+            prop_assert_eq!(d.node, server);
         }
 
         /// Traceroute reconstruction: walking TTL 1..=m yields exactly the
@@ -1356,9 +1375,8 @@ mod prop_tests {
             let src = Endpoint::new(ip(100, 64, 0, 20), 41_000);
             let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
             for (i, hop) in truth.iter().enumerate() {
-                let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(i as u8 + 1));
-                prop_assert_eq!(d.len(), 1);
-                prop_assert_eq!(d[0].pkt.src.ip, hop.addr, "hop {} address", i + 1);
+                let d = net.send(dev, Packet::udp(src, dst, vec![]).with_ttl(i as u8 + 1)).expect("delivered");
+                prop_assert_eq!(d.pkt.src.ip, hop.addr, "hop {} address", i + 1);
             }
         }
 
@@ -1372,7 +1390,7 @@ mod prop_tests {
             let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
             let a = n1.send(d1, Packet::udp(src, dst, vec![1, 2, 3]));
             let b = n2.send(d2, Packet::udp(src, dst, vec![1, 2, 3]));
-            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(a.is_some(), b.is_some());
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(&x.pkt, &y.pkt);
             }

@@ -6,13 +6,17 @@
 //! a handler closure, sends whatever packets the handler emits, and repeats
 //! until the exchange quiesces.
 //!
-//! The handler receives `(receiving node, packet)` and returns packets to
-//! transmit as `(origin node, packet)` pairs — usually replies from the
-//! receiving node, but relays and multi-party protocols fit too.
+//! The handler receives `(receiving node, packet, outbox)` and pushes the
+//! packets to transmit onto the outbox as `(origin node, packet)` pairs —
+//! usually replies from the receiving node, but relays and multi-party
+//! protocols fit too.
 
 use crate::network::{Delivery, Network, NodeId};
 use netcore::Packet;
 use std::collections::VecDeque;
+
+/// Packets waiting to be sent, each with the host it leaves from.
+pub type Outbox = Vec<(NodeId, Packet)>;
 
 /// Counters describing one pump run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -27,36 +31,41 @@ pub struct PumpStats {
 
 /// Run an exchange to quiescence (or `max_steps` deliveries).
 ///
-/// `initial` seeds the loop with packets to send; every resulting delivery
-/// is passed to `handle`, whose returned packets are sent in turn.
-pub fn pump<F>(
-    net: &mut Network,
-    initial: Vec<(NodeId, Packet)>,
-    mut handle: F,
-    max_steps: usize,
-) -> PumpStats
+/// The outbox is the caller's, and is both ends of the contract:
+///
+/// * **In:** it holds the packets that start the exchange. They are sent
+///   first, in order.
+/// * **During:** every delivery is passed to `handle` together with the
+///   (then empty) outbox; what the handler pushes is sent as soon as the
+///   handler returns, in push order, before the next delivery is
+///   handled. Deliveries are handled in the order their packets were
+///   sent. This is the order a handler that returned a `Vec` of
+///   emissions was served in: the sequence of `Network::send` calls, and
+///   so of every NAT's state changes, is a function of the handler alone.
+/// * **Out:** `pump` drains what it sends, so the outbox is empty again
+///   when it returns — also after truncation — and keeps its capacity:
+///   a caller that pumps in a loop allocates one outbox, not one `Vec`
+///   per handled packet.
+pub fn pump<F>(net: &mut Network, outbox: &mut Outbox, mut handle: F, max_steps: usize) -> PumpStats
 where
-    F: FnMut(NodeId, &Packet) -> Vec<(NodeId, Packet)>,
+    F: FnMut(NodeId, &Packet, &mut Outbox),
 {
     let mut stats = PumpStats::default();
     let mut queue: VecDeque<Delivery> = VecDeque::new();
-    for (origin, pkt) in initial {
-        for d in net.send(origin, pkt) {
-            queue.push_back(d);
-        }
-    }
+    let mut send_all = |outbox: &mut Outbox, queue: &mut VecDeque<Delivery>| {
+        let sent = outbox.drain(..);
+        queue.extend(sent.filter_map(|(origin, pkt)| net.send(origin, pkt)));
+    };
+    send_all(outbox, &mut queue);
     while let Some(d) = queue.pop_front() {
         if stats.deliveries as usize >= max_steps {
             stats.truncated = true;
             break;
         }
         stats.deliveries += 1;
-        for (origin, pkt) in handle(d.node, &d.pkt) {
-            stats.emissions += 1;
-            for nd in net.send(origin, pkt) {
-                queue.push_back(nd);
-            }
-        }
+        handle(d.node, &d.pkt, outbox);
+        stats.emissions += outbox.len() as u64;
+        send_all(outbox, &mut queue);
     }
     stats
 }
@@ -76,15 +85,13 @@ mod tests {
         let eb = Endpoint::new(ip(203, 0, 113, 2), 2000);
 
         // b echoes once; a stays silent on the echo.
-        let initial = vec![(a, Packet::udp(ea, eb, b"ping".to_vec()))];
+        let mut outbox = vec![(a, Packet::udp(ea, eb, b"ping".to_vec()))];
         let stats = pump(
             &mut net,
-            initial,
-            |node, pkt| {
+            &mut outbox,
+            |node, pkt, out| {
                 if node == b && pkt.body.payload() == b"ping" {
-                    vec![(b, Packet::udp(eb, ea, b"pong".to_vec()))]
-                } else {
-                    vec![]
+                    out.push((b, Packet::udp(eb, ea, b"pong".to_vec())));
                 }
             },
             100,
@@ -92,6 +99,52 @@ mod tests {
         assert_eq!(stats.deliveries, 2);
         assert_eq!(stats.emissions, 1);
         assert!(!stats.truncated);
+        assert!(outbox.is_empty(), "pump hands the outbox back drained");
+    }
+
+    /// The ordering guarantee: what a handler pushes is sent in push
+    /// order, and deliveries are handled in the order their packets were
+    /// sent — breadth first.
+    #[test]
+    fn emissions_are_sent_in_push_order_before_the_next_delivery() {
+        let mut net = Network::new();
+        let hosts: Vec<(NodeId, Endpoint)> = (1..=4u8)
+            .map(|n| {
+                let addr = ip(203, 0, 113, n);
+                (
+                    net.add_host(RealmId::PUBLIC, addr, vec![]),
+                    Endpoint::new(addr, 1000),
+                )
+            })
+            .collect();
+        let udp = |from: usize, to: usize, tag: u8| {
+            (
+                hosts[from].0,
+                Packet::udp(hosts[from].1, hosts[to].1, vec![tag]),
+            )
+        };
+        // 0 → 1 and 0 → 2 start; 1 answers with two packets (to 3, to
+        // 0), 2 with one (to 3): breadth first, in push order.
+        let mut outbox = vec![udp(0, 1, 1), udp(0, 2, 2)];
+        let mut handled = Vec::new();
+        let stats = pump(
+            &mut net,
+            &mut outbox,
+            |node, pkt, out| {
+                assert!(out.is_empty(), "the handler is given a drained outbox");
+                let at = hosts.iter().position(|h| h.0 == node).unwrap();
+                handled.push((at, pkt.body.payload()[0]));
+                match pkt.body.payload()[0] {
+                    1 => out.extend([udp(1, 3, 11), udp(1, 0, 12)]),
+                    2 => out.push(udp(2, 3, 21)),
+                    _ => {}
+                }
+            },
+            100,
+        );
+        assert_eq!(handled, [(1, 1), (2, 2), (3, 11), (0, 12), (3, 21)]);
+        assert_eq!((stats.deliveries, stats.emissions), (5, 3));
+        assert_eq!(net.stats().sent, 5);
     }
 
     #[test]
@@ -103,20 +156,22 @@ mod tests {
         let eb = Endpoint::new(ip(203, 0, 113, 2), 2000);
 
         // Infinite ping-pong: bounded by max_steps.
+        let mut outbox = vec![(a, Packet::udp(ea, eb, b"x".to_vec()))];
         let stats = pump(
             &mut net,
-            vec![(a, Packet::udp(ea, eb, b"x".to_vec()))],
-            |node, _pkt| {
+            &mut outbox,
+            |node, _pkt, out| {
                 if node == b {
-                    vec![(b, Packet::udp(eb, ea, b"x".to_vec()))]
+                    out.push((b, Packet::udp(eb, ea, b"x".to_vec())));
                 } else {
-                    vec![(a, Packet::udp(ea, eb, b"x".to_vec()))]
+                    out.push((a, Packet::udp(ea, eb, b"x".to_vec())));
                 }
             },
             10,
         );
         assert!(stats.truncated);
         assert_eq!(stats.deliveries, 10);
+        assert!(outbox.is_empty());
     }
 
     #[test]
@@ -127,8 +182,8 @@ mod tests {
         let nowhere = Endpoint::new(ip(192, 0, 2, 1), 9);
         let stats = pump(
             &mut net,
-            vec![(a, Packet::udp(ea, nowhere, b"x".to_vec()))],
-            |_, _| vec![],
+            &mut vec![(a, Packet::udp(ea, nowhere, b"x".to_vec()))],
+            |_, _, _| {},
             10,
         );
         assert_eq!(stats.deliveries, 0);

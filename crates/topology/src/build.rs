@@ -978,8 +978,7 @@ mod tests {
                 Endpoint::new(svc, 8000),
                 vec![1],
             );
-            let ds = w.net.send(node, pkt);
-            if ds.iter().any(|d| d.node == server) {
+            if w.net.send(node, pkt).is_some_and(|d| d.node == server) {
                 delivered += 1;
             }
         }

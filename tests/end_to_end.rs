@@ -1,6 +1,6 @@
 //! End-to-end integration: the full pipeline on a tiny world.
 
-use cgn_study::{pipeline, run_study, StudyConfig};
+use cgn_study::{pipeline, results, run_study, StudyConfig};
 
 #[test]
 fn full_study_assembles_and_is_consistent() {
@@ -96,5 +96,35 @@ fn artifacts_expose_consistent_ground_truth() {
             art.world.deployment(a).is_some(),
             "session attributed to uninstrumented {a}"
         );
+    }
+}
+
+/// FNV-1a over the rendered report: the digest the benchmark prints
+/// for `study-pipeline`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The study's output and packet counts per seed, recorded from the
+/// tree before the DHT codec, `closest`, `pump` and the hashers were
+/// rewritten (PR 19): those rewrites promise the same packets, bytes,
+/// order and RNG draws, and this is the tier-1 check that they kept it.
+#[test]
+fn study_output_is_pinned() {
+    // (seed, report digest, packets sent, NAT drops, crawler queries)
+    for (seed, digest, sent, dropped_nat, queries) in [
+        (7u64, 0xbf42_9935_fdcf_d31e_u64, 52_542u64, 846u64, 1_080u64),
+        (78, 0xe770_af1d_afab_77da, 57_545, 729, 1_190),
+        (2016, 0xd7cc_4313_58b8_7b30, 49_916, 462, 1_205),
+    ] {
+        let art = pipeline::measure(StudyConfig::tiny(seed));
+        let net = art.world.net.stats();
+        let text = results::assemble(&art).render();
+        assert_eq!(fnv1a(text.as_bytes()), digest, "seed {seed}: report");
+        assert_eq!(net.sent, sent, "seed {seed}: packets sent");
+        assert_eq!(net.dropped_nat, dropped_nat, "seed {seed}: NAT drops");
+        assert_eq!(art.crawl.queries_sent, queries, "seed {seed}: queries");
     }
 }

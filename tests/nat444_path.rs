@@ -54,9 +54,9 @@ fn double_translation_and_reply_path() {
     let dst = w.lab.echo.udp_endpoint();
     let out = w
         .net
-        .send(w.device, Packet::udp(src, dst, b"PING".to_vec()));
-    assert_eq!(out.len(), 1, "packet must reach the echo server");
-    let seen = out[0].pkt.src;
+        .send(w.device, Packet::udp(src, dst, b"PING".to_vec()))
+        .expect("packet must reach the echo server");
+    let seen = out.pkt.src;
     assert!(
         seen.ip == ip(198, 51, 100, 1) || seen.ip == ip(198, 51, 100, 2),
         "server must see a CGN pool address, saw {seen}"
@@ -67,10 +67,10 @@ fn double_translation_and_reply_path() {
     // The reply fully de-translates.
     let back = w
         .net
-        .send(out[0].node, Packet::udp(dst, seen, b"PONG".to_vec()));
-    assert_eq!(back.len(), 1);
-    assert_eq!(back[0].node, w.device);
-    assert_eq!(back[0].pkt.dst, src);
+        .send(out.node, Packet::udp(dst, seen, b"PONG".to_vec()))
+        .expect("reply must reach the device");
+    assert_eq!(back.node, w.device);
+    assert_eq!(back.pkt.dst, src);
 }
 
 #[test]
@@ -136,8 +136,9 @@ fn expired_cgn_blocks_inbound_but_cpe_state_survives() {
     let dst = w.lab.echo.udp_endpoint();
     let out = w
         .net
-        .send(w.device, Packet::udp(src, dst, b"PING".to_vec()));
-    let ext = out[0].pkt.src;
+        .send(w.device, Packet::udp(src, dst, b"PING".to_vec()))
+        .expect("delivered");
+    let ext = out.pkt.src;
 
     // 40 s idle: the CGN (30 s) expired, the CPE (65 s) did not.
     w.net.advance(SimDuration::from_secs(40));
@@ -145,7 +146,7 @@ fn expired_cgn_blocks_inbound_but_cpe_state_survives() {
     let probe = w
         .net
         .send(echo_node, Packet::udp(dst, ext, b"PROBE".to_vec()));
-    assert!(probe.is_empty(), "probe must die at the expired CGN");
+    assert!(probe.is_none(), "probe must die at the expired CGN");
     assert!(w.net.nat_stats(w.cgn).drop_no_mapping >= 1);
     assert_eq!(w.net.nat(w.cpe).mapping_count(), 1, "CPE state survives");
 }
