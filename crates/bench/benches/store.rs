@@ -15,7 +15,7 @@
 //! cargo bench -p cgn-bench --bench store
 //! ```
 //!
-//! The CI perf job uploads the output as the `BENCH_store` artifact.
+//! The CI `store-bench` job uploads the output as the `BENCH_store` artifact.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use nat_engine::store::{Mapping, MappingStore};

@@ -24,8 +24,8 @@ fn slice_config(mix: WorkloadMix) -> DriverConfig {
 }
 
 /// The same slice across shard counts, sequential vs. worker threads —
-/// the bench-visible view of the scaling axis this crate's perf
-/// harness (`--bin perf`) measures end to end.
+/// the bench-visible view of the scaling axis `benchmark/`'s
+/// `driver-steady` workload measures end to end.
 fn sharded_config(shards: u16, threads: usize) -> DriverConfig {
     DriverConfig {
         subscribers: 800,

@@ -47,6 +47,7 @@
 //! nonzero when an export fails or the committed precision/recall
 //! gates are missed.
 
+use cgn_bench::metrics_artifact::{measure_probe_latency, MetricsReport};
 use cgn_study::{run_study, StudyConfig};
 
 fn main() {
@@ -170,9 +171,6 @@ fn main() {
                 std::process::exit(1);
             });
         write_trace_artifact(&dim, path, trace_sample);
-    }
-    if dimensioning {
-        print_perf_reference();
     }
     if let Some(dir) = export_dir {
         match cgn_study::write_to_dir(&report, &dir) {
@@ -373,13 +371,13 @@ fn write_metrics_artifacts(dimensioning: Option<&cgn_study::DimensioningReport>)
         eprintln!("--metrics given but the study produced no dimensioning report");
         std::process::exit(1);
     };
-    let Some(mut artifact) = cgn_bench::perf::MetricsReport::from_dimensioning(dim) else {
+    let Some(mut artifact) = MetricsReport::from_dimensioning(dim) else {
         eprintln!("--metrics given but the dimensioning runs carried no metrics");
         std::process::exit(1);
     };
     // Wall-clock probe latency lives only in this artifact, never in
     // the bit-compared report itself.
-    artifact.metrics.probe_latency = cgn_bench::perf::measure_probe_latency(&dim.config);
+    artifact.metrics.probe_latency = measure_probe_latency(&dim.config);
     let json = serde_json::to_string_pretty(&artifact).expect("metrics serializes");
     if let Err(e) = std::fs::write("BENCH_metrics.json", json) {
         eprintln!("writing BENCH_metrics.json failed: {e}");
@@ -394,35 +392,6 @@ fn write_metrics_artifacts(dimensioning: Option<&cgn_study::DimensioningReport>)
         std::process::exit(1);
     }
     println!("wrote BENCH_metrics.prom");
-}
-
-/// Surface the perf harness's machine-readable trajectory next to the
-/// dimensioning report, so a repro run shows the throughput the same
-/// sweep achieved on the reference machine (`--bin perf` refreshes it).
-fn print_perf_reference() {
-    for path in ["BENCH_dimensioning.json", "bench/baseline.json"] {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let Ok(p) = serde_json::from_str::<cgn_bench::perf::PerfReport>(&text) else {
-            continue;
-        };
-        println!("\nperf reference ({path}):");
-        for s in &p.scales {
-            println!(
-                "  scale {:>2}x ({} subscribers): {:.0} flows/s, peak {} mappings",
-                s.scale, s.subscribers, s.flows_per_sec, s.peak_mappings
-            );
-        }
-        println!(
-            "  {} worker thread(s); parallel speedup {:.2}x over sequential",
-            p.threads, p.parallel_speedup
-        );
-        return;
-    }
-    println!(
-        "\n(no BENCH_dimensioning.json yet — run `cargo run --release -p cgn-bench --bin perf`)"
-    );
 }
 
 /// The `--trace-out` leg: re-run the dimensioning sweep's reference

@@ -1,16 +1,19 @@
-//! # cgn-bench — benchmark harness and experiment regeneration
+//! # cgn-bench — experiment regeneration and Criterion benches
 //!
 //! * `src/bin/repro.rs` — regenerates every table and figure of the paper
-//!   (`cargo run --release -p cgn-bench --bin repro`);
-//! * `src/bin/perf.rs` — the [`perf`] harness: times the dimensioning
-//!   sweep at 1×/4×/16× subscriber scale on the sharded engine and
-//!   writes `BENCH_dimensioning.json` (the CI regression artifact);
+//!   (`cargo run --release -p cgn-bench --bin repro`), and hosts the
+//!   `dimensioning`, `detection`, `soak` and `top` modes;
+//! * [`metrics_artifact`] — the `BENCH_metrics.json` / `.prom` artifact
+//!   `repro -- dimensioning --metrics` writes;
 //! * `benches/` — Criterion micro- and macro-benchmarks: NAT translation
 //!   throughput, bencode/KRPC/STUN codecs, routing-table lookups, DHT
 //!   crawl, detection pipelines, and the per-experiment regeneration
 //!   benches (one per table/figure group) plus detector ablations.
+//!
+//! End-to-end throughput, per-layer cost and regression bounds are
+//! measured by the separate `benchmark/` package, not here.
 
-pub mod perf;
+pub mod metrics_artifact;
 
 /// Shared scale used by the experiment benches so their numbers are
 /// comparable across runs.

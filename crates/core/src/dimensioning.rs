@@ -67,7 +67,7 @@ pub struct DimensioningConfig {
     /// burst pipeline per shard
     /// ([`cgn_traffic::DriverConfig::burst`]); `0` = the driver's
     /// default ([`cgn_traffic::DEFAULT_BURST`]). Never changes the results,
-    /// only the wall time — the perf harness's batch leg sweeps it.
+    /// only the wall time.
     pub burst: usize,
     /// Permille of forwarded outbound packets whose flow receives an
     /// inbound reply in the same millisecond
@@ -132,8 +132,8 @@ impl DimensioningConfig {
     }
 
     /// The per-mix driver configuration this study hands to
-    /// `cgn_traffic::run` (public so the perf harness can time mixes
-    /// individually).
+    /// `cgn_traffic::run` (public so `repro`'s metrics and trace
+    /// artifacts can re-run the reference mix).
     pub fn driver_config(&self, mix: WorkloadMix) -> DriverConfig {
         DriverConfig {
             subscribers: self.subscribers,
@@ -371,8 +371,8 @@ const LATENCY_PROBES: usize = 512;
 /// `(ext IP, port, T)` queries, recording **nanoseconds** into a log2
 /// histogram.
 ///
-/// Wall-clock values live in the artifact layer only (perf reports,
-/// `BENCH_metrics.json`) — they must never enter [`RunSummary`] or
+/// Wall-clock values live in the artifact layer only
+/// (`BENCH_metrics.json`) — they must never enter [`RunSummary`] or
 /// [`DimensioningReport`], which are compared bit-for-bit across runs
 /// and machines.
 pub fn probe_latency_histogram(records: &[Record]) -> cgn_metrics::Histogram {

@@ -213,7 +213,7 @@ impl Histogram {
     }
 
     /// The `(p50, p95, p99)` interpolated quantiles, the triple the
-    /// phase profiler and perf harness report.
+    /// phase profiler reports.
     pub fn percentiles(&self) -> (f64, f64, f64) {
         (
             self.quantile_interpolated(0.50),

@@ -15,9 +15,8 @@
 //! `Option<Box<dyn EventSink>>`; with no sink installed every fire
 //! site is one untaken branch on `None` — and fire sites sit on the
 //! mapping lifecycle (create / expire / block grant), not on the
-//! per-packet fast path. The CI logging leg pins this: the
-//! disabled-sink configuration must hold the baseline's
-//! machine-relative throughput ratios within 5%.
+//! per-packet fast path. `benchmark/`'s sink-free workloads, read as
+//! parent-vs-change pairs, are what hold this.
 //!
 //! Four events cover the three §6.2 allocation policies' logging
 //! models:

@@ -39,7 +39,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The last-published rendering of the session, served verbatim.
 struct Published {
@@ -107,9 +107,9 @@ impl OpsServer {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Requests that failed mid-answer (short reads, broken pipes on
-    /// the response write) — the counter `/healthz` surfaces as
-    /// `scrape_errors`.
+    /// Requests that failed mid-answer (short reads, a request head
+    /// not delivered within its deadline, broken pipes on the response
+    /// write) — the counter `/healthz` surfaces as `scrape_errors`.
     pub fn scrape_errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
@@ -175,6 +175,42 @@ fn accept_loop(
     }
 }
 
+/// Wall-clock budget for a client to deliver its whole request head.
+/// One budget for the head, not one per read: the accept thread serves
+/// a connection at a time, so a client trickling bytes just inside a
+/// per-read timeout would hold every route for hours.
+const HEAD_DEADLINE: Duration = Duration::from_secs(if cfg!(test) { 1 } else { 5 });
+
+/// Longest request head read before routing on what has arrived.
+const MAX_HEAD_BYTES: usize = 8192;
+
+/// Read up to the blank line that ends a request head (or EOF, or
+/// [`MAX_HEAD_BYTES`]). A head still incomplete at [`HEAD_DEADLINE`]
+/// is an [`ErrorKind::TimedOut`] error.
+fn read_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::with_capacity(512);
+    let mut chunk = [0u8; 512];
+    while head.len() < MAX_HEAD_BYTES {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(remaining))?;
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            break;
+        }
+        // The terminator may straddle two reads.
+        let scan_from = head.len().saturating_sub(3);
+        head.extend_from_slice(&chunk[..n]);
+        if head[scan_from..].windows(4).any(|w| w == b"\r\n\r\n") {
+            break;
+        }
+    }
+    Ok(head)
+}
+
 /// Read one request head, route on the path, write one response.
 /// `Connection: close` on everything — a scrape is one round trip.
 fn answer(
@@ -183,16 +219,8 @@ fn answer(
     served: &AtomicU64,
     errors: &AtomicU64,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") && head.len() < 8192 {
-        match stream.read(&mut byte)? {
-            0 => break,
-            _ => head.push(byte[0]),
-        }
-    }
+    let head = read_head(&mut stream)?;
     let request_line = std::str::from_utf8(&head)
         .unwrap_or("")
         .lines()
@@ -451,6 +479,45 @@ mod tests {
             body.contains(&format!("\"scrape_errors\":{errors}")),
             "healthz surfaces the live counter: {body}"
         );
+    }
+
+    /// A client that trickles its request head a byte at a time gets
+    /// one deadline for the whole head, not one per byte, so the
+    /// single accept thread is free for the next scrape.
+    #[test]
+    fn trickled_request_head_is_cut_off_at_the_deadline() {
+        let server = OpsServer::bind("127.0.0.1:0").expect("bind");
+        let (snap, health) = sample_state();
+        server.publish(&snap, &health);
+
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(server.local_addr()).expect("connect");
+        slow.write_all(b"GET /he").expect("first bytes");
+        // Never completes the head; stops once the server hangs up (or,
+        // against a server without the deadline, after 20 s).
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..100 {
+                std::thread::sleep(Duration::from_millis(200));
+                if slow.write_all(b"a").is_err() {
+                    return;
+                }
+            }
+        });
+
+        let patience = HEAD_DEADLINE + Duration::from_secs(3);
+        while server.scrape_errors() == 0 && started.elapsed() < patience {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.scrape_errors(), 1, "expired head is an error");
+        assert!(
+            started.elapsed() >= HEAD_DEADLINE,
+            "not before the deadline"
+        );
+        assert_eq!(server.scrapes_served(), 0, "the trickler got no answer");
+
+        let body = scrape(server.local_addr(), "/healthz").expect("endpoint is free again");
+        assert!(body.contains("\"scrape_errors\":1"), "{body}");
+        trickler.join().expect("trickler exits once cut off");
     }
 
     #[test]

@@ -32,14 +32,12 @@
 
 pub mod codec;
 pub mod detmap;
-pub mod mmap;
 pub mod query;
 pub mod rotate;
 pub mod sink;
 
 pub use codec::{decode_bytes, DecodeError, EventLog, Record};
 pub use detmap::DeterministicMap;
-pub use mmap::{MmapWriteSink, MmapWriter, DEFAULT_PREALLOC_BYTES};
 pub use query::{linear_scan, TraceIndex};
 pub use rotate::{
     FileGenerations, GenerationFactory, GenerationStats, RotatingFileSink, RotatingWriteSink,

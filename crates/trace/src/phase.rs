@@ -169,7 +169,7 @@ impl PhaseProfiler {
     }
 
     /// `(phase, p50, p95, p99, count)` rows for every non-empty
-    /// phase — the table the perf harness and the `top` TUI print.
+    /// phase.
     pub fn percentile_rows(&self) -> Vec<(Phase, f64, f64, f64, u64)> {
         Phase::ALL
             .iter()
