@@ -17,6 +17,12 @@ pub const K: usize = 8;
 pub struct RoutingTable160 {
     own_id: NodeId160,
     buckets: Vec<Vec<CompactNode>>,
+    /// Bit `i` (of 160, low word first): bucket `i` holds a contact.
+    /// Half of all ids fall in one bucket, a quarter in the next, and so
+    /// on, so a table fills ten or so buckets and leaves the rest empty:
+    /// [`RoutingTable160::closest`] reads these three words instead of
+    /// 160 bucket headers.
+    occupied: [u64; 3],
     /// Contacts stored, over all buckets.
     len: usize,
 }
@@ -26,6 +32,7 @@ impl RoutingTable160 {
         RoutingTable160 {
             own_id,
             buckets: vec![Vec::new(); 160],
+            occupied: [0; 3],
             len: 0,
         }
     }
@@ -72,6 +79,7 @@ impl RoutingTable160 {
             return false;
         }
         bucket.push(node);
+        self.occupied[idx / 64] |= 1 << (idx % 64);
         self.len += 1;
         true
     }
@@ -89,6 +97,9 @@ impl RoutingTable160 {
         let bucket = &mut self.buckets[idx];
         let before = bucket.len();
         bucket.retain(|c| c.id != id);
+        if bucket.is_empty() {
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
+        }
         self.len -= before - bucket.len();
         bucket.len() != before
     }
@@ -111,8 +122,8 @@ impl RoutingTable160 {
     /// The `n` contacts closest to `target`, nearest first — the content
     /// of a `find_node` response.
     ///
-    /// This is a selection, not a sort: one pass over the table, one
-    /// distance per contact (three big-endian words, compared as the
+    /// This is a selection, not a sort: one pass over the occupied
+    /// buckets, one distance per contact (three big-endian words, compared as the
     /// 160-bit integers they spell), and the best `n` seen so far kept
     /// sorted in the buffer that is returned, which a contact enters
     /// only by beating its last entry. The result is what sorting the
@@ -133,18 +144,25 @@ impl RoutingTable160 {
         };
         // Distance of `best`'s last entry once it holds `n`.
         let mut worst = [u64::MAX; 3];
-        for c in self.iter() {
-            let d = distance(c);
-            if best.len() == n {
-                if d >= worst {
-                    continue;
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let mut left = word;
+            while left != 0 {
+                let bucket = &self.buckets[w * 64 + left.trailing_zeros() as usize];
+                left &= left - 1;
+                for c in bucket {
+                    let d = distance(c);
+                    if best.len() == n {
+                        if d >= worst {
+                            continue;
+                        }
+                        best.pop();
+                    }
+                    let at = best.partition_point(|b| distance(b) < d);
+                    best.insert(at, *c);
+                    if best.len() == n {
+                        worst = distance(&best[n - 1]);
+                    }
                 }
-                best.pop();
-            }
-            let at = best.partition_point(|b| distance(b) < d);
-            best.insert(at, *c);
-            if best.len() == n {
-                worst = distance(&best[n - 1]);
             }
         }
         best

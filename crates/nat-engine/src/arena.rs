@@ -20,8 +20,10 @@
 //! The exception is **chunk 0 while it is young**. A zeroed 2 MiB
 //! hugepage is the wrong price for a home CPE NAT holding a handful of
 //! mappings — the paper's own pipeline (§4–§6) builds hundreds of
-//! those — so chunk 0 starts as a plain allocation of at most 4 KiB
-//! and doubles (allocate, copy, free) until it holds `CAP` elements.
+//! those — so chunk 0 starts as a plain allocation of **eight rows**
+//! — rows, not a page: a page is 32 of the store's cold rows, and a
+//! home NAT holds six — and doubles (allocate, copy, free) until it
+//! holds `CAP` elements.
 //! That last step lands it in the same aligned, hugepage-advised 2 MiB
 //! chunk every later chunk is, and from then on nothing moves again.
 //! The copies total less than one chunk (under 2 MiB) over an arena's
@@ -93,8 +95,9 @@ unsafe fn advise_hugepage(_ptr: *mut u8, _len: usize) {}
 /// (chunk 0 of a small arena is smaller).
 pub const ARENA_CHUNK_BYTES: usize = 2 * 1024 * 1024;
 
-/// Upper bound on chunk 0's first allocation: one base page.
-const FIRST_CHUNK_BYTES: usize = 4096;
+/// Elements in chunk 0's first allocation (fewer only if a whole
+/// chunk holds fewer).
+const FIRST_CHUNK_ROWS: usize = 8;
 
 /// Largest power of two not above `n` (`n > 0`).
 const fn floor_pow2(n: usize) -> usize {
@@ -129,16 +132,13 @@ impl<T> Arena<T> {
     };
     const SHIFT: u32 = Self::CAP.trailing_zeros();
     const MASK: usize = Self::CAP - 1;
-    /// Elements in chunk 0's first allocation: the largest power of
-    /// two that fits in [`FIRST_CHUNK_BYTES`] (one element if none
-    /// does). Never above `CAP`, and doubling lands exactly on it.
-    pub(crate) const FIRST: usize = {
-        let per = FIRST_CHUNK_BYTES / std::mem::size_of::<T>();
-        if per == 0 {
-            1
-        } else {
-            floor_pow2(per)
-        }
+    /// Elements in chunk 0's first allocation: [`FIRST_CHUNK_ROWS`],
+    /// or `CAP` where that is smaller. A power of two either way, so
+    /// doubling lands exactly on `CAP`.
+    pub(crate) const FIRST: usize = if Self::CAP < FIRST_CHUNK_ROWS {
+        Self::CAP
+    } else {
+        FIRST_CHUNK_ROWS
     };
 
     pub fn new() -> Self {
@@ -211,7 +211,7 @@ impl<T> Arena<T> {
 
     /// Bytes of element storage currently allocated.
     #[cfg(test)]
-    pub fn reserved_bytes(&self) -> usize {
+    pub(crate) fn reserved_bytes(&self) -> usize {
         self.cap * std::mem::size_of::<T>()
     }
 
@@ -351,7 +351,7 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    /// A 1 KiB row: `CAP` is 2048 and `FIRST` 4, so a test can walk
+    /// A 1 KiB row: `CAP` is 2048 and `FIRST` 8, so a test can walk
     /// every promotion step and cross into chunk 1 in ~2k pushes.
     type Row = [u64; 128];
     const ROW_CAP: usize = Arena::<Row>::CAP;
@@ -428,11 +428,12 @@ mod tests {
         let mut a: Arena<Row> = Arena::new();
         assert_eq!(a.reserved_bytes(), 0);
         a.push(row(0));
-        assert_eq!(a.reserved_bytes(), FIRST_CHUNK_BYTES);
+        let first = FIRST_CHUNK_ROWS * std::mem::size_of::<Row>();
+        assert_eq!(a.reserved_bytes(), first);
         for i in 1..ROW_CAP {
             a.push(row(i));
             let held = a.len() * std::mem::size_of::<Row>();
-            assert!(a.reserved_bytes() < 2 * held.max(FIRST_CHUNK_BYTES));
+            assert!(a.reserved_bytes() < 2 * held.max(first));
         }
         assert_eq!(a.reserved_bytes(), ARENA_CHUNK_BYTES);
         a.push(row(ROW_CAP));
@@ -440,15 +441,36 @@ mod tests {
     }
 
     #[test]
-    fn element_larger_than_the_first_allocation_starts_at_one() {
-        // 8 KiB rows: FIRST is 1, CAP 256 — the doubling still lands
-        // exactly on CAP.
+    fn first_chunk_is_eight_rows_at_every_row_size() {
+        // Rows, not bytes: a 32-byte hot row and an 8 KiB row both
+        // start at eight, and only a row so large that a whole chunk
+        // holds fewer starts at CAP.
+        assert_eq!(Arena::<[u64; 4]>::FIRST, 8);
+        assert_eq!(Arena::<Row>::FIRST, 8);
+        assert_eq!(Arena::<[u64; 1024]>::FIRST, 8);
+        type Huge = [u64; 100_000];
+        assert_eq!((Arena::<Huge>::CAP, Arena::<Huge>::FIRST), (2, 2));
+        let mut a: Arena<[u64; 4]> = Arena::new();
+        a.push([0; 4]);
+        assert_eq!(a.reserved_bytes(), 8 * 32);
+    }
+
+    #[test]
+    fn eight_row_first_chunk_doubles_exactly_onto_cap() {
+        // 8 KiB rows: FIRST is 8, CAP 256 — five doublings, each moving
+        // every row, and the last lands exactly on CAP.
         type Big = [u64; 1024];
         let mut a: Arena<Big> = Arena::new();
         let n = Arena::<Big>::CAP + 1;
+        let mut sizes = Vec::new();
         for i in 0..n {
             a.push([i as u64; 1024]);
+            if sizes.last() != Some(&a.reserved_bytes()) {
+                sizes.push(a.reserved_bytes());
+            }
         }
+        let rows: Vec<usize> = sizes.iter().map(|b| b / 8192).collect();
+        assert_eq!(rows, [8, 16, 32, 64, 128, 256, 512]);
         assert_eq!(a.chunks(), 2);
         assert!(a.iter().enumerate().all(|(i, r)| r[1023] == i as u64));
     }

@@ -235,6 +235,15 @@ impl Nat {
         &self.config
     }
 
+    /// Bytes of heap storage currently allocated for what grows with
+    /// the mappings: the store (arenas, wheel, indices) and every
+    /// allocator's port set.
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        let ports = self.allocators.iter().flatten();
+        self.store.reserved_bytes() + ports.map(PortAllocator::reserved_bytes).sum::<usize>()
+    }
+
     /// Install a telemetry sink: the engine fires mapping
     /// create/expire and block grant/return events into it (see
     /// [`crate::telemetry`]). Replaces any previously installed sink.
@@ -1431,6 +1440,71 @@ mod tests {
         n.sweep(t(110));
         assert_eq!(n.mapping_count(), 0);
         assert_eq!(n.stats().sweep_scans, 2);
+    }
+
+    /// A full TCP handshake through `n` from `src`.
+    fn tcp_connect(n: &mut Nat, src: Endpoint, now: SimTime) {
+        let syn = Packet::tcp(src, server(), TcpFlags::SYN, vec![]);
+        let NatVerdict::Forward(out) = n.process_outbound(syn, now) else {
+            panic!("SYN refused");
+        };
+        let syn_ack = Packet::tcp(server(), out.src, TcpFlags::SYN_ACK, vec![]);
+        assert!(matches!(
+            n.process_inbound(syn_ack, now),
+            NatVerdict::Forward(_)
+        ));
+        let ack = Packet::tcp(src, server(), TcpFlags::ACK, vec![]);
+        assert!(matches!(
+            n.process_outbound(ack, now),
+            NatVerdict::Forward(_)
+        ));
+    }
+
+    #[test]
+    fn a_nat_reserves_what_its_mappings_need() {
+        // What the paper's pipeline builds by the hundred: a home CPE
+        // with one external address, a few UDP flows kept alive and two
+        // TCP connections. Five minutes in, every structure is in use —
+        // both arenas, a port set per protocol, both indices, and wheel
+        // tables on three levels (UDP within the minute, a TCP handshake
+        // on the transitory clock, an established connection two hours
+        // out).
+        let mut home = Nat::new(NatConfig::home_cpe(), vec![ip(198, 51, 100, 1)], 7);
+        assert!(home.reserved_bytes() <= 2 * 1024, "untouched NAT");
+        let udp: Vec<Endpoint> = (0..4)
+            .map(|k| Endpoint::new(ip(192, 168, 1, 10 + k / 2), 5000 + k as u16))
+            .collect();
+        for secs in (0..=300).step_by(60) {
+            for &src in &udp {
+                udp_out(&mut home, src, server(), t(secs));
+            }
+            if secs == 0 {
+                tcp_connect(&mut home, Endpoint::new(ip(192, 168, 1, 10), 6000), t(0));
+                tcp_connect(&mut home, Endpoint::new(ip(192, 168, 1, 11), 6001), t(0));
+            }
+            home.sweep(t(secs + 1));
+        }
+        assert_eq!(home.mapping_count(), 6);
+        let reserved = home.reserved_bytes();
+        assert!(reserved <= 10 * 1024, "{reserved} bytes for six mappings");
+
+        // A CGN pays for the large forms and nothing more: 10 000
+        // flows put every structure in its large form. With every
+        // table allocated up front that is 3 045 376 bytes (measured
+        // on the commit before the small forms), of which the wheel's
+        // three untouched levels (4 608) are the only part gone.
+        let mut cgn = nat(NatConfig::cgn_default());
+        for k in 0..10_000u32 {
+            let src = Endpoint::new(ip(100, 64, (k / 100) as u8, 1), 20_000 + (k % 100) as u16);
+            udp_out(&mut cgn, src, server(), t(0));
+        }
+        assert_eq!(cgn.mapping_count(), 10_000);
+        let reserved = cgn.reserved_bytes() as f64;
+        let eager = 3_045_376.0;
+        assert!(
+            (reserved / eager - 1.0).abs() <= 0.01,
+            "{reserved} bytes against {eager}"
+        );
     }
 
     #[test]

@@ -22,68 +22,139 @@ use rand::Rng;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-/// Dense membership set over the full `u16` port space: a fixed 8 KiB
-/// bitmap plus a count. Replaces the old `HashSet<u16>` — at CGN fill
-/// levels (tens of thousands of ports per external IP) the hash set
-/// cost one cache miss per probe and grew with the population, while
-/// the bitmap stays 8 KiB regardless of fill and needs no hashing.
+/// Population at which a [`PortSet`] turns from a sorted list into the
+/// bitmap: the insert that would make it hold more than this promotes it.
+const PORT_SET_DENSE_AT: usize = 32;
+
+/// Membership set over the full `u16` port space that costs what it
+/// holds. It starts as a sorted list of ports — a home CPE NAT with a
+/// handful of flows per (external IP, protocol) pays a few bytes, not a
+/// bitmap — and is promoted **once**, by the insert that finds
+/// [`PORT_SET_DENSE_AT`] ports already present, to a fixed 8 KiB bitmap
+/// plus a count: the word-scan form a CGN-scale allocator (tens of
+/// thousands of ports per external IP) runs from its first few dozen
+/// ports on, with no hashing and no growth.
+///
+/// Both forms give the same `insert` / `remove` / `first_free_in`
+/// answers, so allocation order does not depend on the form. The set
+/// **never demotes**: a population hovering around the promotion point
+/// would rebuild the set on every other call, the dense `remove` would
+/// carry a population check for the sake of NATs that are no longer
+/// busy, and 8 KiB kept by a NAT that has shown it mixes 33 flows at
+/// once is the cost the bitmap was always accepted at.
 #[derive(Debug, Clone)]
-struct PortSet {
-    words: Box<[u64; 1024]>,
-    len: usize,
+enum PortSet {
+    /// At most [`PORT_SET_DENSE_AT`] ports, ascending.
+    Small(Vec<u16>),
+    Dense {
+        words: Box<[u64; 1024]>,
+        len: usize,
+    },
 }
 
 impl PortSet {
     fn new() -> Self {
-        PortSet {
-            words: Box::new([0u64; 1024]),
-            len: 0,
+        PortSet::Small(Vec::new())
+    }
+
+    /// The bitmap form of a set of distinct ports: built at most once
+    /// per set.
+    #[cold]
+    fn dense_from(ports: impl IntoIterator<Item = u16>) -> Self {
+        let mut words = Box::new([0u64; 1024]);
+        let mut len = 0;
+        for p in ports {
+            words[p as usize >> 6] |= 1u64 << (p & 63);
+            len += 1;
         }
+        PortSet::Dense { words, len }
     }
 
     /// Insert `p`; returns `true` if it was not already present
     /// (`HashSet::insert` semantics).
+    #[inline]
     fn insert(&mut self, p: u16) -> bool {
+        let (words, len) = match self {
+            PortSet::Dense { words, len } => (words, len),
+            PortSet::Small(ports) => {
+                if let Some(fresh) = small::insert(ports, p) {
+                    return fresh;
+                }
+                *self = Self::dense_from(ports.iter().copied().chain([p]));
+                return true;
+            }
+        };
         let (w, bit) = (p as usize >> 6, 1u64 << (p & 63));
-        if self.words[w] & bit != 0 {
+        if words[w] & bit != 0 {
             return false;
         }
-        self.words[w] |= bit;
-        self.len += 1;
+        words[w] |= bit;
+        *len += 1;
         true
     }
 
+    #[inline]
     fn remove(&mut self, p: u16) -> bool {
+        let (words, len) = match self {
+            PortSet::Dense { words, len } => (words, len),
+            PortSet::Small(ports) => return small::remove(ports, p),
+        };
         let (w, bit) = (p as usize >> 6, 1u64 << (p & 63));
-        if self.words[w] & bit == 0 {
+        if words[w] & bit == 0 {
             return false;
         }
-        self.words[w] &= !bit;
-        self.len -= 1;
+        words[w] &= !bit;
+        *len -= 1;
         true
+    }
+
+    fn contains(&self, p: u16) -> bool {
+        match self {
+            PortSet::Dense { words, .. } => words[p as usize >> 6] & (1u64 << (p & 63)) != 0,
+            PortSet::Small(ports) => ports.binary_search(&p).is_ok(),
+        }
     }
 
     fn len(&self) -> usize {
-        self.len
+        match self {
+            PortSet::Dense { len, .. } => *len,
+            PortSet::Small(ports) => ports.len(),
+        }
+    }
+
+    /// Bytes of heap storage currently allocated.
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        match self {
+            PortSet::Dense { words, .. } => std::mem::size_of_val(&**words),
+            PortSet::Small(ports) => ports.capacity() * std::mem::size_of::<u16>(),
+        }
     }
 
     /// First absent port in `[from, to]` (inclusive), scanning upward.
     ///
-    /// A u64 word scan: each iteration negates one bitmap word, masks
-    /// the range edges, and jumps straight to the first free bit with
-    /// `trailing_zeros` — so a densely-filled range advances 64 ports
-    /// per word instead of probing bit by bit. Callers compose their
-    /// strategy's exact candidate order (wrap-around scans are two
-    /// calls), and the debug build asserts the scan returns precisely
-    /// what the old per-bit probe returned.
+    /// Dense, a u64 word scan: each iteration negates one bitmap word,
+    /// masks the range edges, and jumps straight to the first free bit
+    /// with `trailing_zeros` — so a densely-filled range advances 64
+    /// ports per word instead of probing bit by bit. Small, a walk from
+    /// the first listed port at or above `from` for as long as the list
+    /// is consecutive. Callers compose their strategy's exact candidate
+    /// order (wrap-around scans are two calls), and the debug build
+    /// asserts the scan returns precisely what the per-bit probe
+    /// returns.
+    #[inline]
     fn first_free_in(&self, from: u16, to: u16) -> Option<u16> {
         let found = (|| {
             if from > to {
                 return None;
             }
+            let words = match self {
+                PortSet::Dense { words, .. } => words,
+                PortSet::Small(ports) => return small::first_free_in(ports, from, to),
+            };
             let (first_w, last_w) = (from as usize >> 6, to as usize >> 6);
             for w in first_w..=last_w {
-                let mut free = !self.words[w];
+                let mut free = !words[w];
                 if w == first_w {
                     free &= !0u64 << (from & 63);
                 }
@@ -99,16 +170,58 @@ impl PortSet {
         debug_assert_eq!(
             found,
             self.first_free_in_ref(from, to),
-            "word scan must preserve per-bit allocation order in [{from}, {to}]"
+            "scan must preserve per-bit allocation order in [{from}, {to}]"
         );
         found
     }
 
-    /// The per-bit reference probe the word scan replaced — kept as
-    /// the debug-build oracle for allocation-order equivalence (the
+    /// The per-bit reference probe both scans answer to — kept as the
+    /// debug-build oracle for allocation-order equivalence (the
     /// `debug_assert_eq!` above compiles out of release builds).
     fn first_free_in_ref(&self, from: u16, to: u16) -> Option<u16> {
-        (from..=to).find(|&p| self.words[p as usize >> 6] & (1u64 << (p & 63)) == 0)
+        (from..=to).find(|&p| !self.contains(p))
+    }
+}
+
+/// The sorted-list half of [`PortSet`]. Out of line, so that the dense
+/// halves stay small enough to inline into the allocator: with these
+/// bodies inside them `insert` and `first_free_in` became calls, which
+/// `replay-churn`, where every set is dense, read as 3 %.
+mod small {
+    use super::PORT_SET_DENSE_AT;
+
+    /// `Some(newly added)`, or `None` if `p` is absent and the list is
+    /// full: the caller promotes, `p` included.
+    #[inline(never)]
+    pub(super) fn insert(ports: &mut Vec<u16>, p: u16) -> Option<bool> {
+        let Err(at) = ports.binary_search(&p) else {
+            return Some(false);
+        };
+        if ports.len() == PORT_SET_DENSE_AT {
+            return None;
+        }
+        ports.insert(at, p);
+        Some(true)
+    }
+
+    #[inline(never)]
+    pub(super) fn remove(ports: &mut Vec<u16>, p: u16) -> bool {
+        ports.binary_search(&p).map(|at| ports.remove(at)).is_ok()
+    }
+
+    /// First port absent from `from..=to` (`from <= to`): walk from the
+    /// first listed port at or above `from` while the list is
+    /// consecutive.
+    #[inline(never)]
+    pub(super) fn first_free_in(ports: &[u16], from: u16, to: u16) -> Option<u16> {
+        let mut free = from as u32;
+        for &p in &ports[ports.partition_point(|&p| p < from)..] {
+            if p as u32 != free {
+                break;
+            }
+            free += 1;
+        }
+        (free <= to as u32).then_some(free as u16)
     }
 }
 
@@ -241,6 +354,14 @@ impl PortAllocator {
     /// Number of ports currently allocated.
     pub fn allocated(&self) -> usize {
         self.in_use.len()
+    }
+
+    /// Bytes of heap storage currently allocated: the port set and the
+    /// block table (the per-host maps are empty until a chunk or block
+    /// strategy assigns one).
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.in_use.reserved_bytes() + self.blocks.capacity() * std::mem::size_of::<BlockState>()
     }
 
     /// Total ports in the managed range.
@@ -594,9 +715,111 @@ mod tests {
                 set.insert(*p);
             }
             let to = from.saturating_add(width);
-            let naive = (from..=to)
-                .find(|&p| set.words[p as usize >> 6] & (1u64 << (p & 63)) == 0);
+            let naive = (from..=to).find(|&p| !set.contains(p));
             prop_assert_eq!(set.first_free_in(from, to), naive);
+        }
+    }
+
+    #[test]
+    fn port_set_promotes_once_at_the_fixed_population_and_never_demotes() {
+        let mut set = PortSet::new();
+        assert_eq!(set.reserved_bytes(), 0, "an untouched set owns nothing");
+        for p in 0..PORT_SET_DENSE_AT as u16 {
+            assert!(set.insert(2000 + 3 * p));
+        }
+        assert!(matches!(set, PortSet::Small(_)));
+        assert!(set.reserved_bytes() <= 2 * PORT_SET_DENSE_AT * 2);
+        assert!(
+            !set.insert(2000),
+            "a duplicate at the brim promotes nothing"
+        );
+        assert!(matches!(set, PortSet::Small(_)));
+        assert!(set.insert(1999));
+        assert!(matches!(set, PortSet::Dense { .. }));
+        assert_eq!(set.len(), PORT_SET_DENSE_AT + 1);
+        assert_eq!(set.reserved_bytes(), 8192);
+        assert_eq!(set.first_free_in(1999, 2003), Some(2001));
+        for p in 0..PORT_SET_DENSE_AT as u16 {
+            assert!(set.remove(2000 + 3 * p));
+        }
+        assert!(set.remove(1999) && !set.remove(1999));
+        assert_eq!(set.len(), 0);
+        assert!(matches!(set, PortSet::Dense { .. }), "emptied, still dense");
+    }
+
+    proptest! {
+        /// The sorted-list form, the bitmap form and the promotion
+        /// between them are one set: random `insert` / `remove` /
+        /// `first_free_in` over a band of ports narrow enough that
+        /// ranges fill up and the population crosses the promotion
+        /// point both ways read the same from a set that starts small,
+        /// from one that is dense from the start, and from the per-bit
+        /// reference probe — including both halves of a wrap-around
+        /// scan, empty (`from > to`) and full ranges, and a band that
+        /// ends at port 65535.
+        #[test]
+        fn prop_small_and_dense_port_sets_agree(
+            base in (0usize..3).prop_map(|i| [0u16, 1024, 65535 - 79][i]),
+            ops in proptest::collection::vec((0u8..10, 0u16..80, 0u16..80), 1..400),
+        ) {
+            let (lo, hi) = (base, base + 79);
+            let mut set = PortSet::new();
+            let mut dense = PortSet::dense_from([]);
+            let mut model = std::collections::BTreeSet::new();
+            let mut peak = 0;
+            for (op, a, b) in ops {
+                let (p, q) = (lo + a, lo + b);
+                match op {
+                    0..=3 => {
+                        let fresh = model.insert(p);
+                        prop_assert_eq!(set.insert(p), fresh);
+                        prop_assert_eq!(dense.insert(p), fresh);
+                    }
+                    4..=5 => {
+                        let held = model.remove(&p);
+                        prop_assert_eq!(set.remove(p), held);
+                        prop_assert_eq!(dense.remove(p), held);
+                    }
+                    6 => {
+                        // A run of consecutive ports: full ranges, and
+                        // the quickest way across the promotion point.
+                        for r in p.min(q)..=p.max(q) {
+                            let fresh = model.insert(r);
+                            prop_assert_eq!(set.insert(r), fresh);
+                            prop_assert_eq!(dense.insert(r), fresh);
+                        }
+                    }
+                    7 => {
+                        // `from > to` half the time: an empty range.
+                        let want = (p..=q).find(|r| !model.contains(r));
+                        prop_assert_eq!(set.first_free_in(p, q), want);
+                        prop_assert_eq!(dense.first_free_in(p, q), want);
+                        prop_assert_eq!(set.first_free_in_ref(p, q), want);
+                    }
+                    _ => {
+                        // `wrap_scan_from(p)` over the band: p..=hi, then lo..p.
+                        let want = (p..=hi).chain(lo..p).find(|r| !model.contains(r));
+                        let scan = |s: &PortSet| {
+                            let below = || p.checked_sub(1).filter(|_| p > lo);
+                            s.first_free_in(p, hi)
+                                .or_else(|| below().and_then(|top| s.first_free_in(lo, top)))
+                        };
+                        prop_assert_eq!(scan(&set), want);
+                        prop_assert_eq!(scan(&dense), want);
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(dense.len(), model.len());
+                peak = peak.max(model.len());
+                prop_assert_eq!(
+                    matches!(set, PortSet::Dense { .. }),
+                    peak > PORT_SET_DENSE_AT,
+                    "dense exactly once the population has exceeded the promotion point"
+                );
+            }
+            for r in lo..=hi {
+                prop_assert_eq!(set.contains(r), model.contains(&r));
+            }
         }
     }
 

@@ -67,7 +67,10 @@
 //!   whenever it was passed), every mapping schedules a timer entry in
 //!   a 4-level × 64-bucket wheel. A sweep walks only the buckets that
 //!   became due, so its cost tracks the number of expiring mappings,
-//!   not the table size.
+//!   not the table size — and, since it jumps from one occupied bucket
+//!   to the next instead of turning tick by tick, not the time since
+//!   the last sweep either. A level's bucket table is allocated when
+//!   its first entry arrives: an idle NAT's wheel is four empty `Vec`s.
 //!
 //! # Out-key layout (`u128`)
 //!
@@ -263,12 +266,40 @@ struct TimerEntry {
     deadline_ms: u64,
 }
 
+/// The expiry wheel: [`WHEEL_LEVELS`] levels of [`WHEEL_BUCKETS`]
+/// buckets, costing what it holds.
+///
+/// * **Per-level tables.** A level's 64 bucket headers are allocated
+///   when the first entry lands on that level, so a NAT whose timeouts
+///   all fit one or two levels never pays for the others, and one that
+///   never mapped anything pays for none.
+/// * **Occupancy words.** One `u64` per level, bit `b` set exactly
+///   while bucket `b` of that level holds an entry.
+/// * **The jump rule.** Turning the wheel does two things with a tick:
+///   on a level boundary it cascades the higher-level bucket that
+///   boundary names ([`WheelGeometry::cascades`]), and it drains the
+///   tick's level-0 bucket. A tick whose level-0 bucket is empty and
+///   which cascades no occupied bucket does neither, so
+///   [`TimerWheel::next_occupied_tick`] reads the occupancy words for
+///   the first tick after the current one that does either, and
+///   [`MappingStore::sweep_due`] goes straight there.
+/// * **Why skipped ticks change nothing.** All a skipped tick would
+///   have done is move the horizon, and the horizon is read in two
+///   places only: a cascade re-files entries relative to it, and a
+///   drain happens at it. Both happen at visited ticks, which set the
+///   horizon themselves first. Nothing is filed while the wheel turns
+///   (a sweep defers its re-schedules until it has stopped), so the
+///   occupancy the next jump reads is the occupancy the skipped ticks
+///   would have found.
 #[derive(Debug)]
 struct TimerWheel {
     /// Virtual time the wheel has been advanced to.
     horizon_ms: u64,
-    /// `WHEEL_LEVELS * WHEEL_BUCKETS` buckets, level-major.
-    buckets: Vec<Vec<TimerEntry>>,
+    /// Each level's buckets: empty until an entry lands on the level,
+    /// [`WHEEL_BUCKETS`] headers from then on.
+    levels: [Vec<Vec<TimerEntry>>; WHEEL_LEVELS],
+    /// Bit `b` of word `l`: bucket `b` of level `l` is not empty.
+    occupied: [u64; WHEEL_LEVELS],
     /// Entries currently parked in buckets (live + stale).
     entries: usize,
     /// Entries re-distributed downward by cascades since creation —
@@ -282,26 +313,45 @@ impl TimerWheel {
     fn new() -> Self {
         TimerWheel {
             horizon_ms: 0,
-            buckets: (0..WHEEL_LEVELS * WHEEL_BUCKETS)
-                .map(|_| Vec::new())
-                .collect(),
+            levels: Default::default(),
+            occupied: [0; WHEEL_LEVELS],
             entries: 0,
             cascaded: 0,
         }
     }
 
-    /// Flat bucket index for a deadline, relative to the current
+    /// Park `e` where its deadline belongs relative to the current
     /// horizon — the shared [`WheelGeometry::place`] arithmetic
     /// (already-due deadlines park in the horizon's own level-0
     /// bucket; beyond-span deadlines park farthest and re-cascade).
-    fn place(&self, deadline_ms: u64) -> usize {
-        let (level, bucket) = WHEEL_GEOM.place(self.horizon_ms, deadline_ms);
-        level * WHEEL_BUCKETS + bucket
+    #[inline]
+    fn park(&mut self, e: TimerEntry) {
+        let (level, bucket) = WHEEL_GEOM.place(self.horizon_ms, e.deadline_ms);
+        if self.levels[level].is_empty() {
+            self.open_level(level);
+        }
+        self.levels[level][bucket].push(e);
+        self.occupied[level] |= 1 << bucket;
     }
 
+    /// Allocate a level's bucket headers: at most once per level.
+    #[cold]
+    fn open_level(&mut self, level: usize) {
+        self.levels[level].resize_with(WHEEL_BUCKETS, Vec::new);
+    }
+
+    /// Empty one bucket and hand its entries over.
+    fn take(&mut self, level: usize, bucket: usize) -> Vec<TimerEntry> {
+        if self.occupied[level] >> bucket & 1 == 0 {
+            return Vec::new();
+        }
+        self.occupied[level] &= !(1 << bucket);
+        std::mem::take(&mut self.levels[level][bucket])
+    }
+
+    #[inline]
     fn schedule(&mut self, slot: u32, gen: u32, seq: u32, deadline_ms: u64) {
-        let b = self.place(deadline_ms);
-        self.buckets[b].push(TimerEntry {
+        self.park(TimerEntry {
             slot,
             gen,
             seq,
@@ -313,12 +363,42 @@ impl TimerWheel {
     /// Re-distribute one higher-level bucket downward (called when the
     /// level below wraps around).
     fn cascade(&mut self, level: usize, bucket: usize) {
-        let drained = std::mem::take(&mut self.buckets[level * WHEEL_BUCKETS + bucket]);
+        let drained = self.take(level, bucket);
         self.cascaded += drained.len() as u64;
         for e in drained {
-            let b = self.place(e.deadline_ms);
-            self.buckets[b].push(e);
+            self.park(e);
         }
+    }
+
+    /// The first level-0 tick after `tick` at which turning the wheel
+    /// does anything (see the type docs): level `l`'s bucket `b` is
+    /// reached — drained on level 0, cascaded above it — at the ticks
+    /// that are a multiple of the level's period with `b` in the next
+    /// six bits, so per level this is one rotate of the occupancy word
+    /// to the turn after `tick`'s and one `trailing_zeros`.
+    fn next_occupied_tick(&self, tick: u64) -> Option<u64> {
+        let reached = |level: usize| {
+            let period = WHEEL_SHIFTS[level] - WHEEL_SHIFTS[0];
+            let turn = (tick >> period) + 1;
+            let ahead = self.occupied[level].rotate_right((turn % WHEEL_BUCKETS as u64) as u32);
+            (ahead != 0).then(|| (turn + ahead.trailing_zeros() as u64) << period)
+        };
+        (0..WHEEL_LEVELS).filter_map(reached).min()
+    }
+
+    /// Bytes of heap storage currently allocated: bucket headers and
+    /// the entries behind them.
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        let headers = self.levels.iter().map(Vec::capacity).sum::<usize>();
+        let entries = self
+            .levels
+            .iter()
+            .flatten()
+            .map(Vec::capacity)
+            .sum::<usize>();
+        headers * std::mem::size_of::<Vec<TimerEntry>>()
+            + entries * std::mem::size_of::<TimerEntry>()
     }
 }
 
@@ -383,6 +463,12 @@ impl OpenIndex {
     #[inline]
     fn mask(&self) -> usize {
         self.cells.len() - 1
+    }
+
+    /// Bytes of heap storage currently allocated.
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Insert a `(hash, slot)` cell. Keys are unique among live
@@ -1198,8 +1284,30 @@ impl MappingStore {
     /// mappings are due. Returns `(entries inspected, due slots)`; the
     /// caller must [`remove`](MappingStore::remove) every due slot.
     /// Sweeps that inspect zero entries did no per-mapping work — the
-    /// fast path the `sweep_scans` counter measures.
+    /// fast path the `sweep_scans` counter measures. The wheel is not
+    /// turned tick by tick: from each tick it jumps to the next one
+    /// with anything to drain or cascade (the rule, and why the ticks
+    /// skipped change nothing, is on the private `TimerWheel`), so an
+    /// idle hour costs an idle table a few word reads.
     pub fn sweep_due(&mut self, now: SimTime) -> (usize, Vec<u32>) {
+        self.sweep_stepping(now, TimerWheel::next_occupied_tick)
+    }
+
+    /// The tick-by-tick wheel [`MappingStore::sweep_due`] must be
+    /// indistinguishable from: every tick is visited, occupied or not.
+    #[cfg(test)]
+    fn sweep_due_by_ticks(&mut self, now: SimTime) -> (usize, Vec<u32>) {
+        self.sweep_stepping(now, |_, tick| Some(tick + 1))
+    }
+
+    /// [`MappingStore::sweep_due`], visiting the ticks `next` names:
+    /// given the wheel and the tick just drained, the tick to turn to.
+    #[inline]
+    fn sweep_stepping(
+        &mut self,
+        now: SimTime,
+        next: impl Fn(&TimerWheel, u64) -> Option<u64>,
+    ) -> (usize, Vec<u32>) {
         let now_ms = now.as_millis();
         let mut due = Vec::new();
         if self.wheel.entries == 0 {
@@ -1212,23 +1320,10 @@ impl MappingStore {
         }
         let mut inspected = 0usize;
         let mut resched: Vec<TimerEntry> = Vec::new();
-        let start = self.wheel.horizon_ms >> WHEEL_SHIFTS[0];
+        let mut tick = self.wheel.horizon_ms >> WHEEL_SHIFTS[0];
         let end = now_ms >> WHEEL_SHIFTS[0];
-        for tick in start..=end {
-            if tick != start {
-                self.wheel.horizon_ms = tick << WHEEL_SHIFTS[0];
-                // Crossing into a new bucket: cascade every level that
-                // wrapped, highest first so entries settle downward
-                // (the shared schedule of [`WheelGeometry::cascades`]).
-                for (level, bucket) in WHEEL_GEOM.cascades(tick) {
-                    self.wheel.cascade(level, bucket);
-                }
-            }
-            let bucket = (tick & 63) as usize;
-            if self.wheel.buckets[bucket].is_empty() {
-                continue;
-            }
-            let drained = std::mem::take(&mut self.wheel.buckets[bucket]);
+        loop {
+            let drained = self.wheel.take(0, tick as usize % WHEEL_BUCKETS);
             for (i, e) in drained.iter().enumerate() {
                 self.wheel.entries -= 1;
                 inspected += 1;
@@ -1262,6 +1357,17 @@ impl MappingStore {
                         deadline_ms: hot.expiry_ms,
                     });
                 }
+            }
+            match next(&self.wheel, tick) {
+                Some(t) if t <= end => tick = t,
+                _ => break,
+            }
+            self.wheel.horizon_ms = tick << WHEEL_SHIFTS[0];
+            // Crossing into a new bucket: cascade every level that
+            // wrapped, highest first so entries settle downward
+            // (the shared schedule of [`WheelGeometry::cascades`]).
+            for (level, bucket) in WHEEL_GEOM.cascades(tick) {
+                self.wheel.cascade(level, bucket);
             }
         }
         self.wheel.horizon_ms = now_ms;
@@ -1312,6 +1418,18 @@ impl MappingStore {
     /// `cgn_arena_slots_free` gauge.
     pub fn arena_slots_free(&self) -> u64 {
         self.free.len as u64
+    }
+
+    /// Bytes of heap storage currently allocated for the structures
+    /// that grow with the mappings: both arenas, the wheel's tables and
+    /// entries, and both indices.
+    #[cfg(test)]
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.slots.reserved_bytes()
+            + self.hot.reserved_bytes()
+            + self.wheel.reserved_bytes()
+            + self.out_index.reserved_bytes()
+            + self.ext_index.reserved_bytes()
     }
 
     /// Current occupancy counters (arena, free-list, interners, wheel).
@@ -1586,6 +1704,136 @@ mod tests {
         assert_eq!(s.len(), 1);
         let (_, due) = s.sweep_due(t(300_000));
         assert_eq!(due, vec![slots[4]]);
+    }
+
+    #[test]
+    fn wheel_tables_appear_with_the_first_entry_of_their_level() {
+        const TABLE: usize = WHEEL_BUCKETS * std::mem::size_of::<Vec<TimerEntry>>();
+        let tables = |s: &MappingStore| s.wheel.levels.iter().map(Vec::capacity).sum::<usize>();
+        let (mut s, _) = store_with(0, 0);
+        assert_eq!((s.wheel.reserved_bytes(), s.wheel.occupied), (0, [0; 4]));
+        s.sweep_due(t(86_400));
+        assert_eq!(tables(&s), 0, "an idle day allocates nothing");
+        // 30 s out: level 0 only.
+        let internal = Endpoint::new(ip(100, 64, 0, 1), 40_000);
+        let key = s.out_key(
+            MappingBehavior::EndpointIndependent,
+            Protocol::Udp,
+            internal,
+            Endpoint::new(ip(203, 0, 113, 1), 80),
+        );
+        let external = Endpoint::new(ip(198, 51, 100, 1), 10_000);
+        let slot = insert(&mut s, key, mapping(internal, external, t(86_430)));
+        assert_eq!(tables(&s), WHEEL_BUCKETS);
+        assert!(s.wheel.reserved_bytes() <= TABLE + 8 * std::mem::size_of::<TimerEntry>());
+        assert_eq!(s.wheel.occupied[0].count_ones(), 1);
+        assert_eq!(s.wheel.occupied[1..], [0; 3]);
+        // Extended to two hours: the parked entry fires and is re-filed
+        // two levels up, which is when that level's table appears.
+        s.set_expiry(slot, t(86_400 + 7200));
+        assert_eq!(s.sweep_due(t(86_431)), (1, vec![]));
+        assert_eq!(tables(&s), 2 * WHEEL_BUCKETS);
+        assert_eq!(s.wheel.occupied[0], 0, "a drained bucket clears its bit");
+        assert_eq!(s.wheel.occupied[2].count_ones(), 1);
+        assert_eq!(s.sweep_due(t(86_400 + 7200)), (1, vec![slot]));
+        assert_eq!(s.wheel.occupied, [0; 4]);
+    }
+
+    /// Everything about two wheels that a caller or a later sweep could
+    /// tell apart, and each occupancy bit against its bucket.
+    fn assert_same_wheels(jump: &MappingStore, ticks: &MappingStore) {
+        assert_eq!(jump.wheel.horizon_ms, ticks.wheel.horizon_ms);
+        assert_eq!(jump.timer_cascades(), ticks.timer_cascades());
+        assert_eq!(jump.occupancy(), ticks.occupancy());
+        assert_eq!(jump.wheel.occupied, ticks.wheel.occupied);
+        for (level, table) in jump.wheel.levels.iter().enumerate() {
+            for (b, bucket) in table.iter().enumerate() {
+                let bit = jump.wheel.occupied[level] >> b & 1 == 1;
+                assert_eq!(bit, !bucket.is_empty(), "level {level} bucket {b}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The wheel that jumps is the wheel that turns tick by tick:
+        /// random interleavings of insert, `set_expiry` (shorten and
+        /// extend), remove and sweep — deadlines from already due to
+        /// beyond the top level's span, gaps between sweeps from a
+        /// millisecond to forty days, starting next to a level-1, -2 or
+        /// -3 boundary — give equal `(inspected, due)` from every
+        /// sweep, and equal cascade counts, occupancy and horizon after
+        /// every step.
+        #[test]
+        fn prop_sweep_jump_is_the_tick_by_tick_wheel(
+            origin in (0usize..5, 0u64..40_000),
+            ops in proptest::collection::vec((0u8..16, any::<u32>(), any::<u32>()), 1..120),
+        ) {
+            /// Time scales in ms, each drawn at 0 to 2 times its size:
+            /// a millisecond, a tick, the spans of levels 0, 1 and 2,
+            /// nine days, and past the top level's span (64 << 28).
+            const SCALES: [u64; 7] = [1, 1 << 10, 1 << 16, 1 << 22, 1 << 28, 3 << 28, 80 << 28];
+            let (mut jump, mut ticks) = (MappingStore::new(), MappingStore::new());
+            // An empty wheel fast-forwards for free: start shortly
+            // before a boundary of the chosen level.
+            let boundary = [1u64 << 16, 1 << 22, 1 << 28, 5 << 28, 64 << 28][origin.0];
+            let mut now = boundary - 20_000 + origin.1;
+            jump.sweep_due(SimTime::from_millis(now));
+            ticks.sweep_due_by_ticks(SimTime::from_millis(now));
+            let mut live: Vec<u32> = Vec::new();
+            let mut flows = 0u16;
+            for (op, a, b) in ops {
+                let pick = |n: u64| SCALES[a as usize % n as usize] * (b as u64 % 1024) / 512;
+                match op {
+                    0..=5 => {
+                        let internal = Endpoint::new(ip(100, 64, 0, 1), flows);
+                        let external = Endpoint::new(ip(198, 51, 100, 1), flows);
+                        flows += 1;
+                        let expiry = SimTime::from_millis(now + pick(7));
+                        let mut slots = [0; 2];
+                        for (s, slot) in [&mut jump, &mut ticks].into_iter().zip(&mut slots) {
+                            let key = s.out_key(
+                                MappingBehavior::AddressAndPortDependent,
+                                Protocol::Udp,
+                                internal,
+                                external,
+                            );
+                            *slot = insert(s, key, mapping(internal, external, expiry));
+                        }
+                        prop_assert_eq!(slots[0], slots[1]);
+                        live.push(slots[0]);
+                    }
+                    6..=8 if !live.is_empty() => {
+                        let slot = live[b as usize % live.len()];
+                        let expiry = SimTime::from_millis(now + pick(7));
+                        jump.set_expiry(slot, expiry);
+                        ticks.set_expiry(slot, expiry);
+                    }
+                    9 if !live.is_empty() => {
+                        let slot = live.swap_remove(b as usize % live.len());
+                        prop_assert!(jump.remove(slot).is_some() && ticks.remove(slot).is_some());
+                    }
+                    _ => {
+                        // Mostly within level 1's span; one sweep in six
+                        // up to 18 days on, a quarter of those up to 40.
+                        now += match op {
+                            15 if a % 4 == 0 => 3_456_000_000 * (b as u64 % 1024) / 1024,
+                            15 => pick(6),
+                            _ => pick(4),
+                        };
+                        let at = SimTime::from_millis(now);
+                        let (inspected, due) = jump.sweep_due(at);
+                        prop_assert_eq!((inspected, due.clone()), ticks.sweep_due_by_ticks(at));
+                        for slot in due {
+                            live.retain(|&s| s != slot);
+                            prop_assert!(jump.remove(slot).is_some() && ticks.remove(slot).is_some());
+                        }
+                    }
+                }
+                assert_same_wheels(&jump, &ticks);
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,6 +46,19 @@ struct Published {
     metrics_text: String,
     health_json: String,
     trace_json: String,
+}
+
+impl Published {
+    /// Lock the published rendering, poisoned or not. A publisher that
+    /// panicked while holding the lock leaves nothing half-written:
+    /// every update assigns a whole, already rendered `String` to a
+    /// field, so each field is at all times some complete rendering —
+    /// at worst `/metrics` is one barrier newer than `/healthz`. One
+    /// dead publisher must not take the accept thread, and every later
+    /// scrape, down with it.
+    fn lock(published: &Mutex<Published>) -> MutexGuard<'_, Published> {
+        published.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Live scrape endpoint for one soak session. Bind, then call
@@ -118,7 +131,7 @@ impl OpsServer {
     /// [`cgn_trace::chrome_trace_json`] of the session's latest
     /// [`cgn_traffic::DriverSession::trace_dump`]).
     pub fn publish_trace(&self, trace_json: String) {
-        self.published.lock().expect("publish lock").trace_json = trace_json;
+        Published::lock(&self.published).trace_json = trace_json;
     }
 
     /// Swap in a fresh rendering of the session: `snapshot` becomes
@@ -126,7 +139,7 @@ impl OpsServer {
     pub fn publish(&self, snapshot: &Snapshot, health: &SessionHealth) {
         let metrics_text = expo::render(snapshot);
         let health_json = serde_json::to_string(health).unwrap_or_else(|_| "{}".to_string());
-        let mut p = self.published.lock().expect("publish lock");
+        let mut p = Published::lock(&self.published);
         p.metrics_text = metrics_text;
         p.health_json = health_json;
     }
@@ -229,7 +242,7 @@ fn answer(
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
         "/metrics" => {
-            let p = published.lock().expect("serve lock");
+            let p = Published::lock(published);
             (
                 "200 OK",
                 "text/plain; version=0.0.4",
@@ -237,7 +250,7 @@ fn answer(
             )
         }
         "/healthz" => {
-            let p = published.lock().expect("serve lock");
+            let p = Published::lock(published);
             let body = splice_server_counters(
                 &p.health_json,
                 served.load(Ordering::Relaxed),
@@ -246,7 +259,7 @@ fn answer(
             ("200 OK", "application/json", body)
         }
         "/trace" => {
-            let p = published.lock().expect("serve lock");
+            let p = Published::lock(published);
             ("200 OK", "application/json", p.trace_json.clone())
         }
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
@@ -415,6 +428,43 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::InvalidData);
 
         assert_eq!(server.shutdown(), 3, "three requests served");
+    }
+
+    #[test]
+    fn a_poisoned_publish_lock_does_not_stop_the_server() {
+        let server = OpsServer::bind("127.0.0.1:0").expect("bind");
+        let (snap, mut health) = sample_state();
+        server.publish(&snap, &health);
+        // A publisher dies holding the lock.
+        let published = Arc::clone(&server.published);
+        let publisher = std::thread::spawn(move || {
+            let _held = published.lock().expect("first to poison it");
+            panic!("publisher died mid-update");
+        });
+        assert!(publisher.join().is_err());
+        assert!(server.published.is_poisoned());
+
+        // The serve path still answers every route with what was
+        // published last…
+        let body = scrape(server.local_addr(), "/metrics").expect("scrape /metrics");
+        assert_eq!(verify_scrape(&body, &snap), Ok(3), "{body}");
+        let body = scrape(server.local_addr(), "/healthz").expect("scrape /healthz");
+        let parsed: SessionHealth = serde_json::from_str(&body).expect("health parses");
+        assert_eq!(parsed, health);
+        scrape(server.local_addr(), "/trace").expect("scrape /trace");
+        // …and the publish path still publishes.
+        health.now_secs = 180;
+        server.publish(&snap, &health);
+        server.publish_trace("{}".to_string());
+        let body = scrape(server.local_addr(), "/healthz").expect("scrape /healthz");
+        assert!(body.contains("\"now_secs\":180"), "{body}");
+        assert_eq!(scrape(server.local_addr(), "/trace").expect("trace"), "{}");
+        assert_eq!(server.scrape_errors(), 0);
+        assert_eq!(
+            server.shutdown(),
+            5,
+            "the accept thread outlived the poisoning"
+        );
     }
 
     #[test]

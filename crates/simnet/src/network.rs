@@ -891,6 +891,78 @@ mod tests {
     }
 
     #[test]
+    fn six_idle_hours_expire_each_mapping_at_its_own_sweep() {
+        // Three mappings on three clocks in one home NAT: a TCP
+        // handshake never answered (240 s), a UDP flow (25 min here, so
+        // that it outlives two sweeps) and an established TCP
+        // connection (2 h). Then nothing for six hours, the clock
+        // advanced in uneven steps so sweeps land off the wheel's tick
+        // boundaries. Which sweep reaps which mapping, and how many
+        // sweeps had anything to inspect, was recorded with the wheel
+        // turning tick by tick; a wheel that jumps over the idle ticks
+        // must not move any of it.
+        let mut net = Network::new();
+        let server = net.add_host(RealmId::PUBLIC, ip(203, 0, 113, 10), vec![]);
+        let mut cfg = NatConfig::home_cpe();
+        cfg.udp_timeout = SimDuration::from_secs(1500);
+        let wan = vec![ip(198, 51, 100, 77)];
+        let (cpe, home) = net.add_nat(
+            cfg,
+            wan,
+            RealmId::PUBLIC,
+            vec![],
+            ip(192, 168, 1, 1),
+            true,
+            11,
+        );
+        let addr = ip(192, 168, 1, 100);
+        let dev = net.add_host(home, addr, vec![]);
+        let tcp = |port, flags| Packet::tcp(Endpoint::new(addr, port), server_ep(), flags, vec![]);
+        net.send(dev, tcp(40_001, TcpFlags::SYN))
+            .expect("delivered");
+        net.send(dev, udp(Endpoint::new(addr, 40_002), server_ep()))
+            .expect("delivered");
+        let syn = net
+            .send(dev, tcp(40_003, TcpFlags::SYN))
+            .expect("delivered");
+        let syn_ack = Packet::tcp(server_ep(), syn.pkt.src, TcpFlags::SYN_ACK, vec![]);
+        net.send(server, syn_ack).expect("delivered");
+        net.send(dev, tcp(40_003, TcpFlags::ACK))
+            .expect("delivered");
+
+        let live = |net: &Network| {
+            let mut ports: Vec<u16> = net.nat(cpe).mappings().map(|m| m.internal.port).collect();
+            ports.sort_unstable();
+            ports
+        };
+        let mut seen = live(&net);
+        assert_eq!(seen, [40_001, 40_002, 40_003]);
+        let mut reaped = Vec::new();
+        while net.now() < SimTime::from_secs(6 * 3600) {
+            net.advance(SimDuration::from_millis(97_003));
+            if live(&net) != seen {
+                seen = live(&net);
+                reaped.push((net.now().as_millis(), seen.clone()));
+            }
+        }
+        let stats = net.nat(cpe).stats();
+        let counters = (stats.sweeps, stats.sweep_scans, stats.mappings_expired);
+        assert_eq!(
+            reaped,
+            [
+                (679_021, vec![40_002, 40_003]),
+                (2_037_063, vec![40_003]),
+                (7_469_231, vec![]),
+            ]
+        );
+        assert_eq!(
+            counters,
+            (31, 3, 3),
+            "sweeps, sweeps that inspected, expiries"
+        );
+    }
+
+    #[test]
     fn reply_path_translates_back() {
         let mut f = fig2();
         let src = Endpoint::new(ip(192, 168, 1, 50), 40000);

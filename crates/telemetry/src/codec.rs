@@ -190,6 +190,12 @@ impl EventLog {
         self.buf.len() as u64
     }
 
+    /// Bytes the encode buffer can hold without reallocating.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Semantic records appended (defines not counted).
     pub fn records(&self) -> u64 {
         self.records
@@ -298,16 +304,21 @@ impl EventLog {
         self.records += 1;
     }
 
-    /// Remove and return the bytes encoded since the last drain,
-    /// keeping the encoder state (interned ids, delta-timestamp base,
-    /// record count) so encoding continues seamlessly. This is the
-    /// primitive behind streaming sinks ([`crate::sink::WriteSink`]):
-    /// the caller hands each drained chunk to an `io::Write` and the
-    /// in-memory log stays bounded by one record. Note a drained
-    /// `EventLog` no longer holds a decodable prefix — only the
-    /// concatenation of all drained chunks is.
-    pub fn drain_bytes(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+    /// Write the bytes encoded since the last drain
+    /// ([`EventLog::bytes`]) to `out` and forget them — whether or not
+    /// the write succeeds — keeping the encoder state (interned ids,
+    /// delta-timestamp base, record count) so encoding continues
+    /// seamlessly. This is the primitive behind streaming sinks
+    /// ([`crate::sink::WriteSink`]): the in-memory log stays bounded by
+    /// one record, and because the buffer is emptied rather than given
+    /// away, its capacity is reused and a record allocates nothing once
+    /// the first has sized it. Note a drained `EventLog` no longer holds
+    /// a decodable prefix — only the concatenation of all drained
+    /// chunks is.
+    pub fn drain_into(&mut self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        let written = out.write_all(&self.buf);
+        self.buf.clear();
+        written
     }
 
     /// Decode the whole log back into time-ordered records (ids

@@ -253,15 +253,13 @@ impl<F: GenerationFactory> RotatingWriteSink<F> {
             return;
         }
         encode(&mut self.enc);
-        let chunk = self.enc.drain_bytes();
+        let len = self.enc.len_bytes();
 
         // Rotate between records only: a non-empty generation that
         // cannot take the whole chunk is closed first. An oversized
         // chunk into an empty generation writes anyway — records are
         // never split across generations.
-        if self.generation_bytes > 0
-            && self.generation_bytes + chunk.len() as u64 > self.max_generation_bytes
-        {
+        if self.generation_bytes > 0 && self.generation_bytes + len > self.max_generation_bytes {
             if let Err(e) = self.rotate() {
                 self.io_error = Some(e);
                 self.records_dropped += 1;
@@ -270,11 +268,11 @@ impl<F: GenerationFactory> RotatingWriteSink<F> {
         }
 
         let out = self.out.as_mut().expect("writer present unless failed");
-        match out.write_all(&chunk) {
+        match self.enc.drain_into(out) {
             Ok(()) => {
                 self.records_written += 1;
-                self.bytes_written += chunk.len() as u64;
-                self.generation_bytes += chunk.len() as u64;
+                self.bytes_written += len;
+                self.generation_bytes += len;
                 self.generation_records += 1;
             }
             Err(e) => {
@@ -409,6 +407,24 @@ mod tests {
             proto: Protocol::Udp,
             external: Endpoint::new(ip(198, 18, 0, 1), port),
         }
+    }
+
+    /// Rotations included, the encode buffer the first record sized
+    /// serves every later one.
+    #[test]
+    fn rotating_sink_reuses_the_encode_buffer() {
+        let pages = Arc::new(Mutex::new(Vec::new()));
+        let mut sink =
+            RotatingWriteSink::new(TelemetryMode::PerConnection, 64, page_factory(&pages));
+        sink.mapping_created(&mapping_event(10_000, 1_000));
+        let sized = sink.enc.buffer_capacity();
+        assert!(sized > 0);
+        for k in 1..500u16 {
+            sink.mapping_created(&mapping_event(10_000 + k, 1_000 + k as u64 * 50));
+            assert_eq!(sink.enc.buffer_capacity(), sized, "after record {k}");
+            assert!(sink.enc.is_empty());
+        }
+        assert!(sink.finish().unwrap().len() > 10, "it did rotate");
     }
 
     /// The headline property: the concatenated generations are

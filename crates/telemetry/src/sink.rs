@@ -276,11 +276,11 @@ impl<W: Write + Send + Sync> WriteSink<W> {
             return;
         }
         encode(&mut self.enc);
-        let chunk = self.enc.drain_bytes();
-        match self.out.write_all(&chunk) {
+        let len = self.enc.len_bytes();
+        match self.enc.drain_into(&mut self.out) {
             Ok(()) => {
                 self.records_written += 1;
-                self.bytes_written += chunk.len() as u64;
+                self.bytes_written += len;
             }
             Err(e) => {
                 self.io_error = Some(e);
@@ -552,6 +552,37 @@ mod tests {
         off.mapping_created(&mapping_event(1024));
         off.block_allocated(&block_event());
         assert!(off.log().is_empty());
+    }
+
+    /// A streaming sink writes from the encoder's buffer and empties
+    /// it: the first record sizes the buffer, and no later record of
+    /// the same shape allocates.
+    #[test]
+    fn streaming_sinks_reuse_the_encode_buffer() {
+        let mode = TelemetryMode::PerConnection;
+        let mut plain = WriteSink::new(mode, Vec::<u8>::new());
+        let mut buffered = BufferedWriteSink::new(mode, 256, Vec::<u8>::new());
+        plain.mapping_created(&mapping_event(1024));
+        buffered.mapping_created(&mapping_event(1024));
+        let sized = (
+            plain.enc.buffer_capacity(),
+            buffered.inner.enc.buffer_capacity(),
+        );
+        assert!(sized.0 > 0 && sized.1 > 0, "the first record sized it");
+        for port in 1025..3000 {
+            plain.mapping_created(&mapping_event(port));
+            plain.mapping_expired(&mapping_event(port));
+            buffered.mapping_created(&mapping_event(port));
+            buffered.mapping_expired(&mapping_event(port));
+            let now = (
+                plain.enc.buffer_capacity(),
+                buffered.inner.enc.buffer_capacity(),
+            );
+            assert_eq!(now, sized, "after port {port}");
+            assert!(plain.enc.is_empty() && buffered.inner.enc.is_empty());
+        }
+        assert_eq!(plain.records_written(), buffered.records_written());
+        assert_eq!(plain.finish().unwrap(), buffered.finish().unwrap());
     }
 
     /// Sticky-failing writer: errors after `limit` bytes.
