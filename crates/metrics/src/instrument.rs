@@ -106,13 +106,28 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of `v` at once: the same histogram as
+    /// `n` calls of [`Histogram::record`], bucket, count and sum. This
+    /// is how a *sampled* measurement keeps whole-population totals —
+    /// a caller that observes one event in `n` records each observation
+    /// with weight `n`, so `count` and `sum` stay unbiased estimates of
+    /// what observing every event would have recorded, and quantiles
+    /// are those of the sampled events.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return; // no trailing empty bucket: histograms stay canonical
+        }
         let idx = Self::bucket_index(v);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum += v * n;
     }
 
     /// Fold another histogram into this one (element-wise bucket

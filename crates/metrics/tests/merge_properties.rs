@@ -74,6 +74,32 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 
+    /// `record_n(v, n)` is `n` calls of `record(v)` — alone, merged
+    /// into another histogram, and as the delta since an earlier one —
+    /// so a weighted histogram moves through the exchange types exactly
+    /// like the unweighted one it stands for.
+    #[test]
+    fn weighted_record_is_repeated_record(
+        before in collection::vec(0u64..1_000_000, 0..20),
+        weighted in collection::vec((0u64..u32::MAX as u64, 0u64..40), 0..20),
+    ) {
+        let earlier = histogram_of(&before);
+        let mut onto_earlier = earlier.clone();
+        let mut by_weight = Histogram::default();
+        let mut repeated = Vec::new();
+        for &(v, n) in &weighted {
+            onto_earlier.record_n(v, n);
+            by_weight.record_n(v, n);
+            repeated.extend((0..n).map(|_| v));
+        }
+        let by_repeat = histogram_of(&repeated);
+        prop_assert_eq!(&by_weight, &by_repeat);
+        prop_assert_eq!(onto_earlier.delta_since(&earlier), by_repeat);
+        let mut merged = earlier;
+        merged.merge(&by_weight);
+        prop_assert_eq!(merged, onto_earlier);
+    }
+
     #[test]
     fn snapshot_merge_is_associative_and_order_independent(
         a in collection::vec((0u8..8, 0u64..1_000_000), 0..12),

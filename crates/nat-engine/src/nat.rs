@@ -19,7 +19,7 @@ use crate::ports::{self, PortAllocator, PortError};
 use crate::store::{MappingStore, StoreOccupancy, TcpConnState};
 use crate::telemetry::{BlockEvent, EventSink, MappingEvent, SinkSlot};
 use cgn_metrics::{Snapshot, Value};
-use cgn_trace::{FlowKey as TraceKey, Phase, ShardTracer};
+use cgn_trace::{FlowKey as TraceKey, Phase, PhaseClock, ShardTracer};
 use netcore::{Endpoint, Packet, PacketBody, Protocol, SimDuration, SimTime, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -486,41 +486,51 @@ impl Nat {
         self.phase_lap(&mut clock, Phase::Sweep);
     }
 
-    /// Start a wall-clock phase lap, `None` unless a tracer with phase
-    /// profiling is installed — so disabled runs never read the clock.
+    /// Start a wall-clock phase clock whose laps count once each,
+    /// `None` unless a tracer with phase profiling is installed — so
+    /// disabled runs never read the clock. For regions timed every
+    /// time they run: the barrier phases and the burst entry points.
     #[inline]
-    pub fn phase_clock(&self) -> Option<std::time::Instant> {
-        match &self.tracer.0 {
-            Some(t) if t.profiling_phases() => Some(std::time::Instant::now()),
-            _ => None,
+    pub fn phase_clock(&self) -> Option<PhaseClock> {
+        self.tracer.0.as_deref()?.phase_clock()
+    }
+
+    /// Start the phase clock for one window of the traffic driver:
+    /// `Some` for one window in N of this shard, and then every lap
+    /// and span taken on it is recorded with weight N; `None` — no
+    /// clock read at all — for the others, and whenever
+    /// [`Nat::phase_clock`] is `None`. The tracer keeps the count and
+    /// documents the estimate ([`ShardTracer::window_clock`]).
+    #[inline]
+    pub fn window_clock(&mut self) -> Option<PhaseClock> {
+        self.tracer.0.as_deref_mut()?.window_clock()
+    }
+
+    /// Record the elapsed lap under `phase`, with the clock's weight,
+    /// and restart the clock ([`ShardTracer::lap`]). Wall-clock goes
+    /// only into the tracer's phase histograms — an annotation layer
+    /// outside every deterministic digest.
+    #[inline]
+    pub fn phase_lap(&mut self, clock: &mut Option<PhaseClock>, phase: Phase) {
+        if let (Some(clock), Some(tracer)) = (clock.as_mut(), self.tracer.0.as_deref_mut()) {
+            tracer.lap(clock, phase);
         }
     }
 
-    /// Record the elapsed lap under `phase` and restart the clock.
-    /// Wall-clock goes only into the tracer's phase histograms — an
-    /// annotation layer outside every deterministic digest.
-    #[inline]
-    pub fn phase_lap(&mut self, clock: &mut Option<std::time::Instant>, phase: Phase) {
-        if let (Some(t0), Some(tr)) = (clock.as_mut(), self.tracer.0.as_deref_mut()) {
-            let now = std::time::Instant::now();
-            tr.record_phase(phase, now.duration_since(*t0).as_nanos() as u64);
-            *t0 = now;
-        }
-    }
-
-    /// Record under `phase` the time from `since` to `clock`'s latest
-    /// lap, without reading the wall clock: for a caller's phase that
-    /// is exactly a run of laps already taken on `clock` (the driver's
-    /// `Translate` is the engine's stage and translate laps).
+    /// Record under `phase` what `clock`'s laps recorded since the
+    /// copy `since` was taken, without reading the wall clock: for a
+    /// caller's phase that is exactly a run of laps already taken on
+    /// `clock` (the driver's `Translate` is the engine's stage and
+    /// translate laps).
     #[inline]
     pub fn phase_span(
         &mut self,
         phase: Phase,
-        since: Option<std::time::Instant>,
-        clock: Option<std::time::Instant>,
+        since: Option<PhaseClock>,
+        clock: Option<PhaseClock>,
     ) {
-        if let (Some(t0), Some(t1), Some(tr)) = (since, clock, self.tracer.0.as_deref_mut()) {
-            tr.record_phase(phase, t1.duration_since(t0).as_nanos() as u64);
+        if let (Some(t0), Some(t1), Some(tracer)) = (since, clock, self.tracer.0.as_deref_mut()) {
+            tracer.span(phase, t0, t1);
         }
     }
 
@@ -686,7 +696,7 @@ impl Nat {
     /// the packets are translated at. The two stages lap `clock` (the
     /// caller's [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
     /// [`Phase::BurstPrefetch`].
-    pub fn stage_burst(&mut self, pkts: &[Packet], clock: &mut Option<std::time::Instant>) {
+    pub fn stage_burst(&mut self, pkts: &[Packet], clock: &mut Option<PhaseClock>) {
         let staged = self.outbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
         for pkt in pkts {
@@ -741,7 +751,7 @@ impl Nat {
         pkts: impl IntoIterator<Item = Packet>,
         now: SimTime,
         verdicts: &mut Vec<NatVerdict>,
-        clock: &mut Option<std::time::Instant>,
+        clock: &mut Option<PhaseClock>,
     ) {
         for pkt in pkts {
             let planned = self.outbound_plan.pop_front().expect("packet was staged");
@@ -1041,7 +1051,7 @@ impl Nat {
     /// every line of the candidate slot's rows. As outbound, the hint
     /// is unverified and can change nothing, and the stages lap the
     /// caller's `clock`.
-    pub fn stage_inbound_burst(&mut self, pkts: &[Packet], clock: &mut Option<std::time::Instant>) {
+    pub fn stage_inbound_burst(&mut self, pkts: &[Packet], clock: &mut Option<PhaseClock>) {
         let staged = self.inbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
         for pkt in pkts {
@@ -1088,7 +1098,7 @@ impl Nat {
         pkts: impl IntoIterator<Item = Packet>,
         now: SimTime,
         verdicts: &mut Vec<NatVerdict>,
-        clock: &mut Option<std::time::Instant>,
+        clock: &mut Option<PhaseClock>,
     ) {
         for pkt in pkts {
             let planned = self.inbound_plan.pop_front().expect("packet was staged");

@@ -20,8 +20,9 @@
 //!   cross-section the soak gates are built on — with the server's own
 //!   `scrapes_served`/`scrape_errors` counters spliced in;
 //! * `GET /trace` — the latest published flight-recorder dump as
-//!   Chrome-trace JSON ([`cgn_trace::chrome_trace_json`]); an empty
-//!   dump until [`publish_trace`](OpsServer::publish_trace) is called;
+//!   Chrome-trace JSON ([`cgn_trace::chrome_trace_json`]), rendered
+//!   when it is asked for; an empty dump until
+//!   [`publish_trace`](OpsServer::publish_trace) is called;
 //! * anything else — `404`.
 //!
 //! [`scrape`] is the matching one-shot client, and
@@ -32,6 +33,7 @@
 //! report's `scrape_verified` flag.
 
 use cgn_metrics::{expo, Snapshot, Value};
+use cgn_trace::{chrome_trace_json, TraceDump};
 use cgn_traffic::SessionHealth;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -41,17 +43,20 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The last-published rendering of the session, served verbatim.
+/// The last-published state of the session: `/metrics` and `/healthz`
+/// rendered, served verbatim; the flight-recorder dump as published,
+/// rendered per `/trace` request — megabytes of JSON that most windows
+/// nobody asks for.
 struct Published {
     metrics_text: String,
     health_json: String,
-    trace_json: String,
+    trace: Arc<TraceDump>,
 }
 
 impl Published {
-    /// Lock the published rendering, poisoned or not. A publisher that
+    /// Lock the published state, poisoned or not. A publisher that
     /// panicked while holding the lock leaves nothing half-written:
-    /// every update assigns a whole, already rendered `String` to a
+    /// every update assigns a whole, already built value to a
     /// field, so each field is at all times some complete rendering —
     /// at worst `/metrics` is one barrier newer than `/healthz`. One
     /// dead publisher must not take the accept thread, and every later
@@ -88,7 +93,7 @@ impl OpsServer {
         let published = Arc::new(Mutex::new(Published {
             metrics_text: String::new(),
             health_json: "{}".to_string(),
-            trace_json: cgn_trace::chrome_trace_json(&cgn_trace::TraceDump::default()),
+            trace: Arc::default(),
         }));
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
@@ -127,11 +132,13 @@ impl OpsServer {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Swap in a fresh `/trace` body (Chrome-trace JSON, typically
-    /// [`cgn_trace::chrome_trace_json`] of the session's latest
-    /// [`cgn_traffic::DriverSession::trace_dump`]).
-    pub fn publish_trace(&self, trace_json: String) {
-        Published::lock(&self.published).trace_json = trace_json;
+    /// Swap in a fresh flight-recorder dump (typically the session's
+    /// latest [`cgn_traffic::DriverSession::trace_dump`]) for `/trace`
+    /// to render. Publishing costs a pointer swap, whatever the dump's
+    /// size.
+    pub fn publish_trace(&self, dump: TraceDump) {
+        let dump = Arc::new(dump);
+        Published::lock(&self.published).trace = dump;
     }
 
     /// Swap in a fresh rendering of the session: `snapshot` becomes
@@ -259,8 +266,10 @@ fn answer(
             ("200 OK", "application/json", body)
         }
         "/trace" => {
-            let p = Published::lock(published);
-            ("200 OK", "application/json", p.trace_json.clone())
+            // The lock is held for the pointer clone only: rendering a
+            // full recorder takes milliseconds a publisher must not wait.
+            let dump = Arc::clone(&Published::lock(published).trace);
+            ("200 OK", "application/json", chrome_trace_json(&dump))
         }
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
@@ -455,10 +464,18 @@ mod tests {
         // …and the publish path still publishes.
         health.now_secs = 180;
         server.publish(&snap, &health);
-        server.publish_trace("{}".to_string());
+        let dump = TraceDump {
+            evicted: 9,
+            ..TraceDump::default()
+        };
+        let rendered = chrome_trace_json(&dump);
+        server.publish_trace(dump);
         let body = scrape(server.local_addr(), "/healthz").expect("scrape /healthz");
         assert!(body.contains("\"now_secs\":180"), "{body}");
-        assert_eq!(scrape(server.local_addr(), "/trace").expect("trace"), "{}");
+        assert_eq!(
+            scrape(server.local_addr(), "/trace").expect("trace"),
+            rendered
+        );
         assert_eq!(server.scrape_errors(), 0);
         assert_eq!(
             server.shutdown(),
@@ -472,6 +489,7 @@ mod tests {
         let server = OpsServer::bind("127.0.0.1:0").expect("bind");
         // Before any publish: an empty, parseable dump.
         let body = scrape(server.local_addr(), "/trace").expect("scrape /trace");
+        assert_eq!(body, chrome_trace_json(&TraceDump::default()));
         let v: serde_json::Value = serde_json::from_str(&body).expect("empty dump parses");
         drop(v);
 
@@ -497,8 +515,10 @@ mod tests {
             )],
             1,
         );
-        server.publish_trace(cgn_trace::chrome_trace_json(&dump));
+        let rendered = chrome_trace_json(&dump);
+        server.publish_trace(dump);
         let body = scrape(server.local_addr(), "/trace").expect("scrape /trace");
+        assert_eq!(body, rendered, "rendered from the published dump");
         assert!(body.contains("\"ph\":\"X\""), "lifetime bar served: {body}");
         assert!(body.contains(cgn_trace::CHROME_SCHEMA), "{body}");
         let _: serde_json::Value = serde_json::from_str(&body).expect("published dump parses");

@@ -444,7 +444,7 @@ pub fn run(config: &SoakConfig) -> std::io::Result<SoakReport> {
                     None => server.publish(snap, &health),
                 }
                 if let Some(dump) = session.trace_dump() {
-                    server.publish_trace(cgn_trace::chrome_trace_json(&dump));
+                    server.publish_trace(dump);
                 }
             }
         }

@@ -29,8 +29,8 @@
 //! interval being closed identifies it — the same economy real
 //! deployments use.
 
+use netcore::hash::MixMap;
 use netcore::{Endpoint, Protocol, SimTime};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 pub(crate) const TAG_DEFINE_SUB: u8 = 0x01;
@@ -170,8 +170,13 @@ pub struct EventLog {
     buf: Vec<u8>,
     records: u64,
     last_ms: u64,
-    sub_ids: HashMap<Ipv4Addr, u64>,
-    pool_ids: HashMap<(Ipv4Addr, u8), u64>,
+    // Looked up once or twice per record. Both key spaces are the
+    // simulation's own (subscriber and pool addresses), so the
+    // workspace's deterministic hasher applies; ids are handed out in
+    // first-use order whatever the hasher, so the bytes do not depend
+    // on it.
+    sub_ids: MixMap<Ipv4Addr, u64>,
+    pool_ids: MixMap<(Ipv4Addr, u8), u64>,
 }
 
 impl EventLog {

@@ -17,14 +17,19 @@
 //! leak gate trips.
 
 use crate::mix64;
-use crate::phase::{Phase, PhaseProfiler};
+use crate::phase::{Phase, PhaseClock, PhaseProfiler};
+use netcore::hash::MixMap;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Default per-shard flight-recorder capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
+
+/// The driver's window clock runs for one window in this many per
+/// shard (see [`ShardTracer::window_clock`]).
+const WINDOW_CLOCK_ONE_IN: u32 = 16;
 
 /// What to trace. Carried on `DriverConfig`; the all-off default
 /// keeps existing configs byte-identical in behaviour.
@@ -170,27 +175,57 @@ pub struct ShardTracer {
     profile_phases: bool,
     /// slot id → key of the *sampled* mapping currently in that slot.
     /// Entries are removed at expiry, so slot reuse cannot mislabel a
-    /// later unsampled flow.
-    live: HashMap<u32, FlowKey>,
+    /// later unsampled flow. Probed once per translated packet, almost
+    /// always to find nothing: slot ids are the store's own dense
+    /// indices, so the workspace's deterministic hasher applies.
+    live: MixMap<u32, FlowKey>,
     recorder: FlightRecorder,
     phases: PhaseProfiler,
+    /// Driver windows still to pass untimed before the next timed one.
+    windows_until_timed: u32,
+    /// What taking a lap costs, taken off every lap
+    /// ([`ShardTracer::lap`]).
+    lap_cost_nanos: u64,
     sampled_flows: u64,
 }
 
 impl ShardTracer {
     pub fn new(shard: u32, config: &TraceConfig) -> Self {
-        ShardTracer {
+        let mut tracer = ShardTracer {
             shard,
             one_in: config.sample_one_in,
             profile_phases: config.profile_phases,
-            live: HashMap::new(),
+            live: MixMap::default(),
             recorder: FlightRecorder {
                 capacity: config.ring_capacity.max(1),
                 ..FlightRecorder::default()
             },
             phases: PhaseProfiler::new(),
+            windows_until_timed: 0,
+            lap_cost_nanos: 0,
             sampled_flows: 0,
+        };
+        if config.profile_phases {
+            tracer.calibrate_lap_cost();
         }
+        tracer
+    }
+
+    /// Measure what a lap costs — the clock read and the histogram
+    /// update — as the lowest mean over a few runs of sixteen laps
+    /// with nothing between them.
+    fn calibrate_lap_cost(&mut self) {
+        self.lap_cost_nanos = (0..4)
+            .map(|_| {
+                let mut clock = PhaseClock::start(1);
+                for _ in 0..16 {
+                    self.lap(&mut clock, Phase::Generate);
+                }
+                clock.lapped / 16
+            })
+            .min()
+            .unwrap_or(0);
+        self.phases = PhaseProfiler::new();
     }
 
     fn push(&mut self, at_ms: u64, key: FlowKey, kind: SpanKind) {
@@ -253,19 +288,82 @@ impl ShardTracer {
         }
     }
 
-    /// Record a wall-clock phase duration (no-op unless phase
-    /// profiling is on, so fire sites need no extra guard).
+    /// Start a phase clock whose laps count once each; `None` unless
+    /// phase profiling is on, so a disabled run never reads the clock.
+    /// For regions timed every time they run: the barrier phases
+    /// (`sweep`, `sample`: once per step) and the engine's own burst
+    /// entry points (three laps per burst).
     #[inline]
-    pub fn record_phase(&mut self, phase: Phase, nanos: u64) {
-        if self.profile_phases {
-            self.phases.record(phase, nanos);
+    pub fn phase_clock(&self) -> Option<PhaseClock> {
+        self.profile_phases.then(|| PhaseClock::start(1))
+    }
+
+    /// Start the phase clock for the window the traffic driver is
+    /// about to drain: `Some` for this shard's first window and every
+    /// N-th after it (N = 16, fixed), `None` — no clock read at all —
+    /// for the windows between, and always unless phase profiling is
+    /// on.
+    ///
+    /// A window is a few dozen packets, and timing one costs a clock
+    /// read per lap — several per millisecond bucket — which on a fully
+    /// observed soak was a sixth of the run. So the window clock has a
+    /// budget: one window in N is timed, and every lap and span of
+    /// that window is recorded with weight N
+    /// ([`Histogram::record_n`](cgn_metrics::Histogram::record_n)).
+    /// Counts and sums of the window phases (`generate`, `translate`,
+    /// `commit`, `inbound` and, on the driver path, the three
+    /// `burst_*`) are therefore estimates of the whole run — unbiased,
+    /// because which windows are timed depends on nothing but their
+    /// ordinal — and their percentiles are those of the timed windows.
+    /// The first window is timed so that a session of a few windows
+    /// still shows every phase. Clocks from
+    /// [`ShardTracer::phase_clock`] are never skipped: those phases
+    /// stay exact.
+    #[inline]
+    pub fn window_clock(&mut self) -> Option<PhaseClock> {
+        if !self.profile_phases {
+            return None;
+        }
+        if self.windows_until_timed == 0 {
+            self.windows_until_timed = WINDOW_CLOCK_ONE_IN - 1;
+            Some(PhaseClock::start(WINDOW_CLOCK_ONE_IN as u64))
+        } else {
+            self.windows_until_timed -= 1;
+            None
         }
     }
 
-    /// Whether fire sites should bother reading the clock at all.
+    /// Record the time since `clock`'s last lap under `phase`, with
+    /// the clock's weight, and restart it: the one place a phase
+    /// duration is measured. A lap runs from the end of one clock read
+    /// to the end of the next, so it holds a read and a histogram
+    /// update that untimed code does not pay (some 40 ns, against the
+    /// 100–250 of a bucket's translate or commit). That cost, measured
+    /// when the tracer is built, comes off every lap: weighted sums
+    /// then add up to the wall of the run as it is — mostly untimed —
+    /// not to that of a run timed throughout.
     #[inline]
-    pub fn profiling_phases(&self) -> bool {
-        self.profile_phases
+    pub fn lap(&mut self, clock: &mut PhaseClock, phase: Phase) {
+        let now = std::time::Instant::now();
+        let nanos =
+            (now.duration_since(clock.at).as_nanos() as u64).saturating_sub(self.lap_cost_nanos);
+        clock.at = now;
+        clock.lapped += nanos;
+        self.phases.record(phase, nanos, clock.weight);
+    }
+
+    /// Record under `phase` what the laps between two copies of one
+    /// clock recorded, `since` the earlier: for a caller's phase that
+    /// is exactly a run of laps already taken (the driver's
+    /// `translate` is the engine's stage and translate laps). No clock
+    /// read.
+    #[inline]
+    pub fn span(&mut self, phase: Phase, since: PhaseClock, until: PhaseClock) {
+        self.phases.record(
+            phase,
+            until.lapped.saturating_sub(since.lapped),
+            until.weight,
+        );
     }
 
     /// Whether any flow is being sampled (fast pre-check for hot
@@ -401,13 +499,46 @@ mod tests {
     }
 
     #[test]
+    fn window_clock_is_armed_for_the_first_window_and_every_sixteenth() {
+        let mut t = ShardTracer::new(0, &TraceConfig::sampled(64));
+        for window in 0..40 {
+            let mut clock = t.window_clock();
+            assert_eq!(clock.is_some(), window % 16 == 0, "window {window}");
+            // A lap of a timed window counts for sixteen, and a span
+            // over its laps is their sum.
+            if let Some(c) = clock.as_mut() {
+                let since = *c;
+                t.lap(c, Phase::BurstResolve);
+                t.lap(c, Phase::BurstTranslate);
+                t.span(Phase::Translate, since, *c);
+            }
+        }
+        // The every-time clock weighs one.
+        let mut c = t.phase_clock().expect("profiling on");
+        t.lap(&mut c, Phase::Sweep);
+        let laps = |p| t.phases().histogram(p);
+        assert_eq!(laps(Phase::Sweep).count, 1);
+        assert_eq!(laps(Phase::BurstResolve).count, 3 * 16);
+        assert_eq!(laps(Phase::Translate).count, 3 * 16);
+        assert_eq!(
+            laps(Phase::Translate).sum,
+            laps(Phase::BurstResolve).sum + laps(Phase::BurstTranslate).sum
+        );
+    }
+
+    #[test]
     fn phase_recording_respects_the_profile_flag() {
-        let mut off = ShardTracer::new(0, &TraceConfig::sampled(1));
-        let mut t = off.clone();
-        off.profile_phases = false;
-        off.record_phase(Phase::Generate, 99);
+        let config = TraceConfig {
+            profile_phases: false,
+            ..TraceConfig::sampled(1)
+        };
+        let mut off = ShardTracer::new(0, &config);
+        assert!(off.phase_clock().is_none());
+        assert!(off.window_clock().is_none());
         assert!(off.phases().is_empty());
-        t.record_phase(Phase::Generate, 99);
+        let mut t = ShardTracer::new(0, &TraceConfig::sampled(1));
+        let mut clock = t.phase_clock().expect("profiling on");
+        t.lap(&mut clock, Phase::Generate);
         assert_eq!(t.phases().histogram(Phase::Generate).count, 1);
     }
 }

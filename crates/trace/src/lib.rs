@@ -40,7 +40,7 @@ pub mod top;
 
 pub use chrome::{chrome_trace_json, TraceDump, CHROME_SCHEMA};
 pub use flow::{FlowKey, ShardTracer, SpanKind, TraceConfig, TraceEvent};
-pub use phase::{Phase, PhaseProfiler};
+pub use phase::{Phase, PhaseClock, PhaseProfiler};
 
 /// SplitMix64 finalizer — bit-identical to `nat_engine::store::mix64`
 /// (duplicated here because the dependency points the other way:

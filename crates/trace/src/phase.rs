@@ -7,6 +7,19 @@
 //! own profiler (no synchronization) and profiles merge in shard
 //! order at render time, exactly like snapshots.
 //!
+//! Timing has a budget. The barrier phases run once per step and the
+//! engine's burst entry points three laps per burst: those are timed
+//! every time and their histograms are exact. The driver's window
+//! phases would cost several clock reads per millisecond bucket, so a
+//! shard times one window in sixteen and records each of its laps with
+//! weight sixteen: `cgn_phase_nanos_count` and `_sum` of `generate`,
+//! `translate`, `commit`, `inbound` (and of the `burst_*` phases on
+//! the driver path) are **weighted estimates** of the whole run, not
+//! tallies, and their percentiles describe the timed windows. See
+//! [`ShardTracer::window_clock`](crate::ShardTracer::window_clock) for
+//! the estimator and [`ShardTracer::lap`](crate::ShardTracer::lap) for
+//! what a lap is net of.
+//!
 //! Wall-clock durations are inherently nondeterministic, so a
 //! [`PhaseProfiler`] must never feed anything a run digest covers:
 //! callers render it into *published* expositions (`/metrics`, perf
@@ -15,6 +28,7 @@
 
 use cgn_metrics::{Histogram, Snapshot, Value};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// One attributed pipeline region.
 ///
@@ -108,6 +122,29 @@ impl Phase {
 /// The metric family phase histograms render under.
 pub const PHASE_FAMILY: &str = "cgn_phase_nanos";
 
+/// A running wall-clock phase clock, started and lapped through a
+/// [`ShardTracer`](crate::ShardTracer): the instant its last lap
+/// ended, the weight its laps are recorded with (1, or N for a clock
+/// that runs one time in N), and what its laps have recorded so far —
+/// so a *span*, a caller's phase that is exactly a run of laps, is the
+/// difference between two copies of the clock and costs no clock read.
+#[derive(Debug, Clone, Copy)]
+pub struct PhaseClock {
+    pub(crate) at: Instant,
+    pub(crate) weight: u64,
+    pub(crate) lapped: u64,
+}
+
+impl PhaseClock {
+    pub(crate) fn start(weight: u64) -> PhaseClock {
+        PhaseClock {
+            at: Instant::now(),
+            weight,
+            lapped: 0,
+        }
+    }
+}
+
 /// Per-shard wall-clock nanosecond histograms, one per [`Phase`].
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseProfiler {
@@ -121,10 +158,12 @@ impl PhaseProfiler {
         }
     }
 
-    /// Record one timed region.
+    /// Record one timed region standing for `weight` like it
+    /// ([`Histogram::record_n`]): 1 for a region timed every time it
+    /// runs, N for one timed once in N runs.
     #[inline]
-    pub fn record(&mut self, phase: Phase, nanos: u64) {
-        self.histograms[phase.index()].record(nanos);
+    pub fn record(&mut self, phase: Phase, nanos: u64, weight: u64) {
+        self.histograms[phase.index()].record_n(nanos, weight);
     }
 
     /// The histogram for one phase (empty profilers index safely).
@@ -167,22 +206,6 @@ impl PhaseProfiler {
             );
         }
     }
-
-    /// `(phase, p50, p95, p99, count)` rows for every non-empty
-    /// phase.
-    pub fn percentile_rows(&self) -> Vec<(Phase, f64, f64, f64, u64)> {
-        Phase::ALL
-            .iter()
-            .filter_map(|&p| {
-                let h = self.histogram(p);
-                if h.is_empty() {
-                    return None;
-                }
-                let (p50, p95, p99) = h.percentiles();
-                Some((p, p50, p95, p99, h.count))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +226,11 @@ mod tests {
     #[test]
     fn profiler_records_merges_and_renders() {
         let mut a = PhaseProfiler::new();
-        a.record(Phase::Generate, 1000);
-        a.record(Phase::Generate, 2000);
-        a.record(Phase::Sweep, 50);
+        a.record(Phase::Generate, 1000, 1);
+        a.record(Phase::Generate, 2000, 1);
+        a.record(Phase::Sweep, 50, 1);
         let mut b = PhaseProfiler::new();
-        b.record(Phase::Generate, 4000);
+        b.record(Phase::Generate, 4000, 1);
         a.merge(&b);
         assert_eq!(a.histogram(Phase::Generate).count, 3);
         assert_eq!(a.histogram(Phase::Generate).sum, 7000);
@@ -222,10 +245,8 @@ mod tests {
             !text.contains("phase=\"inbound\""),
             "empty phases are omitted:\n{text}"
         );
-        let rows = a.percentile_rows();
-        assert_eq!(rows.len(), 2);
-        assert!(matches!(rows[0].0, Phase::Generate));
-        assert!(rows[0].1 <= rows[0].2 && rows[0].2 <= rows[0].3);
+        let (p50, p95, p99) = a.histogram(Phase::Generate).percentiles();
+        assert!(p50 <= p95 && p95 <= p99);
     }
 
     #[test]
@@ -235,6 +256,6 @@ mod tests {
         let mut snap = Snapshot::default();
         p.render_into(&mut snap);
         assert!(snap.samples.is_empty());
-        assert!(p.percentile_rows().is_empty());
+        assert_eq!(p.histogram(Phase::Sweep).percentiles(), (0.0, 0.0, 0.0));
     }
 }

@@ -633,9 +633,11 @@ fn advance_shard(
     } = &mut scratch;
     loop {
         // Wall-clock phase clock: `None` (an untaken branch per lap)
-        // unless this shard's tracer profiles phases. The engine laps
-        // its burst stages on the same clock.
-        let mut clock = nat.phase_clock();
+        // unless this shard's tracer profiles phases, and then `Some`
+        // for one window in sixteen, whose laps each stand for sixteen
+        // (`Nat::window_clock`). The engine laps its burst stages on
+        // the same clock.
+        let mut clock = nat.window_clock();
 
         // Generate, in event order, until the window is full or closed.
         let mut limit = boundary_ms;
@@ -2178,6 +2180,51 @@ mod tests {
                 .any(|s| s.name.starts_with("cgn_phase_nanos{")),
             "published exposition carries the phase histograms"
         );
+    }
+
+    /// The window clock runs for one window in sixteen per shard, the
+    /// first included, and its laps carry weight sixteen: after a
+    /// single step every driver phase already has samples, and the
+    /// weighted `generate` count estimates the windows drained — which
+    /// `cgn_bursts_total` counts exactly — to within one weight per
+    /// shard. The barrier phases are timed every time.
+    #[test]
+    fn window_clock_is_weighted_and_covers_every_phase_in_one_step() {
+        let mut cfg = small(WorkloadMix::residential_evening(), 23);
+        cfg.subscribers = 500;
+        cfg.shards = 3;
+        cfg.sample_secs = 30;
+        cfg.sweep_secs = 30;
+        cfg.metrics_window_secs = Some(30);
+        cfg.inbound_reply_permille = 250;
+        cfg.trace = TraceConfig {
+            profile_phases: true,
+            ..TraceConfig::off()
+        };
+        let mut session = DriverSession::new(&cfg);
+        session.step().expect("one barrier");
+        let profile = session.phase_profile().expect("profiling on");
+        for phase in Phase::ALL {
+            assert!(
+                !profile.histogram(phase).is_empty(),
+                "{} has no sample after one step",
+                phase.name()
+            );
+        }
+        let windows = session
+            .latest_snapshot()
+            .expect("sampled with metrics on")
+            .scalar("cgn_bursts_total");
+        let estimate = profile.histogram(Phase::Generate).count;
+        assert!(windows > 2 * 16 * 3, "enough windows to tell: {windows}");
+        assert_eq!(estimate % 16, 0, "every window lap weighs sixteen");
+        assert!(
+            estimate.abs_diff(windows) <= 16 * 3,
+            "weighted generate count {estimate} vs {windows} windows"
+        );
+        let shards = cfg.shards as u64;
+        assert_eq!(profile.histogram(Phase::Sweep).count, shards);
+        assert_eq!(profile.histogram(Phase::Sample).count, shards);
     }
 
     #[test]
