@@ -1,15 +1,20 @@
-//! Differential test: the burst pipeline is observationally identical
-//! to packet-at-a-time processing.
+//! Differential test: the staging halves over `Header`s are
+//! observationally identical to packet-at-a-time processing at the
+//! `Packet` boundary.
 //!
 //! Two layers, both property-based:
 //!
 //! * **raw engine** — arbitrary outbound packet sequences (UDP, TCP
-//!   with arbitrary flags, ICMP pass-through; arbitrary timing with
-//!   frequent same-millisecond groups; periodic sweeps) are fed to one
-//!   `Nat` via `process_outbound` and to a twin via `process_burst` at
-//!   burst sizes {1, 7, 64}. Verdicts, `NatStats`, store occupancy,
-//!   per-host port usage and the per-connection telemetry log must be
-//!   byte-identical.
+//!   with arbitrary flags, ICMP pass-through, packets addressed to the
+//!   NAT's own pool; arbitrary timing with frequent same-millisecond
+//!   groups; periodic sweeps), each window answered inbound, are fed to
+//!   one `Nat` via `process_outbound` / `process_inbound` and to a twin
+//!   via the halves in windows of {1, 7, 64} packets that span several
+//!   instants, under every mapping × filtering behaviour with and
+//!   without hairpinning and with either hairpin source. Verdicts,
+//!   rewritten endpoints, `NatStats`, store and port occupancy and the
+//!   per-connection telemetry log must be identical, and every packet
+//!   must be conserved as exactly one verdict.
 //! * **driver** — full traffic-driver runs at burst {1, 7, 64} ×
 //!   threads {1, 2, 4} must reproduce the burst=1/threads=1 run's
 //!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit;
@@ -21,187 +26,86 @@
 //! a few creates after the mapping exists): hairpins to an endpoint
 //! handed out one packet earlier, mappings created and expired on
 //! touch inside one call, a burst of creates that grows the index,
-//! and inbound replies right behind — per burst and per driver-style
-//! window, at burst {1, 2, 7, 32, 128}.
+//! and inbound replies right behind — at windows of {1, 2, 7, 32, 128}.
 
-use cgn_telemetry::BinaryLogSink;
+mod common;
+
 use cgn_traffic::{DriverConfig, FlashCrowd, WorkloadMix};
+use common::{
+    behaviour_space, logged_nat, play, replies, script, src_of, step_strategy, Observed, Timed,
+};
 use nat_engine::telemetry::TelemetryMode;
-use nat_engine::{FilteringBehavior, MappingBehavior, Nat, NatConfig, NatVerdict, PortAllocation};
-use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimDuration, SimTime, TcpFlags};
+use nat_engine::{FilteringBehavior, MappingBehavior, NatConfig, PortAllocation};
+use netcore::{Endpoint, Packet, SimDuration};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-/// Burst sizes the engine-level property sweeps (1 = degenerate
+/// Window sizes the engine-level property sweeps (1 = degenerate
 /// scalar-equivalent chunking, 7 = never divides the group sizes, 64
 /// = larger than most groups).
 const BURSTS: [usize; 3] = [1, 7, 64];
 /// Worker-thread counts the driver-level property sweeps.
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// One generated outbound packet: which host sends, to which
-/// destination, what transport, and how many milliseconds after the
-/// previous packet (0 keeps it in the same burst group).
-#[derive(Debug, Clone)]
-struct Step {
-    host: u8,
-    port: u8,
-    dst: u8,
-    kind: u8,
-    gap_ms: u8,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    (
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-    )
-        .prop_map(|(host, port, dst, kind, gap)| Step {
-            host: host % 24,
-            port: port % 6,
-            dst: dst % 5,
-            kind: kind % 8,
-            // Bias toward 0 so most packets share a timestamp and
-            // burst groups actually fill.
-            gap_ms: if gap % 4 == 0 { gap % 16 } else { 0 },
-        })
-}
-
-fn packet(step: &Step) -> Packet {
-    let src = Endpoint::new(
-        Ipv4Addr::from(u32::from(Ipv4Addr::new(100, 64, 0, 1)) + step.host as u32),
-        2000 + step.port as u16 * 13,
-    );
-    let dst = Endpoint::new(
-        Ipv4Addr::from(u32::from(Ipv4Addr::new(203, 0, 113, 1)) + step.dst as u32),
-        443 + step.dst as u16,
-    );
-    match step.kind {
-        0..=3 => Packet::udp(src, dst, vec![step.kind]),
-        4 => Packet::tcp(src, dst, TcpFlags::SYN, Vec::new()),
-        5 => Packet::tcp(src, dst, TcpFlags::ACK, Vec::new()),
-        6 => Packet::tcp(src, dst, TcpFlags::FIN, Vec::new()),
-        _ => Packet {
-            src,
-            dst,
-            ttl: 64,
-            body: PacketBody::Icmp {
-                kind: IcmpKind::TtlExceeded,
-                original_src: src,
-                original_dst: dst,
-            },
-        },
-    }
-}
-
-fn fresh_nat(seed: u64) -> Nat {
-    let ips = vec![Ipv4Addr::new(198, 18, 0, 1), Ipv4Addr::new(198, 18, 0, 2)];
-    let mut nat = Nat::new(NatConfig::cgn_default(), ips, seed);
-    nat.set_sink(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
-    nat
-}
-
-fn taken_log(nat: &mut Nat) -> Vec<u8> {
-    let sink = nat.take_sink().expect("sink installed");
-    BinaryLogSink::from_sink(sink)
-        .expect("sink is a BinaryLogSink")
-        .into_log()
-        .bytes()
-        .to_vec()
-}
-
-/// Group the steps into same-timestamp packet groups, exactly like the
-/// driver's millisecond event batches.
-fn groups(steps: &[Step]) -> Vec<(SimTime, Vec<Packet>)> {
-    let mut out: Vec<(SimTime, Vec<Packet>)> = Vec::new();
-    let mut at_ms = 0u64;
-    for step in steps {
-        at_ms += step.gap_ms as u64;
-        let pkt = packet(step);
-        match out.last_mut() {
-            Some((t, group)) if *t == SimTime::from_millis(at_ms) => group.push(pkt),
-            _ => out.push((SimTime::from_millis(at_ms), vec![pkt])),
-        }
-    }
-    out
-}
-
-/// Feed the same groups through both paths and compare every
-/// observable the engine exposes.
-fn engine_equivalence(steps: &[Step], burst: usize, seed: u64) {
-    let groups = groups(steps);
-    let mut scalar = fresh_nat(seed);
-    let mut scalar_verdicts: Vec<NatVerdict> = Vec::new();
-    for (i, (now, group)) in groups.iter().enumerate() {
-        for pkt in group {
-            scalar_verdicts.push(scalar.process_outbound(pkt.clone(), *now));
-        }
-        if i % 16 == 15 {
-            scalar.sweep(*now);
-        }
-    }
-
-    let mut batched = fresh_nat(seed);
-    let mut batched_verdicts: Vec<NatVerdict> = Vec::new();
-    for (i, (now, group)) in groups.iter().enumerate() {
-        for chunk in group.chunks(burst.max(1)) {
-            batched_verdicts.extend(batched.process_burst(chunk.to_vec(), *now));
-        }
-        if i % 16 == 15 {
-            batched.sweep(*now);
-        }
-    }
-
-    assert_eq!(scalar_verdicts, batched_verdicts, "burst={burst} verdicts");
-    assert_eq!(scalar.stats(), batched.stats(), "burst={burst} NatStats");
-    assert_eq!(
-        scalar.store_occupancy(),
-        batched.store_occupancy(),
-        "burst={burst} store occupancy"
-    );
-    let last = groups.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO);
-    assert_eq!(
-        scalar.ports_by_host(last),
-        batched.ports_by_host(last),
-        "burst={burst} per-host port usage"
-    );
-    assert_eq!(
-        scalar.port_occupancy(),
-        batched.port_occupancy(),
-        "burst={burst} port occupancy"
-    );
-    assert_eq!(
-        taken_log(&mut scalar),
-        taken_log(&mut batched),
-        "burst={burst} telemetry log bytes"
-    );
+/// Play the same script one packet at a time and through the halves,
+/// both directions, and compare every observable.
+fn engine_equivalence(config: &NatConfig, script: &[Timed], chunk: usize, seed: u64) -> Observed {
+    let twin = || logged_nat(config, &common::POOL, seed);
+    let scalar = play(twin(), script, chunk, (false, false), replies);
+    let halves = play(twin(), script, chunk, (true, true), replies);
+    assert_eq!(scalar, halves, "{config:?} chunk={chunk}");
+    scalar
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn prop_engine_burst_paths_are_observationally_identical(
-        steps in proptest::collection::vec(step_strategy(), 1..200),
+        steps in proptest::collection::vec(step_strategy(8), 1..160),
         seed in any::<u64>(),
     ) {
-        for burst in BURSTS {
-            engine_equivalence(&steps, burst, seed);
+        let script = script(&steps);
+        for config in behaviour_space() {
+            for burst in BURSTS {
+                engine_equivalence(&config, &script, burst, seed);
+            }
         }
+    }
+}
+
+/// The property's space is actually reached: over a fixed script, the
+/// behaviours that hairpin do, and the ones that do not refuse to.
+#[test]
+fn behaviour_space_reaches_both_hairpin_branches() {
+    let steps: Vec<common::Step> = (0..400u32)
+        .map(|k| common::Step {
+            host: (k % 24) as u8,
+            port: (k / 24 % 6) as u8,
+            dst: (k * 37 % 256) as u8,
+            kind: (k % 7) as u8,
+            gap_ms: (k % 5 == 0) as u8,
+        })
+        .collect();
+    let script = script(&steps);
+    for config in behaviour_space() {
+        let seen = engine_equivalence(&config, &script, 32, 3);
+        let taken = match config.hairpinning {
+            true => seen.stats.hairpins,
+            false => seen.stats.drop_no_hairpin,
+        };
+        assert!(taken > 0, "{config:?}: {:?}", seen.stats);
     }
 }
 
 /// A young NAT's slot arenas double their first chunk (moving rows)
-/// while it fills. One burst that mixes refreshes of existing mappings
+/// while it fills. One window that mixes refreshes of existing mappings
 /// with enough new flows to force several of those moves must still
 /// match the scalar path: slot hints resolved in the burst's first
 /// pass are ids, not addresses.
 #[test]
 fn burst_straddling_arena_promotions_matches_scalar() {
-    let flow = |host: usize, port: usize, gap_ms: u8| Step {
+    let flow = |host: usize, port: usize, gap_ms: u8| common::Step {
         host: host as u8,
         port: port as u8,
         dst: 0,
@@ -212,109 +116,19 @@ fn burst_straddling_arena_promotions_matches_scalar() {
     // alternates a refresh of one of them with a new flow: 200 more
     // mappings, so the group's bursts carry the store from 100 to 300
     // slots.
-    let mut steps: Vec<Step> = (0..100).map(|i| flow(i % 50, i / 50, 0)).collect();
+    let mut steps: Vec<common::Step> = (0..100).map(|i| flow(i % 50, i / 50, 0)).collect();
     for i in 0..200 {
         steps.push(flow(i % 50, (i / 50) % 2, if i == 0 { 5 } else { 0 }));
         steps.push(flow(50 + i % 50, i / 50, 0));
     }
-    let mut nat = fresh_nat(1);
-    for (now, group) in groups(&steps) {
-        nat.process_burst(group, now);
-    }
-    assert_eq!(
-        nat.store_occupancy().slots,
-        300,
-        "the scenario grows the arena"
-    );
+    let script = script(&steps);
+    let config = NatConfig::cgn_default();
+    let no_replies = |_: &[Timed], _: &[common::Seen], _: usize| Vec::new();
+    let twin = || logged_nat(&config, &common::POOL, 1);
+    let grown = play(twin(), &script, 500, (true, true), no_replies);
+    assert_eq!(grown.store.slots, 300, "the scenario grows the arena");
     for burst in [7, 64, 400] {
-        engine_equivalence(&steps, burst, 1);
-    }
-}
-
-/// One scripted outbound packet and the millisecond it is sent at.
-type Timed = (u64, Packet);
-
-/// Everything a scripted run leaves behind that a caller can see.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    verdicts: Vec<NatVerdict>,
-    stats: nat_engine::NatStats,
-    store: nat_engine::StoreOccupancy,
-    ports: Vec<nat_engine::PortOccupancy>,
-    log: Vec<u8>,
-}
-
-/// How a scripted run hands its packets to the engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Feed {
-    /// `process_outbound` / `process_inbound`, one packet at a time.
-    Scalar,
-    /// One `process_burst` per run of packets sharing an instant.
-    Burst,
-    /// As the traffic driver does: one `stage_burst` over the whole
-    /// chunk, then one `translate_staged` per instant.
-    Window,
-}
-
-/// Play `script` in chunks of `chunk` packets (a chunk may span
-/// instants). Right behind each chunk, every packet it got forwarded
-/// is answered from the remote it was sent to, at the chunk's last
-/// instant — the external endpoints the replies look up are the ones
-/// the chunk has only just created.
-fn play(config: &NatConfig, script: &[Timed], chunk: usize, feed: Feed) -> Observed {
-    let mut nat = Nat::new(config.clone(), vec![Ipv4Addr::new(198, 18, 0, 1)], 5);
-    nat.set_sink(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
-    let mut verdicts: Vec<NatVerdict> = Vec::new();
-    let mut clock = None; // phase laps are off
-    for timed in script.chunks(chunk) {
-        let first = verdicts.len();
-        let pkts: Vec<Packet> = timed.iter().map(|(_, p)| p.clone()).collect();
-        if feed == Feed::Window {
-            nat.stage_burst(&pkts, &mut clock);
-        }
-        let mut pkts = pkts.into_iter();
-        let mut instants = timed.iter().map(|t| t.0).peekable();
-        while let Some(at_ms) = instants.next() {
-            let mut same = 1;
-            while instants.next_if_eq(&at_ms).is_some() {
-                same += 1;
-            }
-            let now = SimTime::from_millis(at_ms);
-            let run = pkts.by_ref().take(same);
-            match feed {
-                Feed::Scalar => verdicts.extend(run.map(|p| nat.process_outbound(p, now))),
-                Feed::Burst => verdicts.extend(nat.process_burst(run.collect(), now)),
-                Feed::Window => nat.translate_staged(run, now, &mut verdicts, &mut clock),
-            }
-        }
-        let now = SimTime::from_millis(timed.last().expect("chunks are non-empty").0);
-        let replies: Vec<Packet> = timed
-            .iter()
-            .zip(&verdicts[first..])
-            .filter_map(|((_, sent), verdict)| match verdict {
-                NatVerdict::Forward(out) => Some(Packet::udp(sent.dst, out.src, vec![9])),
-                _ => None,
-            })
-            .collect();
-        match feed {
-            Feed::Scalar => {
-                verdicts.extend(replies.into_iter().map(|p| nat.process_inbound(p, now)))
-            }
-            Feed::Burst => verdicts.extend(nat.process_inbound_burst(replies, now)),
-            Feed::Window => {
-                nat.stage_inbound_burst(&replies, &mut clock);
-                nat.translate_inbound_staged(replies, now, &mut verdicts, &mut clock);
-            }
-        }
-    }
-    let end = SimTime::from_millis(script.last().map_or(0, |t| t.0) + 120_000);
-    nat.sweep(end);
-    Observed {
-        verdicts,
-        stats: nat.stats().clone(),
-        store: nat.store_occupancy(),
-        ports: nat.port_occupancy(),
-        log: taken_log(&mut nat),
+        engine_equivalence(&config, &script, burst, 1);
     }
 }
 
@@ -323,26 +137,31 @@ fn play(config: &NatConfig, script: &[Timed], chunk: usize, feed: Feed) -> Obser
 /// replay workloads' burst.
 const CHUNKS: [usize; 5] = [1, 2, 7, 32, 128];
 
-/// The scripted scalar run, after checking every chunked burst and
-/// window run against it.
+/// The scripted scalar run, after checking every chunked run through
+/// the halves against it. Every forwarded packet is answered from the
+/// remote it was sent to, right behind its window — the external
+/// endpoints the replies look up are the ones the window has only just
+/// created.
 fn write_behind_is_invisible(config: &NatConfig, script: &[Timed]) -> Observed {
+    let answer = |_: &[Timed], seen: &[common::Seen], _: usize| -> Vec<Packet> {
+        seen.iter()
+            .filter_map(|s| match *s {
+                (nat_engine::HeaderVerdict::Forward, Some((ext, remote))) => {
+                    Some(Packet::udp(remote, ext, vec![9]))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let twin = || logged_nat(config, &[Ipv4Addr::new(198, 18, 0, 1)], 5);
     for chunk in CHUNKS {
         // Scalar per chunk size too: the chunking decides when the
         // replies are sent.
-        let scalar = play(config, script, chunk, Feed::Scalar);
-        for feed in [Feed::Burst, Feed::Window] {
-            let batched = play(config, script, chunk, feed);
-            assert_eq!(scalar, batched, "chunk={chunk} {feed:?}");
-        }
+        let scalar = play(twin(), script, chunk, (false, false), answer);
+        let halves = play(twin(), script, chunk, (true, true), answer);
+        assert_eq!(scalar, halves, "chunk={chunk}");
     }
-    play(config, script, 1, Feed::Scalar)
-}
-
-fn scripted_src(host: u32, port: u16) -> Endpoint {
-    Endpoint::new(
-        Ipv4Addr::from(u32::from(Ipv4Addr::new(100, 64, 0, 1)) + host),
-        port,
-    )
+    play(twin(), script, 1, (false, false), answer)
 }
 
 /// (a) + (c) + (d): every packet opens a mapping, and under sequential
@@ -367,7 +186,7 @@ fn hairpins_to_endpoints_created_in_the_same_burst_match_scalar() {
                 4 if k >= 9 => ext(k - 9),
                 _ => Endpoint::new(Ipv4Addr::new(203, 0, 113, 1 + (k % 7) as u8), 443),
             };
-            let src = scripted_src(k as u32 % 24, 3000 + k as u16);
+            let src = src_of(k as u32 % 24, 3000 + k as u16);
             (k / 6, Packet::udp(src, dst, vec![1]))
         })
         .collect();
@@ -397,7 +216,7 @@ fn mappings_created_and_expired_inside_one_call_match_scalar() {
                 let dst = Endpoint::new(Ipv4Addr::new(203, 0, 113, 9), 443);
                 (
                     k / 12,
-                    Packet::udp(scripted_src(flow % 5, 4000 + flow as u16), dst, vec![1]),
+                    Packet::udp(src_of(flow % 5, 4000 + flow as u16), dst, vec![1]),
                 )
             })
             .collect();

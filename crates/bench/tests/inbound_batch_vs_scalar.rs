@@ -1,243 +1,56 @@
-//! Differential test: the **inbound** burst pipeline is
+//! Differential test: the **inbound** staging halves are
 //! observationally identical to packet-at-a-time processing.
 //!
 //! Two layers, both property-based, mirroring `batch_vs_scalar`:
 //!
 //! * **raw engine** — mappings are established with scalar outbound
-//!   packets (identically on both twins), then each millisecond group
-//!   is answered by a generated inbound group: exact replies,
-//!   same-IP/different-port replies, stranger replies, inbound ICMP
-//!   errors and packets to unmapped ports — the full `ContactSet`
-//!   filtering matrix. One twin takes them via `process_inbound`, the
-//!   other via `process_inbound_burst` at burst sizes {1, 7, 64},
-//!   under each RFC 4787 filtering behaviour. Verdicts, `NatStats`,
-//!   store occupancy and the per-connection telemetry log must be
-//!   identical.
+//!   packets (identically on both twins), then each window is answered
+//!   by a generated inbound window: exact replies, same-IP/different-
+//!   port replies, stranger replies, inbound ICMP errors and packets to
+//!   unmapped ports — the full `ContactSet` filtering matrix. One twin
+//!   takes them via `process_inbound`, the other via
+//!   `stage_inbound_burst` / `translate_inbound_staged` (ICMP through
+//!   `process_inbound` in its place) at windows of {1, 7, 64}, under
+//!   every mapping × filtering behaviour with and without hairpinning
+//!   and with either hairpin source. Verdicts, rewritten endpoints,
+//!   `NatStats`, store occupancy and the per-connection telemetry log
+//!   must be identical, and every packet conserved as one verdict.
 //! * **driver** — full runs with the inbound-reply leg enabled
 //!   (`inbound_reply_permille`) at burst {1, 7, 64} × threads
 //!   {1, 2, 4} must reproduce the burst=1/threads=1 run's
 //!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit.
 
-use cgn_telemetry::BinaryLogSink;
-use cgn_traffic::{DriverConfig, WorkloadMix};
-use nat_engine::telemetry::TelemetryMode;
-use nat_engine::{FilteringBehavior, Nat, NatConfig, NatVerdict};
-use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimTime, TcpFlags};
-use proptest::prelude::*;
-use std::net::Ipv4Addr;
+mod common;
 
-/// Burst sizes the engine-level property sweeps (1 = degenerate
+use cgn_traffic::{DriverConfig, WorkloadMix};
+use common::{behaviour_space, logged_nat, play, replies, script, step_strategy, POOL};
+use nat_engine::telemetry::TelemetryMode;
+use proptest::prelude::*;
+
+/// Window sizes the engine-level property sweeps (1 = degenerate
 /// scalar-equivalent chunking, 7 = never divides the group sizes, 64
 /// = larger than most groups).
 const BURSTS: [usize; 3] = [1, 7, 64];
 /// Worker-thread counts the driver-level property sweeps.
 const THREADS: [usize; 3] = [1, 2, 4];
-/// Every inbound filtering behaviour the engine implements.
-const FILTERINGS: [FilteringBehavior; 3] = [
-    FilteringBehavior::EndpointIndependent,
-    FilteringBehavior::AddressDependent,
-    FilteringBehavior::AddressAndPortDependent,
-];
-
-/// One generated outbound packet (same shape as `batch_vs_scalar`):
-/// which host sends, to which destination, what transport, and how
-/// many milliseconds after the previous packet.
-#[derive(Debug, Clone)]
-struct Step {
-    host: u8,
-    port: u8,
-    dst: u8,
-    kind: u8,
-    gap_ms: u8,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    (
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-        any::<u8>(),
-    )
-        .prop_map(|(host, port, dst, kind, gap)| Step {
-            host: host % 24,
-            port: port % 6,
-            dst: dst % 5,
-            kind: kind % 6,
-            gap_ms: if gap % 4 == 0 { gap % 16 } else { 0 },
-        })
-}
-
-fn outbound(step: &Step) -> Packet {
-    let src = Endpoint::new(
-        Ipv4Addr::from(u32::from(Ipv4Addr::new(100, 64, 0, 1)) + step.host as u32),
-        2000 + step.port as u16 * 13,
-    );
-    let dst = Endpoint::new(
-        Ipv4Addr::from(u32::from(Ipv4Addr::new(203, 0, 113, 1)) + step.dst as u32),
-        443 + step.dst as u16,
-    );
-    match step.kind {
-        0..=3 => Packet::udp(src, dst, vec![step.kind]),
-        4 => Packet::tcp(src, dst, TcpFlags::SYN, Vec::new()),
-        _ => Packet::tcp(src, dst, TcpFlags::ACK, Vec::new()),
-    }
-}
-
-/// Build one millisecond group's inbound answers from that group's
-/// outbound Forward verdicts. The variant cycle deliberately spans
-/// the whole filtering matrix: exact reply (passes everything),
-/// same-IP/new-port (drops only under port-address restriction),
-/// stranger IP (drops under any restriction), inbound ICMP error, and
-/// a packet to a port no mapping owns (drops everywhere).
-fn replies_for(verdicts: &[NatVerdict], salt: usize) -> Vec<Packet> {
-    let mut replies = Vec::new();
-    for (j, v) in verdicts.iter().enumerate() {
-        let NatVerdict::Forward(t) = v else { continue };
-        let (ext, remote) = (t.src, t.dst);
-        let udp = matches!(t.body, PacketBody::Udp { .. });
-        let pkt = match (salt + j) % 5 {
-            0 | 1 => {
-                if udp {
-                    Packet::udp(remote, ext, vec![])
-                } else {
-                    Packet::tcp(remote, ext, TcpFlags::ACK, Vec::new())
-                }
-            }
-            2 => Packet::udp(
-                Endpoint::new(remote.ip, remote.port.wrapping_add(1)),
-                ext,
-                vec![],
-            ),
-            3 => Packet::udp(
-                Endpoint::new(Ipv4Addr::new(192, 0, 2, 66), 5353),
-                ext,
-                vec![],
-            ),
-            _ => Packet {
-                src: remote,
-                dst: ext,
-                ttl: 64,
-                body: PacketBody::Icmp {
-                    kind: IcmpKind::TtlExceeded,
-                    original_src: ext,
-                    original_dst: remote,
-                },
-            },
-        };
-        replies.push(pkt);
-        if (salt + j) % 7 == 0 {
-            // An external probe to a port nothing maps: drop_no_mapping
-            // on every policy, and a burst slot with no resolved key.
-            replies.push(Packet::udp(
-                Endpoint::new(Ipv4Addr::new(192, 0, 2, 66), 5353),
-                Endpoint::new(ext.ip, 1),
-                vec![],
-            ));
-        }
-    }
-    replies
-}
-
-fn fresh_nat(filtering: FilteringBehavior, seed: u64) -> Nat {
-    let ips = vec![Ipv4Addr::new(198, 18, 0, 1), Ipv4Addr::new(198, 18, 0, 2)];
-    let mut config = NatConfig::cgn_default();
-    config.filtering = filtering;
-    let mut nat = Nat::new(config, ips, seed);
-    nat.set_sink(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
-    nat
-}
-
-fn taken_log(nat: &mut Nat) -> Vec<u8> {
-    let sink = nat.take_sink().expect("sink installed");
-    BinaryLogSink::from_sink(sink)
-        .expect("sink is a BinaryLogSink")
-        .into_log()
-        .bytes()
-        .to_vec()
-}
-
-/// Group the steps into same-timestamp packet groups, exactly like the
-/// driver's millisecond event batches.
-fn groups(steps: &[Step]) -> Vec<(SimTime, Vec<Packet>)> {
-    let mut out: Vec<(SimTime, Vec<Packet>)> = Vec::new();
-    let mut at_ms = 0u64;
-    for step in steps {
-        at_ms += step.gap_ms as u64;
-        let pkt = outbound(step);
-        match out.last_mut() {
-            Some((t, group)) if *t == SimTime::from_millis(at_ms) => group.push(pkt),
-            _ => out.push((SimTime::from_millis(at_ms), vec![pkt])),
-        }
-    }
-    out
-}
-
-/// Establish mappings identically on both twins (scalar outbound),
-/// answer every group inbound — scalar on one twin, bursts on the
-/// other — and compare every observable the engine exposes.
-fn engine_equivalence(steps: &[Step], filtering: FilteringBehavior, burst: usize, seed: u64) {
-    let groups = groups(steps);
-    let mut scalar = fresh_nat(filtering, seed);
-    let mut batched = fresh_nat(filtering, seed);
-    let mut scalar_verdicts: Vec<NatVerdict> = Vec::new();
-    let mut batched_verdicts: Vec<NatVerdict> = Vec::new();
-
-    for (i, (now, group)) in groups.iter().enumerate() {
-        // Outbound establishment: the scalar path on both twins, so
-        // the only divergence under test is the inbound pipeline.
-        let mut out_verdicts = Vec::with_capacity(group.len());
-        for pkt in group {
-            out_verdicts.push(scalar.process_outbound(pkt.clone(), *now));
-            let twin = batched.process_outbound(pkt.clone(), *now);
-            assert_eq!(*out_verdicts.last().unwrap(), twin, "outbound twins agree");
-        }
-
-        let replies = replies_for(&out_verdicts, i);
-        for pkt in &replies {
-            scalar_verdicts.push(scalar.process_inbound(pkt.clone(), *now));
-        }
-        for chunk in replies.chunks(burst.max(1)) {
-            batched_verdicts.extend(batched.process_inbound_burst(chunk.to_vec(), *now));
-        }
-
-        if i % 16 == 15 {
-            scalar.sweep(*now);
-            batched.sweep(*now);
-        }
-    }
-
-    let tag = format!("filtering={filtering:?} burst={burst}");
-    assert_eq!(scalar_verdicts, batched_verdicts, "{tag} inbound verdicts");
-    assert_eq!(scalar.stats(), batched.stats(), "{tag} NatStats");
-    assert_eq!(
-        scalar.store_occupancy(),
-        batched.store_occupancy(),
-        "{tag} store occupancy"
-    );
-    assert_eq!(
-        scalar.port_occupancy(),
-        batched.port_occupancy(),
-        "{tag} port occupancy"
-    );
-    assert_eq!(
-        taken_log(&mut scalar),
-        taken_log(&mut batched),
-        "{tag} telemetry log bytes"
-    );
-}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn prop_engine_inbound_burst_paths_are_observationally_identical(
-        steps in proptest::collection::vec(step_strategy(), 1..160),
+        steps in proptest::collection::vec(step_strategy(8), 1..160),
         seed in any::<u64>(),
     ) {
-        for filtering in FILTERINGS {
+        let script = script(&steps);
+        for config in behaviour_space() {
             for burst in BURSTS {
-                engine_equivalence(&steps, filtering, burst, seed);
+                // Outbound packet at a time on both twins, so the only
+                // divergence under test is the inbound pipeline.
+                let twin = || logged_nat(&config, &POOL, seed);
+                let scalar = play(twin(), &script, burst, (false, false), replies);
+                let halves = play(twin(), &script, burst, (false, true), replies);
+                prop_assert_eq!(scalar, halves, "{:?} burst={}", config, burst);
             }
         }
     }

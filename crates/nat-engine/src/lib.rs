@@ -46,7 +46,9 @@ pub use config::{
     FilteringBehavior, MappingBehavior, NatConfig, Pooling, PortAllocation, StunNatType,
 };
 pub use metrics::EngineMetrics;
-pub use nat::{DropReason, Mapping, Nat, NatStats, NatVerdict, PortOccupancy};
+pub use nat::{
+    DropReason, Header, HeaderVerdict, Mapping, Nat, NatStats, NatVerdict, PortOccupancy,
+};
 pub use ports::PortAllocator;
 pub use sharded::ShardedNat;
 pub use store::{ContactSet, MappingStore, StoreOccupancy};

@@ -32,7 +32,7 @@ pub struct EngineMetrics {
     /// the "how bursty is expiry work" observable.
     pub sweep_batch: Histogram,
     /// Calls to [`Nat::stage_burst`](crate::Nat::stage_burst), the
-    /// first half of every [`Nat::process_burst`](crate::Nat::process_burst).
+    /// first half of every outbound burst.
     pub bursts: Counter,
     /// Distribution of burst fill (packets per stage call) — how full
     /// the driver's windows keep the batched hot path.
@@ -43,8 +43,7 @@ pub struct EngineMetrics {
     /// fingerprint collision counts a row no packet will use.
     pub prefetches: Counter,
     /// Calls to [`Nat::stage_inbound_burst`](crate::Nat::stage_inbound_burst),
-    /// the first half of every
-    /// [`Nat::process_inbound_burst`](crate::Nat::process_inbound_burst).
+    /// the first half of every inbound burst.
     pub bursts_in: Counter,
     /// Distribution of inbound burst fill (packets per stage call).
     /// Small on the driver path by design: the reply leg answers one

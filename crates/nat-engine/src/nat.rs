@@ -1,17 +1,14 @@
 //! The NAT device: translation state machine.
 //!
 //! A [`Nat`] owns a pool of external IPs, per-IP port allocators and a table
-//! of [`Mapping`]s with idle timeouts. The two entry points mirror how the
-//! simulator hands packets to an on-path middlebox:
-//!
-//! * [`Nat::process_outbound`] — packet travelling from the internal realm
-//!   toward the core;
-//! * [`Nat::process_inbound`] — packet arriving at one of the NAT's
-//!   external addresses.
-//!
-//! Both return a [`NatVerdict`]: forward the translated packet, loop it back
-//! into the internal realm (hairpinning), or drop it with a reason that the
+//! of [`Mapping`]s with idle timeouts. One core per direction — outbound
+//! from the internal realm, inbound at an external address — rewrites a
+//! [`Header`] in place and returns a [`HeaderVerdict`]: forward, loop back
+//! into the internal realm (hairpinning), or drop with a reason that the
 //! stats record — the observable that the paper's measurements build on.
+//! The staging halves ([`Nat::stage_burst`] and kin) run the cores over
+//! caller-owned header slices; [`Nat::process_outbound`] /
+//! [`Nat::process_inbound`] run them for one whole [`Packet`].
 
 use crate::config::{FilteringBehavior, NatConfig, Pooling, PortAllocation, StunNatType};
 use crate::metrics::{EngineMetrics, MetricsSlot};
@@ -29,18 +26,91 @@ use std::net::Ipv4Addr;
 
 pub use crate::store::Mapping;
 
-/// One planned packet of an outbound burst: protocol, TCP flags and
-/// packed out-key; `None` marks an ICMP pass-through.
-type OutboundPlan = Option<(Protocol, Option<TcpFlags>, u128)>;
+/// What the translation path reads of a UDP or TCP packet, and all it
+/// rewrites — 18 bytes, `Copy`, no payload.
+///
+/// **Rewritten in place.** Translating calls take headers by `&mut`: a
+/// forwarded outbound header gets the external endpoint as `src`, a
+/// forwarded inbound one the internal endpoint as `dst`, a hairpinned
+/// one the target's internal endpoint as `dst` (and `src` as the
+/// hairpin source policy says). After a drop only the
+/// [`HeaderVerdict`] is meaningful.
+///
+/// **`Packet` only at the boundaries.** The simulator routes whole
+/// [`Packet`]s (48 bytes, owned payload), and ICMP errors have no
+/// header form, so `Packet` survives only where real packets are
+/// routed: [`Nat::process_outbound`] / [`Nat::process_inbound`]
+/// (simnet's packet-at-a-time entry) and [`crate::ShardedNat`]'s batch
+/// wrappers, which copy headers out and write the rewritten endpoints
+/// back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Header {
+    pub src: Endpoint,
+    pub dst: Endpoint,
+    pub proto: Protocol,
+    /// `Some` exactly for TCP.
+    pub flags: Option<TcpFlags>,
+}
 
-/// One planned packet of an inbound burst: protocol, TCP flags and
-/// packed ext-key (`None` when the destination pool was never
-/// interned — a stray that can only drop); the outer `None` marks an
-/// inbound ICMP error.
-type InboundPlan = Option<(Protocol, Option<TcpFlags>, Option<u64>)>;
+impl Header {
+    /// A TCP header when `flags` is given, a UDP header otherwise.
+    pub fn new(src: Endpoint, dst: Endpoint, flags: Option<TcpFlags>) -> Header {
+        let proto = flags.map_or(Protocol::Udp, |_| Protocol::Tcp);
+        Header {
+            src,
+            dst,
+            proto,
+            flags,
+        }
+    }
 
-/// Outcome of processing one packet.
+    /// The header of a UDP or TCP packet; `None` for ICMP.
+    pub fn of(pkt: &Packet) -> Option<Header> {
+        match &pkt.body {
+            PacketBody::Udp { .. } => Some(Header::new(pkt.src, pkt.dst, None)),
+            PacketBody::Tcp { flags, .. } => Some(Header::new(pkt.src, pkt.dst, Some(*flags))),
+            PacketBody::Icmp { .. } => None,
+        }
+    }
+
+    /// Write the (rewritten) endpoints back into the packet they were
+    /// taken from.
+    pub fn write_to(&self, pkt: &mut Packet) {
+        pkt.src = self.src;
+        pkt.dst = self.dst;
+    }
+}
+
+/// Outcome of translating one [`Header`]; the rewritten endpoints are
+/// in the header itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HeaderVerdict {
+    /// Translated; continue along the path.
+    Forward,
+    /// Outbound header addressed to this NAT's own pool, looped back to
+    /// the internal endpoint now in `dst`.
+    Hairpin,
+    /// Dropped.
+    Drop(DropReason),
+}
+
+impl HeaderVerdict {
+    /// The packet-owning verdict for `pkt`, whose endpoints the caller
+    /// has already rewritten.
+    pub fn with(self, pkt: Packet) -> NatVerdict {
+        match self {
+            HeaderVerdict::Forward => NatVerdict::Forward(pkt),
+            HeaderVerdict::Hairpin => NatVerdict::Hairpin(pkt),
+            HeaderVerdict::Drop(r) => NatVerdict::Drop(r),
+        }
+    }
+}
+
+/// Outcome of processing one [`Packet`] at the simulator boundary. A
+/// word-sized tag keeps moving a packet in one aligned copy (a byte
+/// tag makes it a copy from offset 1 that stalls store forwarding).
 #[derive(Debug, Clone, PartialEq)]
+#[repr(u64)]
 pub enum NatVerdict {
     /// Translated; continue along the path (outbound: toward the core,
     /// inbound: into the internal realm).
@@ -182,14 +252,16 @@ pub struct Nat {
     /// discipline again: absent by default, one untaken branch per
     /// fire site when disabled.
     tracer: TraceSlot,
-    /// The staged outbound plan: [`Nat::stage_burst`] appends one
-    /// entry per packet, [`Nat::translate_staged`] consumes them from
-    /// the front. Storage is kept between bursts so staging allocates
-    /// nothing; unallocated until a NAT's first burst.
-    outbound_plan: VecDeque<OutboundPlan>,
+    /// The staged outbound plan, one packed out-key per header:
+    /// [`Nat::stage_burst`] appends, [`Nat::translate_staged`] consumes
+    /// from the front. Storage is kept between bursts so staging
+    /// allocates nothing; unallocated until a NAT's first burst.
+    outbound_plan: VecDeque<u128>,
     /// The same for [`Nat::stage_inbound_burst`] /
-    /// [`Nat::translate_inbound_staged`].
-    inbound_plan: VecDeque<InboundPlan>,
+    /// [`Nat::translate_inbound_staged`]: one packed ext-key per
+    /// header, `None` when the destination pool was never interned (a
+    /// stray that can only drop).
+    inbound_plan: VecDeque<Option<u64>>,
 }
 
 /// `Option`-slot wrapper for the tracer; the custom `Debug` keeps
@@ -410,9 +482,7 @@ impl Nat {
         internal: Endpoint,
         now: SimTime,
     ) -> Option<Endpoint> {
-        self.store
-            .iter_live()
-            .map(|(_, m)| m)
+        self.mappings()
             .find(|m| m.proto == proto && m.internal == internal && !m.expired(now))
             .map(|m| m.external)
     }
@@ -598,12 +668,7 @@ impl Nat {
         }
     }
 
-    fn tcp_update(
-        state: Option<TcpConnState>,
-        flags: TcpFlags,
-        from_inside: bool,
-    ) -> Option<TcpConnState> {
-        let _ = from_inside;
+    fn tcp_update(state: Option<TcpConnState>, flags: TcpFlags) -> Option<TcpConnState> {
         Some(match (state, flags) {
             (_, f) if f.rst || f.fin => TcpConnState::Closing,
             (None, f) if f.syn && !f.ack => TcpConnState::Transitory,
@@ -613,65 +678,38 @@ impl Nat {
         })
     }
 
-    /// Process a packet leaving the internal realm.
-    pub fn process_outbound(&mut self, pkt: Packet, now: SimTime) -> NatVerdict {
-        self.stats.out_packets += 1;
-        let (proto, flags) = match &pkt.body {
-            PacketBody::Udp { .. } => (Protocol::Udp, None),
-            PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
-            PacketBody::Icmp { .. } => {
-                // Router-originated ICMP (e.g. TTL exceeded inside the
-                // access network) passes unmodified: the classic
-                // "private IP in traceroute" artifact.
-                return NatVerdict::Forward(pkt);
-            }
+    /// Process one packet leaving the internal realm: the simulator's
+    /// boundary over the outbound core. ICMP (router-originated, e.g.
+    /// TTL exceeded inside the access network) passes unmodified: the
+    /// classic "private IP in traceroute" artifact.
+    pub fn process_outbound(&mut self, mut pkt: Packet, now: SimTime) -> NatVerdict {
+        let Some(mut h) = Header::of(&pkt) else {
+            self.stats.out_packets += 1;
+            return NatVerdict::Forward(pkt);
         };
-
         let key = self
             .store
-            .out_key(self.config.mapping, proto, pkt.src, pkt.dst);
-        let verdict = self.translate_outbound(pkt, now, proto, flags, key);
+            .out_key(self.config.mapping, h.proto, h.src, h.dst);
+        let verdict = self.translate_outbound(&mut h, now, key);
         self.store.flush_ext_index();
-        verdict
+        h.write_to(&mut pkt);
+        verdict.with(pkt)
     }
 
-    /// Translate a burst of outbound packets at one instant, returning
-    /// one verdict per packet in arrival order.
+    /// Stages 1–2 of the outbound burst pipeline over `headers`, which
+    /// must then be handed to [`Nat::translate_staged`] in the same
+    /// order (in one call or several).
     ///
     /// A lookup in a table far larger than the cache is two dependent
     /// misses — a random index cell, then the slab rows it names — and
-    /// the burst exists to take the whole burst's misses of each kind
-    /// at once instead of one packet's after another's. Three stages,
-    /// in two halves: [`Nat::stage_burst`] (**resolve**, then
-    /// **prefetch**) followed by [`Nat::translate_staged`]
-    /// (**translate**) over the same packets — this function is
-    /// literally that pair. A caller whose packets do not share one
-    /// instant (the traffic driver's window of millisecond buckets)
-    /// calls the halves itself: one stage call over everything, then
-    /// one translate call per instant.
-    ///
-    /// RNG draws, interner growth, sink/metrics fire order and verdict
-    /// commit order are all arrival-order, so results — verdicts,
-    /// [`NatStats`], store state, telemetry logs — are bit-identical
-    /// to calling `process_outbound` once per packet, for every burst
-    /// size.
-    pub fn process_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
-        let mut clock = self.phase_clock();
-        self.stage_burst(&pkts, &mut clock);
-        let mut verdicts = Vec::with_capacity(pkts.len());
-        self.translate_staged(pkts, now, &mut verdicts, &mut clock);
-        verdicts
-    }
-
-    /// Stages 1–2 of the outbound burst pipeline over `pkts`, which
-    /// must then be handed to [`Nat::translate_staged`] in the same
-    /// order (in one call or several). **Resolve**, in arrival order,
-    /// packs every packet's out-key (key packing interns hosts, so the
-    /// interner evolves exactly as under [`Nat::process_outbound`])
-    /// and prefetches the index cell its probe starts at; **prefetch**
-    /// reads those cells, now cached, with a tag-only probe
-    /// ([`MappingStore::hint_out`]), whose result triggers one of
-    /// three things:
+    /// the pipeline exists to take a whole burst's misses of each kind
+    /// at once instead of one packet's after another's. **Resolve**, in
+    /// arrival order, packs every header's out-key (key packing interns
+    /// hosts, so the interner evolves exactly as under
+    /// [`Nat::process_outbound`]) and prefetches the index cell its
+    /// probe starts at; **prefetch** reads those cells, now cached, with
+    /// a tag-only probe ([`MappingStore::hint_out`]), whose result
+    /// triggers one of three things:
     ///
     /// * a **candidate slot** — every line of its hot and cold row is
     ///   prefetched: the packet will most likely refresh that mapping;
@@ -683,43 +721,30 @@ impl Nat {
     /// * no candidate and **no free slot left** to name — nothing:
     ///   that create appends to the arena, where no row exists yet.
     ///
-    /// Both kinds of hint are left unverified on purpose. Verifying a
-    /// candidate means reading the cold row, the very miss the stage
-    /// exists to overlap; and whether a create happens, and into which
-    /// row, is only settled in arrival order. A wrong or stale one (a
-    /// fingerprint collision; a slot an earlier packet freed or
-    /// re-used before the hinted one is translated; a predicted create
-    /// an earlier packet of the burst turned into a hit, or the
-    /// session limit refused; a lower slot freed on touch in between)
-    /// costs a useless prefetch and can change nothing. Neither stage
-    /// reads simulated time: staging is independent of the instant(s)
-    /// the packets are translated at. The two stages lap `clock` (the
-    /// caller's [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
-    /// [`Phase::BurstPrefetch`].
-    pub fn stage_burst(&mut self, pkts: &[Packet], clock: &mut Option<PhaseClock>) {
+    /// Both kinds of hint are left unverified on purpose: verifying a
+    /// candidate reads the cold row, the very miss the stage overlaps,
+    /// and creates are only settled in arrival order. A wrong or stale
+    /// hint (a fingerprint collision, a slot freed or re-used, a create
+    /// that became a hit or was refused) costs a useless prefetch and
+    /// can change nothing. Neither stage reads simulated time. The two
+    /// stages lap `clock` (the caller's [`Nat::phase_clock`]) as
+    /// [`Phase::BurstResolve`] and [`Phase::BurstPrefetch`].
+    pub fn stage_burst(&mut self, headers: &[Header], clock: &mut Option<PhaseClock>) {
         let staged = self.outbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
-        for pkt in pkts {
-            let (proto, flags) = match &pkt.body {
-                PacketBody::Udp { .. } => (Protocol::Udp, None),
-                PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
-                PacketBody::Icmp { .. } => {
-                    self.outbound_plan.push_back(None); // ICMP passes through untranslated
-                    continue;
-                }
-            };
+        for h in headers {
             let key = self
                 .store
-                .out_key(self.config.mapping, proto, pkt.src, pkt.dst);
+                .out_key(self.config.mapping, h.proto, h.src, h.dst);
             self.store.prefetch_out_cell(key);
-            self.outbound_plan.push_back(Some((proto, flags, key)));
+            self.outbound_plan.push_back(key);
         }
         self.phase_lap(clock, Phase::BurstResolve);
 
-        // Stage 2 — candidate rows on their way, and for the packets
+        // Stage 2 — candidate rows on their way, and for the headers
         // without a candidate the rows their creates will fill.
         let (mut rows, mut creates) = (0u64, 0usize);
-        for &(_, _, key) in self.outbound_plan.range(staged..).flatten() {
+        for &key in self.outbound_plan.range(staged..) {
             match self.store.hint_out(key) {
                 Some(slot) => {
                     self.store.prefetch_slot(slot);
@@ -730,55 +755,46 @@ impl Nat {
         }
         self.store.prefetch_free_slots(creates);
         if let Some(m) = &mut self.metrics.0 {
-            m.on_burst(pkts.len() as u64, rows);
+            m.on_burst(headers.len() as u64, rows);
         }
         self.phase_lap(clock, Phase::BurstPrefetch);
     }
 
-    /// Stage 3 of the outbound burst pipeline: translate `pkts` — the
-    /// next packets [`Nat::stage_burst`] staged, in staging order — at
-    /// `now`, appending one verdict per packet to `verdicts`. Runs in
-    /// arrival order through the same code path as the scalar API,
-    /// which probes again and verifies the full key. The creates of
-    /// one call overlap their external-index misses: each cell is
-    /// written a few creates after it was asked for, the last ones
-    /// before the call returns (see [`MappingStore::insert`]). Laps
-    /// `clock` as [`Phase::BurstTranslate`].
+    /// Stage 3 of the outbound burst pipeline: translate `headers` — the
+    /// next headers [`Nat::stage_burst`] staged, in staging order — at
+    /// `now`, rewriting each in place (see [`Header`]) and appending one
+    /// verdict per header to `verdicts`. Runs in arrival order through
+    /// the outbound core that [`Nat::process_outbound`] runs, which
+    /// probes again and verifies the full key, so RNG draws, interner
+    /// growth, sink/metrics fire order and verdicts — and therefore
+    /// [`NatStats`], store state and telemetry logs — are bit-identical
+    /// to translating one packet at a time, for every burst size. The
+    /// creates of one call overlap their external-index misses: each
+    /// cell is written a few creates after it was asked for, the last
+    /// ones before the call returns (see [`MappingStore::insert`]).
+    /// Laps `clock` as [`Phase::BurstTranslate`].
     ///
-    /// Panics if more packets are handed in than were staged.
+    /// Panics if more headers are handed in than were staged.
     pub fn translate_staged(
         &mut self,
-        pkts: impl IntoIterator<Item = Packet>,
+        headers: &mut [Header],
         now: SimTime,
-        verdicts: &mut Vec<NatVerdict>,
+        verdicts: &mut Vec<HeaderVerdict>,
         clock: &mut Option<PhaseClock>,
     ) {
-        for pkt in pkts {
-            let planned = self.outbound_plan.pop_front().expect("packet was staged");
-            self.stats.out_packets += 1;
-            verdicts.push(match planned {
-                None => NatVerdict::Forward(pkt),
-                Some((proto, flags, key)) => self.translate_outbound(pkt, now, proto, flags, key),
-            });
+        for h in headers {
+            let key = self.outbound_plan.pop_front().expect("header was staged");
+            verdicts.push(self.translate_outbound(h, now, key));
         }
         self.store.flush_ext_index();
         self.phase_lap(clock, Phase::BurstTranslate);
     }
 
-    /// The shared outbound translation path behind
-    /// [`Nat::process_outbound`] and [`Nat::translate_staged`]: reuse or
-    /// create the mapping for an already-packed out-key, refresh it,
-    /// and rewrite the packet.
-    fn translate_outbound(
-        &mut self,
-        pkt: Packet,
-        now: SimTime,
-        proto: Protocol,
-        flags: Option<TcpFlags>,
-        key: u128,
-    ) -> NatVerdict {
-        let internal = pkt.src;
-        let dst = pkt.dst;
+    /// The outbound core: reuse or create the mapping for an
+    /// already-packed out-key, refresh it, and rewrite `h`.
+    fn translate_outbound(&mut self, h: &mut Header, now: SimTime, key: u128) -> HeaderVerdict {
+        self.stats.out_packets += 1;
+        let internal = h.src;
 
         // Reuse an existing mapping if present and fresh. The expiry
         // check reads the store's hot array — one 32-byte row — not
@@ -796,14 +812,14 @@ impl Nat {
         let reused = slot.is_some();
         let slot = match slot {
             Some(slot) => slot,
-            None => match self.create_mapping(key, proto, internal, now) {
+            None => match self.create_mapping(key, h.proto, internal, now) {
                 Ok(slot) => slot,
                 Err(reason) => {
                     self.stats.record_drop(reason);
                     if let Some(m) = &mut self.metrics.0 {
                         m.on_rejected(reason);
                     }
-                    return NatVerdict::Drop(reason);
+                    return HeaderVerdict::Drop(reason);
                 }
             },
         };
@@ -811,14 +827,14 @@ impl Nat {
         // Refresh + filter state + TCP tracking.
         let (external, tcp) = {
             let m = self.store.get_mut(slot);
-            m.contacted.insert(dst);
-            if let Some(f) = flags {
-                m.tcp = Self::tcp_update(m.tcp, f, true);
+            m.contacted.insert(h.dst);
+            if let Some(f) = h.flags {
+                m.tcp = Self::tcp_update(m.tcp, f);
             }
             m.last_refresh = now;
             (m.external, m.tcp)
         };
-        let t = self.timeout_for(proto, tcp);
+        let t = self.timeout_for(h.proto, tcp);
         self.store.set_expiry(slot, now + t);
         if let Some(tr) = &mut self.tracer.0 {
             if tr.sampling_flows() {
@@ -829,13 +845,11 @@ impl Nat {
             }
         }
 
-        let mut out = pkt;
-        out.src = external;
-
-        if self.is_external_ip(dst.ip) {
-            return self.hairpin(out, internal, now);
+        h.src = external;
+        if self.is_external_ip(h.dst.ip) {
+            return self.hairpin(h, internal, now);
         }
-        NatVerdict::Forward(out)
+        HeaderVerdict::Forward
     }
 
     fn create_mapping(
@@ -945,59 +959,55 @@ impl Nat {
         Ok(slot)
     }
 
-    /// Loop a translated outbound packet back to the internal realm
+    /// Loop a translated outbound header back to the internal realm
     /// (its destination is one of this device's pool addresses).
     /// `pub(crate)` so [`crate::sharded::ShardedNat`]'s opt-in
     /// cross-shard loopback can route a packet that targets another
     /// shard's pool through the owner shard's hairpin semantics.
     pub(crate) fn hairpin(
         &mut self,
-        translated: Packet,
+        h: &mut Header,
         original_src: Endpoint,
         now: SimTime,
-    ) -> NatVerdict {
+    ) -> HeaderVerdict {
         if !self.config.hairpinning {
             self.stats.record_drop(DropReason::NoHairpin);
-            return NatVerdict::Drop(DropReason::NoHairpin);
+            return HeaderVerdict::Drop(DropReason::NoHairpin);
         }
-        // `translated` already has its source rewritten to the external
-        // endpoint; its destination is one of our pool addresses. Find the
-        // target mapping, apply the target's filtering policy against the
-        // (translated) source, then deliver internally. If the NAT is
-        // configured to leave the internal source in place — the leak
-        // mechanism of §4.1 — the delivered packet carries `original_src`.
-        let proto = translated.protocol().expect("hairpin only for UDP/TCP");
+        // `h` already has its source rewritten to the external
+        // endpoint; its destination is one of our pool addresses. Find
+        // the target mapping, apply the target's filtering policy
+        // against the (translated) source, then deliver internally. If
+        // the NAT is configured to leave the internal source in place —
+        // the leak mechanism of §4.1 — the delivered packet carries
+        // `original_src`.
+        //
         // The one ext-index reader inside a create run: settle the
         // index first, so that it answers as it would without the
         // queue even where two mappings share an external endpoint.
         self.store.flush_ext_index();
-        let target = match self.store.lookup_ext(proto, translated.dst) {
+        let target = match self.store.lookup_ext(h.proto, h.dst) {
             Some(slot) if !self.store.get(slot).expired(now) => slot,
             _ => {
                 self.stats.record_drop(DropReason::NoMapping);
-                return NatVerdict::Drop(DropReason::NoMapping);
+                return HeaderVerdict::Drop(DropReason::NoMapping);
             }
         };
-        if !self.filter_admits(target, translated.src) {
+        if !self.filter_admits(target, h.src) {
             self.stats.record_drop(DropReason::Filtered);
-            return NatVerdict::Drop(DropReason::Filtered);
+            return HeaderVerdict::Drop(DropReason::Filtered);
         }
-        let (internal_dst, refresh) = {
-            let m = self.store.get(target);
-            (m.internal, self.config.refresh_inbound)
-        };
-        if refresh {
-            let t = self.timeout_for(proto, self.store.get(target).tcp);
+        if self.config.refresh_inbound {
+            let t = self.timeout_for(h.proto, self.store.get(target).tcp);
             self.store.get_mut(target).last_refresh = now;
             self.store.set_expiry(target, now + t);
         }
-        let mut delivered = translated;
-        delivered.dst = internal_dst;
+        h.dst = self.store.get(target).internal;
         if self.config.hairpin_internal_source {
-            delivered.src = original_src;
+            h.src = original_src;
         }
         self.stats.hairpins += 1;
-        NatVerdict::Hairpin(delivered)
+        HeaderVerdict::Hairpin
     }
 
     fn filter_admits(&self, slot: u32, remote: Endpoint) -> bool {
@@ -1009,155 +1019,119 @@ impl Nat {
         }
     }
 
-    /// Process a packet arriving from the core at one of the external IPs.
-    pub fn process_inbound(&mut self, pkt: Packet, now: SimTime) -> NatVerdict {
-        self.stats.in_packets += 1;
-        let (proto, flags) = match &pkt.body {
-            PacketBody::Udp { .. } => (Protocol::Udp, None),
-            PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
-            PacketBody::Icmp { original_src, .. } => {
-                let original_src = *original_src;
-                return self.inbound_icmp(pkt, original_src, now);
-            }
+    /// Process one packet arriving from the core at one of the external
+    /// IPs: the simulator's boundary over the inbound core. An ICMP
+    /// error is matched to the flow it quotes.
+    pub fn process_inbound(&mut self, mut pkt: Packet, now: SimTime) -> NatVerdict {
+        let Some(mut h) = Header::of(&pkt) else {
+            return self.inbound_icmp(pkt);
         };
-        let key = self.store.ext_key_of(proto, pkt.dst);
-        self.translate_inbound(pkt, now, proto, flags, key)
+        let key = self.store.ext_key_of(h.proto, h.dst);
+        let verdict = self.translate_inbound(&mut h, now, key);
+        h.write_to(&mut pkt);
+        verdict.with(pkt)
     }
 
-    /// Translate a burst of inbound packets at one instant, returning
-    /// one verdict per packet in arrival order — the inbound mirror of
-    /// [`Nat::process_burst`], over the ext-key index, and likewise
-    /// literally [`Nat::stage_inbound_burst`] followed by
-    /// [`Nat::translate_inbound_staged`]. Filtering (`ContactSet`
-    /// checks), expiry-on-touch removal, TCP tracking, stats and
-    /// sink/metrics fire order are all arrival-order, so results are
-    /// bit-identical to calling `process_inbound` once per packet, for
-    /// every burst size.
-    pub fn process_inbound_burst(&mut self, pkts: Vec<Packet>, now: SimTime) -> Vec<NatVerdict> {
-        let mut clock = self.phase_clock();
-        self.stage_inbound_burst(&pkts, &mut clock);
-        let mut verdicts = Vec::with_capacity(pkts.len());
-        self.translate_inbound_staged(pkts, now, &mut verdicts, &mut clock);
-        verdicts
-    }
-
-    /// Stages 1–2 of the inbound burst pipeline over `pkts`, which
+    /// Stages 1–2 of the inbound burst pipeline over `headers`, which
     /// must then be handed to [`Nat::translate_inbound_staged`] in the
-    /// same order. **Resolve** packs every packet's ext-key (inbound
-    /// key derivation never interns — a stray pool stays uninterned
-    /// and simply cannot match) and prefetches the index cell its
-    /// probe starts at; **prefetch** reads the cached cells with a
-    /// tag-only probe ([`MappingStore::hint_ext`]) and prefetches
-    /// every line of the candidate slot's rows. As outbound, the hint
-    /// is unverified and can change nothing, and the stages lap the
-    /// caller's `clock`.
-    pub fn stage_inbound_burst(&mut self, pkts: &[Packet], clock: &mut Option<PhaseClock>) {
+    /// same order — the inbound mirror of [`Nat::stage_burst`], over
+    /// the ext-key index. **Resolve** packs every header's ext-key
+    /// (inbound key derivation never interns — a stray pool stays
+    /// uninterned and simply cannot match) and prefetches the index
+    /// cell its probe starts at; **prefetch** reads the cached cells
+    /// with a tag-only probe ([`MappingStore::hint_ext`]) and
+    /// prefetches every line of the candidate slot's rows. As outbound,
+    /// the hint is unverified and can change nothing, and the stages
+    /// lap the caller's `clock`.
+    pub fn stage_inbound_burst(&mut self, headers: &[Header], clock: &mut Option<PhaseClock>) {
         let staged = self.inbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
-        for pkt in pkts {
-            let (proto, flags) = match &pkt.body {
-                PacketBody::Udp { .. } => (Protocol::Udp, None),
-                PacketBody::Tcp { flags, .. } => (Protocol::Tcp, Some(*flags)),
-                PacketBody::Icmp { .. } => {
-                    self.inbound_plan.push_back(None);
-                    continue;
-                }
-            };
-            let key = self.store.ext_key_of(proto, pkt.dst);
+        for h in headers {
+            let key = self.store.ext_key_of(h.proto, h.dst);
             if let Some(key) = key {
                 self.store.prefetch_ext_cell(key);
             }
-            self.inbound_plan.push_back(Some((proto, flags, key)));
+            self.inbound_plan.push_back(key);
         }
         self.phase_lap(clock, Phase::BurstResolve);
 
         // Stage 2 — candidate rows on their way.
         let mut rows = 0u64;
-        for &(_, _, key) in self.inbound_plan.range(staged..).flatten() {
+        for &key in self.inbound_plan.range(staged..) {
             if let Some(slot) = key.and_then(|k| self.store.hint_ext(k)) {
                 self.store.prefetch_slot(slot);
                 rows += 1;
             }
         }
         if let Some(m) = &mut self.metrics.0 {
-            m.on_burst_inbound(pkts.len() as u64, rows);
+            m.on_burst_inbound(headers.len() as u64, rows);
         }
         self.phase_lap(clock, Phase::BurstPrefetch);
     }
 
-    /// Stage 3 of the inbound burst pipeline: translate `pkts` — the
-    /// next packets [`Nat::stage_inbound_burst`] staged, in staging
-    /// order — at `now`, appending one verdict per packet to
-    /// `verdicts`, through the same code path as the scalar API
-    /// ([`Nat::process_inbound`]). Laps `clock` as
-    /// [`Phase::BurstTranslate`].
+    /// Stage 3 of the inbound burst pipeline: translate `headers` — the
+    /// next headers [`Nat::stage_inbound_burst`] staged, in staging
+    /// order — at `now`, rewriting each in place and appending one
+    /// verdict per header to `verdicts`, through the inbound core that
+    /// [`Nat::process_inbound`] runs. Filtering, expiry-on-touch
+    /// removal, TCP tracking, stats and sink/metrics fire order are all
+    /// arrival-order, so results are bit-identical to translating one
+    /// packet at a time. Laps `clock` as [`Phase::BurstTranslate`].
     ///
-    /// Panics if more packets are handed in than were staged.
+    /// Panics if more headers are handed in than were staged.
     pub fn translate_inbound_staged(
         &mut self,
-        pkts: impl IntoIterator<Item = Packet>,
+        headers: &mut [Header],
         now: SimTime,
-        verdicts: &mut Vec<NatVerdict>,
+        verdicts: &mut Vec<HeaderVerdict>,
         clock: &mut Option<PhaseClock>,
     ) {
-        for pkt in pkts {
-            let planned = self.inbound_plan.pop_front().expect("packet was staged");
-            self.stats.in_packets += 1;
-            verdicts.push(match planned {
-                None => {
-                    let original_src = match &pkt.body {
-                        PacketBody::Icmp { original_src, .. } => *original_src,
-                        _ => unreachable!("stage 1 classified this packet as ICMP"),
-                    };
-                    self.inbound_icmp(pkt, original_src, now)
-                }
-                Some((proto, flags, key)) => self.translate_inbound(pkt, now, proto, flags, key),
-            });
+        for h in headers {
+            let key = self.inbound_plan.pop_front().expect("header was staged");
+            verdicts.push(self.translate_inbound(h, now, key));
         }
         self.phase_lap(clock, Phase::BurstTranslate);
     }
 
-    /// The shared inbound translation path behind
-    /// [`Nat::process_inbound`] and [`Nat::translate_inbound_staged`]:
-    /// look up the mapping under an already-packed ext-key (`None`
-    /// when the destination pool was never interned), apply filtering,
-    /// track TCP state, refresh, and rewrite the packet.
+    /// The inbound core: look up the mapping under an already-packed
+    /// ext-key (`None` when the destination pool was never interned),
+    /// apply filtering, track TCP state, refresh, and rewrite `h`'s
+    /// destination to the internal endpoint.
     fn translate_inbound(
         &mut self,
-        pkt: Packet,
+        h: &mut Header,
         now: SimTime,
-        proto: Protocol,
-        flags: Option<TcpFlags>,
         key: Option<u64>,
-    ) -> NatVerdict {
+    ) -> HeaderVerdict {
+        self.stats.in_packets += 1;
         let slot = match key.and_then(|k| self.store.lookup_ext_key(k)) {
             Some(slot) if !self.store.get(slot).expired(now) => slot,
             Some(slot) => {
                 self.remove_mapping(slot, now);
                 self.stats.mappings_expired += 1;
                 self.stats.record_drop(DropReason::NoMapping);
-                return NatVerdict::Drop(DropReason::NoMapping);
+                return HeaderVerdict::Drop(DropReason::NoMapping);
             }
             None => {
                 self.stats.record_drop(DropReason::NoMapping);
-                return NatVerdict::Drop(DropReason::NoMapping);
+                return HeaderVerdict::Drop(DropReason::NoMapping);
             }
         };
 
-        if !self.filter_admits(slot, pkt.src) {
+        if !self.filter_admits(slot, h.src) {
             self.stats.record_drop(DropReason::Filtered);
-            return NatVerdict::Drop(DropReason::Filtered);
+            return HeaderVerdict::Drop(DropReason::Filtered);
         }
 
         let internal = {
             let m = self.store.get_mut(slot);
-            if let Some(f) = flags {
-                m.tcp = Self::tcp_update(m.tcp, f, false);
+            if let Some(f) = h.flags {
+                m.tcp = Self::tcp_update(m.tcp, f);
             }
             m.internal
         };
         if self.config.refresh_inbound {
-            let t = self.timeout_for(proto, self.store.get(slot).tcp);
+            let t = self.timeout_for(h.proto, self.store.get(slot).tcp);
             self.store.get_mut(slot).last_refresh = now;
             self.store.set_expiry(slot, now + t);
         }
@@ -1166,27 +1140,22 @@ impl Nat {
                 tr.on_translate_in(slot, now.as_millis());
             }
         }
-
-        let mut delivered = pkt;
-        delivered.dst = internal;
-        NatVerdict::Forward(delivered)
+        h.dst = internal;
+        HeaderVerdict::Forward
     }
 
     /// Translate an inbound ICMP error referring to a flow we translated:
     /// the quoted original source is the mapping's external endpoint.
-    fn inbound_icmp(&mut self, pkt: Packet, original_src: Endpoint, _now: SimTime) -> NatVerdict {
-        for proto in [Protocol::Udp, Protocol::Tcp] {
-            if let Some(slot) = self.store.lookup_ext(proto, original_src) {
-                let m = self.store.get(slot);
-                let mut delivered = pkt;
-                delivered.dst = Endpoint::new(m.internal.ip, 0);
-                if let PacketBody::Icmp {
-                    original_src: os, ..
-                } = &mut delivered.body
-                {
-                    *os = m.internal;
+    fn inbound_icmp(&mut self, mut pkt: Packet) -> NatVerdict {
+        self.stats.in_packets += 1;
+        if let PacketBody::Icmp { original_src, .. } = &mut pkt.body {
+            for proto in [Protocol::Udp, Protocol::Tcp] {
+                if let Some(slot) = self.store.lookup_ext(proto, *original_src) {
+                    let internal = self.store.get(slot).internal;
+                    *original_src = internal;
+                    pkt.dst = Endpoint::new(internal.ip, 0);
+                    return NatVerdict::Forward(pkt);
                 }
-                return NatVerdict::Forward(delivered);
             }
         }
         self.stats.record_drop(DropReason::UnmatchedIcmp);
@@ -1230,6 +1199,62 @@ mod tests {
             NatVerdict::Forward(p) => p,
             v => panic!("expected Forward, got {v:?}"),
         }
+    }
+
+    /// What a caller sees of one translated header: the verdict, and
+    /// the rewritten header unless it was dropped.
+    type Seen = (HeaderVerdict, Option<Header>);
+
+    fn seen(v: HeaderVerdict, h: Header) -> Seen {
+        (v, (!matches!(v, HeaderVerdict::Drop(_))).then_some(h))
+    }
+
+    /// `headers` one packet at a time through the `Packet` boundary.
+    fn scalar(n: &mut Nat, headers: &[Header], now: SimTime, inbound: bool) -> Vec<Seen> {
+        let seen_packet = |v: NatVerdict| match v {
+            NatVerdict::Forward(p) => (HeaderVerdict::Forward, Header::of(&p)),
+            NatVerdict::Hairpin(p) => (HeaderVerdict::Hairpin, Header::of(&p)),
+            NatVerdict::Drop(r) => (HeaderVerdict::Drop(r), None),
+        };
+        headers
+            .iter()
+            .map(|h| {
+                let pkt = match h.flags {
+                    None => Packet::udp(h.src, h.dst, vec![1]),
+                    Some(f) => Packet::tcp(h.src, h.dst, f, vec![1]),
+                };
+                seen_packet(if inbound {
+                    n.process_inbound(pkt, now)
+                } else {
+                    n.process_outbound(pkt, now)
+                })
+            })
+            .collect()
+    }
+
+    /// `headers` as one burst through the staging halves at `now`.
+    fn burst(n: &mut Nat, headers: &[Header], now: SimTime, inbound: bool) -> Vec<Seen> {
+        let mut headers = headers.to_vec();
+        let mut verdicts = Vec::new();
+        let mut clock = n.phase_clock();
+        if inbound {
+            n.stage_inbound_burst(&headers, &mut clock);
+            n.translate_inbound_staged(&mut headers, now, &mut verdicts, &mut clock);
+        } else {
+            n.stage_burst(&headers, &mut clock);
+            n.translate_staged(&mut headers, now, &mut verdicts, &mut clock);
+        }
+        verdicts
+            .into_iter()
+            .zip(headers)
+            .map(|(v, h)| seen(v, h))
+            .collect()
+    }
+
+    #[test]
+    fn header_is_small_and_copy() {
+        assert!(std::mem::size_of::<Header>() <= 24);
+        assert!(std::mem::size_of::<HeaderVerdict>() <= 2);
     }
 
     #[test]
@@ -1991,11 +2016,11 @@ mod tests {
             if with_metrics {
                 n.set_metrics(Box::<EngineMetrics>::default());
             }
-            let replies: Vec<Packet> = (1..=10)
+            let replies: Vec<Header> = (1..=10)
                 .map(|h| udp_out(&mut n, internal_host(h), server(), t(0)))
-                .map(|fwd| Packet::udp(server(), fwd.src, vec![]))
+                .map(|fwd| Header::new(server(), fwd.src, None))
                 .collect();
-            let verdicts = n.process_inbound_burst(replies, t(1));
+            let verdicts = burst(&mut n, &replies, t(1), true);
             (verdicts, n.stats().clone(), n)
         };
         let (off_verdicts, off_stats, off_nat) = run(false);
@@ -2047,7 +2072,8 @@ mod tests {
     #[test]
     fn stale_burst_hints_change_nothing() {
         let (e, f, g) = (internal_host(1), internal_host(2), internal_host(3));
-        let run = |burst: bool| {
+        let run = |batched: bool| {
+            let feed = if batched { burst } else { scalar };
             let mut n = nat(NatConfig::cgn_default()); // EIM, 60 s UDP timeout
             n.set_sink(Box::<LineSink>::default());
             n.set_metrics(Box::<EngineMetrics>::default());
@@ -2062,39 +2088,26 @@ mod tests {
             // slot 1 and re-creates F in slot 0 (lowest free id), G's
             // new mapping takes slot 1, and the second F packet —
             // hinted slot 1 — must find F in slot 0.
-            let pkts: Vec<Packet> = [f, g, f]
+            let pkts: Vec<Header> = [f, g, f]
                 .iter()
-                .map(|&src| Packet::udp(src, server(), vec![1]))
+                .map(|&src| Header::new(src, server(), None))
                 .collect();
-            let mut verdicts = if burst {
-                n.process_burst(pkts, t(100))
-            } else {
-                pkts.into_iter()
-                    .map(|p| n.process_outbound(p, t(100)))
-                    .collect()
-            };
+            let mut verdicts = feed(&mut n, &pkts, t(100), false);
             let g_key = n.store.out_key(mapping, Protocol::Udp, g, server());
             assert_eq!(n.store.lookup_out(f_key), Some(0));
             assert_eq!(n.store.lookup_out(g_key), Some(1));
 
             // Inbound at 200 s, F and G expired: the first reply to F
             // frees the slot the second reply's hint names.
-            let ext_of = |v: &NatVerdict| match v {
-                NatVerdict::Forward(p) => p.src,
+            let ext_of = |v: &Seen| match v {
+                (HeaderVerdict::Forward, Some(h)) => h.src,
                 v => panic!("expected Forward, got {v:?}"),
             };
-            let replies: Vec<Packet> = [&verdicts[0], &verdicts[2], &verdicts[1]]
+            let replies: Vec<Header> = [&verdicts[0], &verdicts[2], &verdicts[1]]
                 .iter()
-                .map(|v| Packet::udp(server(), ext_of(v), vec![2]))
+                .map(|v| Header::new(server(), ext_of(v), None))
                 .collect();
-            verdicts.extend(if burst {
-                n.process_inbound_burst(replies, t(200))
-            } else {
-                replies
-                    .into_iter()
-                    .map(|p| n.process_inbound(p, t(200)))
-                    .collect()
-            });
+            verdicts.extend(feed(&mut n, &replies, t(200), true));
             assert_eq!(n.store.lookup_out(f_key), None);
             let log = n.take_sink().expect("sink installed").into_any();
             let log = log.downcast::<LineSink>().expect("concrete sink type").0;
@@ -2136,7 +2149,8 @@ mod tests {
             internal_host(4),
         );
         let g_again = Endpoint::new(g.ip, g.port + 1);
-        let run = |burst: bool| {
+        let run = |batched: bool| {
+            let feed = if batched { burst } else { scalar };
             let mut config = NatConfig::cgn_default(); // EIM, 60 s UDP timeout
             config.max_sessions_per_host = Some(1);
             let mut n = nat(config);
@@ -2158,17 +2172,11 @@ mod tests {
             //            refuses;
             //   h        creates, appending: the free-list stage 2
             //            read was used up and refilled in between.
-            let pkts: Vec<Packet> = [g, g, f, g_again, h]
+            let pkts: Vec<Header> = [g, g, f, g_again, h]
                 .iter()
-                .map(|&src| Packet::udp(src, server(), vec![1]))
+                .map(|&src| Header::new(src, server(), None))
                 .collect();
-            let mut verdicts = if burst {
-                n.process_burst(pkts, t(100))
-            } else {
-                pkts.into_iter()
-                    .map(|p| n.process_outbound(p, t(100)))
-                    .collect()
-            };
+            let mut verdicts = feed(&mut n, &pkts, t(100), false);
             let mapping = n.config.mapping;
             let slots: Vec<Option<u32>> = [g, f, g_again, h]
                 .iter()
@@ -2181,21 +2189,14 @@ mod tests {
 
             // The replies look up external endpoints whose index cells
             // were written behind their creates.
-            let replies: Vec<Packet> = verdicts
+            let replies: Vec<Header> = verdicts
                 .iter()
                 .filter_map(|v| match v {
-                    NatVerdict::Forward(p) => Some(Packet::udp(server(), p.src, vec![2])),
+                    (HeaderVerdict::Forward, Some(h)) => Some(Header::new(server(), h.src, None)),
                     _ => None,
                 })
                 .collect();
-            verdicts.extend(if burst {
-                n.process_inbound_burst(replies, t(101))
-            } else {
-                replies
-                    .into_iter()
-                    .map(|p| n.process_inbound(p, t(101)))
-                    .collect()
-            });
+            verdicts.extend(feed(&mut n, &replies, t(101), true));
             let log = n.take_sink().expect("sink installed").into_any();
             let log = log.downcast::<LineSink>().expect("concrete sink type").0;
             let snap = n.metrics_snapshot().expect("registry installed");
@@ -2213,7 +2214,7 @@ mod tests {
         assert_eq!(scalar.0.len(), 5 + 4, "four forwarded packets answered");
         assert!(scalar.0[5..]
             .iter()
-            .all(|v| matches!(v, NatVerdict::Forward(_))));
+            .all(|v| matches!(v, (HeaderVerdict::Forward, _))));
         // Candidate rows prefetched: f's alone. Free rows prefetched
         // for predicted creates are not candidates and are not counted.
         assert_eq!((scalar.4, burst.4), (0, 1));
@@ -2373,19 +2374,19 @@ mod tests {
         use cgn_trace::{Phase, TraceConfig};
         let mut n = nat(NatConfig::cgn_default());
         n.set_tracer(Box::new(ShardTracer::new(0, &TraceConfig::sampled(1))));
-        let pkts: Vec<Packet> = (1..=8)
-            .map(|i| Packet::udp(internal_host(i), server(), vec![1]))
+        let pkts: Vec<Header> = (1..=8)
+            .map(|i| Header::new(internal_host(i), server(), None))
             .collect();
-        let verdicts = n.process_burst(pkts, t(1));
+        let verdicts = burst(&mut n, &pkts, t(1), false);
         assert_eq!(verdicts.len(), 8);
-        let replies: Vec<Packet> = verdicts
+        let replies: Vec<Header> = verdicts
             .iter()
             .map(|v| match v {
-                NatVerdict::Forward(p) => Packet::udp(server(), p.src, vec![1]),
+                (HeaderVerdict::Forward, Some(h)) => Header::new(server(), h.src, None),
                 v => panic!("expected Forward, got {v:?}"),
             })
             .collect();
-        n.process_inbound_burst(replies, t(2));
+        burst(&mut n, &replies, t(2), true);
         let tr = n.take_tracer().expect("tracer installed");
         for phase in [
             Phase::BurstResolve,

@@ -84,7 +84,7 @@ struct HostNode {
 /// translated, ascends to the external realm, resolves back to this
 /// same node and re-enters through the inbound path — the loop a real
 /// multi-box CGN routes through its core. This keeps the shard-batch
-/// path ([`Network::nat_sharded_mut`] + `ShardedNat::process_batches`)
+/// path ([`Network::nat_sharded_mut`] + `ShardedNat::process_bursts`)
 /// available for multi-threaded background load.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // NAT nodes are few; boxing would cost every packet hop
@@ -480,7 +480,7 @@ impl Network {
     }
 
     /// Mutable access to a sharded NAT node — the handle background
-    /// load drives batches through (`ShardedNat::process_batches`).
+    /// load drives batches through (`ShardedNat::process_bursts`).
     pub fn nat_sharded_mut(&mut self, id: NodeId) -> &mut ShardedNat {
         match &mut self.nat_node_mut(id).nat {
             Translator::Sharded(s) => s,

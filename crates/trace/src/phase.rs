@@ -49,8 +49,7 @@ pub enum Phase {
     /// per bucket, equal to that bucket's `BurstTranslate` lap — plus,
     /// for a window's first bucket, the `BurstResolve` and
     /// `BurstPrefetch` laps of the stage call made for the whole
-    /// window. The phase's sum is all outbound engine time, as it was
-    /// when a lap wrapped one `process_burst` call.
+    /// window. The phase's sum is all outbound engine time.
     Translate,
     /// Driver pass 3: apply a bucket's verdicts in event order,
     /// schedule follow-ups, queue replies. One lap per bucket.
@@ -70,8 +69,8 @@ pub enum Phase {
     /// as `BurstResolve`.
     BurstPrefetch,
     /// Burst stage 3: in-order translate. One lap per translate call:
-    /// per bucket on the driver path, per burst under
-    /// `Nat::process_burst` / `process_inbound_burst`.
+    /// per bucket on the driver path, per shard burst under
+    /// `ShardedNat::process_bursts` / `process_inbound_bursts`.
     BurstTranslate,
 }
 

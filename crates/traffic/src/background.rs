@@ -12,9 +12,9 @@
 //! application models, gives every host its own RNG stream, and feeds
 //! each epoch's packets through `ShardedNat::partition`-style batches
 //! on up to `threads` worker threads
-//! ([`ShardedNat::process_batches`]) — so a 100k-subscriber AS loads
+//! ([`ShardedNat::process_bursts`]) — so a 100k-subscriber AS loads
 //! its CGN at full multi-core speed while remaining **bit-identical
-//! for every thread count** (the engine's batch guarantee; pinned by
+//! for every thread count** (the engine's burst guarantee; pinned by
 //! this module's tests).
 //!
 //! A configurable share of hosts are *announcers* — BitTorrent-style
@@ -201,7 +201,7 @@ pub fn drive(
         // One multi-threaded pass through the engine; verdicts come
         // back in (shard, batch) order, so observation order is
         // deterministic and thread-count independent.
-        let verdicts = nat.process_batches(batches, now, cfg.threads);
+        let verdicts = nat.process_bursts(batches, now, cfg.threads);
         for (shard, vs) in verdicts.into_iter().enumerate() {
             for (k, v) in vs.into_iter().enumerate() {
                 match v {

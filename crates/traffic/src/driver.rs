@@ -31,8 +31,10 @@ use cgn_telemetry::{BinaryLogSink, EventLog, SampledSink};
 use cgn_trace::{Phase, PhaseProfiler, ShardTracer, TraceConfig, TraceDump};
 use nat_engine::sharded::{mix64, scatter};
 use nat_engine::telemetry::{EventSink, TelemetryMode};
-use nat_engine::{EngineMetrics, Nat, NatConfig, NatStats, NatVerdict, ShardedNat, StoreOccupancy};
-use netcore::{Endpoint, Packet, SimTime, TcpFlags};
+use nat_engine::{
+    EngineMetrics, Header, HeaderVerdict, Nat, NatConfig, NatStats, ShardedNat, StoreOccupancy,
+};
+use netcore::{Endpoint, SimTime, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -335,19 +337,13 @@ struct FlowState {
 /// check instead of touching the slot's next tenant — the same
 /// free-list + generation scheme as `nat_engine::store`, applied to
 /// the driver's own hot table.
+#[derive(Default)]
 struct FlowSlab {
     slots: Vec<(u32, Option<FlowState>)>,
     free: Vec<u32>,
 }
 
 impl FlowSlab {
-    fn new() -> FlowSlab {
-        FlowSlab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     fn insert(&mut self, f: FlowState) -> u64 {
         match self.free.pop() {
             Some(s) => {
@@ -406,9 +402,11 @@ struct WindowScratch {
     /// deferred commits and packets it contributed.
     buckets: Vec<(u64, usize, usize)>,
     pending: Vec<Pending>,
-    packets: Vec<Packet>,
-    verdicts: Vec<NatVerdict>,
-    replies: Vec<Packet>,
+    /// The window's outbound headers, rewritten in place by translate.
+    headers: Vec<Header>,
+    verdicts: Vec<HeaderVerdict>,
+    /// One bucket's inbound replies.
+    replies: Vec<Header>,
 }
 
 /// Shard-local driver state: the event wheel and the flow/subscriber
@@ -425,6 +423,9 @@ struct ShardState {
     flows_completed: u64,
     packets_sent: u64,
     scratch: WindowScratch,
+    /// Header verdicts so far: forwarded, hairpinned, dropped.
+    #[cfg(test)]
+    verdicts: [u64; 3],
 }
 
 impl ShardState {
@@ -433,12 +434,14 @@ impl ShardState {
             wheel: EventWheel::new(),
             seq: 0,
             subs: Vec::new(),
-            flows: FlowSlab::new(),
+            flows: FlowSlab::default(),
             flows_started: 0,
             flows_blocked: 0,
             flows_completed: 0,
             packets_sent: 0,
             scratch: WindowScratch::default(),
+            #[cfg(test)]
+            verdicts: [0; 3],
         }
     }
 
@@ -520,12 +523,13 @@ fn resolve_threads(requested: usize) -> usize {
 enum Pending {
     /// New flow: reschedule the subscriber's next arrival, then commit
     /// the flow if its first packet was admitted (consumes one verdict).
+    /// Its destination and transport are read back from the translated
+    /// header, whose forward rewrote only the source (no destination
+    /// universe reaches the pool's `198.18/15`, so nothing hairpins).
     Arrival {
         idx: u32,
         next_arrival: Option<u64>,
         src: Endpoint,
-        dst: Endpoint,
-        udp: bool,
         end_ms: u64,
         refresh_ms: u64,
     },
@@ -570,6 +574,12 @@ fn reply_due(seed: u64, permille: u32, at_ms: u64, src: Endpoint, dst: Endpoint)
     let flow = (u32::from(src.ip) as u64) << 16 | src.port as u64;
     let peer = (u32::from(dst.ip) as u64) << 16 | dst.port as u64;
     mix64(seed ^ mix64(flow) ^ mix64(peer ^ mix64(at_ms))) % 1000 < permille as u64
+}
+
+/// The inbound reply to a forwarded header `t`: from its destination,
+/// which a forward leaves alone, to the mapping's external endpoint.
+fn reply_to(t: &Header) -> Header {
+    Header::new(t.dst, t.src, t.flags.map(|_| TcpFlags::ACK))
 }
 
 /// Advance one shard's event queue up to (and including) `boundary_ms`,
@@ -627,7 +637,7 @@ fn advance_shard(
         batch,
         buckets,
         pending,
-        packets,
+        headers,
         verdicts,
         replies,
     } = &mut scratch;
@@ -641,10 +651,10 @@ fn advance_shard(
 
         // Generate, in event order, until the window is full or closed.
         let mut limit = boundary_ms;
-        while packets.len() < burst && st.wheel.next_bucket(limit, batch) {
+        while headers.len() < burst && st.wheel.next_bucket(limit, batch) {
             // All events of exactly one millisecond.
             let at_ms = batch[0].0;
-            let (had_pending, had_packets) = (pending.len(), packets.len());
+            let (had_pending, had_headers) = (pending.len(), headers.len());
             for &(_at, _seq, kind) in batch.iter() {
                 // The earliest instant this event's commit can push at.
                 let earliest = match kind {
@@ -689,19 +699,13 @@ fn advance_shard(
                         let end_ms = at_ms + duration_ms.max(1000);
                         let refresh_ms = params.refresh_secs * 1000;
 
-                        packets.push(if udp {
-                            Packet::udp(src, dst, vec![])
-                        } else {
-                            Packet::tcp(src, dst, TcpFlags::SYN, vec![])
-                        });
+                        headers.push(Header::new(src, dst, (!udp).then_some(TcpFlags::SYN)));
                         st.packets_sent += 1;
                         st.flows_started += 1;
                         pending.push(Pending::Arrival {
                             idx,
                             next_arrival,
                             src,
-                            dst,
-                            udp,
                             end_ms,
                             refresh_ms,
                         });
@@ -712,11 +716,11 @@ fn advance_shard(
                     }
                     Kind::Packet { flow } => match st.flows.get(flow) {
                         Some(f) => {
-                            packets.push(if f.udp {
-                                Packet::udp(f.src, f.dst, vec![])
-                            } else {
-                                Packet::tcp(f.src, f.dst, TcpFlags::ACK, vec![])
-                            });
+                            headers.push(Header::new(
+                                f.src,
+                                f.dst,
+                                (!f.udp).then_some(TcpFlags::ACK),
+                            ));
                             st.packets_sent += 1;
                             pending.push(Pending::Packet {
                                 flow,
@@ -737,7 +741,7 @@ fn advance_shard(
                                 // Polite TCP teardown moves the mapping onto the
                                 // short transitory clock (RFC 5382 behaviour the
                                 // engine models).
-                                packets.push(Packet::tcp(f.src, f.dst, TcpFlags::FIN, vec![]));
+                                headers.push(Header::new(f.src, f.dst, Some(TcpFlags::FIN)));
                                 st.packets_sent += 1;
                                 pending.push(Pending::EndTcp { flow });
                             }
@@ -752,7 +756,7 @@ fn advance_shard(
             buckets.push((
                 at_ms,
                 pending.len() - had_pending,
-                packets.len() - had_packets,
+                headers.len() - had_headers,
             ));
         }
         if buckets.is_empty() {
@@ -767,29 +771,30 @@ fn advance_shard(
         // window's first `Translate` includes the stage call), which
         // costs no further clock read.
         let mut engine_from = clock;
-        nat.stage_burst(packets, &mut clock);
+        nat.stage_burst(headers, &mut clock);
 
         // Walk the window bucket by bucket: translate, commit, reply.
-        let mut staged = packets.drain(..);
         let mut deferred = pending.drain(..);
-        for (at_ms, n_pending, n_packets) in buckets.drain(..) {
+        let mut translated = 0;
+        for (at_ms, n_pending, n_headers) in buckets.drain(..) {
             let now = SimTime::from_millis(at_ms);
-            nat.translate_staged(staged.by_ref().take(n_packets), now, verdicts, &mut clock);
+            let bucket = &mut headers[translated..translated + n_headers];
+            translated += n_headers;
+            nat.translate_staged(bucket, now, verdicts, &mut clock);
             nat.phase_span(Phase::Translate, engine_from, clock);
+            #[cfg(test)]
+            st.tally(verdicts);
 
             // Commit, in event order. Forwarded packets whose flow the
-            // reply hash selects queue an inbound reply addressed to
-            // the mapping's external endpoint (the verdict's
-            // translated source).
-            let mut verdict = verdicts.drain(..);
+            // reply hash selects queue an inbound reply to the mapping's
+            // external endpoint (the translated header's source).
+            let mut verdict = verdicts.drain(..).zip(bucket.iter());
             for p in deferred.by_ref().take(n_pending) {
                 match p {
                     Pending::Arrival {
                         idx,
                         next_arrival,
                         src,
-                        dst,
-                        udp,
                         end_ms,
                         refresh_ms,
                     } => {
@@ -797,15 +802,16 @@ fn advance_shard(
                             st.push(at, Kind::Arrival { idx });
                         }
                         match verdict.next().expect("one verdict per packet") {
-                            v @ (NatVerdict::Forward(_) | NatVerdict::Hairpin(_)) => {
-                                if let NatVerdict::Forward(t) = &v {
-                                    if reply_due(seed, reply_permille, at_ms, src, dst) {
-                                        replies.push(if udp {
-                                            Packet::udp(dst, t.src, vec![])
-                                        } else {
-                                            Packet::tcp(dst, t.src, TcpFlags::ACK, vec![])
-                                        });
-                                    }
+                            (HeaderVerdict::Drop(_), _) => {
+                                // Port/chunk exhaustion or the per-subscriber
+                                // session limit; the shard's stats record which.
+                                st.flows_blocked += 1;
+                            }
+                            (v, t) => {
+                                debug_assert_eq!(v, HeaderVerdict::Forward);
+                                let (dst, udp) = (t.dst, t.flags.is_none());
+                                if reply_due(seed, reply_permille, at_ms, src, dst) {
+                                    replies.push(reply_to(t));
                                 }
                                 let flow = st.flows.insert(FlowState {
                                     src,
@@ -821,11 +827,6 @@ fn advance_shard(
                                     st.push(end_ms, Kind::End { flow });
                                 }
                             }
-                            NatVerdict::Drop(_) => {
-                                // Port/chunk exhaustion or the per-subscriber
-                                // session limit; the shard's stats record which.
-                                st.flows_blocked += 1;
-                            }
                         }
                     }
                     Pending::Packet {
@@ -834,24 +835,20 @@ fn advance_shard(
                         refresh_ms,
                     } => {
                         match verdict.next().expect("one verdict per packet") {
-                            NatVerdict::Drop(_) => {
+                            (HeaderVerdict::Drop(_), _) => {
                                 // Keepalive failed (e.g. port space gone after
                                 // an expiry); the flow dies here.
                                 st.flows.remove(flow);
                                 continue;
                             }
-                            NatVerdict::Forward(t) => {
+                            (HeaderVerdict::Forward, t) => {
                                 if let Some(f) = st.flows.get(flow) {
                                     if reply_due(seed, reply_permille, at_ms, f.src, f.dst) {
-                                        replies.push(if f.udp {
-                                            Packet::udp(f.dst, t.src, vec![])
-                                        } else {
-                                            Packet::tcp(f.dst, t.src, TcpFlags::ACK, vec![])
-                                        });
+                                        replies.push(reply_to(t));
                                     }
                                 }
                             }
-                            NatVerdict::Hairpin(_) => {}
+                            (HeaderVerdict::Hairpin, _) => {}
                         }
                         let next = at_ms + refresh_ms;
                         if next < end_ms.min(horizon_ms) {
@@ -888,12 +885,16 @@ fn advance_shard(
             if !replies.is_empty() {
                 engine_from = clock;
                 nat.stage_inbound_burst(replies, &mut clock);
-                nat.translate_inbound_staged(replies.drain(..), now, verdicts, &mut clock);
+                nat.translate_inbound_staged(replies, now, verdicts, &mut clock);
+                #[cfg(test)]
+                st.tally(verdicts);
                 verdicts.clear();
+                replies.clear();
                 nat.phase_span(Phase::Inbound, engine_from, clock);
             }
             engine_from = clock;
         }
+        headers.clear();
     }
     st.scratch = scratch;
 
@@ -1819,6 +1820,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    impl ShardState {
+        pub(super) fn tally(&mut self, verdicts: &[HeaderVerdict]) {
+            for v in verdicts {
+                self.verdicts[match v {
+                    HeaderVerdict::Forward => 0,
+                    HeaderVerdict::Hairpin => 1,
+                    HeaderVerdict::Drop(_) => 2,
+                }] += 1;
+            }
+        }
+    }
+
+    /// The conservation law at every barrier: each packet the driver
+    /// handed the engine, outbound or inbound, came back as exactly one
+    /// header verdict, and each drop carries exactly one counted reason.
+    #[test]
+    fn every_packet_is_one_verdict_at_every_barrier() {
+        let mut cfg = small(WorkloadMix::residential_evening(), 13);
+        cfg.inbound_reply_permille = 250;
+        let mut session = DriverSession::new(&cfg);
+        let mut barriers = 0;
+        while session.step().is_some() {
+            barriers += 1;
+            let s = session.sharded.merged_stats();
+            let [forwarded, hairpins, drops] = session
+                .states
+                .iter()
+                .fold([0; 3], |acc, st| [0, 1, 2].map(|k| acc[k] + st.verdicts[k]));
+            assert_eq!(s.out_packets + s.in_packets, forwarded + hairpins + drops);
+            assert_eq!((s.hairpins, s.drops), (hairpins, drops));
+            assert_eq!(
+                s.drops,
+                s.drop_no_mapping
+                    + s.drop_filtered
+                    + s.drop_port_exhausted
+                    + s.drop_session_limit
+                    + s.drop_no_hairpin
+                    + s.drop_unmatched_icmp
+            );
+        }
+        let s = session.sharded.merged_stats();
+        assert!(barriers > 4 && s.in_packets > 0 && s.out_packets > s.in_packets);
     }
 
     #[test]
