@@ -10,8 +10,9 @@
 //!   groups; periodic sweeps), each window answered inbound, are fed to
 //!   one `Nat` via `process_outbound` / `process_inbound` and to a twin
 //!   via the halves in windows of {1, 7, 64} packets that span several
-//!   instants, under every mapping × filtering behaviour with and
-//!   without hairpinning and with either hairpin source. Verdicts,
+//!   instants, under every port allocation (random, sequential) ×
+//!   mapping × filtering behaviour with and without hairpinning and
+//!   with either hairpin source. Verdicts,
 //!   rewritten endpoints, `NatStats`, store and port occupancy and the
 //!   per-connection telemetry log must be identical, and every packet
 //!   must be conserved as exactly one verdict.
@@ -75,7 +76,8 @@ proptest! {
 }
 
 /// The property's space is actually reached: over a fixed script, the
-/// behaviours that hairpin do, and the ones that do not refuse to.
+/// sequential-port behaviours that hairpin do, and the ones that do not
+/// refuse to. (Random ports rarely land where the script aims.)
 #[test]
 fn behaviour_space_reaches_both_hairpin_branches() {
     let steps: Vec<common::Step> = (0..400u32)
@@ -88,7 +90,10 @@ fn behaviour_space_reaches_both_hairpin_branches() {
         })
         .collect();
     let script = script(&steps);
-    for config in behaviour_space() {
+    let sequential = behaviour_space()
+        .into_iter()
+        .filter(|c| c.port_alloc == PortAllocation::Sequential);
+    for config in sequential {
         let seen = engine_equivalence(&config, &script, 32, 3);
         let taken = match config.hairpinning {
             true => seen.stats.hairpins,

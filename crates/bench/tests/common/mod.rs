@@ -308,30 +308,34 @@ pub fn replies(window: &[Timed], seen: &[Seen], salt: usize) -> Vec<Packet> {
 }
 
 /// Every RFC 4787 mapping × filtering behaviour, with and without
-/// hairpinning and with either hairpin source, on sequential ports so
-/// that packets addressed to the pool find mappings.
+/// hairpinning and with either hairpin source, on random ports (the
+/// CGN default, which draws the NAT's RNG on every create) and on
+/// sequential ones, so that packets addressed to the pool find
+/// mappings.
 pub fn behaviour_space() -> Vec<NatConfig> {
     let mut out = Vec::new();
-    for mapping in [
-        MappingBehavior::EndpointIndependent,
-        MappingBehavior::AddressDependent,
-        MappingBehavior::AddressAndPortDependent,
-    ] {
-        for filtering in [
-            FilteringBehavior::EndpointIndependent,
-            FilteringBehavior::AddressDependent,
-            FilteringBehavior::AddressAndPortDependent,
+    for port_alloc in [PortAllocation::Random, PortAllocation::Sequential] {
+        for mapping in [
+            MappingBehavior::EndpointIndependent,
+            MappingBehavior::AddressDependent,
+            MappingBehavior::AddressAndPortDependent,
         ] {
-            for hairpinning in [false, true] {
-                for hairpin_internal_source in [false, true] {
-                    out.push(NatConfig {
-                        mapping,
-                        filtering,
-                        hairpinning,
-                        hairpin_internal_source,
-                        port_alloc: PortAllocation::Sequential,
-                        ..NatConfig::cgn_default()
-                    });
+            for filtering in [
+                FilteringBehavior::EndpointIndependent,
+                FilteringBehavior::AddressDependent,
+                FilteringBehavior::AddressAndPortDependent,
+            ] {
+                for hairpinning in [false, true] {
+                    for hairpin_internal_source in [false, true] {
+                        out.push(NatConfig {
+                            mapping,
+                            filtering,
+                            hairpinning,
+                            hairpin_internal_source,
+                            port_alloc,
+                            ..NatConfig::cgn_default()
+                        });
+                    }
                 }
             }
         }

@@ -11,7 +11,8 @@
 //!   takes them via `process_inbound`, the other via
 //!   `stage_inbound_burst` / `translate_inbound_staged` (ICMP through
 //!   `process_inbound` in its place) at windows of {1, 7, 64}, under
-//!   every mapping × filtering behaviour with and without hairpinning
+//!   every port allocation (random, sequential) × mapping × filtering
+//!   behaviour with and without hairpinning
 //!   and with either hairpin source. Verdicts, rewritten endpoints,
 //!   `NatStats`, store occupancy and the per-connection telemetry log
 //!   must be identical, and every packet conserved as one verdict.

@@ -27,7 +27,7 @@ use std::net::Ipv4Addr;
 pub use crate::store::Mapping;
 
 /// What the translation path reads of a UDP or TCP packet, and all it
-/// rewrites — 18 bytes, `Copy`, no payload.
+/// rewrites — 16 bytes, `Copy`, no payload.
 ///
 /// **Rewritten in place.** Translating calls take headers by `&mut`: a
 /// forwarded outbound header gets the external endpoint as `src`, a
@@ -47,21 +47,19 @@ pub use crate::store::Mapping;
 pub struct Header {
     pub src: Endpoint,
     pub dst: Endpoint,
-    pub proto: Protocol,
-    /// `Some` exactly for TCP.
+    /// `Some` for TCP, `None` for UDP: the protocol follows from it.
     pub flags: Option<TcpFlags>,
 }
 
 impl Header {
     /// A TCP header when `flags` is given, a UDP header otherwise.
     pub fn new(src: Endpoint, dst: Endpoint, flags: Option<TcpFlags>) -> Header {
-        let proto = flags.map_or(Protocol::Udp, |_| Protocol::Tcp);
-        Header {
-            src,
-            dst,
-            proto,
-            flags,
-        }
+        Header { src, dst, flags }
+    }
+
+    /// TCP when the header carries flags, UDP otherwise.
+    pub fn proto(&self) -> Protocol {
+        self.flags.map_or(Protocol::Udp, |_| Protocol::Tcp)
     }
 
     /// The header of a UDP or TCP packet; `None` for ICMP.
@@ -689,7 +687,7 @@ impl Nat {
         };
         let key = self
             .store
-            .out_key(self.config.mapping, h.proto, h.src, h.dst);
+            .out_key(self.config.mapping, h.proto(), h.src, h.dst);
         let verdict = self.translate_outbound(&mut h, now, key);
         self.store.flush_ext_index();
         h.write_to(&mut pkt);
@@ -735,7 +733,7 @@ impl Nat {
         for h in headers {
             let key = self
                 .store
-                .out_key(self.config.mapping, h.proto, h.src, h.dst);
+                .out_key(self.config.mapping, h.proto(), h.src, h.dst);
             self.store.prefetch_out_cell(key);
             self.outbound_plan.push_back(key);
         }
@@ -812,7 +810,7 @@ impl Nat {
         let reused = slot.is_some();
         let slot = match slot {
             Some(slot) => slot,
-            None => match self.create_mapping(key, h.proto, internal, now) {
+            None => match self.create_mapping(key, h.proto(), internal, now) {
                 Ok(slot) => slot,
                 Err(reason) => {
                     self.stats.record_drop(reason);
@@ -834,7 +832,7 @@ impl Nat {
             m.last_refresh = now;
             (m.external, m.tcp)
         };
-        let t = self.timeout_for(h.proto, tcp);
+        let t = self.timeout_for(h.proto(), tcp);
         self.store.set_expiry(slot, now + t);
         if let Some(tr) = &mut self.tracer.0 {
             if tr.sampling_flows() {
@@ -986,7 +984,7 @@ impl Nat {
         // index first, so that it answers as it would without the
         // queue even where two mappings share an external endpoint.
         self.store.flush_ext_index();
-        let target = match self.store.lookup_ext(h.proto, h.dst) {
+        let target = match self.store.lookup_ext(h.proto(), h.dst) {
             Some(slot) if !self.store.get(slot).expired(now) => slot,
             _ => {
                 self.stats.record_drop(DropReason::NoMapping);
@@ -998,7 +996,7 @@ impl Nat {
             return HeaderVerdict::Drop(DropReason::Filtered);
         }
         if self.config.refresh_inbound {
-            let t = self.timeout_for(h.proto, self.store.get(target).tcp);
+            let t = self.timeout_for(h.proto(), self.store.get(target).tcp);
             self.store.get_mut(target).last_refresh = now;
             self.store.set_expiry(target, now + t);
         }
@@ -1026,7 +1024,7 @@ impl Nat {
         let Some(mut h) = Header::of(&pkt) else {
             return self.inbound_icmp(pkt);
         };
-        let key = self.store.ext_key_of(h.proto, h.dst);
+        let key = self.store.ext_key_of(h.proto(), h.dst);
         let verdict = self.translate_inbound(&mut h, now, key);
         h.write_to(&mut pkt);
         verdict.with(pkt)
@@ -1047,7 +1045,7 @@ impl Nat {
         let staged = self.inbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
         for h in headers {
-            let key = self.store.ext_key_of(h.proto, h.dst);
+            let key = self.store.ext_key_of(h.proto(), h.dst);
             if let Some(key) = key {
                 self.store.prefetch_ext_cell(key);
             }
@@ -1131,7 +1129,7 @@ impl Nat {
             m.internal
         };
         if self.config.refresh_inbound {
-            let t = self.timeout_for(h.proto, self.store.get(slot).tcp);
+            let t = self.timeout_for(h.proto(), self.store.get(slot).tcp);
             self.store.get_mut(slot).last_refresh = now;
             self.store.set_expiry(slot, now + t);
         }
@@ -1253,7 +1251,7 @@ mod tests {
 
     #[test]
     fn header_is_small_and_copy() {
-        assert!(std::mem::size_of::<Header>() <= 24);
+        assert!(std::mem::size_of::<Header>() <= 16);
         assert!(std::mem::size_of::<HeaderVerdict>() <= 2);
     }
 

@@ -807,8 +807,10 @@ fn advance_shard(
                                 // session limit; the shard's stats record which.
                                 st.flows_blocked += 1;
                             }
-                            (v, t) => {
-                                debug_assert_eq!(v, HeaderVerdict::Forward);
+                            (HeaderVerdict::Hairpin, _) => {
+                                unreachable!("no destination universe reaches the pool")
+                            }
+                            (HeaderVerdict::Forward, t) => {
                                 let (dst, udp) = (t.dst, t.flags.is_none());
                                 if reply_due(seed, reply_permille, at_ms, src, dst) {
                                     replies.push(reply_to(t));
