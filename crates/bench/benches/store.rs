@@ -44,13 +44,11 @@ fn dst() -> Endpoint {
 }
 
 fn mapping(k: usize) -> Mapping {
-    Mapping::new(
-        Protocol::Udp,
-        internal(k),
-        external(k),
-        SimTime::ZERO,
-        SimTime::from_secs(60 + (k % 600) as u64),
-    )
+    Mapping::new(Protocol::Udp, internal(k), external(k))
+}
+
+fn expiry(k: usize) -> SimTime {
+    SimTime::from_secs(60 + (k % 600) as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -105,7 +103,7 @@ fn populate_slab(n: usize) -> MappingStore {
         );
         let m = mapping(k);
         let pool = s.intern_pool(m.external.ip, m.proto);
-        s.insert(key, pool, m);
+        s.insert(key, pool, m, expiry(k));
     }
     s.flush_ext_index();
     s
@@ -202,7 +200,7 @@ fn bench_store(c: &mut Criterion) {
                         }
                         let m = mapping(k);
                         let pool = slab.intern_pool(m.external.ip, m.proto);
-                        slab.insert(key, pool, m);
+                        slab.insert(key, pool, m, expiry(k));
                     }
                     slab.len()
                 })

@@ -21,7 +21,7 @@
 //! hugepage is the wrong price for a home CPE NAT holding a handful of
 //! mappings — the paper's own pipeline (§4–§6) builds hundreds of
 //! those — so chunk 0 starts as a plain allocation of **eight rows**
-//! — rows, not a page: a page is 32 of the store's cold rows, and a
+//! — rows, not a page: a page is 64 of the store's cold rows, and a
 //! home NAT holds six — and doubles (allocate, copy, free) until it
 //! holds `CAP` elements.
 //! That last step lands it in the same aligned, hugepage-advised 2 MiB
@@ -59,11 +59,11 @@ use std::ptr::NonNull;
 /// no inline assembly) this is a no-op.
 ///
 /// The kernel backs an extent with a hugepage only if the advice
-/// covers all 2 MiB of it, so callers pass the whole extent even when
-/// the chunk's elements fill less (a chunk of 112-byte rows is
-/// 1.75 MiB). Whether such a chunk then gets its hugepage depends on
-/// what the allocator mapped behind it; a chunk that fills the extent
-/// always does.
+/// covers all 2 MiB of it, so callers pass the whole extent. The
+/// store's hot and cold rows fill a full chunk exactly (asserted beside
+/// them), so for them the advice names their own chunk and nothing
+/// else; a row size that does not divide 2 MiB would leave the
+/// extent's tail to whatever the allocator mapped behind the chunk.
 ///
 /// # Safety
 ///
@@ -176,9 +176,10 @@ impl<T> Arena<T> {
         };
         if cap == Self::CAP {
             // SAFETY: `ptr` is a live allocation at 2 MiB alignment.
-            // The advice covers the whole aligned 2 MiB extent, which
-            // for element sizes that do not divide it runs past the
-            // allocation's end (see `advise_hugepage`).
+            // The advice covers the whole aligned 2 MiB extent: exactly
+            // the allocation for the store's rows, past its end only
+            // for a row size that does not divide 2 MiB (see
+            // `advise_hugepage`).
             unsafe { advise_hugepage(ptr, ARENA_CHUNK_BYTES) };
         }
         chunk

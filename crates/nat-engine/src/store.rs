@@ -38,12 +38,14 @@
 //!   ([`mix64`]) instead of SipHash over tuples.
 //!
 //! * **Hot/cold slot split** — the fields every sweep and every
-//!   expiry check touch (generation, wheel bookkeeping, the cached
-//!   expiry, the owning host id) live in a dense parallel array of
-//!   32-byte `HotSlot` rows; the cold remainder (packed keys, the
-//!   full [`Mapping`] with its filter state) stays in the slab. A
-//!   sweep or a demand sample walks only the hot array — a quarter of
-//!   the cache traffic of dragging whole slots through the LLC.
+//!   expiry check touch (generation, wheel bookkeeping, the expiry —
+//!   its only copy — and the owning host id) live in a dense parallel
+//!   array of 32-byte `HotSlot` rows; the cold remainder (packed keys,
+//!   the full [`Mapping`] with its filter state) is one 64-byte,
+//!   line-aligned row in the slab, so a lookup misses on one line of
+//!   each. A sweep or a demand sample walks only the hot array — a
+//!   third of the cache traffic of dragging whole slots through the
+//!   LLC.
 //!
 //! * **Open-addressed indices** — the out-key and ext-key maps are
 //!   flat linear-probe tables with 8-byte cells (a 32-bit fingerprint
@@ -105,10 +107,10 @@
 //! authoritative entry per slot), and cost one comparison when their
 //! bucket is drained.
 
-use crate::arena::Arena;
+use crate::arena::{Arena, ARENA_CHUNK_BYTES};
 use crate::config::MappingBehavior;
 use crate::wheel::WheelGeometry;
-use netcore::{Endpoint, Protocol, SimDuration, SimTime};
+use netcore::{Endpoint, Protocol, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -117,16 +119,19 @@ pub use netcore::hash::{mix64, Mix64Hasher, MixMap};
 
 /// The destination endpoints a mapping has contacted — the filter
 /// state for restricted NATs. Semantically a set; physically the
-/// first three endpoints live inline (no heap allocation for the
-/// dominant 1-contact case) and further ones spill to a plain vector
-/// scanned linearly. At realistic fan-outs (tens of destinations) a
-/// short sequential scan beats a `HashSet`'s hash + random probe,
-/// and keepalive traffic hits its own destination in the first slot.
+/// first two endpoints live inline (no heap allocation for the
+/// dominant 1-contact case) and further ones spill to a boxed vector
+/// scanned linearly — one pointer in the row, so the whole set is
+/// 24 bytes. At realistic fan-outs (tens of destinations) a short
+/// sequential scan beats a `HashSet`'s hash + random probe, and
+/// keepalive traffic hits its own destination in the first slot.
 #[derive(Debug, Clone)]
 pub struct ContactSet {
     inline: [Endpoint; CONTACTS_INLINE],
     inline_len: u8,
-    spill: Vec<Endpoint>,
+    /// Boxed on purpose: one word in the row where a `Vec` takes three.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<Endpoint>>>,
 }
 
 impl Default for ContactSet {
@@ -135,19 +140,23 @@ impl Default for ContactSet {
     }
 }
 
-const CONTACTS_INLINE: usize = 3;
+const CONTACTS_INLINE: usize = 2;
 
 impl ContactSet {
     pub fn new() -> Self {
         ContactSet {
             inline: [Endpoint::new(Ipv4Addr::UNSPECIFIED, 0); CONTACTS_INLINE],
             inline_len: 0,
-            spill: Vec::new(),
+            spill: None,
         }
     }
 
+    fn spilled(&self) -> &[Endpoint] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     pub fn len(&self) -> usize {
-        self.inline_len as usize + self.spill.len()
+        self.inline_len as usize + self.spilled().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -155,7 +164,7 @@ impl ContactSet {
     }
 
     pub fn contains(&self, e: &Endpoint) -> bool {
-        self.inline[..self.inline_len as usize].contains(e) || self.spill.contains(e)
+        self.inline[..self.inline_len as usize].contains(e) || self.spilled().contains(e)
     }
 
     /// Insert with set semantics; returns `true` if newly added.
@@ -167,7 +176,7 @@ impl ContactSet {
             self.inline[self.inline_len as usize] = e;
             self.inline_len += 1;
         } else {
-            self.spill.push(e);
+            self.spill.get_or_insert_with(Box::default).push(e);
         }
         true
     }
@@ -175,7 +184,7 @@ impl ContactSet {
     pub fn iter(&self) -> impl Iterator<Item = &Endpoint> {
         self.inline[..self.inline_len as usize]
             .iter()
-            .chain(self.spill.iter())
+            .chain(self.spilled())
     }
 }
 
@@ -190,7 +199,11 @@ pub(crate) enum TcpConnState {
     Closing,
 }
 
-/// One translation table entry.
+/// One translation table entry: who it translates and its filter and
+/// TCP state. Its expiry is not here — the store keeps the one copy in
+/// the slot's hot row ([`MappingStore::insert`],
+/// [`MappingStore::set_expiry`], [`MappingStore::expired_at`]). 40
+/// bytes as `Option<Mapping>`, so a cold row is one cache line.
 #[derive(Debug, Clone)]
 pub struct Mapping {
     pub proto: Protocol,
@@ -201,40 +214,19 @@ pub struct Mapping {
     /// Destination endpoints contacted through this mapping — the filter
     /// state for restricted NATs.
     pub contacted: ContactSet,
-    pub created: SimTime,
-    pub last_refresh: SimTime,
-    pub expiry: SimTime,
     pub(crate) tcp: Option<TcpConnState>,
 }
 
 impl Mapping {
     /// A fresh mapping with empty filter state and no TCP tracking.
-    pub fn new(
-        proto: Protocol,
-        internal: Endpoint,
-        external: Endpoint,
-        now: SimTime,
-        expiry: SimTime,
-    ) -> Self {
+    pub fn new(proto: Protocol, internal: Endpoint, external: Endpoint) -> Self {
         Mapping {
             proto,
             internal,
             external,
             contacted: ContactSet::new(),
-            created: now,
-            last_refresh: now,
-            expiry,
             tcp: None,
         }
-    }
-
-    pub fn expired(&self, now: SimTime) -> bool {
-        self.expiry <= now
-    }
-
-    /// Remaining idle budget at `now` (zero if expired).
-    pub fn remaining(&self, now: SimTime) -> SimDuration {
-        self.expiry.saturating_since(now)
     }
 }
 
@@ -721,7 +713,7 @@ struct HostEntry {
 
 /// The per-slot fields every sweep and expiry check reads, split into
 /// a dense parallel array (32 bytes per row) so those paths never pull
-/// the ~200-byte cold slot through the cache.
+/// the 64-byte cold row through the cache.
 #[derive(Debug, Clone, Copy)]
 struct HotSlot {
     /// Bumped on every free; timer entries carry the generation they
@@ -734,10 +726,8 @@ struct HotSlot {
     /// Deadline of this slot's authoritative timer entry (used to
     /// decide whether a new expiry shortens or lazily extends it).
     wheel_deadline: u64,
-    /// Cache of the mapping's `expiry` in ms. Maintained by
-    /// [`MappingStore::insert`]/[`MappingStore::set_expiry`] — the
-    /// engine never writes `Mapping::expiry` through `get_mut`, so the
-    /// cache is authoritative for expiry checks.
+    /// The mapping's expiry in ms — its only copy, written by
+    /// [`MappingStore::insert`] and [`MappingStore::set_expiry`].
     expiry_ms: u64,
     /// Interned internal-host id of the occupant.
     host: u32,
@@ -747,13 +737,21 @@ struct HotSlot {
 }
 
 /// Cold remainder of a slot: the packed keys (read on index verify and
-/// removal) and the full mapping (read on translation refresh).
+/// removal) and the full mapping (read on translation refresh). One
+/// 64-byte, line-aligned row: a lookup's verify, refresh and filter
+/// check touch a single cache line of it.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Slot {
     out_key: u128,
     ext_key: u64,
     mapping: Option<Mapping>,
 }
+
+// A full chunk of either row is exactly one 2 MiB extent, so the
+// hugepage advice on a chunk covers its own rows and nothing else.
+const _: () = assert!(Arena::<Slot>::CAP * std::mem::size_of::<Slot>() == ARENA_CHUNK_BYTES);
+const _: () = assert!(Arena::<HotSlot>::CAP * std::mem::size_of::<HotSlot>() == ARENA_CHUNK_BYTES);
 
 /// Occupancy snapshot of one store — the "how big did the arena get"
 /// observable the dimensioning report surfaces next to the port-demand
@@ -1063,10 +1061,9 @@ impl MappingStore {
         self.ext_index.hint(Self::hash_ext(key))
     }
 
-    /// Prefetch the whole of a slot's rows: the 32-byte hot row and
-    /// every cache line of the cold row. Cold rows sit at 16-byte
-    /// multiples, so a 112-byte row spans two or three lines; its
-    /// first byte, its 65th and its last name all of them. A hint
+    /// Prefetch the whole of a slot's rows: one line each. The 32-byte
+    /// hot rows pack two to a line in a full (2 MiB-aligned) chunk, and
+    /// a cold row is one line-aligned 64-byte line of its own. A hint
     /// only: any slot id is accepted, out-of-range ones are ignored.
     #[inline]
     pub fn prefetch_slot(&self, slot: u32) {
@@ -1074,10 +1071,7 @@ impl MappingStore {
             (self.hot.get(slot as usize), self.slots.get(slot as usize))
         {
             prefetch_line(hot);
-            let row = (cold as *const Slot).cast::<u8>();
-            prefetch_line(row);
-            prefetch_line(row.wrapping_add(64));
-            prefetch_line(row.wrapping_add(std::mem::size_of::<Slot>() - 1));
+            prefetch_line(cold);
         }
     }
 
@@ -1120,9 +1114,7 @@ impl MappingStore {
             .expect("slot is free")
     }
 
-    /// Mutably borrow a live mapping. Changing `expiry` directly does
-    /// **not** reschedule the timer wheel — use
-    /// [`MappingStore::set_expiry`] for that.
+    /// Mutably borrow a live mapping. Panics on a freed slot id.
     pub fn get_mut(&mut self, slot: u32) -> &mut Mapping {
         self.slots[slot as usize]
             .mapping
@@ -1142,9 +1134,10 @@ impl MappingStore {
 
     /// Insert a mapping under its packed out-key, indexing the external
     /// endpoint — `pool` is the interned id of its `(IP, protocol)`
-    /// ([`MappingStore::intern_pool`]) — and scheduling expiry on the
-    /// timer wheel. Returns the slot id. Increments the owning host's
-    /// session counter.
+    /// ([`MappingStore::intern_pool`]) — and scheduling `expiry` on
+    /// the timer wheel; the slot's hot row keeps the expiry, the
+    /// mapping carries none. Returns the slot id. Increments the owning
+    /// host's session counter.
     ///
     /// The ext-index half is **written behind**: the external port is
     /// news to this call, so nothing could prefetch its index cell any
@@ -1161,7 +1154,7 @@ impl MappingStore {
     /// inside the deferred insert itself; [`MappingStore::hint_ext`]
     /// reads the index alone and asserts the queue empty. The engine
     /// flushes before each of its entry points returns.
-    pub fn insert(&mut self, out_key: u128, pool: u32, mapping: Mapping) -> u32 {
+    pub fn insert(&mut self, out_key: u128, pool: u32, mapping: Mapping, expiry: SimTime) -> u32 {
         debug_assert_eq!(
             self.pools[pool as usize],
             (mapping.external.ip, mapping.proto)
@@ -1170,7 +1163,7 @@ impl MappingStore {
         let ext_key = Self::pack_ext(pool, mapping.external.port);
         let ext_hash = Self::hash_ext(ext_key);
         self.ext_index.prefetch(ext_hash);
-        let deadline = mapping.expiry.as_millis();
+        let deadline = expiry.as_millis();
         let slot = match self.free.pop() {
             Some(s) => {
                 let hot = &mut self.hot[s as usize];
@@ -1264,13 +1257,9 @@ impl MappingStore {
     /// fires), a shortening files a new earlier entry and invalidates
     /// the parked one.
     pub fn set_expiry(&mut self, slot: u32, expiry: SimTime) {
-        let m = self.slots[slot as usize]
-            .mapping
-            .as_mut()
-            .expect("slot is free");
-        m.expiry = expiry;
         let ms = expiry.as_millis();
         let hot = &mut self.hot[slot as usize];
+        assert!(hot.live, "slot is free");
         hot.expiry_ms = ms;
         if ms < hot.wheel_deadline {
             hot.wheel_seq = hot.wheel_seq.wrapping_add(1);
@@ -1456,15 +1445,16 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    fn mapping(internal: Endpoint, external: Endpoint, expiry: SimTime) -> Mapping {
-        Mapping::new(Protocol::Udp, internal, external, SimTime::ZERO, expiry)
+    /// A UDP mapping and the expiry it is to be inserted with.
+    fn mapping(internal: Endpoint, external: Endpoint, expiry: SimTime) -> (Mapping, SimTime) {
+        (Mapping::new(Protocol::Udp, internal, external), expiry)
     }
 
     /// `MappingStore::insert` with the pool interned on the way, as
     /// the engine's create path does.
-    fn insert(s: &mut MappingStore, key: u128, m: Mapping) -> u32 {
+    fn insert(s: &mut MappingStore, key: u128, (m, expiry): (Mapping, SimTime)) -> u32 {
         let pool = s.intern_pool(m.external.ip, m.proto);
-        s.insert(key, pool, m)
+        s.insert(key, pool, m, expiry)
     }
 
     fn store_with(n: u16, expiry_secs: u64) -> (MappingStore, Vec<u32>) {
@@ -1922,6 +1912,41 @@ mod tests {
         }
     }
 
+    /// Everything a caller can ask a `ContactSet` agrees with the model
+    /// set, for every endpoint of the alphabet.
+    fn assert_contacts_agree(set: &ContactSet, model: &BTreeSet<Endpoint>, alphabet: &[Endpoint]) {
+        for e in alphabet {
+            assert_eq!(set.contains(e), model.contains(e), "{e}");
+        }
+        assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
+        assert_eq!(set.iter().count(), set.len(), "iter repeats no endpoint");
+        assert_eq!(&set.iter().copied().collect::<BTreeSet<_>>(), model);
+    }
+
+    proptest! {
+        /// `ContactSet` is a set: up to 40 inserts over nine endpoints
+        /// (three addresses × three ports, so most inserts repeat one
+        /// and every run that reaches three distinct ones spills) agree
+        /// with a `BTreeSet` on `insert`'s answer, and on `contains`,
+        /// `len`, `is_empty` and `iter` read as a set, before the first
+        /// insert and after every one.
+        #[test]
+        fn prop_contact_set_is_a_set(
+            picks in proptest::collection::vec((0u8..3, 0u16..3), 0..=40),
+        ) {
+            let alphabet: Vec<Endpoint> = (0..3u8)
+                .flat_map(|a| (0..3u16).map(move |p| Endpoint::new(ip(203, 0, 113, a), 80 + p)))
+                .collect();
+            let (mut set, mut model) = (ContactSet::new(), BTreeSet::new());
+            assert_contacts_agree(&set, &model, &alphabet);
+            for (a, p) in picks {
+                let e = alphabet[a as usize * 3 + p as usize];
+                prop_assert_eq!(set.insert(e), model.insert(e));
+                assert_contacts_agree(&set, &model, &alphabet);
+            }
+        }
+    }
+
     #[test]
     fn free_set_and_write_behind_cost_a_small_nat_nothing() {
         // The companion of `ten_mappings_reserve_kilobytes_not_hugepages`:
@@ -1937,7 +1962,7 @@ mod tests {
 
     /// `(out-key, external endpoint)` of the `k`-th mapping of the
     /// write-behind tests, all on one external address.
-    fn behind_flow(s: &mut MappingStore, k: u16) -> (u128, Mapping) {
+    fn behind_flow(s: &mut MappingStore, k: u16) -> (u128, (Mapping, SimTime)) {
         let internal = Endpoint::new(ip(100, 64, 2, (k % 200) as u8 + 1), 30_000 + k);
         let external = Endpoint::new(ip(198, 51, 100, 7), 20_000 + k);
         let key = s.out_key(
@@ -1957,7 +1982,7 @@ mod tests {
         let mut placed = Vec::new();
         for k in 0..40 {
             let (key, m) = behind_flow(&mut s, k);
-            let ext = m.external;
+            let ext = m.0.external;
             placed.push((ext, insert(&mut s, key, m)));
             assert_eq!(s.ext_behind.len(), placed.len().min(EXT_WRITE_BEHIND));
             assert_eq!(s.ext_index.live + s.ext_behind.len(), placed.len());
@@ -1993,7 +2018,7 @@ mod tests {
         let mut placed = Vec::new();
         for k in 0..5 {
             let (key, m) = behind_flow(&mut s, k);
-            placed.push((m.external, insert(&mut s, key, m)));
+            placed.push((m.0.external, insert(&mut s, key, m)));
         }
         assert_eq!(s.ext_behind.len(), 5);
         let (gone, slot) = placed[3];
@@ -2002,7 +2027,7 @@ mod tests {
         assert_eq!(s.lookup_ext(Protocol::Udp, gone), None);
         // The slot and the endpoint are both free for the next flow.
         let (key, mut m) = behind_flow(&mut s, 9);
-        m.external = gone;
+        m.0.external = gone;
         assert_eq!(insert(&mut s, key, m), slot);
         assert_eq!(s.lookup_ext(Protocol::Udp, gone), Some(slot));
         for &(ext, slot) in &placed {
@@ -2189,12 +2214,14 @@ mod tests {
 
     #[test]
     fn prefetch_slot_covers_the_cold_row_it_assumes() {
-        // `prefetch_slot` names a cold row's lines by its first byte,
-        // its 65th and its last: enough for any row of 65 to 128
-        // bytes wherever it starts, and never a byte outside the row.
-        let size = std::mem::size_of::<Slot>();
-        assert_eq!(size, 112, "update prefetch_slot and its rustdoc");
-        assert!(size > 64 && size - 1 < 128);
+        // `prefetch_slot` names one line of each row: a line-aligned
+        // 64-byte cold row is exactly one line, and 32-byte hot rows in
+        // a full chunk never straddle two.
+        assert_eq!(
+            (std::mem::size_of::<Slot>(), std::mem::align_of::<Slot>()),
+            (64, 64),
+            "update prefetch_slot and its rustdoc"
+        );
         assert_eq!(std::mem::size_of::<HotSlot>(), 32);
         // Any id is accepted; out-of-range ones are ignored.
         let (s, slots) = store_with(3, 60);

@@ -332,11 +332,17 @@ struct FlowState {
 }
 
 /// Slab of live flows with generational `u64` handles
-/// (`generation << 32 | slot`). A teardown frees the slot; a stale
-/// keepalive event carrying the old handle misses on the generation
-/// check instead of touching the slot's next tenant — the same
-/// free-list + generation scheme as `nat_engine::store`, applied to
-/// the driver's own hot table.
+/// (`generation << 32 | slot`) — the same free-list + generation
+/// scheme as `nat_engine::store`, applied to the driver's own hot
+/// table.
+///
+/// **Invariant:** a live flow has exactly one pending wheel event
+/// (none once its next one would fall past the horizon), and it leaves
+/// the slab only while that event is committed — a teardown, or a
+/// keepalive the NAT dropped — which schedules no follow-up. So every
+/// event finds its flow ([`LIVE_FLOW`]); the generation check only
+/// turns a broken invariant into that panic instead of a read of the
+/// slot's next tenant.
 #[derive(Default)]
 struct FlowSlab {
     slots: Vec<(u32, Option<FlowState>)>,
@@ -379,6 +385,9 @@ impl FlowSlab {
         Some(f)
     }
 }
+
+/// Why a wheel event's flow handle always resolves (see [`FlowSlab`]).
+const LIVE_FLOW: &str = "a live flow has exactly one pending event";
 
 /// One subscriber's generator state. Each subscriber owns an
 /// independent RNG stream, which is what makes the run independent of
@@ -543,8 +552,6 @@ enum Pending {
     EndTcp { flow: u64 },
     /// UDP teardown: no packet, just the flow-table removal.
     EndUdp { flow: u64 },
-    /// The event carried a stale generational handle; nothing to do.
-    Stale,
 }
 
 /// One barrier-to-barrier step of a shard: how far to drain, the
@@ -714,38 +721,28 @@ fn advance_shard(
                             .min(at_ms + refresh_ms)
                             .min(end_ms)
                     }
-                    Kind::Packet { flow } => match st.flows.get(flow) {
-                        Some(f) => {
-                            headers.push(Header::new(
-                                f.src,
-                                f.dst,
-                                (!f.udp).then_some(TcpFlags::ACK),
-                            ));
-                            st.packets_sent += 1;
-                            pending.push(Pending::Packet {
-                                flow,
-                                end_ms: f.end_ms,
-                                refresh_ms: f.refresh_ms,
-                            });
-                            (at_ms + f.refresh_ms).min(f.end_ms)
-                        }
-                        None => {
-                            pending.push(Pending::Stale);
-                            u64::MAX
-                        }
-                    },
+                    Kind::Packet { flow } => {
+                        let f = st.flows.get(flow).expect(LIVE_FLOW);
+                        headers.push(Header::new(f.src, f.dst, (!f.udp).then_some(TcpFlags::ACK)));
+                        st.packets_sent += 1;
+                        pending.push(Pending::Packet {
+                            flow,
+                            end_ms: f.end_ms,
+                            refresh_ms: f.refresh_ms,
+                        });
+                        (at_ms + f.refresh_ms).min(f.end_ms)
+                    }
                     Kind::End { flow } => {
-                        match st.flows.get(flow) {
-                            Some(f) if f.udp => pending.push(Pending::EndUdp { flow }),
-                            Some(f) => {
-                                // Polite TCP teardown moves the mapping onto the
-                                // short transitory clock (RFC 5382 behaviour the
-                                // engine models).
-                                headers.push(Header::new(f.src, f.dst, Some(TcpFlags::FIN)));
-                                st.packets_sent += 1;
-                                pending.push(Pending::EndTcp { flow });
-                            }
-                            None => pending.push(Pending::Stale),
+                        let f = st.flows.get(flow).expect(LIVE_FLOW);
+                        if f.udp {
+                            pending.push(Pending::EndUdp { flow });
+                        } else {
+                            // Polite TCP teardown moves the mapping onto the
+                            // short transitory clock (RFC 5382 behaviour the
+                            // engine models).
+                            headers.push(Header::new(f.src, f.dst, Some(TcpFlags::FIN)));
+                            st.packets_sent += 1;
+                            pending.push(Pending::EndTcp { flow });
                         }
                         u64::MAX // a teardown schedules nothing
                     }
@@ -844,10 +841,9 @@ fn advance_shard(
                                 continue;
                             }
                             (HeaderVerdict::Forward, t) => {
-                                if let Some(f) = st.flows.get(flow) {
-                                    if reply_due(seed, reply_permille, at_ms, f.src, f.dst) {
-                                        replies.push(reply_to(t));
-                                    }
+                                let f = st.flows.get(flow).expect(LIVE_FLOW);
+                                if reply_due(seed, reply_permille, at_ms, f.src, f.dst) {
+                                    replies.push(reply_to(t));
                                 }
                             }
                             (HeaderVerdict::Hairpin, _) => {}
@@ -868,7 +864,6 @@ fn advance_shard(
                         st.flows.remove(flow);
                         st.flows_completed += 1;
                     }
-                    Pending::Stale => {}
                 }
             }
             debug_assert!(verdict.next().is_none(), "every verdict consumed");
