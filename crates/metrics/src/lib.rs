@@ -32,8 +32,9 @@
 //!
 //! The engine-facing discipline mirrors `nat_engine`'s `EventSink`
 //! slot: instruments live behind an `Option`, absent by default, so a
-//! disabled registry costs one untaken branch per fire site (the CI
-//! `metrics` gate pins the disabled-path cost to ≤ 2% of baseline).
+//! disabled registry costs one untaken branch per fire site
+//! (`benchmark/`'s metrics-free workloads, read as parent-vs-change
+//! pairs, hold that cost).
 
 pub mod expo;
 pub mod instrument;

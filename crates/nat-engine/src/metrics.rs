@@ -2,9 +2,9 @@
 //!
 //! Mirrors the [`crate::telemetry::EventSink`] discipline exactly: a
 //! [`Nat`](crate::Nat) holds an `Option<Box<EngineMetrics>>` — absent
-//! by default, so every fire site costs one untaken branch — and the
-//! CI `metrics` gate pins the disabled-path cost to ≤ 2% of the
-//! baseline's machine-relative throughput ratios. Unlike the event
+//! by default, so every fire site costs one untaken branch — and
+//! `benchmark/`'s metrics-free workloads, read as parent-vs-change
+//! pairs, hold that disabled cost. Unlike the event
 //! sink (which streams per-event records out of the engine), the
 //! registry is pure accumulation: plain counters and histograms owned
 //! by the shard's thread, rendered into a [`Snapshot`] only at sample

@@ -16,7 +16,7 @@ use crate::ports::{self, PortAllocator, PortError};
 use crate::store::{MappingStore, StoreOccupancy, TcpConnState};
 use crate::telemetry::{BlockEvent, EventSink, MappingEvent, SinkSlot};
 use cgn_metrics::{Snapshot, Value};
-use cgn_trace::{FlowKey as TraceKey, Phase, PhaseClock, ShardTracer};
+use cgn_trace::{Phase, PhaseClock, ShardTracer};
 use netcore::{Endpoint, Packet, PacketBody, Protocol, SimDuration, SimTime, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -932,28 +932,18 @@ impl Nat {
         if let Some(reg) = &mut self.metrics.0 {
             reg.on_created();
         }
+        let event = MappingEvent {
+            at: now,
+            proto,
+            internal,
+            external,
+        };
         if let Some(sink) = &mut self.sink.0 {
-            sink.mapping_created(&MappingEvent {
-                at: now,
-                proto,
-                internal,
-                external,
-            });
+            sink.mapping_created(&event);
         }
         if let Some(tr) = &mut self.tracer.0 {
             if tr.sampling_flows() {
-                tr.on_admit(
-                    slot,
-                    TraceKey {
-                        udp: proto == Protocol::Udp,
-                        internal_ip: internal.ip,
-                        internal_port: internal.port,
-                        external_ip: external.ip,
-                        external_port: external.port,
-                    },
-                    now.as_millis(),
-                    block_granted,
-                );
+                tr.on_admit(slot, event.flow_key(), now.as_millis(), block_granted);
             }
         }
         Ok(slot)
@@ -2332,15 +2322,6 @@ mod tests {
             n.external_for(Protocol::Udp, internal_host(1), t(120)),
             None
         );
-    }
-    #[test]
-    fn trace_mix64_matches_store_mix64() {
-        // cgn-trace duplicates the SplitMix64 finalizer (the
-        // dependency points from nat-engine to cgn-trace); this pins
-        // the two implementations together.
-        for v in [0u64, 1, 7, 0xdead_beef, u64::MAX] {
-            assert_eq!(cgn_trace::mix64(v), crate::store::mix64(v));
-        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!   fires no block events and needs no log at all — attribution is
 //!   recomputed from the algorithmic mapping.
 
+use cgn_trace::FlowKey;
 use netcore::{Endpoint, Protocol, SimTime};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -55,9 +56,10 @@ pub enum TelemetryMode {
     PerBlock,
     /// NetFlow-style sampled per-connection logging: keep one mapping
     /// in `one_in` (deterministic by flow-key hash, so the create and
-    /// expire records of a sampled mapping always travel together).
-    /// The operator's middle ground when full per-connection volume is
-    /// unaffordable but block granularity is too coarse.
+    /// expire records of a sampled mapping always travel together;
+    /// `0` keeps none). The operator's middle ground when full
+    /// per-connection volume is unaffordable but block granularity is
+    /// too coarse.
     Sampled { one_in: u32 },
 }
 
@@ -82,6 +84,21 @@ pub struct MappingEvent {
     pub internal: Endpoint,
     /// Public-side endpoint (`IPext:portext`).
     pub external: Endpoint,
+}
+
+impl MappingEvent {
+    /// The mapping's flow key: what both the tracer's one-in-N sampler
+    /// and a [`TelemetryMode::Sampled`] log sink hash, so the two pick
+    /// the same mappings at the same N.
+    pub fn flow_key(&self) -> FlowKey {
+        FlowKey {
+            udp: self.proto == Protocol::Udp,
+            internal_ip: self.internal.ip,
+            internal_port: self.internal.port,
+            external_ip: self.external.ip,
+            external_port: self.external.port,
+        }
+    }
 }
 
 /// One port-block lifecycle event: a contiguous range of

@@ -749,6 +749,30 @@ mod tests {
             .sum();
         assert_eq!(on_disk, volume.bytes, "generation files hold every byte");
 
+        // Streamed and in-memory logs agree for the whole session: each
+        // shard's generations, concatenated in order, are its
+        // per-connection EventLog from a batch run of the same config.
+        let mut batch = config.driver_config();
+        batch.telemetry = TelemetryMode::PerConnection;
+        let (_, logs) = cgn_traffic::run_with_logs(&batch);
+        assert_eq!(logs.len(), config.shards as usize);
+        for (shard, log) in logs.iter().enumerate() {
+            let mut streamed = Vec::new();
+            for generation in 0.. {
+                let path = dir.join(format!("events.shard{shard}.{generation}"));
+                match std::fs::read(&path) {
+                    Ok(bytes) => streamed.extend_from_slice(&bytes),
+                    Err(_) => break,
+                }
+            }
+            assert_eq!(
+                streamed,
+                log.bytes(),
+                "shard {shard}: streamed == in-memory"
+            );
+            cgn_telemetry::decode_bytes(&streamed).expect("the concatenation decodes");
+        }
+
         std::fs::remove_dir_all(&dir).ok();
     }
 

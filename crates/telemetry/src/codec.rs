@@ -313,8 +313,8 @@ impl EventLog {
     /// ([`EventLog::bytes`]) to `out` and forget them — whether or not
     /// the write succeeds — keeping the encoder state (interned ids,
     /// delta-timestamp base, record count) so encoding continues
-    /// seamlessly. This is the primitive behind streaming sinks
-    /// ([`crate::sink::WriteSink`]): the in-memory log stays bounded by
+    /// seamlessly. This is the primitive behind the streaming sink
+    /// ([`crate::RotatingWriteSink`]): the in-memory log stays bounded by
     /// one record, and because the buffer is emptied rather than given
     /// away, its capacity is reused and a record allocates nothing once
     /// the first has sized it. Note a drained `EventLog` no longer holds
@@ -335,8 +335,8 @@ impl EventLog {
 
 /// Decode a raw encoded byte stream — the standalone form of
 /// [`EventLog::decode`] for logs that were streamed to storage
-/// (e.g. through a [`crate::sink::WriteSink`]) rather than held in
-/// memory.
+/// (through a [`crate::RotatingWriteSink`]: decode the concatenation
+/// of its generations) rather than held in memory.
 pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
     let mut out = Vec::new();
     let mut subs: Vec<Ipv4Addr> = Vec::new();

@@ -18,7 +18,8 @@
 //!   that encodes the engine's mapping/block events into per-shard
 //!   append-only binary logs ([`codec::EventLog`]: varint fields,
 //!   delta timestamps, interned subscriber/pool ids — single-digit
-//!   bytes per steady-state record);
+//!   bytes per steady-state record), and [`rotate::RotatingWriteSink`],
+//!   the same encoder streaming into size-rotated generations;
 //! * [`query::TraceIndex`] — the time-interval index that answers
 //!   exact `(ext IP, port, T) → subscriber` probes from a decoded log,
 //!   for both per-connection and per-block records;
@@ -43,4 +44,4 @@ pub use rotate::{
     FileGenerations, GenerationFactory, GenerationStats, RotatingFileSink, RotatingWriteSink,
     MODELED_COMPRESSION_RATIO,
 };
-pub use sink::{BinaryLogSink, BufferedWriteSink, BufferedWriter, SampledSink, WriteSink};
+pub use sink::BinaryLogSink;

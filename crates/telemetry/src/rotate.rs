@@ -1,21 +1,25 @@
-//! Size-rotated log output: the `logrotate` shape for campaign-scale
-//! CGN event logs.
+//! Streamed, size-rotated log output: the `logrotate` shape for
+//! campaign-scale CGN event logs.
 //!
 //! The §6.2 log-volume study projects ~75 GiB/day per million
 //! subscribers under per-connection logging — no operator keeps that
-//! in one file. [`RotatingWriteSink`] is the [`crate::WriteSink`]
-//! family member that cuts the stream into bounded **generations**:
-//! when the next record would push the current generation past
+//! in memory or in one file. [`RotatingWriteSink`] runs the in-memory
+//! sink's encoder ([`BinaryLogSink`]) and drains every record to a
+//! writer, cutting the stream into bounded **generations**: when the
+//! next record would push the current generation past
 //! `max_generation_bytes`, the sink closes it and asks its factory for
-//! the next writer (`log.0`, `log.1`, … for file-backed factories).
+//! the next writer (`log.0`, `log.1`, … for file-backed factories). A
+//! cap of `u64::MAX` keeps a single generation — one plain stream —
+//! and a factory handing out a [`std::io::BufWriter`] batches the
+//! writes of each generation.
 //!
 //! Two properties matter and are pinned by tests:
 //!
 //! * **Byte identity** — one [`codec::EventLog`](crate::codec)
 //!   encoder spans every generation (interned ids and delta
 //!   timestamps are *not* reset at a boundary), so the concatenation
-//!   of all generations is byte-identical to what a single
-//!   [`WriteSink`](crate::WriteSink) would have produced. A
+//!   of all generations is byte-identical to the log a
+//!   [`BinaryLogSink`] in the same mode holds for the same events. A
 //!   generation is therefore a byte range of one logical stream, like
 //!   a rotated syslog fragment — decode the concatenation, not a lone
 //!   fragment.
@@ -32,7 +36,7 @@
 //! squeezes to roughly 40% under a generic LZ pass — in line with the
 //! compressed-NetFlow ratios operators plan archives around.
 
-use crate::codec::EventLog;
+use crate::sink::BinaryLogSink;
 use nat_engine::telemetry::{BlockEvent, EventSink, MappingEvent, TelemetryMode};
 use std::any::Any;
 use std::fs::File;
@@ -44,7 +48,7 @@ use std::path::PathBuf;
 /// the module docs for why this is a constant, not a measurement).
 pub const MODELED_COMPRESSION_RATIO: f64 = 0.40;
 
-/// Accounting for one closed log generation.
+/// Accounting for one log generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenerationStats {
     /// Generation index (0-based, in rotation order).
@@ -126,24 +130,26 @@ impl RotatingFileSink {
     }
 }
 
-/// A size-rotating [`EventSink`] over the [`WriteSink`](crate::WriteSink)
-/// family: same event semantics, counters and sticky-error behaviour,
-/// but output is cut into bounded generations produced by a
-/// [`GenerationFactory`]. See the module docs for the identity and
-/// boundary guarantees.
+/// The streaming [`EventSink`]: [`BinaryLogSink`]'s mode filter and
+/// encoder, with each record drained to the current generation's
+/// writer as soon as it is encoded — so resident memory stays bounded
+/// by one record however long the run. See the module docs for the
+/// identity and boundary guarantees.
 ///
 /// The factory is called with the generation index (`0` eagerly at
-/// construction, then `1, 2, …` at each rotation); a factory error
-/// makes the sink sticky-failed exactly like a write error.
+/// construction, then `1, 2, …` at each rotation). I/O errors cannot
+/// surface through the engine's fire-and-forget event calls, so the
+/// sink goes *sticky-failed* on the first write, flush or factory
+/// error: later records are dropped (counted in
+/// [`records_dropped`](RotatingWriteSink::records_dropped)) and the
+/// error is reported by [`io_error`](RotatingWriteSink::io_error) and
+/// returned by [`finish`](RotatingWriteSink::finish).
 pub struct RotatingWriteSink<F: GenerationFactory> {
-    mode: TelemetryMode,
-    enc: EventLog,
+    pub(crate) enc: BinaryLogSink,
     make: F,
     out: Option<F::Writer>,
     max_generation_bytes: u64,
-    generation: u64,
-    generation_bytes: u64,
-    generation_records: u64,
+    current: GenerationStats,
     closed: Vec<GenerationStats>,
     records_written: u64,
     bytes_written: u64,
@@ -165,14 +171,15 @@ impl<F: GenerationFactory> RotatingWriteSink<F> {
             Err(e) => (None, Some(e)),
         };
         RotatingWriteSink {
-            mode,
-            enc: EventLog::new(),
+            enc: BinaryLogSink::new(mode),
             make,
             out,
             max_generation_bytes,
-            generation: 0,
-            generation_bytes: 0,
-            generation_records: 0,
+            current: GenerationStats {
+                index: 0,
+                bytes: 0,
+                records: 0,
+            },
             closed: Vec::new(),
             records_written: 0,
             bytes_written: 0,
@@ -182,27 +189,12 @@ impl<F: GenerationFactory> RotatingWriteSink<F> {
     }
 
     pub fn mode(&self) -> TelemetryMode {
-        self.mode
+        self.enc.mode()
     }
 
     /// Completed rotations so far (`cgn_log_rotations_total`).
     pub fn rotations(&self) -> u64 {
         self.closed.len() as u64
-    }
-
-    /// Accounting for every closed generation, in rotation order.
-    pub fn closed_generations(&self) -> &[GenerationStats] {
-        &self.closed
-    }
-
-    /// Index of the generation currently being written.
-    pub fn current_generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Bytes written into the current generation so far.
-    pub fn current_generation_bytes(&self) -> u64 {
-        self.generation_bytes
     }
 
     /// Records successfully encoded and handed to a writer, across
@@ -236,75 +228,61 @@ impl<F: GenerationFactory> RotatingWriteSink<F> {
         if let Some(out) = self.out.as_mut() {
             out.flush()?;
         }
-        let mut all = self.closed;
-        all.push(GenerationStats {
-            index: self.generation,
-            bytes: self.generation_bytes,
-            records: self.generation_records,
-        });
-        Ok(all)
+        self.closed.push(self.current);
+        Ok(self.closed)
     }
 
-    /// Encode one record and write it to the current generation,
-    /// rotating first if it would overflow the cap.
-    fn record(&mut self, encode: impl FnOnce(&mut EventLog)) {
-        if self.io_error.is_some() {
-            self.records_dropped += 1;
+    /// Write the record the last event encoded, if the mode kept one;
+    /// once failed, discard it and count it dropped.
+    fn commit(&mut self) {
+        let len = self.enc.log.len_bytes();
+        if len == 0 {
             return;
         }
-        encode(&mut self.enc);
-        let len = self.enc.len_bytes();
-
-        // Rotate between records only: a non-empty generation that
-        // cannot take the whole chunk is closed first. An oversized
-        // chunk into an empty generation writes anyway — records are
-        // never split across generations.
-        if self.generation_bytes > 0 && self.generation_bytes + len > self.max_generation_bytes {
-            if let Err(e) = self.rotate() {
-                self.io_error = Some(e);
-                self.records_dropped += 1;
-                return;
+        if self.io_error.is_none() {
+            match self.write(len) {
+                Ok(()) => {
+                    self.records_written += 1;
+                    self.bytes_written += len;
+                    self.current.records += 1;
+                    self.current.bytes += len;
+                    return;
+                }
+                Err(e) => self.io_error = Some(e),
             }
         }
-
-        let out = self.out.as_mut().expect("writer present unless failed");
-        match self.enc.drain_into(out) {
-            Ok(()) => {
-                self.records_written += 1;
-                self.bytes_written += len;
-                self.generation_bytes += len;
-                self.generation_records += 1;
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                self.records_dropped += 1;
-            }
-        }
+        self.records_dropped += 1;
+        let _ = self.enc.log.drain_into(&mut std::io::sink());
     }
 
-    fn rotate(&mut self) -> std::io::Result<()> {
-        if let Some(out) = self.out.as_mut() {
-            out.flush()?;
+    /// Drain the encoded record into the current generation, rotating
+    /// first if a non-empty generation cannot take all of it. An
+    /// oversized record into an empty generation writes anyway —
+    /// records are never split across generations.
+    fn write(&mut self, len: u64) -> std::io::Result<()> {
+        if self.current.bytes > 0 && self.current.bytes + len > self.max_generation_bytes {
+            if let Some(out) = self.out.as_mut() {
+                out.flush()?;
+            }
+            let index = self.current.index + 1;
+            let next = GenerationStats {
+                index,
+                bytes: 0,
+                records: 0,
+            };
+            self.closed.push(std::mem::replace(&mut self.current, next));
+            self.out = Some(self.make.open(index)?);
         }
-        self.closed.push(GenerationStats {
-            index: self.generation,
-            bytes: self.generation_bytes,
-            records: self.generation_records,
-        });
-        self.generation += 1;
-        self.generation_bytes = 0;
-        self.generation_records = 0;
-        self.out = Some(self.make.open(self.generation)?);
-        Ok(())
+        let out = self.out.as_mut().expect("writer present unless failed");
+        self.enc.log.drain_into(out)
     }
 }
 
 impl<F: GenerationFactory> std::fmt::Debug for RotatingWriteSink<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RotatingWriteSink")
-            .field("mode", &self.mode)
-            .field("generation", &self.generation)
-            .field("rotations", &self.rotations())
+            .field("mode", &self.mode())
+            .field("generation", &self.current.index)
             .field("records_written", &self.records_written)
             .field("bytes_written", &self.bytes_written)
             .finish()
@@ -316,40 +294,23 @@ where
     F::Writer: 'static,
 {
     fn mapping_created(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_create(e.at, e.internal.ip, e.proto, e.external));
-        }
+        self.enc.mapping_created(event);
+        self.commit();
     }
 
     fn mapping_expired(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_expire(e.at, e.proto, e.external));
-        }
+        self.enc.mapping_expired(event);
+        self.commit();
     }
 
     fn block_allocated(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| {
-                enc.block_alloc(
-                    e.at,
-                    e.subscriber,
-                    e.proto,
-                    e.ext_ip,
-                    e.block_start,
-                    e.block_len,
-                )
-            });
-        }
+        self.enc.block_allocated(event);
+        self.commit();
     }
 
     fn block_released(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| enc.block_release(e.at, e.proto, e.ext_ip, e.block_start));
-        }
+        self.enc.block_released(event);
+        self.commit();
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -364,7 +325,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{BinaryLogSink, WriteSink};
+    use crate::sink::BinaryLogSink;
     use netcore::{ip, Endpoint, Protocol, SimTime};
     use std::sync::{Arc, Mutex};
 
@@ -417,19 +378,19 @@ mod tests {
         let mut sink =
             RotatingWriteSink::new(TelemetryMode::PerConnection, 64, page_factory(&pages));
         sink.mapping_created(&mapping_event(10_000, 1_000));
-        let sized = sink.enc.buffer_capacity();
+        let sized = sink.enc.log.buffer_capacity();
         assert!(sized > 0);
         for k in 1..500u16 {
             sink.mapping_created(&mapping_event(10_000 + k, 1_000 + k as u64 * 50));
-            assert_eq!(sink.enc.buffer_capacity(), sized, "after record {k}");
-            assert!(sink.enc.is_empty());
+            assert_eq!(sink.enc.log.buffer_capacity(), sized, "after record {k}");
+            assert!(sink.enc.log.is_empty());
         }
         assert!(sink.finish().unwrap().len() > 10, "it did rotate");
     }
 
     /// The headline property: the concatenated generations are
-    /// byte-identical to a single-file [`WriteSink`] stream (and to
-    /// the in-memory [`BinaryLogSink`]), every rotation happens on a
+    /// byte-identical to a single uncapped generation (and to the
+    /// in-memory [`BinaryLogSink`]), every rotation happens on a
     /// record boundary, and the per-generation accounting sums to the
     /// whole.
     #[test]
@@ -440,7 +401,12 @@ mod tests {
             64, // tiny cap: force many rotations
             page_factory(&pages),
         );
-        let mut single = WriteSink::new(TelemetryMode::PerConnection, Vec::<u8>::new());
+        let single_pages = Arc::new(Mutex::new(Vec::new()));
+        let mut single = RotatingWriteSink::new(
+            TelemetryMode::PerConnection,
+            u64::MAX,
+            page_factory(&single_pages),
+        );
         let mut reference = BinaryLogSink::new(TelemetryMode::PerConnection);
 
         for k in 0..200u16 {
@@ -464,7 +430,8 @@ mod tests {
         let total_bytes = rotating.bytes_written();
 
         let generations = rotating.finish().expect("no I/O errors");
-        let single_bytes = single.finish().expect("no I/O errors");
+        assert_eq!(single.finish().expect("no I/O errors").len(), 1);
+        let single_bytes = single_pages.lock().unwrap().concat();
         let pages = pages.lock().unwrap();
         assert_eq!(pages.len(), generations.len());
 

@@ -1,26 +1,26 @@
-//! The engine-facing sinks: NAT events in, binary log bytes out.
+//! The engine-facing log encoder: NAT events in, binary log bytes out.
 //!
-//! [`BinaryLogSink`] holds a whole run's log in memory (the right
-//! shape for analysis and differential tests); [`WriteSink`] streams
-//! the identical byte sequence into any `io::Write` instead, so a
-//! long run's log need never be resident — the file-backed sink the
-//! log-volume study's 75 GiB/day-per-million-subscribers projection
-//! calls for. [`BufferedWriteSink`] is the same stream again behind a
-//! preallocated grow-once buffer with explicit flush, collapsing the
-//! write-per-record pattern into one write per buffer fill.
+//! [`BinaryLogSink`] is the one place that decides whether an event is
+//! logged (by [`TelemetryMode`]) and the one encode body. It keeps the
+//! log in memory as an [`EventLog`] — the right shape for analysis and
+//! differential tests. [`RotatingWriteSink`](crate::RotatingWriteSink)
+//! wraps the same sink and drains each encoded record to a writer, so
+//! both outputs produce the same bytes for the same events.
 
 use crate::codec::EventLog;
-use nat_engine::sharded::mix64;
 use nat_engine::telemetry::{BlockEvent, EventSink, MappingEvent, TelemetryMode};
-use netcore::Protocol;
 use std::any::Any;
-use std::io::Write;
 
 /// An [`EventSink`] that encodes the events its [`TelemetryMode`]
 /// selects into an append-only [`EventLog`]:
 ///
 /// * [`TelemetryMode::PerConnection`] — mapping create/expire pairs
 ///   (block events ignored): the volume-heavy policy;
+/// * [`TelemetryMode::Sampled`] — the create/expire pairs of one
+///   mapping in `one_in`, picked by the tracer's flow-key hash
+///   ([`MappingEvent::flow_key`]), so a sampled mapping's two records
+///   always travel together and scaling the volume by `one_in`
+///   estimates the per-connection burden (`one_in = 0` logs nothing);
 /// * [`TelemetryMode::PerBlock`] — block allocate/release pairs
 ///   (mapping events ignored): bulk port-block logging;
 /// * [`TelemetryMode::Off`] — records nothing (normally no sink is
@@ -32,7 +32,7 @@ use std::io::Write;
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BinaryLogSink {
     mode: TelemetryMode,
-    log: EventLog,
+    pub(crate) log: EventLog,
 }
 
 impl BinaryLogSink {
@@ -61,39 +61,46 @@ impl BinaryLogSink {
     pub fn from_sink(sink: Box<dyn EventSink>) -> Option<BinaryLogSink> {
         sink.into_any().downcast::<BinaryLogSink>().ok().map(|b| *b)
     }
+
+    /// Whether the mode logs an event: a mapping event (`Some`) or a
+    /// block event (`None`). A sampled mapping's decision depends on
+    /// its flow key alone, so its create and expire agree.
+    #[inline]
+    fn logs(&self, mapping: Option<&MappingEvent>) -> bool {
+        match (self.mode, mapping) {
+            (TelemetryMode::PerConnection, Some(_)) | (TelemetryMode::PerBlock, None) => true,
+            (TelemetryMode::Sampled { one_in }, Some(e)) => e.flow_key().sampled(one_in),
+            _ => false,
+        }
+    }
 }
 
 impl EventSink for BinaryLogSink {
-    fn mapping_created(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
+    fn mapping_created(&mut self, e: &MappingEvent) {
+        if self.logs(Some(e)) {
             self.log
-                .map_create(event.at, event.internal.ip, event.proto, event.external);
+                .map_create(e.at, e.internal.ip, e.proto, e.external);
         }
     }
 
-    fn mapping_expired(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            self.log.map_expire(event.at, event.proto, event.external);
+    fn mapping_expired(&mut self, e: &MappingEvent) {
+        if self.logs(Some(e)) {
+            self.log.map_expire(e.at, e.proto, e.external);
         }
     }
 
-    fn block_allocated(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            self.log.block_alloc(
-                event.at,
-                event.subscriber,
-                event.proto,
-                event.ext_ip,
-                event.block_start,
-                event.block_len,
-            );
-        }
-    }
-
-    fn block_released(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
+    fn block_allocated(&mut self, e: &BlockEvent) {
+        if self.logs(None) {
+            let (start, len) = (e.block_start, e.block_len);
             self.log
-                .block_release(event.at, event.proto, event.ext_ip, event.block_start);
+                .block_alloc(e.at, e.subscriber, e.proto, e.ext_ip, start, len);
+        }
+    }
+
+    fn block_released(&mut self, e: &BlockEvent) {
+        if self.logs(None) {
+            self.log
+                .block_release(e.at, e.proto, e.ext_ip, e.block_start);
         }
     }
 
@@ -106,415 +113,13 @@ impl EventSink for BinaryLogSink {
     }
 }
 
-/// NetFlow-style sampled per-connection logging: a 1-in-N decimating
-/// wrapper around a per-connection [`BinaryLogSink`]
-/// ([`TelemetryMode::Sampled`]). Sampling is **deterministic by flow
-/// key** — a hash of the mapping's internal/external endpoints and
-/// protocol decides membership — so the create and expire records of a
-/// sampled mapping always travel together, the kept subset is
-/// reproducible across runs and thread counts, and scaling a measured
-/// volume by `N` estimates the full per-connection burden. Block
-/// events pass through unsampled (they are already rare); with the
-/// per-connection inner mode they encode to nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledSink {
-    one_in: u32,
-    inner: BinaryLogSink,
-}
-
-impl SampledSink {
-    /// Keep one mapping in `one_in` (`1` keeps everything).
-    pub fn new(one_in: u32) -> SampledSink {
-        assert!(one_in >= 1, "sampling ratio must be at least 1-in-1");
-        SampledSink {
-            one_in,
-            inner: BinaryLogSink::new(TelemetryMode::PerConnection),
-        }
-    }
-
-    pub fn one_in(&self) -> u32 {
-        self.one_in
-    }
-
-    pub fn log(&self) -> &EventLog {
-        self.inner.log()
-    }
-
-    /// Consume the sink, keeping its (sampled) log.
-    pub fn into_log(self) -> EventLog {
-        self.inner.into_log()
-    }
-
-    /// Recover a `SampledSink` from the boxed trait object the engine
-    /// hands back (`Nat::take_sink`).
-    pub fn from_sink(sink: Box<dyn EventSink>) -> Option<SampledSink> {
-        sink.into_any().downcast::<SampledSink>().ok().map(|b| *b)
-    }
-
-    /// The sampling decision: stable for a mapping's whole lifetime
-    /// because every field of the key is part of the mapping identity.
-    fn keep(&self, e: &MappingEvent) -> bool {
-        if self.one_in == 1 {
-            return true;
-        }
-        let ips = (u32::from(e.internal.ip) as u64) << 32 | u32::from(e.external.ip) as u64;
-        let rest = (e.internal.port as u64) << 32
-            | (e.external.port as u64) << 8
-            | matches!(e.proto, Protocol::Udp) as u64;
-        mix64(ips ^ mix64(rest)) % self.one_in as u64 == 0
-    }
-}
-
-impl EventSink for SampledSink {
-    fn mapping_created(&mut self, event: &MappingEvent) {
-        if self.keep(event) {
-            self.inner.mapping_created(event);
-        }
-    }
-
-    fn mapping_expired(&mut self, event: &MappingEvent) {
-        if self.keep(event) {
-            self.inner.mapping_expired(event);
-        }
-    }
-
-    fn block_allocated(&mut self, event: &BlockEvent) {
-        self.inner.block_allocated(event);
-    }
-
-    fn block_released(&mut self, event: &BlockEvent) {
-        self.inner.block_released(event);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn volume(&self) -> Option<(u64, u64)> {
-        self.inner.volume()
-    }
-}
-
-/// An [`EventSink`] that encodes into any `io::Write` — the
-/// streaming sibling of [`BinaryLogSink`]. The encoder state
-/// (interned ids, delta-timestamp base) lives in an [`EventLog`]
-/// whose byte buffer is drained to the writer after every record, so
-/// resident memory stays bounded by one record regardless of run
-/// length, and the written stream is **byte-identical** to what
-/// [`BinaryLogSink`] would have accumulated (pinned by this module's
-/// round-trip test). Decode the stored stream with
-/// [`crate::codec::decode_bytes`].
-///
-/// I/O errors cannot surface through the engine's fire-and-forget
-/// event calls, so the sink goes *sticky-failed* on the first error:
-/// further records are dropped (counted in
-/// [`WriteSink::records_dropped`]) and the error is reported by
-/// [`WriteSink::io_error`] / returned by [`WriteSink::finish`].
-#[derive(Debug)]
-pub struct WriteSink<W: Write + Send + Sync> {
-    mode: TelemetryMode,
-    enc: EventLog,
-    out: W,
-    records_written: u64,
-    bytes_written: u64,
-    records_dropped: u64,
-    io_error: Option<std::io::Error>,
-}
-
-impl<W: Write + Send + Sync> WriteSink<W> {
-    pub fn new(mode: TelemetryMode, out: W) -> WriteSink<W> {
-        WriteSink {
-            mode,
-            enc: EventLog::new(),
-            out,
-            records_written: 0,
-            bytes_written: 0,
-            records_dropped: 0,
-            io_error: None,
-        }
-    }
-
-    pub fn mode(&self) -> TelemetryMode {
-        self.mode
-    }
-
-    /// Records successfully encoded and handed to the writer.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Encoded bytes handed to the writer.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Records dropped after the sink went sticky-failed.
-    pub fn records_dropped(&self) -> u64 {
-        self.records_dropped
-    }
-
-    /// The first I/O error, if any.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.io_error.as_ref()
-    }
-
-    /// Flush the writer and return it, or the first error the sink
-    /// swallowed (write-side or flush-side).
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.io_error {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-
-    /// Run `encode` against the encoder, then stream the freshly
-    /// encoded bytes to the writer.
-    fn record(&mut self, encode: impl FnOnce(&mut EventLog)) {
-        if self.io_error.is_some() {
-            self.records_dropped += 1;
-            return;
-        }
-        encode(&mut self.enc);
-        let len = self.enc.len_bytes();
-        match self.enc.drain_into(&mut self.out) {
-            Ok(()) => {
-                self.records_written += 1;
-                self.bytes_written += len;
-            }
-            Err(e) => {
-                self.io_error = Some(e);
-                self.records_dropped += 1;
-            }
-        }
-    }
-}
-
-/// A fixed-capacity byte buffer in front of any `io::Write`. The
-/// buffer is allocated **once** at construction and never grows:
-/// writes accumulate until the next write would overflow, at which
-/// point the whole buffer drains to the inner writer in a single
-/// `write_all`; a chunk larger than the entire buffer bypasses it and
-/// writes straight through. The steady-state path is therefore a
-/// memcpy into warm memory with no allocator traffic and one inner
-/// write per buffer fill instead of one per record.
-#[derive(Debug)]
-pub struct BufferedWriter<W: Write> {
-    buf: Vec<u8>,
-    out: W,
-    drains: u64,
-}
-
-impl<W: Write> BufferedWriter<W> {
-    pub fn with_capacity(capacity: usize, out: W) -> BufferedWriter<W> {
-        assert!(capacity > 0, "buffer capacity must be non-zero");
-        BufferedWriter {
-            buf: Vec::with_capacity(capacity),
-            out,
-            drains: 0,
-        }
-    }
-
-    /// Buffer-to-writer drains so far (write-through chunks excluded).
-    pub fn drains(&self) -> u64 {
-        self.drains
-    }
-
-    /// Bytes currently held in the buffer.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn drain(&mut self) -> std::io::Result<()> {
-        if !self.buf.is_empty() {
-            self.out.write_all(&self.buf)?;
-            self.buf.clear();
-            self.drains += 1;
-        }
-        Ok(())
-    }
-
-    /// Drain any buffered bytes and return the inner writer.
-    pub fn into_inner(mut self) -> std::io::Result<W> {
-        self.drain()?;
-        Ok(self.out)
-    }
-}
-
-impl<W: Write> Write for BufferedWriter<W> {
-    fn write(&mut self, chunk: &[u8]) -> std::io::Result<usize> {
-        if self.buf.len() + chunk.len() > self.buf.capacity() {
-            self.drain()?;
-        }
-        if chunk.len() > self.buf.capacity() {
-            self.out.write_all(chunk)?; // oversized: write through
-        } else {
-            self.buf.extend_from_slice(chunk);
-        }
-        Ok(chunk.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.drain()?;
-        self.out.flush()
-    }
-}
-
-/// The buffered variant of [`WriteSink`]: the same event semantics,
-/// counters, sticky-error behaviour, and **byte-identical** output
-/// stream, but records land in a preallocated grow-once
-/// [`BufferedWriter`] instead of being `write_all`'d to the
-/// destination one by one — the shape a file- or socket-backed
-/// long-run log wants, where a syscall per mapping event would
-/// dominate the encoding cost. Nothing reaches the destination until
-/// the buffer fills, [`flush`](BufferedWriteSink::flush) is called
-/// explicitly, or [`finish`](BufferedWriteSink::finish) drains it.
-#[derive(Debug)]
-pub struct BufferedWriteSink<W: Write + Send + Sync> {
-    inner: WriteSink<BufferedWriter<W>>,
-}
-
-impl<W: Write + Send + Sync> BufferedWriteSink<W> {
-    /// A sink buffering up to `capacity` encoded bytes in front of
-    /// `out`. The buffer is allocated here and never again.
-    pub fn new(mode: TelemetryMode, capacity: usize, out: W) -> BufferedWriteSink<W> {
-        BufferedWriteSink {
-            inner: WriteSink::new(mode, BufferedWriter::with_capacity(capacity, out)),
-        }
-    }
-
-    pub fn mode(&self) -> TelemetryMode {
-        self.inner.mode()
-    }
-
-    /// Records successfully encoded into the buffer.
-    pub fn records_written(&self) -> u64 {
-        self.inner.records_written()
-    }
-
-    /// Encoded bytes handed to the buffer.
-    pub fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    /// Records dropped after the sink went sticky-failed.
-    pub fn records_dropped(&self) -> u64 {
-        self.inner.records_dropped()
-    }
-
-    /// The first I/O error, if any.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.inner.io_error()
-    }
-
-    /// Bytes currently buffered but not yet written to the
-    /// destination.
-    pub fn buffered(&self) -> usize {
-        self.inner.out.buffered()
-    }
-
-    /// Buffer-to-destination drains so far — the number of inner
-    /// writes a run actually paid for, versus one per record unbuffered.
-    pub fn drains(&self) -> u64 {
-        self.inner.out.drains()
-    }
-
-    /// Explicitly drain the buffer (and flush the destination), e.g.
-    /// at a checkpoint boundary. An error here goes sticky exactly
-    /// like a record-time error.
-    pub fn flush(&mut self) {
-        if self.inner.io_error.is_some() {
-            return;
-        }
-        if let Err(e) = self.inner.out.flush() {
-            self.inner.io_error = Some(e);
-        }
-    }
-
-    /// Drain the buffer, flush the destination, and return it — or
-    /// the first error the sink swallowed.
-    pub fn finish(self) -> std::io::Result<W> {
-        self.inner.finish()?.into_inner()
-    }
-}
-
-impl<W: Write + Send + Sync + 'static> EventSink for BufferedWriteSink<W> {
-    fn mapping_created(&mut self, event: &MappingEvent) {
-        self.inner.mapping_created(event);
-    }
-
-    fn mapping_expired(&mut self, event: &MappingEvent) {
-        self.inner.mapping_expired(event);
-    }
-
-    fn block_allocated(&mut self, event: &BlockEvent) {
-        self.inner.block_allocated(event);
-    }
-
-    fn block_released(&mut self, event: &BlockEvent) {
-        self.inner.block_released(event);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn volume(&self) -> Option<(u64, u64)> {
-        self.inner.volume()
-    }
-}
-
-impl<W: Write + Send + Sync + 'static> EventSink for WriteSink<W> {
-    fn mapping_created(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_create(e.at, e.internal.ip, e.proto, e.external));
-        }
-    }
-
-    fn mapping_expired(&mut self, event: &MappingEvent) {
-        if self.mode == TelemetryMode::PerConnection {
-            let e = *event;
-            self.record(|enc| enc.map_expire(e.at, e.proto, e.external));
-        }
-    }
-
-    fn block_allocated(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| {
-                enc.block_alloc(
-                    e.at,
-                    e.subscriber,
-                    e.proto,
-                    e.ext_ip,
-                    e.block_start,
-                    e.block_len,
-                )
-            });
-        }
-    }
-
-    fn block_released(&mut self, event: &BlockEvent) {
-        if self.mode == TelemetryMode::PerBlock {
-            let e = *event;
-            self.record(|enc| enc.block_release(e.at, e.proto, e.ext_ip, e.block_start));
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn volume(&self) -> Option<(u64, u64)> {
-        Some((self.records_written, self.bytes_written))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rotate::{GenerationFactory, RotatingWriteSink};
     use netcore::{ip, Endpoint, Protocol, SimTime};
+    use std::io::{BufWriter, Write};
+    use std::sync::{Arc, Mutex};
 
     fn mapping_event(port: u16) -> MappingEvent {
         MappingEvent {
@@ -536,53 +141,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mode_selects_what_gets_encoded() {
-        let mut per_conn = BinaryLogSink::new(TelemetryMode::PerConnection);
-        per_conn.mapping_created(&mapping_event(1024));
-        per_conn.block_allocated(&block_event());
-        assert_eq!(per_conn.log().records(), 1, "block event filtered out");
+    /// An in-memory writer whose bytes and write calls stay readable
+    /// after the sink that owns it is gone. Clones share one buffer,
+    /// so a factory handing out clones concatenates its generations.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<(Vec<u8>, u64)>>);
 
-        let mut per_block = BinaryLogSink::new(TelemetryMode::PerBlock);
-        per_block.mapping_created(&mapping_event(1024));
-        per_block.block_allocated(&block_event());
-        assert_eq!(per_block.log().records(), 1, "mapping event filtered out");
+    impl Shared {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().0.clone()
+        }
 
-        let mut off = BinaryLogSink::new(TelemetryMode::Off);
-        off.mapping_created(&mapping_event(1024));
-        off.block_allocated(&block_event());
-        assert!(off.log().is_empty());
+        fn writes(&self) -> u64 {
+            self.0.lock().unwrap().1
+        }
     }
 
-    /// A streaming sink writes from the encoder's buffer and empties
-    /// it: the first record sizes the buffer, and no later record of
-    /// the same shape allocates.
-    #[test]
-    fn streaming_sinks_reuse_the_encode_buffer() {
-        let mode = TelemetryMode::PerConnection;
-        let mut plain = WriteSink::new(mode, Vec::<u8>::new());
-        let mut buffered = BufferedWriteSink::new(mode, 256, Vec::<u8>::new());
-        plain.mapping_created(&mapping_event(1024));
-        buffered.mapping_created(&mapping_event(1024));
-        let sized = (
-            plain.enc.buffer_capacity(),
-            buffered.inner.enc.buffer_capacity(),
-        );
-        assert!(sized.0 > 0 && sized.1 > 0, "the first record sized it");
-        for port in 1025..3000 {
-            plain.mapping_created(&mapping_event(port));
-            plain.mapping_expired(&mapping_event(port));
-            buffered.mapping_created(&mapping_event(port));
-            buffered.mapping_expired(&mapping_event(port));
-            let now = (
-                plain.enc.buffer_capacity(),
-                buffered.inner.enc.buffer_capacity(),
-            );
-            assert_eq!(now, sized, "after port {port}");
-            assert!(plain.enc.is_empty() && buffered.inner.enc.is_empty());
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut inner = self.0.lock().unwrap();
+            inner.0.extend_from_slice(buf);
+            inner.1 += 1;
+            Ok(buf.len())
         }
-        assert_eq!(plain.records_written(), buffered.records_written());
-        assert_eq!(plain.finish().unwrap(), buffered.finish().unwrap());
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A single uncapped generation: the streaming sink as one plain
+    /// `io::Write` stream.
+    fn stream<W: Write + Send + Sync>(
+        mode: TelemetryMode,
+        out: W,
+    ) -> RotatingWriteSink<impl GenerationFactory<Writer = W>> {
+        let mut out = Some(out);
+        RotatingWriteSink::new(mode, u64::MAX, move |_| {
+            Ok(out.take().expect("an uncapped sink opens one generation"))
+        })
     }
 
     /// Sticky-failing writer: errors after `limit` bytes.
@@ -591,7 +187,7 @@ mod tests {
         limit: usize,
     }
 
-    impl std::io::Write for FailAfter {
+    impl Write for FailAfter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             if self.taken + buf.len() > self.limit {
                 return Err(std::io::Error::other("disk full"));
@@ -604,14 +200,69 @@ mod tests {
         }
     }
 
-    /// The satellite round-trip: a WriteSink's streamed bytes are
-    /// byte-identical to the in-memory EventLog a BinaryLogSink
-    /// accumulates from the same event sequence, and decode to the
-    /// same records.
+    #[test]
+    fn mode_selects_what_gets_encoded() {
+        let mut per_conn = BinaryLogSink::new(TelemetryMode::PerConnection);
+        per_conn.mapping_created(&mapping_event(1024));
+        per_conn.block_allocated(&block_event());
+        assert_eq!(per_conn.log().records(), 1, "block event filtered out");
+
+        let mut per_block = BinaryLogSink::new(TelemetryMode::PerBlock);
+        per_block.mapping_created(&mapping_event(1024));
+        per_block.block_allocated(&block_event());
+        assert_eq!(per_block.log().records(), 1, "mapping event filtered out");
+
+        let mut every = BinaryLogSink::new(TelemetryMode::Sampled { one_in: 1 });
+        every.mapping_created(&mapping_event(1024));
+        every.block_allocated(&block_event());
+        assert_eq!(every.log().records(), 1, "1-in-1 keeps every mapping only");
+
+        for mode in [TelemetryMode::Off, TelemetryMode::Sampled { one_in: 0 }] {
+            let mut none = BinaryLogSink::new(mode);
+            none.mapping_created(&mapping_event(1024));
+            none.block_allocated(&block_event());
+            assert!(none.log().is_empty(), "{mode:?}");
+        }
+    }
+
+    /// A streaming sink writes from the encoder's buffer and empties
+    /// it: the first record sizes the buffer, and no later record of
+    /// the same shape allocates — with or without a `BufWriter`.
+    #[test]
+    fn streaming_sinks_reuse_the_encode_buffer() {
+        let mode = TelemetryMode::PerConnection;
+        let (plain_out, buffered_out) = (Shared::default(), Shared::default());
+        let mut plain = stream(mode, plain_out.clone());
+        let mut buffered = stream(mode, BufWriter::with_capacity(256, buffered_out.clone()));
+        plain.mapping_created(&mapping_event(1024));
+        buffered.mapping_created(&mapping_event(1024));
+        let capacities = |a: &RotatingWriteSink<_>, b: &RotatingWriteSink<_>| {
+            (a.enc.log.buffer_capacity(), b.enc.log.buffer_capacity())
+        };
+        let sized = capacities(&plain, &buffered);
+        assert!(sized.0 > 0 && sized.1 > 0, "the first record sized it");
+        for port in 1025..3000 {
+            plain.mapping_created(&mapping_event(port));
+            plain.mapping_expired(&mapping_event(port));
+            buffered.mapping_created(&mapping_event(port));
+            buffered.mapping_expired(&mapping_event(port));
+            assert_eq!(capacities(&plain, &buffered), sized, "after port {port}");
+            assert!(plain.enc.log.is_empty() && buffered.enc.log.is_empty());
+        }
+        assert_eq!(plain.records_written(), buffered.records_written());
+        plain.finish().expect("no I/O error");
+        buffered.finish().expect("no I/O error");
+        assert_eq!(plain_out.bytes(), buffered_out.bytes());
+    }
+
+    /// The streamed bytes are byte-identical to the in-memory EventLog
+    /// a BinaryLogSink accumulates from the same event sequence, and
+    /// decode to the same records.
     #[test]
     fn write_sink_stream_matches_event_log() {
         let mut mem = BinaryLogSink::new(TelemetryMode::PerConnection);
-        let mut streamed = WriteSink::new(TelemetryMode::PerConnection, Vec::<u8>::new());
+        let out = Shared::default();
+        let mut streamed = stream(TelemetryMode::PerConnection, out.clone());
         for (k, port) in [1024u16, 2048, 4096, 1024].into_iter().enumerate() {
             let mut e = mapping_event(port);
             e.at = SimTime::from_secs(2 * k as u64 + 1);
@@ -624,120 +275,99 @@ mod tests {
         assert_eq!(streamed.records_written(), 8);
         assert_eq!(streamed.records_dropped(), 0);
         assert_eq!(streamed.bytes_written(), mem.log().len_bytes());
-        let bytes = streamed.finish().expect("no I/O error");
-        assert_eq!(
-            bytes.as_slice(),
-            mem.log().bytes(),
-            "streams byte-identical"
-        );
+        let generations = streamed.finish().expect("no I/O error");
+        assert_eq!(generations.len(), 1, "an uncapped sink never rotates");
+        let bytes = out.bytes();
+        assert_eq!(bytes, mem.log().bytes(), "streams byte-identical");
         let records = crate::codec::decode_bytes(&bytes).expect("stream decodes");
         assert_eq!(records, mem.log().decode().expect("log decodes"));
     }
 
-    /// Same equivalence driven through a real engine: logs from a
-    /// Nat carrying a WriteSink match a BinaryLogSink run.
-    #[test]
-    fn write_sink_matches_binary_sink_behind_a_nat() {
+    /// Drive `sink` behind a Nat — 40 UDP flows from eight hosts, then
+    /// a sweep past their timeout — and hand it back.
+    fn behind_a_nat<S: EventSink + 'static>(sink: S) -> S {
         use nat_engine::{Nat, NatConfig};
         use netcore::Packet;
 
-        let run = |sink: Box<dyn EventSink>| -> Nat {
-            let mut nat = Nat::new(NatConfig::cgn_default(), vec![ip(198, 51, 100, 1)], 7);
-            nat.set_sink(sink);
-            for k in 0..40u16 {
-                let src = Endpoint::new(ip(100, 64, 0, (k % 8) as u8 + 1), 40_000 + k);
-                let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
-                let _ = nat
-                    .process_outbound(Packet::udp(src, dst, vec![]), SimTime::from_secs(k as u64));
-            }
-            nat.sweep(SimTime::from_secs(400));
-            nat
-        };
-        let mut mem_nat = run(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
-        let mem = BinaryLogSink::from_sink(mem_nat.take_sink().expect("installed")).expect("type");
-        let mut stream_nat = run(Box::new(WriteSink::new(
-            TelemetryMode::PerConnection,
-            Vec::<u8>::new(),
-        )));
-        let streamed = stream_nat
-            .take_sink()
-            .expect("installed")
-            .into_any()
-            .downcast::<WriteSink<Vec<u8>>>()
-            .expect("type");
-        let mut buf_nat = run(Box::new(BufferedWriteSink::new(
-            TelemetryMode::PerConnection,
-            256,
-            Vec::<u8>::new(),
-        )));
-        let buffered = buf_nat
-            .take_sink()
-            .expect("installed")
-            .into_any()
-            .downcast::<BufferedWriteSink<Vec<u8>>>()
-            .expect("type");
+        let mut nat = Nat::new(NatConfig::cgn_default(), vec![ip(198, 51, 100, 1)], 7);
+        nat.set_sink(Box::new(sink));
+        for k in 0..40u16 {
+            let src = Endpoint::new(ip(100, 64, 0, (k % 8) as u8 + 1), 40_000 + k);
+            let dst = Endpoint::new(ip(203, 0, 113, 10), 8000);
+            let _ =
+                nat.process_outbound(Packet::udp(src, dst, vec![]), SimTime::from_secs(k as u64));
+        }
+        nat.sweep(SimTime::from_secs(400));
+        let sink = nat.take_sink().expect("installed").into_any();
+        *sink.downcast::<S>().expect("the sink installed above")
+    }
+
+    /// Same equivalence driven through a real engine: the plain and the
+    /// `BufWriter` stream both match a BinaryLogSink run.
+    #[test]
+    fn write_sink_matches_binary_sink_behind_a_nat() {
+        let mode = TelemetryMode::PerConnection;
+        let mem = behind_a_nat(BinaryLogSink::new(mode));
+        let (plain_out, buffered_out) = (Shared::default(), Shared::default());
+        let plain = behind_a_nat(stream(mode, plain_out.clone()));
+        let buffered = behind_a_nat(stream(
+            mode,
+            BufWriter::with_capacity(256, buffered_out.clone()),
+        ));
         assert!(mem.log().records() > 0, "the run must log something");
+        assert_eq!(plain_out.writes(), plain.records_written());
+        let records = buffered.records_written();
+        plain.finish().expect("no I/O error");
+        buffered.finish().expect("no I/O error");
         assert!(
-            buffered.drains() < buffered.records_written(),
+            buffered_out.writes() < records,
             "buffering must batch writes"
         );
-        let bytes = streamed.finish().expect("no I/O error");
-        let buf_bytes = buffered.finish().expect("no I/O error");
-        assert_eq!(bytes.as_slice(), mem.log().bytes());
-        assert_eq!(buf_bytes, bytes, "buffered stream byte-identical");
+        let bytes = plain_out.bytes();
+        assert_eq!(bytes, mem.log().bytes());
+        assert_eq!(
+            buffered_out.bytes(),
+            bytes,
+            "buffered stream byte-identical"
+        );
         assert_eq!(
             crate::codec::decode_bytes(&bytes).expect("decodes"),
             mem.log().decode().expect("decodes")
         );
     }
 
-    /// The buffered sink's whole point: the same byte stream with far
-    /// fewer inner writes, nothing reaching the destination until a
-    /// fill or an explicit flush.
+    /// A `BufWriter` generation's whole point: the same byte stream
+    /// with far fewer inner writes, nothing reaching the destination
+    /// until the buffer fills or `finish` flushes it.
     #[test]
     fn buffered_sink_batches_and_flushes_explicitly() {
         let mut mem = BinaryLogSink::new(TelemetryMode::PerConnection);
-        let mut buffered = BufferedWriteSink::new(TelemetryMode::PerConnection, 4096, Vec::new());
+        let out = Shared::default();
+        let mut buffered = stream(
+            TelemetryMode::PerConnection,
+            BufWriter::with_capacity(4096, out.clone()),
+        );
         for port in 1024u16..1064 {
             let e = mapping_event(port);
             mem.mapping_created(&e);
             buffered.mapping_created(&e);
         }
         assert_eq!(buffered.records_written(), 40);
-        assert_eq!(buffered.drains(), 0, "40 small records fit the buffer");
-        assert!(buffered.buffered() > 0);
-        buffered.flush();
-        assert_eq!(buffered.drains(), 1, "explicit flush drains once");
-        assert_eq!(buffered.buffered(), 0);
-        let bytes = buffered.finish().expect("no I/O error");
-        assert_eq!(bytes.as_slice(), mem.log().bytes(), "byte-identical");
-    }
-
-    /// A chunk larger than the whole buffer writes straight through —
-    /// the buffer never grows past its construction-time capacity.
-    #[test]
-    fn buffered_writer_writes_through_oversized_chunks() {
-        let mut w = BufferedWriter::with_capacity(8, Vec::<u8>::new());
-        w.write_all(&[1, 2, 3]).unwrap();
-        w.write_all(&[0u8; 20]).unwrap(); // > capacity: drains then bypasses
-        assert_eq!(w.buffered(), 0);
-        w.write_all(&[4, 5]).unwrap();
-        let out = w.into_inner().unwrap();
-        let mut expect = vec![1, 2, 3];
-        expect.extend_from_slice(&[0u8; 20]);
-        expect.extend_from_slice(&[4, 5]);
-        assert_eq!(out, expect, "order preserved across the bypass");
+        assert_eq!(out.writes(), 0, "40 small records fit the buffer");
+        buffered.finish().expect("no I/O error");
+        assert_eq!(out.writes(), 1, "finish drains the buffer once");
+        assert_eq!(out.bytes(), mem.log().bytes(), "byte-identical");
     }
 
     #[test]
     fn buffered_sink_goes_sticky_on_drain_error() {
-        let mut s = BufferedWriteSink::new(
+        let failing = FailAfter {
+            taken: 0,
+            limit: 70,
+        };
+        let mut s = stream(
             TelemetryMode::PerConnection,
-            64,
-            FailAfter {
-                taken: 0,
-                limit: 70,
-            },
+            BufWriter::with_capacity(64, failing),
         );
         let mut port = 1024u16;
         while s.io_error().is_none() && port < 2048 {
@@ -754,22 +384,23 @@ mod tests {
 
     #[test]
     fn write_sink_mode_filters_like_binary_sink() {
-        let mut s = WriteSink::new(TelemetryMode::PerBlock, Vec::<u8>::new());
+        let mut s = stream(TelemetryMode::PerBlock, Vec::<u8>::new());
         s.mapping_created(&mapping_event(1024));
         assert_eq!(s.records_written(), 0, "mapping filtered in PerBlock mode");
         s.block_allocated(&block_event());
         assert_eq!(s.records_written(), 1);
     }
 
+    /// A write error in the middle of a generation makes the sink
+    /// sticky-failed: later records are counted as dropped, never
+    /// written, and `finish` returns the error.
     #[test]
     fn write_sink_goes_sticky_on_io_error() {
-        let mut s = WriteSink::new(
-            TelemetryMode::PerConnection,
-            FailAfter {
-                taken: 0,
-                limit: 24,
-            },
-        );
+        let failing = FailAfter {
+            taken: 0,
+            limit: 24,
+        };
+        let mut s = stream(TelemetryMode::PerConnection, failing);
         let mut port = 1024u16;
         while s.io_error().is_none() && port < 2048 {
             s.mapping_created(&mapping_event(port));
@@ -783,38 +414,68 @@ mod tests {
         assert!(s.finish().is_err(), "finish surfaces the error");
     }
 
-    /// Every sampled create has its matching expire: the decision is a
-    /// pure function of the flow key, so a mapping is either fully
-    /// logged or fully absent — never a dangling half.
+    /// `Sampled` works on both outputs: a rotating sink with a tiny cap
+    /// writes, across many generations, the very bytes the in-memory
+    /// sink holds; and every sampled create has its matching expire —
+    /// the decision is a pure function of the flow key, so a mapping is
+    /// either fully logged or fully absent, never a dangling half.
     #[test]
     fn sampled_sink_keeps_create_expire_pairs_together() {
-        let mut s = SampledSink::new(4);
+        let mode = TelemetryMode::Sampled { one_in: 4 };
+        let mut mem = BinaryLogSink::new(mode);
+        let out = Shared::default();
+        let factory = {
+            let out = out.clone();
+            move |_| Ok(out.clone())
+        };
+        let mut rotating = RotatingWriteSink::new(mode, 64, factory);
         for port in 1024u16..1424 {
-            s.mapping_created(&mapping_event(port));
+            mem.mapping_created(&mapping_event(port));
+            rotating.mapping_created(&mapping_event(port));
         }
-        let creates = s.log().records();
+        let creates = mem.log().records();
         assert!(creates > 0 && creates < 400, "1-in-4 must decimate");
         for port in 1024u16..1424 {
-            s.mapping_expired(&mapping_event(port));
+            let mut e = mapping_event(port);
+            e.at = SimTime::from_secs(2);
+            mem.mapping_expired(&e);
+            rotating.mapping_expired(&e);
         }
         assert_eq!(
-            s.log().records(),
+            mem.log().records(),
             creates * 2,
             "exactly the sampled flows expire into the log"
         );
-        let one_in_1 = {
-            let mut s = SampledSink::new(1);
-            for port in 1024u16..1424 {
-                s.mapping_created(&mapping_event(port));
-            }
-            s.log().records()
+        assert_eq!(rotating.records_written(), creates * 2);
+        assert!(rotating.rotations() > 2, "tiny cap must rotate");
+        rotating.finish().expect("no I/O error");
+        assert_eq!(out.bytes(), mem.log().bytes(), "both outputs agree");
+        let records = crate::codec::decode_bytes(&out.bytes()).expect("decodes");
+        let ports = |expired: bool| -> Vec<u16> {
+            let mut ports: Vec<u16> = records
+                .iter()
+                .filter_map(|r| match *r {
+                    crate::Record::MapCreate { external, .. } if !expired => Some(external.port),
+                    crate::Record::MapExpire { external, .. } if expired => Some(external.port),
+                    _ => None,
+                })
+                .collect();
+            ports.sort_unstable();
+            ports
         };
-        assert_eq!(one_in_1, 400, "1-in-1 keeps everything");
+        assert_eq!(ports(false), ports(true), "every create has its expire");
+
+        let mut every = BinaryLogSink::new(TelemetryMode::Sampled { one_in: 1 });
+        for port in 1024u16..1424 {
+            every.mapping_created(&mapping_event(port));
+        }
+        assert_eq!(every.log().records(), 400, "1-in-1 keeps everything");
     }
 
     #[test]
     fn sampled_sink_volume_tracks_inner_log_and_recovers() {
-        let mut sink: Box<dyn EventSink> = Box::new(SampledSink::new(1));
+        let mode = TelemetryMode::Sampled { one_in: 1 };
+        let mut sink: Box<dyn EventSink> = Box::new(BinaryLogSink::new(mode));
         sink.mapping_created(&mapping_event(1024));
         sink.mapping_expired(&mapping_event(1024));
         assert_eq!(
@@ -822,8 +483,8 @@ mod tests {
             2,
             "records surface through the trait"
         );
-        let back = SampledSink::from_sink(sink).expect("downcast");
-        assert_eq!(back.one_in(), 1);
+        let back = BinaryLogSink::from_sink(sink).expect("downcast");
+        assert_eq!(back.mode(), mode);
         assert_eq!(back.into_log().records(), 2);
     }
 

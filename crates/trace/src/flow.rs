@@ -3,11 +3,11 @@
 //! Tracing every flow at CGN scale is the log-volume problem §6.2
 //! already quantified; the useful middle ground is NetFlow-style
 //! deterministic sampling: pick one flow in N by hashing the flow key
-//! (the same mix64 discipline as `cgn_telemetry::SampledSink`), and
-//! record *everything* that happens to the sampled flows. Because the
-//! decision is a pure function of the key, the sampled set — and the
-//! recorded per-shard event streams, which are sim-time-stamped — are
-//! bit-identical for any worker-thread count.
+//! ([`FlowKey::sampled`], which a `TelemetryMode::Sampled` event log
+//! calls too), and record *everything* that happens to the sampled
+//! flows. Because the decision is a pure function of the key, the
+//! sampled set — and the recorded per-shard event streams, which are
+//! sim-time-stamped — are bit-identical for any worker-thread count.
 //!
 //! Events land in a bounded per-shard ring (the **flight recorder**):
 //! memory stays fixed no matter how long a soak runs, old events fall
@@ -16,9 +16,9 @@
 //! (see [`crate::chrome`]) — on demand, or automatically when a soak
 //! leak gate trips.
 
-use crate::mix64;
 use crate::phase::{Phase, PhaseClock, PhaseProfiler};
 use netcore::hash::MixMap;
+use netcore::mix64;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -76,9 +76,10 @@ impl Default for TraceConfig {
 
 /// The identity of a translated flow: what the sampling hash covers.
 /// Mirrors the fields of `nat_engine`'s `MappingEvent` (internal and
-/// external endpoint plus protocol), packed the same way
-/// `SampledSink::keep` packs them, so a trace sampler at `one_in = N`
-/// selects exactly the flows a `SampledSink{one_in: N}` would log.
+/// external endpoint plus protocol), which builds one with
+/// `MappingEvent::flow_key`, so a trace sampler at `one_in = N`
+/// selects exactly the flows a `TelemetryMode::Sampled { one_in: N }`
+/// event log keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowKey {
     pub udp: bool,

@@ -27,7 +27,7 @@ use analysis::port_demand::{
     self, max_over_mean, DemandSeries, PortDemandReport, ShardDemand, ShardLoad,
 };
 use cgn_metrics::{Snapshot, Value, Window, WindowSeries};
-use cgn_telemetry::{BinaryLogSink, EventLog, SampledSink};
+use cgn_telemetry::{BinaryLogSink, EventLog};
 use cgn_trace::{Phase, PhaseProfiler, ShardTracer, TraceConfig, TraceDump};
 use nat_engine::sharded::{mix64, scatter};
 use nat_engine::telemetry::{EventSink, TelemetryMode};
@@ -68,10 +68,10 @@ pub struct DriverConfig {
     /// at scale).
     pub sweep_secs: u64,
     /// Traceability logging: `Off` installs no sink (the zero-cost
-    /// default); `PerConnection`/`PerBlock` install one
-    /// [`BinaryLogSink`] per shard and surface the volume in
-    /// [`RunSummary::telemetry`] (raw logs via [`run_with_logs`]);
-    /// `Sampled` installs a [`SampledSink`] (1-in-N by flow-key hash).
+    /// default); every other mode installs one [`BinaryLogSink`] per
+    /// shard and surfaces the volume in [`RunSummary::telemetry`] (raw
+    /// logs via [`run_with_logs`]). `Sampled` keeps one mapping in N
+    /// by flow-key hash (`one_in = 0` keeps none).
     pub telemetry: TelemetryMode,
     /// Runtime-metrics aggregation window in sim-seconds. `None` (the
     /// zero-cost default) installs no [`EngineMetrics`] registries and
@@ -1077,12 +1077,7 @@ impl DriverSession {
         if config.telemetry != TelemetryMode::Off {
             sharded.set_sinks(
                 (0..config.shards)
-                    .map(|_| match config.telemetry {
-                        TelemetryMode::Sampled { one_in } => {
-                            Box::new(SampledSink::new(one_in)) as _
-                        }
-                        mode => Box::new(BinaryLogSink::new(mode)) as _,
-                    })
+                    .map(|_| Box::new(BinaryLogSink::new(config.telemetry)) as _)
                     .collect(),
             );
         }
@@ -1425,13 +1420,9 @@ impl DriverSession {
                 .take_sinks()
                 .into_iter()
                 .map(|sink| {
-                    sink.and_then(|s| match config.telemetry {
-                        TelemetryMode::Sampled { .. } => {
-                            SampledSink::from_sink(s).map(SampledSink::into_log)
-                        }
-                        _ => BinaryLogSink::from_sink(s).map(BinaryLogSink::into_log),
-                    })
-                    .unwrap_or_default()
+                    sink.and_then(BinaryLogSink::from_sink)
+                        .map(BinaryLogSink::into_log)
+                        .unwrap_or_default()
                 })
                 .collect()
         } else {
@@ -2094,6 +2085,20 @@ mod tests {
         let off_run = run(&off);
         assert_eq!(off_run.stats, s.stats);
         assert_eq!(off_run.series, s.series);
+    }
+
+    /// `DriverConfig` is `Deserialize`, so `Sampled { one_in: 0 }` can
+    /// arrive from a config file: like `TraceConfig`'s 0, it keeps no
+    /// mapping, and the run neither panics nor logs.
+    #[test]
+    fn sampled_one_in_zero_logs_nothing() {
+        let mut cfg = small(WorkloadMix::residential_evening(), 7);
+        cfg.telemetry = nat_engine::telemetry::TelemetryMode::Sampled { one_in: 0 };
+        let (s, logs) = run_with_logs(&cfg);
+        assert!(s.stats.mappings_created > 0, "the run did translate");
+        assert_eq!(logs.len(), cfg.shards as usize, "one log per shard");
+        assert!(logs.iter().all(EventLog::is_empty));
+        assert_eq!((s.telemetry.records, s.telemetry.bytes), (0, 0));
     }
 
     /// The satellite determinism property: traceability logs are part
