@@ -13,9 +13,11 @@
 //!   instants, under every port allocation (random, sequential) ×
 //!   mapping × filtering behaviour with and without hairpinning and
 //!   with either hairpin source. Verdicts,
-//!   rewritten endpoints, `NatStats`, store and port occupancy and the
-//!   per-connection telemetry log must be identical, and every packet
-//!   must be conserved as exactly one verdict.
+//!   rewritten endpoints, `NatStats`, store and port occupancy, the
+//!   per-connection telemetry log and the flight recorder's events must
+//!   be identical, and every packet must be conserved as exactly one
+//!   verdict. A third twin with no observers installed must see the
+//!   same verdicts, stats and occupancy.
 //! * **driver** — full traffic-driver runs at burst {1, 7, 64} ×
 //!   threads {1, 2, 4} must reproduce the burst=1/threads=1 run's
 //!   `RunSummary`, digest and per-shard telemetry logs bit-for-bit;
@@ -33,7 +35,8 @@ mod common;
 
 use cgn_traffic::{DriverConfig, FlashCrowd, WorkloadMix};
 use common::{
-    behaviour_space, logged_nat, play, replies, script, src_of, step_strategy, Observed, Timed,
+    assert_probe_invisible, bare_nat, behaviour_space, play, probed_nat, replies, script, src_of,
+    step_strategy, Observed, Timed,
 };
 use nat_engine::telemetry::TelemetryMode;
 use nat_engine::{FilteringBehavior, MappingBehavior, NatConfig, PortAllocation};
@@ -49,12 +52,15 @@ const BURSTS: [usize; 3] = [1, 7, 64];
 const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Play the same script one packet at a time and through the halves,
-/// both directions, and compare every observable.
+/// both directions, and compare every observable; and through the
+/// halves of an unobserved twin, which must see the same.
 fn engine_equivalence(config: &NatConfig, script: &[Timed], chunk: usize, seed: u64) -> Observed {
-    let twin = || logged_nat(config, &common::POOL, seed);
+    let twin = || probed_nat(config, &common::POOL, seed);
     let scalar = play(twin(), script, chunk, (false, false), replies);
     let halves = play(twin(), script, chunk, (true, true), replies);
     assert_eq!(scalar, halves, "{config:?} chunk={chunk}");
+    let bare = bare_nat(config, &common::POOL, seed);
+    assert_probe_invisible(&scalar, &play(bare, script, chunk, (true, true), replies));
     scalar
 }
 
@@ -129,7 +135,7 @@ fn burst_straddling_arena_promotions_matches_scalar() {
     let script = script(&steps);
     let config = NatConfig::cgn_default();
     let no_replies = |_: &[Timed], _: &[common::Seen], _: usize| Vec::new();
-    let twin = || logged_nat(&config, &common::POOL, 1);
+    let twin = || probed_nat(&config, &common::POOL, 1);
     let grown = play(twin(), &script, 500, (true, true), no_replies);
     assert_eq!(grown.store.slots, 300, "the scenario grows the arena");
     for burst in [7, 64, 400] {
@@ -158,7 +164,7 @@ fn write_behind_is_invisible(config: &NatConfig, script: &[Timed]) -> Observed {
             })
             .collect()
     };
-    let twin = || logged_nat(config, &[Ipv4Addr::new(198, 18, 0, 1)], 5);
+    let twin = || probed_nat(config, &[Ipv4Addr::new(198, 18, 0, 1)], 5);
     for chunk in CHUNKS {
         // Scalar per chunk size too: the chunking decides when the
         // replies are sent.

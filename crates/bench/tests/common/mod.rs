@@ -9,14 +9,20 @@
 //! instants: the halves stage it once and translate it one instant at a
 //! time, as the traffic driver does. ICMP has no header; it goes
 //! through the `Packet` boundary in its place on both twins.
+//!
+//! The twins carry every observer the engine has ([`probed_nat`]), so
+//! their logs and flight recorders are compared too; a third, bare
+//! twin ([`bare_nat`]) holds the observers to changing nothing a
+//! caller sees ([`assert_probe_invisible`]).
 
 #![allow(dead_code)] // each test binary uses its own part
 
 use cgn_telemetry::BinaryLogSink;
+use cgn_trace::{ShardTracer, TraceConfig, TraceEvent};
 use nat_engine::telemetry::TelemetryMode;
 use nat_engine::{
-    FilteringBehavior, Header, HeaderVerdict, MappingBehavior, Nat, NatConfig, NatStats,
-    NatVerdict, PortAllocation, PortOccupancy, StoreOccupancy,
+    EngineMetrics, FilteringBehavior, Header, HeaderVerdict, MappingBehavior, Nat, NatConfig,
+    NatStats, NatVerdict, PortAllocation, PortOccupancy, StoreOccupancy,
 };
 use netcore::{Endpoint, IcmpKind, Packet, PacketBody, SimTime, TcpFlags};
 use proptest::prelude::*;
@@ -54,15 +60,35 @@ pub struct Observed {
     pub stats: NatStats,
     pub store: StoreOccupancy,
     pub ports: Vec<PortOccupancy>,
+    /// The per-connection log; empty without a sink.
     pub log: Vec<u8>,
+    /// The flight recorder, oldest first; empty without a tracer.
+    pub trace: Vec<TraceEvent>,
 }
 
-/// A NAT with a per-connection telemetry log, so log bytes are
-/// compared too.
-pub fn logged_nat(config: &NatConfig, pool: &[Ipv4Addr], seed: u64) -> Nat {
-    let mut nat = Nat::new(config.clone(), pool.to_vec(), seed);
+/// A NAT with nothing installed.
+pub fn bare_nat(config: &NatConfig, pool: &[Ipv4Addr], seed: u64) -> Nat {
+    Nat::new(config.clone(), pool.to_vec(), seed)
+}
+
+/// A NAT with every observer installed: a per-connection telemetry
+/// log (its bytes are compared), a metrics registry, and a tracer that
+/// samples every flow (its events are compared) and times phases.
+pub fn probed_nat(config: &NatConfig, pool: &[Ipv4Addr], seed: u64) -> Nat {
+    let mut nat = bare_nat(config, pool, seed);
     nat.set_sink(Box::new(BinaryLogSink::new(TelemetryMode::PerConnection)));
+    nat.set_metrics(Box::<EngineMetrics>::default());
+    nat.set_tracer(Box::new(ShardTracer::new(0, &TraceConfig::sampled(1))));
     nat
+}
+
+/// Observing is observation only: a run of [`bare_nat`] saw what the
+/// same run of [`probed_nat`] did.
+pub fn assert_probe_invisible(probed: &Observed, bare: &Observed) {
+    assert_eq!(probed.seen, bare.seen, "verdicts");
+    assert_eq!(probed.stats, bare.stats, "stats");
+    assert_eq!(probed.store, bare.store, "store occupancy");
+    assert_eq!(probed.ports, bare.ports, "port occupancy");
 }
 
 /// Feed one window, one packet at a time or through the halves.
@@ -78,7 +104,7 @@ fn feed(nat: &mut Nat, window: &[Timed], inbound: bool, halves: bool, seen: &mut
         seen.extend(window.iter().map(|t| scalar(nat, t)));
         return;
     }
-    let mut clock = None; // phase laps are off
+    let mut clock = nat.phase_clock();
     let mut headers: Vec<Header> = window.iter().filter_map(|(_, p)| Header::of(p)).collect();
     match inbound {
         true => nat.stage_inbound_burst(&headers, &mut clock),
@@ -140,17 +166,19 @@ pub fn play(
     }
     let end = script.last().map_or(0, |t| t.0) + 120_000;
     nat.sweep(SimTime::from_millis(end));
-    let log = BinaryLogSink::from_sink(nat.take_sink().expect("sink installed"))
-        .expect("sink is a BinaryLogSink")
-        .into_log()
-        .bytes()
-        .to_vec();
+    let log = nat.take_sink().map_or_else(Vec::new, |sink| {
+        let sink = BinaryLogSink::from_sink(sink).expect("sink is a BinaryLogSink");
+        sink.into_log().bytes().to_vec()
+    });
     let observed = Observed {
         seen,
         stats: nat.stats().clone(),
         store: nat.store_occupancy(),
         ports: nat.port_occupancy(),
         log,
+        trace: nat
+            .tracer()
+            .map_or_else(Vec::new, |t| t.events().copied().collect()),
     };
     assert_conserved(&observed);
     observed

@@ -14,8 +14,10 @@
 //!   every port allocation (random, sequential) × mapping × filtering
 //!   behaviour with and without hairpinning
 //!   and with either hairpin source. Verdicts, rewritten endpoints,
-//!   `NatStats`, store occupancy and the per-connection telemetry log
-//!   must be identical, and every packet conserved as one verdict.
+//!   `NatStats`, store occupancy, the per-connection telemetry log and
+//!   the flight recorder's events must be identical, and every packet
+//!   conserved as one verdict; an unobserved third twin must see the
+//!   same verdicts, stats and occupancy.
 //! * **driver** — full runs with the inbound-reply leg enabled
 //!   (`inbound_reply_permille`) at burst {1, 7, 64} × threads
 //!   {1, 2, 4} must reproduce the burst=1/threads=1 run's
@@ -24,7 +26,10 @@
 mod common;
 
 use cgn_traffic::{DriverConfig, WorkloadMix};
-use common::{behaviour_space, logged_nat, play, replies, script, step_strategy, POOL};
+use common::{
+    assert_probe_invisible, bare_nat, behaviour_space, play, probed_nat, replies, script,
+    step_strategy, POOL,
+};
 use nat_engine::telemetry::TelemetryMode;
 use proptest::prelude::*;
 
@@ -48,9 +53,12 @@ proptest! {
             for burst in BURSTS {
                 // Outbound packet at a time on both twins, so the only
                 // divergence under test is the inbound pipeline.
-                let twin = || logged_nat(&config, &POOL, seed);
+                let twin = || probed_nat(&config, &POOL, seed);
                 let scalar = play(twin(), &script, burst, (false, false), replies);
                 let halves = play(twin(), &script, burst, (false, true), replies);
+                let bare = bare_nat(&config, &POOL, seed);
+                let bare = play(bare, &script, burst, (false, true), replies);
+                assert_probe_invisible(&scalar, &bare);
                 prop_assert_eq!(scalar, halves, "{:?} burst={}", config, burst);
             }
         }

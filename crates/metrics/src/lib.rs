@@ -30,9 +30,10 @@
 //!   (`# TYPE` lines, `_bucket{le="…"}` histogram series), so the
 //!   artifacts drop into standard scrape tooling.
 //!
-//! The engine-facing discipline mirrors `nat_engine`'s `EventSink`
-//! slot: instruments live behind an `Option`, absent by default, so a
-//! disabled registry costs one untaken branch per fire site
+//! The engine-facing discipline is `nat_engine`'s probe: a registry
+//! lives in one `Option` on each `Nat` with the event sink and the
+//! tracer, absent by default, so a disabled registry costs one untaken
+//! branch per fire site
 //! (`benchmark/`'s metrics-free workloads, read as parent-vs-change
 //! pairs, hold that cost).
 

@@ -32,6 +32,7 @@ pub mod config;
 pub mod metrics;
 pub mod nat;
 pub mod ports;
+mod probe;
 pub mod sharded;
 pub mod store;
 pub mod telemetry;

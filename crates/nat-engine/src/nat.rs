@@ -11,10 +11,11 @@
 //! [`Nat::process_inbound`] run them for one whole [`Packet`].
 
 use crate::config::{FilteringBehavior, NatConfig, Pooling, PortAllocation, StunNatType};
-use crate::metrics::{EngineMetrics, MetricsSlot};
+use crate::metrics::EngineMetrics;
 use crate::ports::{self, PortAllocator, PortError};
+use crate::probe::Probe;
 use crate::store::{MappingStore, StoreOccupancy, TcpConnState};
-use crate::telemetry::{BlockEvent, EventSink, MappingEvent, SinkSlot};
+use crate::telemetry::{EventSink, MappingEvent};
 use cgn_metrics::{Snapshot, Value};
 use cgn_trace::{Phase, PhaseClock, ShardTracer};
 use netcore::{Endpoint, Packet, PacketBody, Protocol, SimDuration, SimTime, TcpFlags};
@@ -239,17 +240,10 @@ pub struct Nat {
     allocators: Vec<Option<PortAllocator>>,
     store: MappingStore,
     stats: NatStats,
-    /// Telemetry sink (mapping create/expire, block grant/return);
-    /// `None` — the default — costs one untaken branch per event site.
-    sink: SinkSlot,
-    /// Runtime-metrics registry (see [`crate::metrics`]); same
-    /// `Option`-slot discipline as the sink: absent by default, one
-    /// untaken branch per fire site when disabled.
-    metrics: MetricsSlot,
-    /// Flow/phase tracer (see [`cgn_trace`]); same `Option`-slot
-    /// discipline again: absent by default, one untaken branch per
-    /// fire site when disabled.
-    tracer: TraceSlot,
+    /// What observes the engine: telemetry sink, metrics registry and
+    /// tracer, each optional. `None` — the default, nothing installed
+    /// — costs one untaken branch per fire site.
+    probe: Option<Box<Probe>>,
     /// The staged outbound plan, one packed out-key per header:
     /// [`Nat::stage_burst`] appends, [`Nat::translate_staged`] consumes
     /// from the front. Storage is kept between bursts so staging
@@ -260,20 +254,6 @@ pub struct Nat {
     /// header, `None` when the destination pool was never interned (a
     /// stray that can only drop).
     inbound_plan: VecDeque<Option<u64>>,
-}
-
-/// `Option`-slot wrapper for the tracer; the custom `Debug` keeps
-/// `Nat`'s derive from dumping flight-recorder contents (and keeps
-/// run digests independent of ring state).
-pub(crate) struct TraceSlot(pub(crate) Option<Box<ShardTracer>>);
-
-impl std::fmt::Debug for TraceSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("ShardTracer(installed)"),
-            None => f.write_str("ShardTracer(none)"),
-        }
-    }
 }
 
 impl Nat {
@@ -293,9 +273,7 @@ impl Nat {
             allocators: Vec::new(),
             store: MappingStore::new(),
             stats: NatStats::default(),
-            sink: SinkSlot(None),
-            metrics: MetricsSlot(None),
-            tracer: TraceSlot(None),
+            probe: None,
             outbound_plan: VecDeque::new(),
             inbound_plan: VecDeque::new(),
         }
@@ -314,30 +292,51 @@ impl Nat {
         self.store.reserved_bytes() + ports.map(PortAllocator::reserved_bytes).sum::<usize>()
     }
 
+    /// The probe, created empty if nothing is installed yet.
+    fn probe_mut(&mut self) -> &mut Probe {
+        self.probe.get_or_insert_with(Box::default)
+    }
+
+    /// Take one part out of the probe, and the probe itself once it
+    /// holds nothing: the engine is back in the zero-cost state.
+    fn take_part<T>(&mut self, part: impl FnOnce(&mut Probe) -> Option<T>) -> Option<T> {
+        let probe = self.probe.as_deref_mut()?;
+        let taken = part(probe);
+        if probe.is_empty() {
+            self.probe = None;
+        }
+        taken
+    }
+
     /// Install a telemetry sink: the engine fires mapping
     /// create/expire and block grant/return events into it (see
     /// [`crate::telemetry`]). Replaces any previously installed sink.
     pub fn set_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = SinkSlot(Some(sink));
+        self.probe_mut().sink = Some(sink);
     }
 
-    /// Remove and return the installed telemetry sink, if any,
-    /// returning the engine to the zero-cost disabled state.
+    /// Remove and return the installed telemetry sink, if any.
     pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.0.take()
+        self.take_part(|p| p.sink.take())
     }
 
-    /// Install a runtime-metrics registry: lifecycle fire sites
-    /// accumulate into it until [`Nat::take_metrics`] (see
-    /// [`crate::metrics`]). Replaces any previously installed one.
+    /// Install a runtime-metrics registry: fire sites accumulate into
+    /// it until [`Nat::take_metrics`] (see [`crate::metrics`]).
+    /// Replaces any previously installed one.
+    ///
+    /// Install it before the first packet: [`Nat::metrics_snapshot`]
+    /// renders the lifecycle counters (`cgn_mappings_created_total`,
+    /// `cgn_mappings_expired_total`, `cgn_flows_rejected_total`,
+    /// `cgn_sweeps_total`, `cgn_sweep_scans_total`) from
+    /// [`NatStats`], which counts from the engine's birth, not from
+    /// the registry's. The traffic driver installs it at construction.
     pub fn set_metrics(&mut self, metrics: Box<EngineMetrics>) {
-        self.metrics = MetricsSlot(Some(metrics));
+        self.probe_mut().metrics = Some(metrics);
     }
 
-    /// Remove and return the installed metrics registry, if any,
-    /// returning the engine to the zero-cost disabled state.
+    /// Remove and return the installed metrics registry, if any.
     pub fn take_metrics(&mut self) -> Option<Box<EngineMetrics>> {
-        self.metrics.0.take()
+        self.take_part(|p| p.metrics.take())
     }
 
     /// Install a flow/phase tracer: lifecycle fire sites record
@@ -345,38 +344,53 @@ impl Nat {
     /// pipeline's passes record wall-clock phase durations (see
     /// [`cgn_trace`]). Replaces any previously installed tracer.
     pub fn set_tracer(&mut self, tracer: Box<ShardTracer>) {
-        self.tracer = TraceSlot(Some(tracer));
+        self.probe_mut().tracer = Some(tracer);
     }
 
-    /// Remove and return the installed tracer, if any, returning the
-    /// engine to the zero-cost disabled state.
+    /// Remove and return the installed tracer, if any.
     pub fn take_tracer(&mut self) -> Option<Box<ShardTracer>> {
-        self.tracer.0.take()
+        self.take_part(|p| p.tracer.take())
     }
 
     /// The installed tracer, if any (flight-recorder reads, phase
     /// histogram reads).
     pub fn tracer(&self) -> Option<&ShardTracer> {
-        self.tracer.0.as_deref()
+        self.probe.as_deref()?.tracer.as_deref()
     }
 
-    /// Mutable access to the installed tracer (the driver records its
-    /// own pipeline phases through the owning shard's tracer).
-    pub fn tracer_mut(&mut self) -> Option<&mut ShardTracer> {
-        self.tracer.0.as_deref_mut()
+    /// The installed tracer, for the phase forwards.
+    fn phase_tracer(&mut self) -> Option<&mut ShardTracer> {
+        self.probe.as_deref_mut()?.tracer.as_deref_mut()
     }
 
     /// Render this shard's metrics into a snapshot: the registry's
-    /// accumulated counters plus barrier-time gauges the engine
-    /// already tracks (live mappings, slab occupancy, parked timers,
-    /// wheel-cascade work, allocator fill per pool). `None` when no
-    /// registry is installed. Values depend only on engine state, so
-    /// snapshots merged in shard order are bit-identical for any
-    /// worker-thread count.
+    /// instruments, the lifecycle counters [`NatStats`] keeps, and
+    /// barrier-time gauges the engine already tracks (live mappings,
+    /// slab occupancy, parked timers, wheel-cascade work, allocator
+    /// fill per pool). `None` when no registry is installed. Values
+    /// depend only on engine state, so snapshots merged in shard order
+    /// are bit-identical for any worker-thread count.
     pub fn metrics_snapshot(&self) -> Option<Snapshot> {
-        let m = self.metrics.0.as_deref()?;
+        let probe = self.probe.as_deref()?;
         let mut out = Snapshot::default();
-        m.render_into(&mut out);
+        probe.metrics.as_deref()?.render_into(&mut out);
+        let s = &self.stats;
+        for (name, count) in [
+            ("cgn_mappings_created_total", s.mappings_created),
+            ("cgn_mappings_expired_total", s.mappings_expired),
+            (
+                "cgn_flows_rejected_total{reason=\"port-exhausted\"}",
+                s.drop_port_exhausted,
+            ),
+            (
+                "cgn_flows_rejected_total{reason=\"session-limit\"}",
+                s.drop_session_limit,
+            ),
+            ("cgn_sweeps_total", s.sweeps),
+            ("cgn_sweep_scans_total", s.sweep_scans),
+        ] {
+            out.push(name, Value::Counter(count));
+        }
         let occ = self.store.occupancy();
         out.push("cgn_mappings_live", Value::Gauge(occ.live));
         out.push("cgn_slab_slots", Value::Gauge(occ.slots));
@@ -408,11 +422,9 @@ impl Nat {
             );
         }
         out.push("cgn_allocator_fill_permille_worst", Value::Max(worst));
-        if let Some(sink) = &self.sink.0 {
-            if let Some((records, bytes)) = sink.volume() {
-                out.push("cgn_sink_records_total", Value::Counter(records));
-                out.push("cgn_sink_bytes_total", Value::Counter(bytes));
-            }
+        if let Some((records, bytes)) = probe.sink.as_ref().and_then(|sink| sink.volume()) {
+            out.push("cgn_sink_records_total", Value::Counter(records));
+            out.push("cgn_sink_bytes_total", Value::Counter(bytes));
         }
         out.normalize();
         Some(out)
@@ -545,9 +557,9 @@ impl Nat {
         let (inspected, due) = self.store.sweep_due(now);
         if inspected > 0 {
             self.stats.sweep_scans += 1;
-        }
-        if let Some(m) = &mut self.metrics.0 {
-            m.on_sweep(inspected > 0, due.len() as u64);
+            if let Some(p) = &mut self.probe {
+                p.sweep(due.len() as u64);
+            }
         }
         for (i, &slot) in due.iter().enumerate() {
             self.store.prefetch_removals(&due, i);
@@ -563,7 +575,7 @@ impl Nat {
     /// time they run: the barrier phases and the burst entry points.
     #[inline]
     pub fn phase_clock(&self) -> Option<PhaseClock> {
-        self.tracer.0.as_deref()?.phase_clock()
+        self.tracer()?.phase_clock()
     }
 
     /// Start the phase clock for one window of the traffic driver:
@@ -574,7 +586,7 @@ impl Nat {
     /// documents the estimate ([`ShardTracer::window_clock`]).
     #[inline]
     pub fn window_clock(&mut self) -> Option<PhaseClock> {
-        self.tracer.0.as_deref_mut()?.window_clock()
+        self.phase_tracer()?.window_clock()
     }
 
     /// Record the elapsed lap under `phase`, with the clock's weight,
@@ -583,8 +595,10 @@ impl Nat {
     /// outside every deterministic digest.
     #[inline]
     pub fn phase_lap(&mut self, clock: &mut Option<PhaseClock>, phase: Phase) {
-        if let (Some(clock), Some(tracer)) = (clock.as_mut(), self.tracer.0.as_deref_mut()) {
-            tracer.lap(clock, phase);
+        if let Some(clock) = clock {
+            if let Some(tracer) = self.phase_tracer() {
+                tracer.lap(clock, phase);
+            }
         }
     }
 
@@ -600,43 +614,22 @@ impl Nat {
         since: Option<PhaseClock>,
         clock: Option<PhaseClock>,
     ) {
-        if let (Some(t0), Some(t1), Some(tracer)) = (since, clock, self.tracer.0.as_deref_mut()) {
-            tracer.span(phase, t0, t1);
+        if let (Some(t0), Some(t1)) = (since, clock) {
+            if let Some(tracer) = self.phase_tracer() {
+                tracer.span(phase, t0, t1);
+            }
         }
     }
 
     fn remove_mapping(&mut self, slot: u32, now: SimTime) {
         if let Some((m, pool)) = self.store.remove(slot) {
-            if let Some(t) = &mut self.tracer.0 {
-                if t.sampling_flows() {
-                    t.on_expire(slot, now.as_millis());
-                }
-            }
             let mut grant = None;
             if let Some(Some(a)) = self.allocators.get_mut(pool as usize) {
                 a.release(m.external.port);
                 grant = a.take_block_grant();
             }
-            if let Some(reg) = &mut self.metrics.0 {
-                reg.on_expired(grant.is_some());
-            }
-            if let Some(sink) = &mut self.sink.0 {
-                sink.mapping_expired(&MappingEvent {
-                    at: now,
-                    proto: m.proto,
-                    internal: m.internal,
-                    external: m.external,
-                });
-                if let Some(g) = grant {
-                    sink.block_released(&BlockEvent {
-                        at: now,
-                        proto: m.proto,
-                        subscriber: g.host,
-                        ext_ip: m.external.ip,
-                        block_start: g.start,
-                        block_len: g.len,
-                    });
-                }
+            if let Some(p) = &mut self.probe {
+                p.expire(slot, &MappingEvent::of(&m, now), grant);
             }
         }
     }
@@ -755,8 +748,8 @@ impl Nat {
             }
         }
         self.store.prefetch_free_slots(creates);
-        if let Some(m) = &mut self.metrics.0 {
-            m.on_burst(headers.len() as u64, rows);
+        if let Some(p) = &mut self.probe {
+            p.burst(headers.len() as u64, rows);
         }
         self.phase_lap(clock, Phase::BurstPrefetch);
     }
@@ -817,9 +810,6 @@ impl Nat {
                 Ok(slot) => slot,
                 Err(reason) => {
                     self.stats.record_drop(reason);
-                    if let Some(m) = &mut self.metrics.0 {
-                        m.on_rejected(reason);
-                    }
                     return HeaderVerdict::Drop(reason);
                 }
             },
@@ -836,13 +826,8 @@ impl Nat {
         };
         let t = self.timeout_for(h.proto(), tcp);
         self.store.set_expiry(slot, now + t);
-        if let Some(tr) = &mut self.tracer.0 {
-            if tr.sampling_flows() {
-                // A reused mapping's translate pushed its expiry out (a
-                // refresh span); the creating packet's span is covered
-                // by the admit event `create_mapping` just recorded.
-                tr.on_translate(slot, now.as_millis(), reused);
-            }
+        if let Some(p) = &mut self.probe {
+            p.translate(slot, now, reused);
         }
 
         h.src = external;
@@ -865,12 +850,11 @@ impl Nat {
                 return Err(DropReason::SessionLimit);
             }
         }
-        let mut block_granted = false;
-        let (external, pool) = if self.config.transparent {
+        let (external, pool, grant) = if self.config.transparent {
             // Stateful firewall: state is kept, addresses are not
             // touched — and no port is allocated, so the pool is
             // interned here for the ext-key alone.
-            (internal, self.store.intern_pool(internal.ip, proto))
+            (internal, self.store.intern_pool(internal.ip, proto), None)
         } else {
             // Deterministic NAT computes both the external IP and the
             // port block from the internal address (RFC 7422) — no
@@ -908,43 +892,15 @@ impl Nat {
                 }
             })?;
             let grant = alloc.take_block_grant();
-            block_granted = grant.is_some();
-            if let (Some(m), Some(_)) = (&mut self.metrics.0, grant) {
-                m.on_block_grant();
-            }
-            if let (Some(sink), Some(g)) = (&mut self.sink.0, grant) {
-                sink.block_allocated(&BlockEvent {
-                    at: now,
-                    proto,
-                    subscriber: g.host,
-                    ext_ip,
-                    block_start: g.start,
-                    block_len: g.len,
-                });
-            }
-            (Endpoint::new(ext_ip, port), pool)
+            (Endpoint::new(ext_ip, port), pool, grant)
         };
         let timeout = self.timeout_for(proto, None);
         let m = Mapping::new(proto, internal, external);
         let slot = self.store.insert(key, pool, m, now + timeout);
         self.stats.mappings_created += 1;
         self.stats.peak_mappings = self.stats.peak_mappings.max(self.store.len() as u64);
-        if let Some(reg) = &mut self.metrics.0 {
-            reg.on_created();
-        }
-        let event = MappingEvent {
-            at: now,
-            proto,
-            internal,
-            external,
-        };
-        if let Some(sink) = &mut self.sink.0 {
-            sink.mapping_created(&event);
-        }
-        if let Some(tr) = &mut self.tracer.0 {
-            if tr.sampling_flows() {
-                tr.on_admit(slot, event.flow_key(), now.as_millis(), block_granted);
-            }
+        if let Some(p) = &mut self.probe {
+            p.admit(slot, &MappingEvent::of(self.store.get(slot), now), grant);
         }
         Ok(slot)
     }
@@ -1052,8 +1008,8 @@ impl Nat {
                 rows += 1;
             }
         }
-        if let Some(m) = &mut self.metrics.0 {
-            m.on_burst_inbound(headers.len() as u64, rows);
+        if let Some(p) = &mut self.probe {
+            p.burst_in(headers.len() as u64, rows);
         }
         self.phase_lap(clock, Phase::BurstPrefetch);
     }
@@ -1123,10 +1079,8 @@ impl Nat {
             let t = self.timeout_for(h.proto(), self.store.get(slot).tcp);
             self.store.set_expiry(slot, now + t);
         }
-        if let Some(tr) = &mut self.tracer.0 {
-            if tr.sampling_flows() {
-                tr.on_translate_in(slot, now.as_millis());
-            }
+        if let Some(p) = &mut self.probe {
+            p.translate_in(slot, now);
         }
         h.dst = internal;
         HeaderVerdict::Forward
@@ -1155,6 +1109,7 @@ impl Nat {
 mod tests {
     use super::*;
     use crate::config::MappingBehavior;
+    use crate::telemetry::BlockEvent;
     use netcore::ip;
     use std::collections::HashSet;
 
@@ -1983,9 +1938,10 @@ mod tests {
         assert_eq!(snap.scalar("cgn_block_releases_total"), 1);
         assert_eq!(snap.scalar("cgn_sweeps_total"), 1);
         let reg = n.take_metrics().expect("registry recoverable");
-        assert_eq!(reg.mappings_created.get(), 5);
+        assert_eq!(reg.block_releases.get(), 1);
         assert_eq!(reg.sweep_batch.count, 1);
         assert!(n.metrics_snapshot().is_none(), "slot emptied");
+        assert!(n.probe.is_none(), "the last part taken drops the probe");
     }
 
     #[test]
@@ -2012,28 +1968,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn metrics_disabled_changes_nothing() {
-        use crate::metrics::EngineMetrics;
-        let run = |with_metrics: bool| {
-            let mut n = Nat::new(NatConfig::cgn_default(), pool(), 99);
-            if with_metrics {
-                n.set_metrics(Box::<EngineMetrics>::default());
-            }
-            let mut seen = Vec::new();
-            for h in 1..=10 {
-                seen.push(udp_out(&mut n, internal_host(h), server(), t(0)).src);
-            }
-            n.sweep(t(120));
-            (seen, n.stats().clone())
-        };
-        assert_eq!(run(false), run(true), "metrics must be observation-only");
-    }
-
     /// The inbound burst pipeline and arena gauges follow the same
-    /// zero-cost-when-disabled discipline as every other instrument:
-    /// without a registry the new paths fire nothing and expose
-    /// nothing, and the run is observationally unchanged.
+    /// discipline as every other instrument: without a registry they
+    /// expose nothing. (That observing changes nothing a caller sees
+    /// is held across the whole config space by `cgn-bench`'s
+    /// differential harness.)
     #[test]
     fn inbound_burst_metrics_fire_only_when_enabled() {
         use crate::metrics::EngineMetrics;
@@ -2046,16 +1985,10 @@ mod tests {
                 .map(|h| udp_out(&mut n, internal_host(h), server(), t(0)))
                 .map(|fwd| Header::new(server(), fwd.src, None))
                 .collect();
-            let verdicts = burst(&mut n, &replies, t(1), true);
-            (verdicts, n.stats().clone(), n)
+            burst(&mut n, &replies, t(1), true);
+            n
         };
-        let (off_verdicts, off_stats, off_nat) = run(false);
-        let (on_verdicts, on_stats, on_nat) = run(true);
-        assert_eq!(
-            off_verdicts, on_verdicts,
-            "metrics must be observation-only"
-        );
-        assert_eq!(off_stats, on_stats);
+        let (off_nat, on_nat) = (run(false), run(true));
         assert!(
             off_nat.metrics_snapshot().is_none(),
             "disabled engine exposes no instruments at all"
@@ -2246,22 +2179,49 @@ mod tests {
         assert_eq!((scalar.4, burst.4), (0, 1));
     }
 
+    /// Mapping and block events interleave as a log reader expects:
+    /// the grant before the first mapping that uses the block, the
+    /// return after the last one expires. No log mode records both
+    /// kinds, so only a sink that does can see their order.
     #[test]
-    fn sink_disabled_changes_nothing() {
-        use crate::telemetry::CountingSink;
-        let run = |with_sink: bool| {
-            let mut n = Nat::new(NatConfig::cgn_default(), pool(), 99);
-            if with_sink {
-                n.set_sink(Box::<CountingSink>::default());
-            }
-            let mut seen = Vec::new();
-            for h in 1..=10 {
-                seen.push(udp_out(&mut n, internal_host(h), server(), t(0)).src);
-            }
-            n.sweep(t(120));
-            (seen, n.stats().clone())
+    fn sink_sees_block_events_around_their_mappings() {
+        let mut cfg = NatConfig::cgn_default();
+        cfg.port_alloc = crate::config::PortAllocation::PortBlock { block_size: 8 };
+        cfg.mapping = MappingBehavior::AddressAndPortDependent;
+        let mut n = nat(cfg);
+        n.set_sink(Box::<LineSink>::default());
+        let src = internal_host(1);
+        let external: Vec<Endpoint> = (0..5u16)
+            .map(|f| udp_out(&mut n, src, Endpoint::new(server().ip, 1000 + f), t(0)).src)
+            .collect();
+        n.sweep(t(61)); // all five idle out, and the block with them
+        let log = n.take_sink().expect("sink installed").into_any();
+        let log = String::from_utf8(log.downcast::<LineSink>().expect("LineSink").0).unwrap();
+
+        let start = external[0].port;
+        let block = |at| BlockEvent {
+            at,
+            proto: Protocol::Udp,
+            subscriber: src.ip,
+            ext_ip: external[0].ip,
+            block_start: start,
+            block_len: 8,
         };
-        assert_eq!(run(false), run(true), "telemetry must be observation-only");
+        let mapping = |at, k: usize| MappingEvent {
+            at,
+            proto: Protocol::Udp,
+            internal: src,
+            external: Endpoint::new(external[0].ip, start + k as u16),
+        };
+        let mut want = format!("granted {:?}\n", block(t(0)));
+        for k in 0..5 {
+            want += &format!("created {:?}\n", mapping(t(0), k));
+        }
+        for k in 0..5 {
+            want += &format!("expired {:?}\n", mapping(t(61), k));
+        }
+        want += &format!("returned {:?}\n", block(t(61)));
+        assert_eq!(log, want);
     }
 
     #[test]

@@ -145,18 +145,20 @@ impl ShardedNat {
         self.cross_shard_hairpin = enabled;
     }
 
-    /// Install one telemetry sink per shard, in shard order (see
-    /// [`crate::telemetry`]). Panics unless exactly one sink per shard
-    /// is supplied.
-    pub fn set_sinks(&mut self, sinks: Vec<Box<dyn EventSink>>) {
-        assert_eq!(
-            sinks.len(),
-            self.shards.len(),
-            "one telemetry sink per shard required"
-        );
-        for (shard, sink) in self.shards.iter_mut().zip(sinks) {
-            shard.set_sink(sink);
+    /// Hand `parts[i]` to shard `i` with `install`. Panics unless
+    /// exactly one part per shard is supplied.
+    fn install<T>(&mut self, parts: Vec<T>, what: &str, install: fn(&mut Nat, T)) {
+        let n = self.shards.len();
+        assert_eq!(parts.len(), n, "one {what} per shard required");
+        for (shard, part) in self.shards.iter_mut().zip(parts) {
+            install(shard, part);
         }
+    }
+
+    /// Install one telemetry sink per shard, in shard order (see
+    /// [`crate::telemetry`]).
+    pub fn set_sinks(&mut self, sinks: Vec<Box<dyn EventSink>>) {
+        self.install(sinks, "telemetry sink", Nat::set_sink);
     }
 
     /// Remove and return every shard's telemetry sink, in shard order
@@ -166,37 +168,15 @@ impl ShardedNat {
     }
 
     /// Install one runtime-metrics registry per shard, in shard order
-    /// (see [`crate::metrics`]). Panics unless exactly one registry
-    /// per shard is supplied.
+    /// and before the first packet (see [`Nat::set_metrics`]).
     pub fn set_metrics(&mut self, registries: Vec<Box<EngineMetrics>>) {
-        assert_eq!(
-            registries.len(),
-            self.shards.len(),
-            "one metrics registry per shard required"
-        );
-        for (shard, registry) in self.shards.iter_mut().zip(registries) {
-            shard.set_metrics(registry);
-        }
-    }
-
-    /// Remove and return every shard's metrics registry, in shard
-    /// order (`None` for shards that had none installed).
-    pub fn take_metrics(&mut self) -> Vec<Option<Box<EngineMetrics>>> {
-        self.shards.iter_mut().map(|s| s.take_metrics()).collect()
+        self.install(registries, "metrics registry", Nat::set_metrics);
     }
 
     /// Install one flow/phase tracer per shard, in shard order (see
-    /// [`cgn_trace`]). Panics unless exactly one tracer per shard is
-    /// supplied.
+    /// [`cgn_trace`]).
     pub fn set_tracers(&mut self, tracers: Vec<Box<cgn_trace::ShardTracer>>) {
-        assert_eq!(
-            tracers.len(),
-            self.shards.len(),
-            "one tracer per shard required"
-        );
-        for (shard, tracer) in self.shards.iter_mut().zip(tracers) {
-            shard.set_tracer(tracer);
-        }
+        self.install(tracers, "tracer", Nat::set_tracer);
     }
 
     /// Remove and return every shard's tracer, in shard order (`None`

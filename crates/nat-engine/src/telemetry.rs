@@ -11,10 +11,11 @@
 //! `cgn-telemetry` crate) can turn them into append-only binary logs
 //! and measure the volume each allocation policy produces.
 //!
-//! **Zero-cost when disabled.** The engine holds an
-//! `Option<Box<dyn EventSink>>`; with no sink installed every fire
-//! site is one untaken branch on `None` — and fire sites sit on the
-//! mapping lifecycle (create / expire / block grant), not on the
+//! **Zero-cost when disabled.** The engine holds its sink in its one
+//! probe slot, next to the metrics registry and the tracer; with
+//! nothing installed every fire site is one untaken branch on `None`
+//! — and the sink's fire sites sit on the mapping lifecycle (create /
+//! expire, with the block grant or return they cause), not on the
 //! per-packet fast path. `benchmark/`'s sink-free workloads, read as
 //! parent-vs-change pairs, are what hold this.
 //!
@@ -34,6 +35,7 @@
 //!   fires no block events and needs no log at all — attribution is
 //!   recomputed from the algorithmic mapping.
 
+use crate::store::Mapping;
 use cgn_trace::FlowKey;
 use netcore::{Endpoint, Protocol, SimTime};
 use serde::{Deserialize, Serialize};
@@ -87,6 +89,16 @@ pub struct MappingEvent {
 }
 
 impl MappingEvent {
+    /// The event of `mapping` at `at`.
+    pub(crate) fn of(mapping: &Mapping, at: SimTime) -> MappingEvent {
+        MappingEvent {
+            at,
+            proto: mapping.proto,
+            internal: mapping.internal,
+            external: mapping.external,
+        }
+    }
+
     /// The mapping's flow key: what both the tracer's one-in-N sampler
     /// and a [`TelemetryMode::Sampled`] log sink hash, so the two pick
     /// the same mappings at the same N.
@@ -165,19 +177,6 @@ impl EventSink for CountingSink {
     }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
-    }
-}
-
-/// The engine-side sink slot: `None` is the disabled (zero-cost)
-/// state. Wrapped so `Nat` keeps its derived `Debug`.
-pub(crate) struct SinkSlot(pub(crate) Option<Box<dyn EventSink>>);
-
-impl std::fmt::Debug for SinkSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("EventSink(installed)"),
-            None => f.write_str("EventSink(none)"),
-        }
     }
 }
 

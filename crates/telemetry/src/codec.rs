@@ -71,6 +71,13 @@ pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError
     }
 }
 
+/// Read a varint that must fit a `u16` (a port, block start or block
+/// length), advancing `pos`.
+fn get_u16(buf: &[u8], pos: &mut usize) -> Result<u16, DecodeError> {
+    u16::try_from(get_varint(buf, pos)?)
+        .map_err(|_| DecodeError::Malformed("port field exceeds u16"))
+}
+
 fn put_ipv4(buf: &mut Vec<u8>, ip: Ipv4Addr) {
     buf.extend_from_slice(&ip.octets());
 }
@@ -354,6 +361,12 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
             .copied()
             .ok_or(DecodeError::Malformed("undefined pool id"))
     };
+    // A record's time: the previous one's plus its varint delta.
+    let advance = |now_ms: u64, pos: &mut usize| {
+        now_ms
+            .checked_add(get_varint(buf, pos)?)
+            .ok_or(DecodeError::Malformed("timestamp overflows u64"))
+    };
     while pos < buf.len() {
         let tag = buf[pos];
         pos += 1;
@@ -377,10 +390,10 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
                 pools.push((ip, proto));
             }
             TAG_MAP_CREATE => {
-                now_ms += get_varint(buf, &mut pos)?;
+                now_ms = advance(now_ms, &mut pos)?;
                 let sub = resolve_sub(&subs, get_varint(buf, &mut pos)?)?;
                 let (ip, proto) = resolve_pool(&pools, get_varint(buf, &mut pos)?)?;
-                let port = get_varint(buf, &mut pos)? as u16;
+                let port = get_u16(buf, &mut pos)?;
                 out.push(Record::MapCreate {
                     at_ms: now_ms,
                     subscriber: sub,
@@ -389,9 +402,9 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
                 });
             }
             TAG_MAP_EXPIRE => {
-                now_ms += get_varint(buf, &mut pos)?;
+                now_ms = advance(now_ms, &mut pos)?;
                 let (ip, proto) = resolve_pool(&pools, get_varint(buf, &mut pos)?)?;
-                let port = get_varint(buf, &mut pos)? as u16;
+                let port = get_u16(buf, &mut pos)?;
                 out.push(Record::MapExpire {
                     at_ms: now_ms,
                     proto,
@@ -399,11 +412,11 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
                 });
             }
             TAG_BLOCK_ALLOC => {
-                now_ms += get_varint(buf, &mut pos)?;
+                now_ms = advance(now_ms, &mut pos)?;
                 let sub = resolve_sub(&subs, get_varint(buf, &mut pos)?)?;
                 let (ip, proto) = resolve_pool(&pools, get_varint(buf, &mut pos)?)?;
-                let start = get_varint(buf, &mut pos)? as u16;
-                let len = get_varint(buf, &mut pos)? as u16;
+                let start = get_u16(buf, &mut pos)?;
+                let len = get_u16(buf, &mut pos)?;
                 out.push(Record::BlockAlloc {
                     at_ms: now_ms,
                     subscriber: sub,
@@ -414,9 +427,9 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
                 });
             }
             TAG_BLOCK_RELEASE => {
-                now_ms += get_varint(buf, &mut pos)?;
+                now_ms = advance(now_ms, &mut pos)?;
                 let (ip, proto) = resolve_pool(&pools, get_varint(buf, &mut pos)?)?;
-                let start = get_varint(buf, &mut pos)? as u16;
+                let start = get_u16(buf, &mut pos)?;
                 out.push(Record::BlockRelease {
                     at_ms: now_ms,
                     proto,
@@ -434,6 +447,7 @@ pub fn decode_bytes(buf: &[u8]) -> Result<Vec<Record>, DecodeError> {
 mod tests {
     use super::*;
     use netcore::ip;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -548,6 +562,96 @@ mod tests {
         let mut garbage = EventLog::new();
         garbage.buf.push(0x7F);
         assert!(matches!(garbage.decode(), Err(DecodeError::Malformed(_))));
+    }
+
+    /// Defines pool 0 as UDP on 198.51.100.1, then `records`.
+    fn pool_then(records: &[u8]) -> Vec<u8> {
+        let mut buf = vec![TAG_DEFINE_POOL, 0, 198, 51, 100, 1, 0];
+        buf.extend_from_slice(records);
+        buf
+    }
+
+    #[test]
+    fn out_of_range_fields_are_malformed_not_panics_or_truncations() {
+        // Two expiries each u64::MAX ms after the previous record: the
+        // second one's time does not exist.
+        let max_delta = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let mut expire = vec![TAG_MAP_EXPIRE];
+        expire.extend_from_slice(&max_delta);
+        expire.extend_from_slice(&[0, 1]); // pool 0, port 1
+        let twice = pool_then(&[expire.as_slice(), &expire].concat());
+        assert!(matches!(
+            decode_bytes(&twice),
+            Err(DecodeError::Malformed(_))
+        ));
+        assert_eq!(decode_bytes(&pool_then(&expire)).map(|r| r.len()), Ok(1));
+        // An expiry of port 65 536, which no `u16` holds.
+        let port = pool_then(&[TAG_MAP_EXPIRE, 0, 0, 0x80, 0x80, 0x04]);
+        assert!(matches!(
+            decode_bytes(&port),
+            Err(DecodeError::Malformed(_))
+        ));
+        let fits = pool_then(&[TAG_MAP_EXPIRE, 0, 0, 0xff, 0xff, 0x03]);
+        assert_eq!(
+            decode_bytes(&fits),
+            Ok(vec![Record::MapExpire {
+                at_ms: 0,
+                proto: Protocol::Udp,
+                external: Endpoint::new(ip(198, 51, 100, 1), 65_535),
+            }])
+        );
+    }
+
+    /// One event of a generated log: kind, subscriber, pool, port,
+    /// milliseconds since the previous event.
+    type Event = (u8, u8, u8, u16, u32);
+
+    fn encode(events: &[Event]) -> EventLog {
+        let mut log = EventLog::new();
+        let mut at = 0u64;
+        for &(kind, sub, pool, port, gap) in events {
+            at += gap as u64;
+            let (at, sub) = (t(at), ip(100, 64, 0, sub % 4));
+            let proto = [Protocol::Udp, Protocol::Tcp][pool as usize % 2];
+            let pool = ip(198, 51, 100, pool % 3);
+            match kind % 4 {
+                0 => log.map_create(at, sub, proto, Endpoint::new(pool, port)),
+                1 => log.map_expire(at, proto, Endpoint::new(pool, port)),
+                2 => log.block_alloc(at, sub, proto, pool, port, 64),
+                _ => log.block_release(at, proto, pool, port),
+            }
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding is total: an encoded log decodes to its records,
+        /// and the same log with one byte flipped, cut short, or both
+        /// decodes to `Ok` or `Err` — never a panic.
+        #[test]
+        fn prop_decoder_total(
+            events in proptest::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>(), any::<u32>()),
+                0..24,
+            ),
+            flip in (any::<usize>(), any::<u8>()),
+            cut in any::<usize>(),
+        ) {
+            let log = encode(&events);
+            let records = decode_bytes(log.bytes()).expect("an encoded log decodes");
+            prop_assert_eq!(records.len() as u64, log.records());
+            let mut bytes = log.bytes().to_vec();
+            if !bytes.is_empty() {
+                let at = flip.0 % bytes.len();
+                bytes[at] ^= flip.1;
+                let cut = cut % bytes.len();
+                for mutated in [&bytes[..], &log.bytes()[..cut], &bytes[..cut]] {
+                    let _ = decode_bytes(mutated);
+                }
+            }
+        }
     }
 
     #[test]

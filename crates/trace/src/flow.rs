@@ -164,11 +164,11 @@ struct FlightRecorder {
     next_seq: u64,
 }
 
-/// Per-shard tracer: the object that lives behind the engine's
-/// `Option`-slot. Owns the sampling decision, the live-slot table,
-/// the flight recorder and (optionally) the wall-clock phase
-/// profiler. All methods are plain owned-data mutations — one shard's
-/// thread, no synchronization.
+/// Per-shard tracer: the engine's probe holds one, next to its event
+/// sink and metrics registry. Owns the sampling decision, the
+/// live-slot table, the flight recorder and (optionally) the
+/// wall-clock phase profiler. All methods are plain owned-data
+/// mutations — one shard's thread, no synchronization.
 #[derive(Debug, Clone)]
 pub struct ShardTracer {
     shard: u32,

@@ -27,9 +27,9 @@
 //!   flight-recorder contents, and [`top`] — plain-ANSI rendering
 //!   helpers for the `repro -- top` live dashboard.
 //!
-//! The engine-facing discipline is the same `Option`-slot rule as
-//! `EventSink` and `EngineMetrics`: a [`ShardTracer`] lives behind an
-//! `Option<Box<…>>` on each `Nat`, so a disabled tracer costs one
+//! The engine-facing discipline is the one `EventSink` and
+//! `EngineMetrics` share: a [`ShardTracer`] lives in the one optional
+//! probe each `Nat` holds next to them, so a disabled tracer costs one
 //! untaken branch per fire site (`benchmark/`'s untraced runs, read as
 //! parent-vs-change pairs, hold that cost).
 //!
