@@ -42,6 +42,23 @@
 //! Elements are append-only (`push`); the store layers slot reuse on
 //! top with its own free-list. The arena only drops elements when it
 //! is itself dropped.
+//!
+//! **A full-size chunk is an anonymous mapping of its own**, not a
+//! heap block. Through `std::alloc` a 2 MiB-aligned request is a glibc
+//! `memalign`, and glibc serves it from the `brk` heap as soon as its
+//! dynamic mmap threshold has risen past 2 MiB — which it does each
+//! time a large block is freed (an index rebuild, a drained wheel
+//! bucket). Measured on a 2-core x86-64 Linux host with the
+//! benchmark's `replay-churn` (forty steps), that put 289–305 MB of the
+//! process in the heap, 137–141 MB of it hugepage-backed arena chunks;
+//! on both replays the heap held 35–45 MB more than the live
+//! structures, and `replay-hit` peak RSS swung between 158 and 205 MiB
+//! across seeds at fixed work. So on Linux x86-64 a full-size chunk
+//! maps twice 2 MiB, unmaps the misaligned head and the tail, advises
+//! the aligned 2 MiB that is left, and is unmapped on drop: it costs
+//! exactly its own pages wherever the heap stands. Young chunk 0 stays
+//! a plain allocation, so a home NAT still pays kilobytes. Elsewhere,
+//! and under Miri, full-size chunks take the `std::alloc` path.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
@@ -54,22 +71,14 @@ use std::ptr::NonNull;
 /// mapping alone is *not* backed by a hugepage — without the advice
 /// every random slot access at dimensioning scale pays a 4 KiB-page
 /// TLB walk (tens of thousands of pages for a 16× working set vs. ~one
-/// TLB entry per chunk). Advisory only: the return value is ignored,
-/// and on non-Linux or non-x86-64 targets (and under Miri, which has
-/// no inline assembly) this is a no-op.
-///
+/// TLB entry per chunk). Advisory only: the return value is ignored.
 /// The kernel backs an extent with a hugepage only if the advice
-/// covers all 2 MiB of it, so callers pass the whole extent. The
-/// store's hot and cold rows fill a full chunk exactly (asserted beside
-/// them), so for them the advice names their own chunk and nothing
-/// else; a row size that does not divide 2 MiB would leave the
-/// extent's tail to whatever the allocator mapped behind the chunk.
+/// covers all 2 MiB of it, so [`map_chunk`] passes its whole mapping.
 ///
 /// # Safety
 ///
-/// `ptr` must be the start of a live allocation. `ptr + len` may lie
-/// past its end: the call reads and writes no memory, it only sets a
-/// paging hint on whatever mappings the range touches.
+/// `ptr..ptr + len` lies in a live mapping. The call reads and writes
+/// no memory; it only sets a paging hint on the range.
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 unsafe fn advise_hugepage(ptr: *mut u8, len: usize) {
     const SYS_MADVISE: u64 = 28;
@@ -87,8 +96,101 @@ unsafe fn advise_hugepage(ptr: *mut u8, len: usize) {
     );
 }
 
+/// A full-size chunk as an anonymous mapping of its own: map twice
+/// [`ARENA_CHUNK_BYTES`], unmap the misaligned head and the tail, and
+/// advise the aligned 2 MiB that is left. Null if the kernel refuses
+/// the mapping. Release it with [`unmap_chunk`], never `dealloc`.
+///
+/// # Safety
+///
+/// `layout` is a full-size chunk's (2 MiB, 2 MiB-aligned). The call
+/// maps fresh memory and unmaps only parts of that same mapping.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+unsafe fn map_chunk(_layout: Layout) -> *mut u8 {
+    const SYS_MMAP: u64 = 9;
+    const PROT_READ_WRITE: u64 = 0x1 | 0x2;
+    const MAP_PRIVATE_ANONYMOUS: u64 = 0x02 | 0x20;
+    let span = 2 * ARENA_CHUNK_BYTES;
+    let ret: i64;
+    std::arch::asm!(
+        "syscall",
+        inlateout("rax") SYS_MMAP => ret,
+        in("rdi") 0u64,
+        in("rsi") span,
+        in("rdx") PROT_READ_WRITE,
+        in("r10") MAP_PRIVATE_ANONYMOUS,
+        in("r8") -1i64,
+        in("r9") 0u64,
+        lateout("rcx") _,
+        lateout("r11") _,
+        options(nostack),
+    );
+    if ret < 0 {
+        return std::ptr::null_mut();
+    }
+    let base = ret as usize;
+    let start = base.next_multiple_of(ARENA_CHUNK_BYTES);
+    let end = start + ARENA_CHUNK_BYTES;
+    // The head is empty when the kernel handed out an aligned base
+    // (munmap refuses a zero length); the tail never is, since `base`
+    // is page-aligned and so `start - base < ARENA_CHUNK_BYTES`.
+    // SAFETY (both unmaps): page-aligned ranges of the mapping made
+    // above, outside the chunk, never handed to anyone.
+    if start > base {
+        unmap(base, start - base);
+    }
+    unmap(end, base + span - end);
+    // SAFETY: `start` begins a live mapping of exactly 2 MiB, so the
+    // advice names this chunk and nothing else.
+    advise_hugepage(start as *mut u8, ARENA_CHUNK_BYTES);
+    start as *mut u8
+}
+
+/// Release a chunk made by [`map_chunk`].
+///
+/// # Safety
+///
+/// `ptr` comes from [`map_chunk`] and no element in it will be read
+/// again: the range is gone afterwards.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+unsafe fn unmap_chunk(ptr: *mut u8, _layout: Layout) {
+    unmap(ptr as usize, ARENA_CHUNK_BYTES);
+}
+
+/// `munmap(addr, len)`, return value ignored: it fails only on a
+/// misaligned or empty range, which the two callers above never pass.
+///
+/// # Safety
+///
+/// `addr..addr + len` is page-aligned, lies inside a mapping
+/// [`map_chunk`] made, and holds nothing anyone will read again.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+unsafe fn unmap(addr: usize, len: usize) {
+    const SYS_MUNMAP: u64 = 11;
+    let _ret: i64;
+    std::arch::asm!(
+        "syscall",
+        inlateout("rax") SYS_MUNMAP => _ret,
+        in("rdi") addr,
+        in("rsi") len,
+        lateout("rcx") _,
+        lateout("r11") _,
+        options(nostack),
+    );
+}
+
+/// Off Linux x86-64, and under Miri (no inline assembly), a full-size
+/// chunk is the 2 MiB-aligned `std::alloc` allocation every chunk
+/// once was, so Miri keeps checking the arena's pointer arithmetic.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
-unsafe fn advise_hugepage(_ptr: *mut u8, _len: usize) {}
+unsafe fn map_chunk(layout: Layout) -> *mut u8 {
+    alloc(layout)
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
+unsafe fn unmap_chunk(ptr: *mut u8, layout: Layout) {
+    dealloc(ptr, layout);
+}
 
 /// Bytes per full-size arena chunk: 2 MiB, the x86-64 hugepage size.
 /// `cgn_arena_chunks` × this bounds the slab's footprint from above
@@ -164,25 +266,38 @@ impl<T> Arena<T> {
         Layout::from_size_align(cap * std::mem::size_of::<T>(), align).expect("arena chunk layout")
     }
 
-    /// Allocate an uninitialised chunk of `cap` (1..=`CAP`) elements,
-    /// hugepage-advised when it is full-size.
+    /// Allocate an uninitialised chunk of `cap` (1..=`CAP`) elements:
+    /// a hugepage-advised mapping of its own when it is full-size, a
+    /// plain allocation below that.
     fn alloc_chunk(cap: usize) -> NonNull<T> {
         let layout = Self::chunk_layout(cap);
-        // SAFETY: the layout has non-zero size (cap >= 1, and T is not
-        // a ZST by the CAP assertion's division).
-        let ptr = unsafe { alloc(layout) };
-        let Some(chunk) = NonNull::new(ptr.cast::<T>()) else {
-            handle_alloc_error(layout)
+        let ptr = if cap == Self::CAP {
+            // SAFETY: a full-size chunk's layout, which is all
+            // `map_chunk` asks for; it is released by `free_chunk`
+            // through `unmap_chunk`, the same `cap` choosing the path.
+            unsafe { map_chunk(layout) }
+        } else {
+            // SAFETY: the layout has non-zero size (cap >= 1, and T is
+            // not a ZST by the CAP assertion's division).
+            unsafe { alloc(layout) }
         };
+        NonNull::new(ptr.cast::<T>()).unwrap_or_else(|| handle_alloc_error(layout))
+    }
+
+    /// Release a chunk `alloc_chunk(cap)` returned, by the path that
+    /// made it.
+    ///
+    /// # Safety
+    ///
+    /// `chunk` came from `alloc_chunk(cap)`, is not used afterwards,
+    /// and its elements have been moved out or dropped.
+    unsafe fn free_chunk(chunk: NonNull<T>, cap: usize) {
+        let (ptr, layout) = (chunk.as_ptr().cast::<u8>(), Self::chunk_layout(cap));
         if cap == Self::CAP {
-            // SAFETY: `ptr` is a live allocation at 2 MiB alignment.
-            // The advice covers the whole aligned 2 MiB extent: exactly
-            // the allocation for the store's rows, past its end only
-            // for a row size that does not divide 2 MiB (see
-            // `advise_hugepage`).
-            unsafe { advise_hugepage(ptr, ARENA_CHUNK_BYTES) };
+            unmap_chunk(ptr, layout);
+        } else {
+            dealloc(ptr, layout);
         }
-        chunk
     }
 
     /// Raw element pointer. Caller guarantees `i < cap` (and
@@ -260,15 +375,15 @@ impl<T> Arena<T> {
         };
         let new = Self::alloc_chunk(new_cap);
         if let Some(old) = self.chunks.pop() {
-            // SAFETY: `old` is chunk 0, a live allocation of `cap`
-            // elements made with `chunk_layout(cap)`, all of them
-            // initialised (`len == cap`); `new` is a distinct
-            // allocation of `2 * cap`. The copy moves the elements
-            // bitwise, so the old storage is freed without dropping
-            // them, and `&mut self` means no borrow of them is live.
+            // SAFETY: `old` is chunk 0, a live `alloc_chunk(cap)` of
+            // `cap` elements, all of them initialised (`len == cap`);
+            // `new` is a distinct allocation of `2 * cap`. The copy
+            // moves the elements bitwise, so the old storage is freed
+            // without dropping them, and `&mut self` means no borrow of
+            // them is live.
             unsafe {
                 std::ptr::copy_nonoverlapping(old.as_ptr(), new.as_ptr(), self.len);
-                dealloc(old.as_ptr().cast::<u8>(), Self::chunk_layout(self.cap));
+                Self::free_chunk(old, self.cap);
             }
         }
         self.chunks.push(new);
@@ -313,17 +428,17 @@ impl<T> Drop for Arena<T> {
     fn drop(&mut self) {
         // Every chunk is full-size except a lone, still-small chunk 0
         // (then `cap < CAP` is its size).
-        let layout = Self::chunk_layout(self.cap.min(Self::CAP));
-        for (c, chunk) in self.chunks.iter().enumerate() {
+        let cap = self.cap.min(Self::CAP);
+        for (c, &chunk) in self.chunks.iter().enumerate() {
             let filled = self.len.saturating_sub(c << Self::SHIFT).min(Self::CAP);
             // SAFETY: the first `filled` elements of each chunk are
-            // initialised and dropped exactly once; the chunk was
-            // allocated with this exact layout.
+            // initialised and dropped exactly once; the chunk came from
+            // `alloc_chunk(cap)` and is never touched again.
             unsafe {
                 for i in 0..filled {
                     std::ptr::drop_in_place(chunk.as_ptr().add(i));
                 }
-                dealloc(chunk.as_ptr().cast::<u8>(), layout);
+                Self::free_chunk(chunk, cap);
             }
         }
     }
@@ -411,6 +526,62 @@ mod tests {
         for c in 0..3 {
             let addr = &a[c * ROW_CAP] as *const Row as usize;
             assert_eq!(addr % ARENA_CHUNK_BYTES, 0, "chunk {c}");
+        }
+    }
+
+    /// Full-size chunks are anonymous mappings of their own: aligned,
+    /// outside glibc's `[heap]`, and returned to the kernel on drop.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn full_chunks_are_their_own_mappings() {
+        use std::os::unix::fs::FileExt;
+
+        /// The `/proc/self/maps` line whose range covers `[lo, hi)`.
+        fn covering(lo: usize, hi: usize) -> Option<String> {
+            let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
+            maps.lines()
+                .find(|line| {
+                    let range = line.split(' ').next().unwrap_or("");
+                    let (start, end) = range.split_once('-').expect("maps range");
+                    let start = usize::from_str_radix(start, 16).expect("hex");
+                    let end = usize::from_str_radix(end, 16).expect("hex");
+                    start <= lo && hi <= end
+                })
+                .map(str::to_owned)
+        }
+
+        const TAG: u64 = 0x5eed << 48;
+        let mut a: Arena<Row> = Arena::new();
+        for i in 0..2 * ROW_CAP + 1 {
+            a.push([TAG | i as u64; 128]);
+        }
+        let starts: Vec<usize> = (0..3)
+            .map(|c| &a[c * ROW_CAP] as *const Row as usize)
+            .collect();
+        for (c, &start) in starts.iter().enumerate() {
+            assert_eq!(start % ARENA_CHUNK_BYTES, 0, "chunk {c}");
+            let line = covering(start, start + ARENA_CHUNK_BYTES).expect("chunk is mapped");
+            // Anonymous: no path and no pseudo-path such as `[heap]`.
+            // Adjacent chunks may share one line, since the kernel
+            // merges like mappings.
+            assert_eq!(line.split_whitespace().nth(5), None, "chunk {c}: {line}");
+        }
+        drop(a);
+        // Gone: no line covers the chunk any more. Tests run in
+        // parallel, so another may have mapped the freed range since;
+        // then it must at least no longer hold this arena's first row
+        // (an unmapped address reads back as an error).
+        let mem = std::fs::File::open("/proc/self/mem").expect("/proc/self/mem");
+        for (c, &start) in starts.iter().enumerate() {
+            if let Some(line) = covering(start, start + ARENA_CHUNK_BYTES) {
+                let mut word = [0u8; 8];
+                let read = mem.read_exact_at(&mut word, start as u64);
+                let row = TAG | (c * ROW_CAP) as u64;
+                assert!(
+                    read.is_err() || u64::from_ne_bytes(word) != row,
+                    "chunk {c} still mapped after drop: {line}"
+                );
+            }
         }
     }
 

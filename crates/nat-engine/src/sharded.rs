@@ -39,6 +39,7 @@ use std::net::Ipv4Addr;
 /// borrowed from `std::hash` (whose output is not guaranteed across
 /// releases). Re-exported here because sharding is its original home.
 pub use crate::store::mix64;
+use crate::store::MixMap;
 
 /// Run `f` over a list of mutually independent work items on up to
 /// `threads` scoped worker threads (`threads <= 1` runs in place on
@@ -84,8 +85,11 @@ where
 #[derive(Debug)]
 pub struct ShardedNat {
     shards: Vec<Nat>,
-    /// External IP → owning shard, for inbound routing.
-    ext_owner: HashMap<Ipv4Addr, usize>,
+    /// External IP → owning shard, for inbound routing. Looked up once
+    /// a packet and never iterated, so the deterministic [`MixMap`]
+    /// hash keeps SipHash off the per-packet path at no change in
+    /// behaviour.
+    ext_owner: MixMap<Ipv4Addr, usize>,
     /// Opt-in single-chassis loopback: outbound packets targeting a
     /// *foreign* shard's pool hairpin through the owner shard instead
     /// of forwarding toward the core (multi-chassis default).
@@ -110,7 +114,7 @@ impl ShardedNat {
             shards
         );
         let mut pools: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); shards as usize];
-        let mut ext_owner = HashMap::new();
+        let mut ext_owner = MixMap::default();
         for (i, ip) in external_ips.into_iter().enumerate() {
             let shard = i % shards as usize;
             pools[shard].push(ip);

@@ -38,7 +38,7 @@
 //!   ([`mix64`]) instead of SipHash over tuples.
 //!
 //! * **Hot/cold slot split** — the fields every sweep and every
-//!   expiry check touch (generation, wheel bookkeeping, the expiry —
+//!   expiry check touch (timer ticket, wheel bookkeeping, the expiry —
 //!   its only copy — and the owning host id) live in a dense parallel
 //!   array of 32-byte `HotSlot` rows; the cold remainder (packed keys,
 //!   the full [`Mapping`] with its filter state) is one 64-byte,
@@ -102,10 +102,10 @@
 //! the real expiry when it fires), while a refresh that *shortens* the
 //! expiry (a TCP FIN/RST moving a mapping onto the transitory clock)
 //! schedules a new, earlier entry and lets the old one die as stale.
-//! Stale entries are recognised by a per-slot generation counter (slot
-//! reuse) plus a per-slot schedule sequence number (at most one
-//! authoritative entry per slot), and cost one comparison when their
-//! bucket is drained.
+//! Stale entries are recognised by a per-slot ticket, bumped on every
+//! free and on every filing, so at most one entry per slot is
+//! authoritative; a stale one costs one comparison when its bucket is
+//! drained.
 
 use crate::arena::{Arena, ARENA_CHUNK_BYTES};
 use crate::config::MappingBehavior;
@@ -245,16 +245,21 @@ const WHEEL_GEOM: WheelGeometry = WheelGeometry {
     buckets: &[WHEEL_BUCKETS as u64; WHEEL_LEVELS],
 };
 
+/// One parked expiry: 16 bytes, four to a cache line.
+///
+/// The entry is authoritative exactly when `ticket == hot.ticket &&
+/// hot.live` for its slot's [`HotSlot`]. The slot's ticket moves on
+/// every free and on every filing, so an entry for a freed or reused
+/// slot and an entry superseded by a later filing (a shortening, or a
+/// lazy extension re-parked by the sweep) both fail the check; at most
+/// one entry can ever expire or reschedule a slot — duplicates (e.g. a
+/// shorten followed by an extension back to the old deadline) die
+/// stale on it.
 #[derive(Debug, Clone, Copy)]
 struct TimerEntry {
     slot: u32,
-    gen: u32,
-    /// Per-slot schedule sequence number (see [`Slot::wheel_seq`]):
-    /// only the entry carrying the slot's latest sequence is
-    /// authoritative, so at most one entry can ever expire or
-    /// reschedule a slot — duplicates (e.g. a shorten followed by an
-    /// extension back to the old deadline) die stale on this check.
-    seq: u32,
+    /// The slot's [`HotSlot::ticket`] when this entry was filed.
+    ticket: u32,
     deadline_ms: u64,
 }
 
@@ -342,13 +347,8 @@ impl TimerWheel {
     }
 
     #[inline]
-    fn schedule(&mut self, slot: u32, gen: u32, seq: u32, deadline_ms: u64) {
-        self.park(TimerEntry {
-            slot,
-            gen,
-            seq,
-            deadline_ms,
-        });
+    fn schedule(&mut self, e: TimerEntry) {
+        self.park(e);
         self.entries += 1;
     }
 
@@ -716,13 +716,13 @@ struct HostEntry {
 /// the 64-byte cold row through the cache.
 #[derive(Debug, Clone, Copy)]
 struct HotSlot {
-    /// Bumped on every free; timer entries carry the generation they
-    /// were scheduled under, so entries for a reused slot are stale.
-    gen: u32,
-    /// Bumped every time a new timer entry is filed for this slot
-    /// while live; the entry carrying the latest value is the single
-    /// authoritative one, everything older is a stale duplicate.
-    wheel_seq: u32,
+    /// Bumped on every free and every time a timer entry is filed for
+    /// this slot. A [`TimerEntry`] is authoritative exactly when it
+    /// carries the current ticket and the slot is live: a free stales
+    /// every parked entry, a filing every earlier one. An entry parked
+    /// across 2^32 bumps of its slot would pass for current: billions
+    /// of packets to one slot inside one mapping timeout.
+    ticket: u32,
     /// Deadline of this slot's authoritative timer entry (used to
     /// decide whether a new expiry shortens or lazily extends it).
     wheel_deadline: u64,
@@ -752,6 +752,26 @@ struct Slot {
 // hugepage advice on a chunk covers its own rows and nothing else.
 const _: () = assert!(Arena::<Slot>::CAP * std::mem::size_of::<Slot>() == ARENA_CHUNK_BYTES);
 const _: () = assert!(Arena::<HotSlot>::CAP * std::mem::size_of::<HotSlot>() == ARENA_CHUNK_BYTES);
+// Four timer entries to a cache line, and the hot row's ticket leaves
+// it at 32 bytes.
+const _: () = assert!(std::mem::size_of::<TimerEntry>() == 16);
+const _: () = assert!(std::mem::size_of::<HotSlot>() == 32);
+
+impl HotSlot {
+    /// Move the ticket on and point the wheel deadline at
+    /// `deadline_ms`: the entry returned is now `slot`'s only
+    /// authoritative one, ready to park.
+    #[inline]
+    fn file(&mut self, slot: u32, deadline_ms: u64) -> TimerEntry {
+        self.ticket = self.ticket.wrapping_add(1);
+        self.wheel_deadline = deadline_ms;
+        TimerEntry {
+            slot,
+            ticket: self.ticket,
+            deadline_ms,
+        }
+    }
+}
 
 /// Occupancy snapshot of one store — the "how big did the arena get"
 /// observable the dimensioning report surfaces next to the port-demand
@@ -808,7 +828,7 @@ const KIND_APDM: u128 = 2;
 pub struct MappingStore {
     /// Cold rows (keys + full mappings), parallel to `hot`.
     slots: Arena<Slot>,
-    /// Hot rows (generation, wheel bookkeeping, cached expiry, host).
+    /// Hot rows (timer ticket, wheel bookkeeping, cached expiry, host).
     hot: Arena<HotSlot>,
     /// Address-ordered free-list of reusable slot ids: `pop` returns
     /// the lowest free id, so reuse packs live slots toward the front
@@ -1167,8 +1187,6 @@ impl MappingStore {
         let slot = match self.free.pop() {
             Some(s) => {
                 let hot = &mut self.hot[s as usize];
-                hot.wheel_seq = 0;
-                hot.wheel_deadline = deadline;
                 hot.expiry_ms = deadline;
                 hot.host = host;
                 hot.live = true;
@@ -1181,8 +1199,7 @@ impl MappingStore {
             None => {
                 let s = u32::try_from(self.slots.len()).expect("more than 2^32 mapping slots");
                 self.hot.push(HotSlot {
-                    gen: 0,
-                    wheel_seq: 0,
+                    ticket: 0,
                     wheel_deadline: deadline,
                     expiry_ms: deadline,
                     host,
@@ -1196,8 +1213,8 @@ impl MappingStore {
                 s
             }
         };
-        let gen = self.hot[slot as usize].gen;
-        self.wheel.schedule(slot, gen, 0, deadline);
+        let e = self.hot[slot as usize].file(slot, deadline);
+        self.wheel.schedule(e);
         let slots = &self.slots;
         self.out_index.insert(Self::hash_out(out_key), slot, |s| {
             Self::hash_out(slots[s as usize].out_key)
@@ -1229,7 +1246,7 @@ impl MappingStore {
     }
 
     /// Remove a mapping: drop it from both indices, decrement its
-    /// host's session counter, free the slot (bumping the generation so
+    /// host's session counter, free the slot (bumping the ticket so
     /// parked timer entries die stale), and return the mapping plus the
     /// pool id its external port came from (for the caller's port
     /// release).
@@ -1240,7 +1257,7 @@ impl MappingStore {
         let out_key = cold.out_key;
         let ext_key = cold.ext_key;
         let hot = &mut self.hot[slot as usize];
-        hot.gen = hot.gen.wrapping_add(1);
+        hot.ticket = hot.ticket.wrapping_add(1);
         hot.live = false;
         let host = hot.host;
         self.out_index.remove(Self::hash_out(out_key), slot);
@@ -1262,10 +1279,8 @@ impl MappingStore {
         assert!(hot.live, "slot is free");
         hot.expiry_ms = ms;
         if ms < hot.wheel_deadline {
-            hot.wheel_seq = hot.wheel_seq.wrapping_add(1);
-            hot.wheel_deadline = ms;
-            let (gen, seq) = (hot.gen, hot.wheel_seq);
-            self.wheel.schedule(slot, gen, seq, ms);
+            let e = hot.file(slot, ms);
+            self.wheel.schedule(e);
         }
     }
 
@@ -1326,25 +1341,18 @@ impl MappingStore {
                     prefetch_line(hot);
                 }
                 let hot = &mut self.hot[e.slot as usize];
-                if hot.gen != e.gen || hot.wheel_seq != e.seq || !hot.live {
+                if hot.ticket != e.ticket || !hot.live {
                     continue; // stale: freed, reused, or superseded entry
                 }
                 if hot.expiry_ms <= now_ms {
                     due.push(e.slot);
                 } else {
                     // Lazily-extended mapping: park at the real expiry.
-                    // The sequence bump happens immediately so any
-                    // other parked entry for this slot is already
-                    // stale; the wheel insert is deferred until the
-                    // ticks have finished turning.
-                    hot.wheel_seq = hot.wheel_seq.wrapping_add(1);
-                    hot.wheel_deadline = hot.expiry_ms;
-                    resched.push(TimerEntry {
-                        slot: e.slot,
-                        gen: e.gen,
-                        seq: hot.wheel_seq,
-                        deadline_ms: hot.expiry_ms,
-                    });
+                    // The ticket moves on immediately so any other
+                    // parked entry for this slot is already stale; the
+                    // wheel insert is deferred until the ticks have
+                    // finished turning.
+                    resched.push(hot.file(e.slot, hot.expiry_ms));
                 }
             }
             match next(&self.wheel, tick) {
@@ -1361,7 +1369,7 @@ impl MappingStore {
         }
         self.wheel.horizon_ms = now_ms;
         for e in resched {
-            self.wheel.schedule(e.slot, e.gen, e.seq, e.deadline_ms);
+            self.wheel.schedule(e);
         }
         (inspected, due)
     }
@@ -1582,7 +1590,7 @@ mod tests {
         assert_eq!(slot, 0);
         let (inspected, due) = s.sweep_due(t(61));
         assert!(inspected >= 1, "the stale entry was drained and checked");
-        assert!(due.is_empty(), "generation mismatch keeps the new mapping");
+        assert!(due.is_empty(), "ticket mismatch keeps the new mapping");
         let (_, due) = s.sweep_due(t(120));
         assert_eq!(due, vec![0]);
     }
@@ -1649,6 +1657,38 @@ mod tests {
         s.remove(0).expect("live");
         let (_, due) = s.sweep_due(t(200));
         assert!(due.is_empty());
+    }
+
+    #[test]
+    fn ticket_outlives_free_reuse_and_shorten() {
+        // Every filing and every free moves the slot's one ticket on,
+        // so of the four entries parked for slot 0 below (100 s from
+        // its first tenant, 300 s, 200 s and 150 s from its second)
+        // only the last is authoritative; the sweep re-parks it at the
+        // extended expiry. The slot is due once, at 250 s, and never
+        // again — even left in place, as nothing re-files it.
+        let (mut s, _) = store_with(1, 100);
+        s.remove(0).expect("live");
+        let internal = Endpoint::new(ip(100, 64, 0, 7), 50_000);
+        let key = s.out_key(
+            MappingBehavior::EndpointIndependent,
+            Protocol::Udp,
+            internal,
+            Endpoint::new(ip(203, 0, 113, 1), 80),
+        );
+        let external = Endpoint::new(ip(198, 51, 100, 1), 11_000);
+        assert_eq!(insert(&mut s, key, mapping(internal, external, t(300))), 0);
+        s.set_expiry(0, t(200)); // shorten: files a second entry
+        s.set_expiry(0, t(150)); // shorten again: a third
+        s.set_expiry(0, t(250)); // extend: lazy, nothing filed
+        assert_eq!(s.occupancy().timers, 4);
+        let fired: Vec<(u64, Vec<u32>)> = (1..=400)
+            .map(|secs| (secs, s.sweep_due(t(secs)).1))
+            .filter(|(_, due)| !due.is_empty())
+            .collect();
+        assert_eq!(fired, vec![(250, vec![0])]);
+        assert_eq!(s.occupancy().timers, 0, "every entry drained");
+        assert_eq!(s.get(0).internal, internal, "still the second tenant");
     }
 
     #[test]
