@@ -47,7 +47,7 @@
 //! nonzero when an export fails or the committed precision/recall
 //! gates are missed.
 
-use cgn_bench::metrics_artifact::{measure_probe_latency, MetricsReport};
+use cgn_bench::metrics_artifact::MetricsReport;
 use cgn_study::{run_study, StudyConfig};
 
 fn main() {
@@ -362,22 +362,19 @@ fn run_detection_campaign(
 }
 
 /// The `--metrics` mode's artifacts: `BENCH_metrics.json` (windowed
-/// aggregates + wall-clock trace-probe latency) and the Prometheus
-/// text exposition `BENCH_metrics.prom`, built from the metrics-
-/// enabled dimensioning run the study just performed. The live
-/// per-window table is part of the rendered report already.
+/// aggregates) and the Prometheus text exposition
+/// `BENCH_metrics.prom`, built from the metrics-enabled dimensioning
+/// run the study just performed. The live per-window table is part of
+/// the rendered report already.
 fn write_metrics_artifacts(dimensioning: Option<&cgn_study::DimensioningReport>) {
     let Some(dim) = dimensioning else {
         eprintln!("--metrics given but the study produced no dimensioning report");
         std::process::exit(1);
     };
-    let Some(mut artifact) = MetricsReport::from_dimensioning(dim) else {
+    let Some(artifact) = MetricsReport::from_dimensioning(dim) else {
         eprintln!("--metrics given but the dimensioning runs carried no metrics");
         std::process::exit(1);
     };
-    // Wall-clock probe latency lives only in this artifact, never in
-    // the bit-compared report itself.
-    artifact.metrics.probe_latency = measure_probe_latency(&dim.config);
     let json = serde_json::to_string_pretty(&artifact).expect("metrics serializes");
     if let Err(e) = std::fs::write("BENCH_metrics.json", json) {
         eprintln!("writing BENCH_metrics.json failed: {e}");

@@ -1,39 +1,22 @@
 //! The `repro -- dimensioning --metrics` artifact: the windowed
 //! aggregates of a metrics-enabled dimensioning run
 //! (`BENCH_metrics.json`, schema [`METRICS_SCHEMA`]), their Prometheus
-//! text exposition (`BENCH_metrics.prom`), and the wall-clock
-//! traceability-probe latency that rides along.
+//! text exposition (`BENCH_metrics.prom`).
 
-use cgn_study::dimensioning::{probe_latency_histogram, DimensioningConfig};
 use cgn_study::DimensioningReport;
-use cgn_telemetry::Record;
 use cgn_traffic::MetricsSummary;
-use nat_engine::telemetry::TelemetryMode;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag of [`MetricsReport`]. `/2` dropped the overhead `rows`
-/// and the `scale` the removed perf harness measured them at.
-pub const METRICS_SCHEMA: &str = "cgn-metrics/2";
+/// and the `scale` the removed perf harness measured them at; `/3`
+/// dropped the wall-clock `probe_latency`.
+pub const METRICS_SCHEMA: &str = "cgn-metrics/3";
 
 /// The windowed metrics of one workload mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsMixPerf {
     pub mix: String,
     pub metrics: MetricsSummary,
-}
-
-/// Wall-clock traceability-query latency: up to 512 evenly-sampled
-/// `TraceIndex` probes over the reference mix's decoded log, bucketed
-/// by [`probe_latency_histogram`]. Wall-clock numbers live only in
-/// this artifact layer — never in [`cgn_traffic::RunSummary`], which
-/// is compared bit-for-bit across machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProbeLatency {
-    pub probes: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub mean_ns: f64,
 }
 
 /// Per-mix window series of the run plus what summarises them.
@@ -49,8 +32,6 @@ pub struct MetricsSection {
     /// Start of that worst window (simulated seconds).
     pub worst_window_start_secs: u64,
     pub mixes: Vec<MetricsMixPerf>,
-    /// Wall-clock `TraceIndex` probe latency over the reference mix.
-    pub probe_latency: Option<ProbeLatency>,
 }
 
 impl MetricsSection {
@@ -113,43 +94,15 @@ impl MetricsReport {
                 worst_window_flow_imbalance: worst,
                 worst_window_start_secs: worst_start,
                 mixes,
-                probe_latency: None,
             },
         })
     }
 }
 
-/// Measure the wall-clock [`TraceIndex`](cgn_telemetry::TraceIndex)
-/// probe-latency histogram for a dimensioning configuration: run its
-/// reference mix with per-connection logging, decode the shard logs,
-/// and time evenly-sampled attribution queries. `None` when the
-/// configuration has no mixes.
-pub fn measure_probe_latency(config: &DimensioningConfig) -> Option<ProbeLatency> {
-    let mix = config.mixes.first()?.clone();
-    let mut config = config.clone();
-    config.telemetry = TelemetryMode::PerConnection;
-    let (_, logs) = cgn_traffic::run_with_logs(&config.driver_config(mix));
-    let records: Vec<Record> = logs
-        .iter()
-        .flat_map(|l| l.decode().expect("self-produced log decodes"))
-        .collect();
-    let h = probe_latency_histogram(&records);
-    // Interpolated quantiles: a log2 bucket upper bound overstates
-    // the latency by up to 2x; interpolating within the bucket
-    // keeps the reported nanoseconds comparable across runs whose
-    // distributions straddle a bucket edge differently.
-    Some(ProbeLatency {
-        probes: h.count,
-        p50_ns: h.quantile_interpolated(0.50).round() as u64,
-        p95_ns: h.quantile_interpolated(0.95).round() as u64,
-        p99_ns: h.quantile_interpolated(0.99).round() as u64,
-        mean_ns: h.mean(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgn_study::dimensioning::DimensioningConfig;
     use cgn_traffic::WorkloadMix;
 
     #[test]
@@ -170,7 +123,5 @@ mod tests {
         assert_eq!(artifact.metrics.window_secs, 30);
         assert_eq!(artifact.metrics.mixes.len(), 1);
         assert!(artifact.metrics.exposition().contains("# mix"));
-        let probe = measure_probe_latency(&config).expect("reference mix probed");
-        assert!(probe.probes > 0);
     }
 }

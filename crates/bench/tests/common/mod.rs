@@ -184,8 +184,10 @@ pub fn play(
     observed
 }
 
-/// The conservation law: every packet handed in got exactly one
-/// verdict, every drop exactly one counted reason.
+/// The conservation laws: every packet handed in got exactly one
+/// verdict, every drop exactly one counted reason; and on the port
+/// side, every live mapping holds one allocated port, and mappings
+/// created less mappings expired is what is live.
 pub fn assert_conserved(o: &Observed) {
     let count = |kind: fn(&HeaderVerdict) -> bool| o.seen.iter().filter(|s| kind(&s.0)).count();
     let forwarded = count(|v| *v == HeaderVerdict::Forward) as u64;
@@ -208,6 +210,13 @@ pub fn assert_conserved(o: &Observed) {
             + s.drop_no_hairpin
             + s.drop_unmatched_icmp,
         "every drop one reason"
+    );
+    let allocated: usize = o.ports.iter().map(|p| p.allocated).sum();
+    assert_eq!(allocated as u64, o.store.live, "allocated ports = live");
+    assert_eq!(
+        s.mappings_created - s.mappings_expired,
+        o.store.live,
+        "created - expired = live"
     );
 }
 

@@ -23,15 +23,13 @@ fn dimensioning_metrics_writes_both_artifacts() {
 
     let report: MetricsReport =
         serde_json::from_str(&json.expect("BENCH_metrics.json written")).expect("artifact parses");
-    assert_eq!(report.schema, "cgn-metrics/2");
+    assert_eq!(report.schema, "cgn-metrics/3");
     let mixes = cgn_study::DimensioningConfig::small(report.seed).mixes;
     assert_eq!(report.metrics.mixes.len(), mixes.len(), "one entry per mix");
     for (entry, mix) in report.metrics.mixes.iter().zip(&mixes) {
         assert_eq!(entry.mix, mix.name);
         assert!(!entry.metrics.windows.is_empty(), "{}: windows", mix.name);
     }
-    let probe = report.metrics.probe_latency.expect("probes timed");
-    assert!(probe.probes > 0);
 
     let prom = prom.expect("BENCH_metrics.prom written");
     assert!(prom.contains("# mix "), "{prom}");

@@ -363,38 +363,6 @@ fn probe_logged(records: &[Record]) -> (usize, usize) {
     (probes, resolved)
 }
 
-/// Queries timed for the probe-latency histogram.
-const LATENCY_PROBES: usize = 512;
-
-/// Wall-clock [`TraceIndex`] probe-latency histogram: build the index
-/// over `records`, then time up to `LATENCY_PROBES` (512) evenly-sampled
-/// `(ext IP, port, T)` queries, recording **nanoseconds** into a log2
-/// histogram.
-///
-/// Wall-clock values live in the artifact layer only
-/// (`BENCH_metrics.json`) — they must never enter [`RunSummary`] or
-/// [`DimensioningReport`], which are compared bit-for-bit across runs
-/// and machines.
-pub fn probe_latency_histogram(records: &[Record]) -> cgn_metrics::Histogram {
-    let mut h = cgn_metrics::Histogram::default();
-    let index = TraceIndex::build(records);
-    let targets = probe_targets(records);
-    if targets.is_empty() {
-        return h;
-    }
-    let step = (targets.len() / LATENCY_PROBES).max(1);
-    for (proto, external, at_ms, _) in targets.iter().step_by(step).take(LATENCY_PROBES) {
-        let t0 = std::time::Instant::now();
-        let answer = index.query(*proto, *external, *at_ms);
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        // Keep the query observable so the timed call cannot be
-        // optimized away.
-        std::hint::black_box(answer);
-        h.record(elapsed);
-    }
-    h
-}
-
 /// Probe deterministic NAT: no log exists, so attribution inverts the
 /// provisioning arithmetic — forward-compute a sampled subscriber's
 /// block, then recover the subscriber from a mid-block port probe,
@@ -785,23 +753,5 @@ mod tests {
         cfg.threads = 3;
         let par = run_dimensioning(&cfg);
         assert_eq!(seq.runs, par.runs);
-    }
-
-    #[test]
-    fn probe_latency_histogram_measures_queries() {
-        let cfg = tiny(3);
-        let mut driver = cfg.driver_config(cfg.mixes[0].clone());
-        driver.telemetry = TelemetryMode::PerConnection;
-        let (_, logs) = cgn_traffic::run_with_logs(&driver);
-        let records: Vec<Record> = logs
-            .iter()
-            .flat_map(|l| l.decode().expect("self-produced log decodes"))
-            .collect();
-        let h = probe_latency_histogram(&records);
-        assert!(h.count > 0, "probes were timed");
-        assert!(h.count <= 512);
-        assert!(h.sum > 0, "wall time accumulated");
-        assert!(h.quantile(0.99) >= h.quantile(0.5));
-        assert_eq!(probe_latency_histogram(&[]).count, 0, "empty log is safe");
     }
 }

@@ -662,6 +662,23 @@ impl Nat {
         }
     }
 
+    /// The TCP state a mapping moves to when a segment with `flags`
+    /// crosses it (RFC 5382 §5, RFC 7857 §2.2): a SYN opens it
+    /// transitory, the first ACK after that establishes it, and an RST
+    /// or FIN puts it on the transitory clock for good.
+    ///
+    /// Only a segment the mapping's own connection could have sent moves
+    /// the state: every outbound segment, and an inbound one whose source
+    /// is an endpoint in the mapping's `contacted` set. An inbound
+    /// segment from any other endpoint changes no state, whatever its
+    /// flags and whatever the filtering admits, so a stranger's RST
+    /// cannot cut an established mapping's life to the transitory
+    /// timeout; [`Nat::translate_inbound`] does not call this for it.
+    ///
+    /// Sequence numbers are not modelled, so an RST whose source is
+    /// forged to a contacted endpoint cannot be told from a real one
+    /// and does close the mapping. Its bound: the mapping still lives
+    /// at least one `tcp_transitory_timeout` after that RST.
     fn tcp_update(state: Option<TcpConnState>, flags: TcpFlags) -> Option<TcpConnState> {
         Some(match (state, flags) {
             (_, f) if f.rst || f.fin => TcpConnState::Closing,
@@ -1040,7 +1057,8 @@ impl Nat {
 
     /// The inbound core: look up the mapping under an already-packed
     /// ext-key (`None` when the destination pool was never interned),
-    /// apply filtering, track TCP state, refresh, and rewrite `h`'s
+    /// apply filtering, track TCP state for segments from contacted
+    /// endpoints ([`Nat::tcp_update`]), refresh, and rewrite `h`'s
     /// destination to the internal endpoint.
     fn translate_inbound(
         &mut self,
@@ -1071,7 +1089,9 @@ impl Nat {
         let internal = {
             let m = self.store.get_mut(slot);
             if let Some(f) = h.flags {
-                m.tcp = Self::tcp_update(m.tcp, f);
+                if m.contacted.contains(&h.src) {
+                    m.tcp = Self::tcp_update(m.tcp, f);
+                }
             }
             m.internal
         };
@@ -1457,8 +1477,9 @@ mod tests {
         assert_eq!(n.stats().sweep_scans, 2);
     }
 
-    /// A full TCP handshake through `n` from `src`.
-    fn tcp_connect(n: &mut Nat, src: Endpoint, now: SimTime) {
+    /// A full TCP handshake through `n` from `src`; returns the
+    /// mapping's external endpoint.
+    fn tcp_connect(n: &mut Nat, src: Endpoint, now: SimTime) -> Endpoint {
         let syn = Packet::tcp(src, server(), TcpFlags::SYN, vec![]);
         let NatVerdict::Forward(out) = n.process_outbound(syn, now) else {
             panic!("SYN refused");
@@ -1473,6 +1494,7 @@ mod tests {
             n.process_outbound(ack, now),
             NatVerdict::Forward(_)
         ));
+        out.src
     }
 
     #[test]
@@ -1722,6 +1744,66 @@ mod tests {
         let data = Packet::tcp(server(), out.src, TcpFlags::ACK, vec![1]);
         assert!(matches!(
             n.process_inbound(data, t(3600)),
+            NatVerdict::Forward(_)
+        ));
+    }
+
+    /// An off-path host that never received a packet from the mapping.
+    fn stranger() -> Endpoint {
+        Endpoint::new(ip(192, 0, 2, 66), 31337)
+    }
+
+    /// The off-path teardown script: a handshake at t = 0, then one RST
+    /// from `rst_src` to the mapping at t = 1 s. Returns the NAT, the
+    /// RST's verdict and the mapping's external endpoint.
+    fn rst_after_handshake(
+        filtering: FilteringBehavior,
+        rst_src: Endpoint,
+    ) -> (Nat, NatVerdict, Endpoint) {
+        let mut cfg = NatConfig::cgn_default();
+        cfg.filtering = filtering;
+        let mut n = nat(cfg);
+        let ext = tcp_connect(&mut n, internal_host(1), t(0));
+        let rst = n.process_inbound(Packet::tcp(rst_src, ext, TcpFlags::RST, vec![]), t(1));
+        (n, rst, ext)
+    }
+
+    #[test]
+    fn stranger_rst_under_eif_leaves_the_mapping_established() {
+        let (mut n, rst, ext) =
+            rst_after_handshake(FilteringBehavior::EndpointIndependent, stranger());
+        assert!(matches!(rst, NatVerdict::Forward(_)), "EIF admits it");
+        let ack = Packet::tcp(server(), ext, TcpFlags::ACK, vec![1]);
+        assert!(matches!(
+            n.process_inbound(ack, t(600)),
+            NatVerdict::Forward(_)
+        ));
+    }
+
+    #[test]
+    fn forged_server_rst_under_apdf_is_bounded_by_the_transitory_timeout() {
+        let (mut n, rst, ext) =
+            rst_after_handshake(FilteringBehavior::AddressAndPortDependent, server());
+        assert!(matches!(rst, NatVerdict::Forward(_)));
+        n.sweep(t(1 + 239));
+        assert_eq!(n.mapping_count(), 1, "one transitory timeout after the RST");
+        n.sweep(t(1 + 241));
+        assert_eq!(n.mapping_count(), 0);
+        let ack = Packet::tcp(server(), ext, TcpFlags::ACK, vec![1]);
+        assert_eq!(
+            n.process_inbound(ack, t(600)),
+            NatVerdict::Drop(DropReason::NoMapping)
+        );
+    }
+
+    #[test]
+    fn stranger_rst_under_apdf_is_filtered() {
+        let (mut n, rst, ext) =
+            rst_after_handshake(FilteringBehavior::AddressAndPortDependent, stranger());
+        assert_eq!(rst, NatVerdict::Drop(DropReason::Filtered));
+        let ack = Packet::tcp(server(), ext, TcpFlags::ACK, vec![1]);
+        assert!(matches!(
+            n.process_inbound(ack, t(600)),
             NatVerdict::Forward(_)
         ));
     }

@@ -497,6 +497,82 @@ mod tests {
         assert_eq!(StunMessage::decode(&msg[..msg.len() - 1]), None);
     }
 
+    /// `decode` on `buf` returns without panicking, and accepts only a
+    /// buffer whose header length field counts its attribute bytes.
+    fn decodes_totally(buf: &[u8]) {
+        if StunMessage::decode(buf).is_some() {
+            let length = u16::from_be_bytes([buf[2], buf[3]]) as usize;
+            assert_eq!(buf.len(), 20 + length, "{buf:02x?}");
+        }
+    }
+
+    /// Byte offsets of every length field in an encoded message: the
+    /// header's, then each attribute's.
+    fn length_fields(enc: &[u8]) -> Vec<usize> {
+        let mut fields = vec![2];
+        let mut pos = 20;
+        while pos + 4 <= enc.len() {
+            fields.push(pos + 2);
+            let len = u16::from_be_bytes([enc[pos + 2], enc[pos + 3]]) as usize;
+            pos += 4 + len.next_multiple_of(4);
+        }
+        fields
+    }
+
+    #[test]
+    fn decode_is_total() {
+        let messages = [
+            (StunMessage::request([3; 12], true, true), 1),
+            (
+                StunMessage::response(
+                    [5; 12],
+                    Endpoint::new(ip(198, 51, 100, 7), 54321),
+                    Endpoint::new(ip(203, 0, 113, 51), 3479),
+                ),
+                2,
+            ),
+        ];
+        for (msg, attrs) in &messages {
+            let enc = msg.encode();
+            assert_eq!(StunMessage::decode(&enc).as_ref(), Some(msg));
+            for cut in 0..enc.len() {
+                decodes_totally(&enc[..cut]);
+            }
+            for i in 0..enc.len() {
+                let mut flipped = enc.clone();
+                flipped[i] ^= 0xFF;
+                decodes_totally(&flipped);
+            }
+            let fields = length_fields(&enc);
+            assert_eq!(fields.len(), 1 + attrs, "header + attributes");
+            for at in fields {
+                let was = u16::from_be_bytes([enc[at], enc[at + 1]]);
+                for len in [0, 1, 0xFFFF, was.wrapping_add(1), was.wrapping_sub(1)] {
+                    let mut rewritten = enc.clone();
+                    rewritten[at..at + 2].copy_from_slice(&len.to_be_bytes());
+                    decodes_totally(&rewritten);
+                }
+            }
+        }
+        // SplitMix64 noise, 0–96 bytes. Every eighth buffer carries a
+        // valid magic cookie so the attribute walk is reached too.
+        let mut state = 0u64;
+        let mut next = || {
+            let z = netcore::mix64(state);
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z
+        };
+        for i in 0..4096 {
+            let len = (next() % 97) as usize;
+            let mut buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if i % 8 == 0 && len >= 20 {
+                buf[2..4].copy_from_slice(&((len - 20) as u16).to_be_bytes());
+                buf[4..8].copy_from_slice(&MAGIC_COOKIE.to_be_bytes());
+            }
+            decodes_totally(&buf);
+        }
+    }
+
     #[test]
     fn xor_encoding_actually_xors() {
         let mapped = Endpoint::new(ip(192, 0, 2, 1), 8000);

@@ -460,6 +460,30 @@ impl ShardState {
     }
 }
 
+/// The driver's counters and wheel depth summed over every shard.
+#[derive(Default)]
+struct ShardTotals {
+    flows_started: u64,
+    flows_blocked: u64,
+    flows_completed: u64,
+    packets_sent: u64,
+    wheel_depth: u64,
+}
+
+impl ShardTotals {
+    fn of(states: &[ShardState]) -> ShardTotals {
+        let mut t = ShardTotals::default();
+        for st in states {
+            t.flows_started += st.flows_started;
+            t.flows_blocked += st.flows_blocked;
+            t.flows_completed += st.flows_completed;
+            t.packets_sent += st.packets_sent;
+            t.wheel_depth += st.wheel.len() as u64;
+        }
+        t
+    }
+}
+
 /// Base of the subscriber address plan (RFC 6598 shared space).
 pub const SUBSCRIBER_BASE: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 0);
 
@@ -1265,24 +1289,21 @@ impl DriverSession {
                 // Engine instruments merged in shard order, then the
                 // driver's own counters and backlog gauges on top.
                 let mut snap = sharded.metrics_snapshot().unwrap_or_default();
-                let (mut flows, mut blocked, mut completed) = (0u64, 0u64, 0u64);
-                let (mut packets, mut depth) = (0u64, 0u64);
                 for (i, st) in states.iter().enumerate() {
-                    flows += st.flows_started;
-                    blocked += st.flows_blocked;
-                    completed += st.flows_completed;
-                    packets += st.packets_sent;
-                    depth += st.wheel.len() as u64;
                     snap.push(
                         format!("cgn_shard_flows_total{{shard=\"{i}\"}}"),
                         Value::Counter(st.flows_started),
                     );
                 }
-                snap.push("cgn_flows_started_total", Value::Counter(flows));
-                snap.push("cgn_flows_blocked_total", Value::Counter(blocked));
-                snap.push("cgn_flows_completed_total", Value::Counter(completed));
-                snap.push("cgn_packets_sent_total", Value::Counter(packets));
-                snap.push("cgn_event_wheel_depth", Value::Gauge(depth));
+                let t = ShardTotals::of(states);
+                snap.push("cgn_flows_started_total", Value::Counter(t.flows_started));
+                snap.push("cgn_flows_blocked_total", Value::Counter(t.flows_blocked));
+                snap.push(
+                    "cgn_flows_completed_total",
+                    Value::Counter(t.flows_completed),
+                );
+                snap.push("cgn_packets_sent_total", Value::Counter(t.packets_sent));
+                snap.push("cgn_event_wheel_depth", Value::Gauge(t.wheel_depth));
                 snap.normalize();
                 windows.push(boundary / 1000, snap);
             }
@@ -1322,26 +1343,15 @@ impl DriverSession {
     /// progress, driver counters, backlog, and the merged
     /// slab/arena/timer store occupancy.
     pub fn health(&self) -> SessionHealth {
-        let mut flows_started = 0u64;
-        let mut flows_blocked = 0u64;
-        let mut flows_completed = 0u64;
-        let mut packets_sent = 0u64;
-        let mut depth = 0u64;
-        for st in &self.states {
-            flows_started += st.flows_started;
-            flows_blocked += st.flows_blocked;
-            flows_completed += st.flows_completed;
-            packets_sent += st.packets_sent;
-            depth += st.wheel.len() as u64;
-        }
+        let t = ShardTotals::of(&self.states);
         SessionHealth {
             now_secs: self.now_secs(),
             horizon_secs: self.horizon_secs(),
-            flows_started,
-            flows_blocked,
-            flows_completed,
-            packets_sent,
-            event_wheel_depth: depth,
+            flows_started: t.flows_started,
+            flows_blocked: t.flows_blocked,
+            flows_completed: t.flows_completed,
+            packets_sent: t.packets_sent,
+            event_wheel_depth: t.wheel_depth,
             store: self.sharded.store_occupancy(),
             windows_retained: self.windows.windows.len(),
             windows_evicted: self.windows.evicted_windows(),
@@ -1404,16 +1414,7 @@ impl DriverSession {
         } = self;
         let mut sharded = sharded;
 
-        let mut flows_started = 0u64;
-        let mut flows_blocked = 0u64;
-        let mut flows_completed = 0u64;
-        let mut packets_sent = 0u64;
-        for st in &states {
-            flows_started += st.flows_started;
-            flows_blocked += st.flows_blocked;
-            flows_completed += st.flows_completed;
-            packets_sent += st.packets_sent;
-        }
+        let totals = ShardTotals::of(&states);
         // Recover the per-shard logs (shard order) before reading stats.
         let logs: Vec<EventLog> = if config.telemetry != TelemetryMode::Off {
             sharded
@@ -1482,10 +1483,10 @@ impl DriverSession {
             subscribers: config.subscribers,
             shards: config.shards,
             duration_secs: config.duration_secs,
-            flows_started,
-            flows_blocked,
-            flows_completed,
-            packets_sent,
+            flows_started: totals.flows_started,
+            flows_blocked: totals.flows_blocked,
+            flows_completed: totals.flows_completed,
+            packets_sent: totals.packets_sent,
             stats,
             store,
             shard_load,
