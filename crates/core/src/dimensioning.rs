@@ -63,12 +63,6 @@ pub struct DimensioningConfig {
     /// Populates [`RunSummary::metrics`]
     /// (`cgn_traffic::MetricsSummary`) for every mix.
     pub metrics_window_secs: Option<u64>,
-    /// Packets per window the driver stages through the engine's
-    /// burst pipeline per shard
-    /// ([`cgn_traffic::DriverConfig::burst`]); `0` = the driver's
-    /// default ([`cgn_traffic::DEFAULT_BURST`]). Never changes the results,
-    /// only the wall time.
-    pub burst: usize,
     /// Permille of forwarded outbound packets whose flow receives an
     /// inbound reply in the same millisecond
     /// ([`cgn_traffic::DriverConfig::inbound_reply_permille`]). `0`
@@ -102,7 +96,6 @@ impl DimensioningConfig {
             sweep_secs: 20,
             telemetry: TelemetryMode::Off,
             metrics_window_secs: None,
-            burst: 0,
             inbound_reply_permille: 0,
             trace: TraceConfig::off(),
         }
@@ -125,7 +118,6 @@ impl DimensioningConfig {
             sweep_secs: 30,
             telemetry: TelemetryMode::Off,
             metrics_window_secs: None,
-            burst: 0,
             inbound_reply_permille: 0,
             trace: TraceConfig::off(),
         }
@@ -148,8 +140,7 @@ impl DimensioningConfig {
             sweep_secs: self.sweep_secs,
             telemetry: self.telemetry,
             metrics_window_secs: self.metrics_window_secs,
-            metrics_retention: 0,
-            burst: self.burst,
+            burst: 0,
             inbound_reply_permille: self.inbound_reply_permille,
             trace: self.trace,
             seed: self.seed,

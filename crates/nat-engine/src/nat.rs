@@ -347,11 +347,6 @@ impl Nat {
         self.probe_mut().tracer = Some(tracer);
     }
 
-    /// Remove and return the installed tracer, if any.
-    pub fn take_tracer(&mut self) -> Option<Box<ShardTracer>> {
-        self.take_part(|p| p.tracer.take())
-    }
-
     /// The installed tracer, if any (flight-recorder reads, phase
     /// histogram reads).
     pub fn tracer(&self) -> Option<&ShardTracer> {
@@ -719,27 +714,19 @@ impl Nat {
     /// hosts, so the interner evolves exactly as under
     /// [`Nat::process_outbound`]) and prefetches the index cell its
     /// probe starts at; **prefetch** reads those cells, now cached, with
-    /// a tag-only probe ([`MappingStore::hint_out`]), whose result
-    /// triggers one of three things:
+    /// a tag-only probe ([`MappingStore::hint_out`]), and for every
+    /// **candidate slot** it names prefetches each line of that slot's
+    /// hot and cold row: the packet will most likely refresh that
+    /// mapping. A header without a candidate will most likely create a
+    /// mapping, and nothing is prefetched for it.
     ///
-    /// * a **candidate slot** — every line of its hot and cold row is
-    ///   prefetched: the packet will most likely refresh that mapping;
-    /// * **no candidate** — the packet will most likely create a
-    ///   mapping. It is counted, and when the burst has been probed
-    ///   the rows of that many of the *lowest free slots* are
-    ///   prefetched ([`MappingStore::prefetch_free_slots`]): the
-    ///   store's next inserts fill exactly those, in that order;
-    /// * no candidate and **no free slot left** to name — nothing:
-    ///   that create appends to the arena, where no row exists yet.
-    ///
-    /// Both kinds of hint are left unverified on purpose: verifying a
-    /// candidate reads the cold row, the very miss the stage overlaps,
-    /// and creates are only settled in arrival order. A wrong or stale
-    /// hint (a fingerprint collision, a slot freed or re-used, a create
-    /// that became a hit or was refused) costs a useless prefetch and
-    /// can change nothing. Neither stage reads simulated time. The two
-    /// stages lap `clock` (the caller's [`Nat::phase_clock`]) as
-    /// [`Phase::BurstResolve`] and [`Phase::BurstPrefetch`].
+    /// The hint is left unverified on purpose: verifying a candidate
+    /// reads the cold row, the very miss the stage overlaps. A wrong or
+    /// stale hint (a fingerprint collision, a slot freed or re-used)
+    /// costs a useless prefetch and can change nothing. Neither stage
+    /// reads simulated time. The two stages lap `clock` (the caller's
+    /// [`Nat::phase_clock`]) as [`Phase::BurstResolve`] and
+    /// [`Phase::BurstPrefetch`].
     pub fn stage_burst(&mut self, headers: &[Header], clock: &mut Option<PhaseClock>) {
         let staged = self.outbound_plan.len();
         // Stage 1 — keys in arrival order, index cells on their way.
@@ -752,19 +739,14 @@ impl Nat {
         }
         self.phase_lap(clock, Phase::BurstResolve);
 
-        // Stage 2 — candidate rows on their way, and for the headers
-        // without a candidate the rows their creates will fill.
-        let (mut rows, mut creates) = (0u64, 0usize);
+        // Stage 2 — candidate rows on their way.
+        let mut rows = 0u64;
         for &key in self.outbound_plan.range(staged..) {
-            match self.store.hint_out(key) {
-                Some(slot) => {
-                    self.store.prefetch_slot(slot);
-                    rows += 1;
-                }
-                None => creates += 1,
+            if let Some(slot) = self.store.hint_out(key) {
+                self.store.prefetch_slot(slot);
+                rows += 1;
             }
         }
-        self.store.prefetch_free_slots(creates);
         if let Some(p) = &mut self.probe {
             p.burst(headers.len() as u64, rows);
         }
@@ -924,15 +906,7 @@ impl Nat {
 
     /// Loop a translated outbound header back to the internal realm
     /// (its destination is one of this device's pool addresses).
-    /// `pub(crate)` so [`crate::sharded::ShardedNat`]'s opt-in
-    /// cross-shard loopback can route a packet that targets another
-    /// shard's pool through the owner shard's hairpin semantics.
-    pub(crate) fn hairpin(
-        &mut self,
-        h: &mut Header,
-        original_src: Endpoint,
-        now: SimTime,
-    ) -> HeaderVerdict {
+    fn hairpin(&mut self, h: &mut Header, original_src: Endpoint, now: SimTime) -> HeaderVerdict {
         if !self.config.hairpinning {
             self.stats.record_drop(DropReason::NoHairpin);
             return HeaderVerdict::Drop(DropReason::NoHairpin);
@@ -1060,6 +1034,13 @@ impl Nat {
     /// apply filtering, track TCP state for segments from contacted
     /// endpoints ([`Nat::tcp_update`]), refresh, and rewrite `h`'s
     /// destination to the internal endpoint.
+    ///
+    /// The bound on an off-path scan: no inbound packet creates state,
+    /// so a stranger sending to every port of every pool address leaves
+    /// mappings, store and port occupancy as they were. Under EIF with
+    /// `refresh_inbound`, the scan keeps every live mapping it reaches
+    /// alive, and so pins that mapping's port, for as long as it keeps
+    /// sending.
     fn translate_inbound(
         &mut self,
         h: &mut Header,
@@ -1808,6 +1789,70 @@ mod tests {
         ));
     }
 
+    /// A stranger sends one UDP packet to every port of `port_range` on
+    /// every pool address while k mappings are live. Nothing is created
+    /// under either filter. Under APDF every packet is dropped and the
+    /// mappings expire on time; under EIF with `refresh_inbound` the k
+    /// packets that reach a mapping are forwarded and keep it alive.
+    #[test]
+    fn inbound_scan_of_the_whole_pool_creates_no_state() {
+        let k = 5u8;
+        for filtering in [
+            FilteringBehavior::AddressAndPortDependent,
+            FilteringBehavior::EndpointIndependent,
+        ] {
+            let mut cfg = NatConfig::cgn_default(); // 60 s UDP timeout
+            cfg.filtering = filtering;
+            let (lo, hi) = cfg.port_range;
+            let eif = filtering == FilteringBehavior::EndpointIndependent;
+            let mut n = nat(cfg);
+            let hosts: Vec<Endpoint> = (1..=k).map(internal_host).collect();
+            let ext: Vec<Endpoint> = hosts
+                .iter()
+                .map(|&h| udp_out(&mut n, h, server(), t(0)).src)
+                .collect();
+            let occupancy = (n.store_occupancy(), n.port_occupancy());
+            let mut want = n.stats().clone();
+
+            // The scan, at 30 s: every mapping is still live, so no
+            // packet meets an expire-on-touch.
+            let mut forwarded = 0u64;
+            for addr in pool() {
+                for port in lo..=hi {
+                    let dst = Endpoint::new(addr, port);
+                    match n.process_inbound(Packet::udp(stranger(), dst, vec![]), t(30)) {
+                        NatVerdict::Forward(p) => {
+                            let i = ext.iter().position(|&e| e == dst).expect("a mapping");
+                            assert_eq!(p.dst, hosts[i]);
+                            forwarded += 1;
+                        }
+                        NatVerdict::Drop(_) => {}
+                        v => panic!("{v:?}"),
+                    }
+                }
+            }
+            let scanned = pool().len() as u64 * (hi - lo + 1) as u64;
+            let k = k as u64;
+            want.in_packets += scanned;
+            want.drop_no_mapping += scanned - k;
+            if eif {
+                want.drops += scanned - k;
+            } else {
+                want.drops += scanned;
+                want.drop_filtered += k;
+            }
+            assert_eq!(forwarded, if eif { k } else { 0 }, "{filtering:?}");
+            assert_eq!(n.stats(), &want, "{filtering:?}: no mapping created");
+            assert_eq!(n.mapping_count(), k as usize);
+            assert_eq!((n.store_occupancy(), n.port_occupancy()), occupancy);
+
+            // The mappings' original expiry: APDF lets them go, the EIF
+            // scan has refreshed them to 90 s.
+            n.sweep(t(60));
+            assert_eq!(n.mapping_count(), if eif { k as usize } else { 0 });
+        }
+    }
+
     #[test]
     fn tcp_transitory_times_out_quickly() {
         let mut n = nat(NatConfig::cgn_default()); // transitory 240 s
@@ -2178,14 +2223,13 @@ mod tests {
         assert_eq!((scalar.4, burst.4), ((0, 0), (2, 3)));
     }
 
-    /// The create-side twin of `stale_burst_hints_change_nothing`.
-    /// Stage 2 counts the packets it finds no candidate for as creates
-    /// and prefetches that many of the lowest free rows — before any
-    /// packet of the burst is translated, so the count can be wrong in
-    /// both directions and the rows can be the wrong ones. Nothing but
-    /// the prefetch may depend on it.
+    /// The create-side twin of `stale_burst_hints_change_nothing`: a
+    /// create-heavy burst — a re-use of a mapping the burst itself
+    /// created, an expire-on-touch re-create in the row it frees, a
+    /// session-limit refusal and an arena append — gives the scalar
+    /// path's verdicts, stats, log bytes and occupancy.
     #[test]
-    fn wrong_create_predictions_change_nothing() {
+    fn create_heavy_bursts_match_scalar() {
         let (e, f, g, h) = (
             internal_host(1),
             internal_host(2),
@@ -2204,18 +2248,15 @@ mod tests {
             udp_out(&mut n, f, server(), t(30)); // slot 1, expires at 90 s
             n.sweep(t(61)); // slot 0 is the one free row
 
-            // Outbound at 100 s. Four packets have no candidate, so
-            // four creates are predicted where one row is free:
+            // Outbound at 100 s, with one free row:
             //   g        creates, in slot 0;
-            //   g        a predicted create that finds the first's
-            //            mapping — a hit;
-            //   f        a predicted hit (candidate slot 1) that has
-            //            expired — removed on touch, then a create,
-            //            in the row it has just freed;
-            //   g_again  a predicted create the one-session limit
-            //            refuses;
-            //   h        creates, appending: the free-list stage 2
-            //            read was used up and refilled in between.
+            //   g        finds the first's mapping — a hit;
+            //   f        hits candidate slot 1, which has expired —
+            //            removed on touch, then a create, in the row
+            //            it has just freed;
+            //   g_again  the one-session limit refuses;
+            //   h        creates, appending: the free row was used up
+            //            and refilled in between.
             let pkts: Vec<Header> = [g, g, f, g_again, h]
                 .iter()
                 .map(|&src| Header::new(src, server(), None))
@@ -2259,8 +2300,7 @@ mod tests {
         assert!(scalar.0[5..]
             .iter()
             .all(|v| matches!(v, (HeaderVerdict::Forward, _))));
-        // Candidate rows prefetched: f's alone. Free rows prefetched
-        // for predicted creates are not candidates and are not counted.
+        // Candidate rows prefetched: f's alone.
         assert_eq!((scalar.4, burst.4), (0, 1));
     }
 
@@ -2384,7 +2424,7 @@ mod tests {
             NatVerdict::Forward(_)
         ));
         n.sweep(t(400)); // past the 60 s UDP timeout
-        let tr = n.take_tracer().expect("tracer installed");
+        let tr = n.tracer().expect("tracer installed");
         let kinds: Vec<SpanKind> = tr.events().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -2420,7 +2460,7 @@ mod tests {
         n.set_tracer(Box::new(ShardTracer::new(0, &cfg)));
         let _ = udp_out(&mut n, internal_host(1), server(), t(1));
         n.sweep(t(400));
-        let tr = n.take_tracer().expect("tracer installed");
+        let tr = n.tracer().expect("tracer installed");
         assert_eq!(tr.events().count(), 0);
         assert_eq!(tr.sampled_flows(), 0);
         // ... but the sweep phase recorded wall-clock.
@@ -2449,7 +2489,7 @@ mod tests {
             })
             .collect();
         burst(&mut n, &replies, t(2), true);
-        let tr = n.take_tracer().expect("tracer installed");
+        let tr = n.tracer().expect("tracer installed");
         for phase in [
             Phase::BurstResolve,
             Phase::BurstPrefetch,

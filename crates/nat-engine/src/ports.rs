@@ -262,15 +262,6 @@ pub struct BlockGrant {
     pub len: u16,
 }
 
-/// The algorithmic placement of deterministic NAT (RFC 7422): which
-/// external-pool index and port block an internal host owns, as a pure
-/// function of its address. The host's **ordinal** is its offset
-/// within the enclosing /10 (the RFC 6598 shared space CGN subscribers
-/// live in); ordinals round-robin across the pool first, then across
-/// each address's `capacity / ports_per_host` blocks — so a pool of
-/// `N` IPs with `B` blocks each holds `N × B` collision-free
-/// subscriber slots, and attribution is a computation instead of a
-/// log lookup. Returns `(pool index, block start, block len)`.
 /// A host's deterministic-NAT **ordinal**: its offset within the
 /// enclosing /10 (the RFC 6598 shared space CGN subscribers live in).
 /// The single definition both the forward arithmetic
@@ -281,6 +272,14 @@ pub fn det_ordinal(host: Ipv4Addr) -> u64 {
     (u32::from(host) & 0x003F_FFFF) as u64
 }
 
+/// The algorithmic placement of deterministic NAT (RFC 7422): which
+/// external-pool index and port block an internal host owns, as a pure
+/// function of its address. Ordinals ([`det_ordinal`]) round-robin
+/// across the pool first, then across each address's
+/// `capacity / ports_per_host` blocks — so a pool of `N` IPs with `B`
+/// blocks each holds `N × B` collision-free subscriber slots, and
+/// attribution is a computation instead of a log lookup. Returns
+/// `(pool index, block start, block len)`.
 pub fn deterministic_block(
     host: Ipv4Addr,
     pool_len: usize,

@@ -14,15 +14,8 @@
 //! and the outcome is bit-identical to processing the same batches
 //! sequentially shard-by-shard, one packet at a time.
 //!
-//! One behavioural difference to a monolithic [`Nat`] is intentional
-//! **by default**: hairpinning only resolves within a shard. An
-//! outbound packet addressed to an external IP owned by a *different*
-//! shard is forwarded toward the core like any other packet — the same
-//! thing happens between the chassis of a multi-box CGN deployment.
-//! [`ShardedNat::set_cross_shard_hairpin`] opts into single-chassis
-//! semantics instead: such a packet is looped back through the owner
-//! shard's hairpin path, making internal-to-internal traffic
-//! behaviourally identical to a monolithic [`Nat`].
+//! A packet to a sibling shard's pool address is forwarded toward the
+//! core, as between the chassis of a multi-box CGN deployment.
 
 use crate::config::NatConfig;
 use crate::metrics::EngineMetrics;
@@ -90,10 +83,6 @@ pub struct ShardedNat {
     /// hash keeps SipHash off the per-packet path at no change in
     /// behaviour.
     ext_owner: MixMap<Ipv4Addr, usize>,
-    /// Opt-in single-chassis loopback: outbound packets targeting a
-    /// *foreign* shard's pool hairpin through the owner shard instead
-    /// of forwarding toward the core (multi-chassis default).
-    cross_shard_hairpin: bool,
     /// Per-shard header and verdict scratch of the burst wrappers,
     /// empty until the first burst.
     scratch: Vec<(Vec<Header>, Vec<HeaderVerdict>)>,
@@ -128,25 +117,8 @@ impl ShardedNat {
         ShardedNat {
             shards,
             ext_owner,
-            cross_shard_hairpin: false,
             scratch: Vec::new(),
         }
-    }
-
-    /// Opt into single-chassis hairpin semantics: an outbound packet
-    /// addressed to an external IP owned by a *different* shard is
-    /// looped back through the owner shard's hairpin path (filtering,
-    /// refresh and source-rewrite behaviour included), so
-    /// internal-to-internal traffic matches a monolithic [`Nat`]
-    /// exactly. Off by default (multi-chassis forward semantics).
-    ///
-    /// Only the packet-at-a-time [`ShardedNat::process_outbound`] path
-    /// resolves cross-shard loopback — it is the one place where two
-    /// shards' state meet, which is exactly what the pre-partitioned
-    /// parallel burst path must not do (see
-    /// [`ShardedNat::process_bursts`]).
-    pub fn set_cross_shard_hairpin(&mut self, enabled: bool) {
-        self.cross_shard_hairpin = enabled;
     }
 
     /// Hand `parts[i]` to shard `i` with `install`. Panics unless
@@ -181,12 +153,6 @@ impl ShardedNat {
     /// [`cgn_trace`]).
     pub fn set_tracers(&mut self, tracers: Vec<Box<cgn_trace::ShardTracer>>) {
         self.install(tracers, "tracer", Nat::set_tracer);
-    }
-
-    /// Remove and return every shard's tracer, in shard order (`None`
-    /// for shards that had none installed).
-    pub fn take_tracers(&mut self) -> Vec<Option<Box<cgn_trace::ShardTracer>>> {
-        self.shards.iter_mut().map(|s| s.take_tracer()).collect()
     }
 
     /// Fleet-wide wall-clock phase profile: every shard tracer's
@@ -286,34 +252,11 @@ impl ShardedNat {
             .collect()
     }
 
-    /// Route one outbound packet to its owner shard. With
-    /// [`ShardedNat::set_cross_shard_hairpin`] enabled, a translated
-    /// packet that targets another shard's pool address is looped back
-    /// through that shard's hairpin path instead of forwarding toward
-    /// the core.
+    /// Route one outbound packet to the shard its internal host is
+    /// admitted to ([`ShardedNat::shard_of`]).
     pub fn process_outbound(&mut self, pkt: Packet, now: SimTime) -> NatVerdict {
-        let original_src = pkt.src;
         let shard = self.shard_of(pkt.src.ip);
-        let verdict = self.shards[shard].process_outbound(pkt, now);
-        if !self.cross_shard_hairpin {
-            return verdict;
-        }
-        // The admitting shard forwards anything outside its own pool; if
-        // a UDP/TCP flow's destination is a sibling shard's pool
-        // address, single-chassis semantics loop it back there. ICMP
-        // passes through unmodified, as a monolithic Nat forwards it
-        // (the "private IP in traceroute" artifact): it has no header.
-        let NatVerdict::Forward(mut pkt) = verdict else {
-            return verdict;
-        };
-        let owner = self.ext_owner.get(&pkt.dst.ip);
-        let (Some(mut h), Some(&owner)) = (Header::of(&pkt), owner) else {
-            return NatVerdict::Forward(pkt);
-        };
-        debug_assert_ne!(owner, shard, "own-pool hairpins resolve inside the shard");
-        let verdict = self.shards[owner].hairpin(&mut h, original_src, now);
-        h.write_to(&mut pkt);
-        verdict.with(pkt)
+        self.shards[shard].process_outbound(pkt, now)
     }
 
     /// Route one inbound packet to the shard owning its destination
@@ -412,10 +355,7 @@ impl ShardedNat {
     /// the caller's packets and writes the rewritten endpoints back.
     /// Verdicts, stats and store state are bit-identical to
     /// [`ShardedNat::process_outbound`] in batch order, for every thread
-    /// count and burst size. Cross-shard hairpinning would break that
-    /// shard independence: enable [`ShardedNat::set_cross_shard_hairpin`]
-    /// only with the packet-at-a-time routing path (debug builds assert
-    /// this).
+    /// count and burst size.
     ///
     /// Panics if `bursts.len() != self.shard_count()`.
     pub fn process_bursts(
@@ -424,11 +364,6 @@ impl ShardedNat {
         now: SimTime,
         threads: usize,
     ) -> Vec<Vec<NatVerdict>> {
-        debug_assert!(
-            !self.cross_shard_hairpin,
-            "cross-shard hairpin loopback needs the packet-at-a-time \
-             routing path; burst processing keeps shards independent"
-        );
         self.scatter_bursts(bursts, now, threads, false)
     }
 
@@ -682,128 +617,11 @@ mod tests {
         (a, b)
     }
 
-    /// The satellite behavioural-equivalence check: with loopback
-    /// enabled, internal-to-internal traffic crossing shards produces
-    /// the same verdict semantics as a monolithic [`Nat`] — delivery
-    /// to the target's internal endpoint, the §4.1 internal-source
-    /// leak behaviour, filtering, and the hairpin counter.
+    /// A packet to a sibling shard's pool address is translated and
+    /// forwarded toward the core, like traffic between two chassis of
+    /// a multi-box CGN: no hairpin, even under EIF filtering.
     #[test]
-    fn cross_shard_hairpin_matches_monolithic_semantics() {
-        let mut cfg = NatConfig::cgn_default();
-        cfg.filtering = crate::config::FilteringBehavior::EndpointIndependent;
-
-        // Monolithic reference: B opens a mapping, A reaches B via its
-        // external endpoint and the NAT loops it back, leaking A's
-        // internal source (cgn_default keeps hairpin_internal_source).
-        let mut mono = Nat::new(cfg.clone(), pool(4), 7);
-        let (a, b) = (host(0), host(1));
-        let b_ext_mono = match mono.process_outbound(Packet::udp(b, server(), vec![]), t(0)) {
-            NatVerdict::Forward(p) => p.src,
-            v => panic!("{v:?}"),
-        };
-        let mono_verdict = mono.process_outbound(Packet::udp(a, b_ext_mono, vec![7]), t(1));
-        let NatVerdict::Hairpin(mono_p) = mono_verdict else {
-            panic!("monolithic reference must hairpin");
-        };
-        assert_eq!((mono_p.dst, mono_p.src), (b, a));
-
-        // Sharded engine, hosts in different shards.
-        let mut s = ShardedNat::new(cfg.clone(), pool(4), 4, 7);
-        s.set_cross_shard_hairpin(true);
-        let (a, b) = hosts_in_different_shards(&s);
-        let b_ext = match s.process_outbound(Packet::udp(b, server(), vec![]), t(0)) {
-            NatVerdict::Forward(p) => p.src,
-            v => panic!("{v:?}"),
-        };
-        assert_ne!(
-            s.shard_of(a.ip),
-            s.shard_of(b.ip),
-            "the loopback must actually cross shards"
-        );
-        match s.process_outbound(Packet::udp(a, b_ext, vec![7]), t(1)) {
-            NatVerdict::Hairpin(p) => {
-                assert_eq!(p.dst, b, "delivered to B's internal endpoint");
-                assert_eq!(p.src, a, "internal source leaks, as monolithic");
-            }
-            v => panic!("expected cross-shard hairpin, got {v:?}"),
-        }
-        assert_eq!(s.merged_stats().hairpins, 1);
-
-        // Source-rewrite variant hides the internal endpoint — also
-        // identical to the monolithic device's behaviour.
-        let mut cfg_rw = cfg.clone();
-        cfg_rw.hairpin_internal_source = false;
-        let mut s = ShardedNat::new(cfg_rw, pool(4), 4, 7);
-        s.set_cross_shard_hairpin(true);
-        let (a, b) = hosts_in_different_shards(&s);
-        let b_ext = match s.process_outbound(Packet::udp(b, server(), vec![]), t(0)) {
-            NatVerdict::Forward(p) => p.src,
-            v => panic!("{v:?}"),
-        };
-        match s.process_outbound(Packet::udp(a, b_ext, vec![7]), t(1)) {
-            NatVerdict::Hairpin(p) => {
-                assert!(s.is_external_ip(p.src.ip), "source rewritten to the pool");
-                assert_ne!(p.src, a);
-            }
-            v => panic!("{v:?}"),
-        }
-    }
-
-    #[test]
-    fn cross_shard_hairpin_respects_filtering_and_config() {
-        // APDF filtering (cgn_default): B never contacted A's external
-        // endpoint, so the loopback is filtered — exactly what the
-        // monolithic device does.
-        let mut s = ShardedNat::new(NatConfig::cgn_default(), pool(4), 4, 7);
-        s.set_cross_shard_hairpin(true);
-        let (a, b) = hosts_in_different_shards(&s);
-        let b_ext = match s.process_outbound(Packet::udp(b, server(), vec![]), t(0)) {
-            NatVerdict::Forward(p) => p.src,
-            v => panic!("{v:?}"),
-        };
-        assert_eq!(
-            s.process_outbound(Packet::udp(a, b_ext, vec![]), t(1)),
-            NatVerdict::Drop(crate::nat::DropReason::Filtered)
-        );
-
-        // Hairpinning disabled in the NAT config: the loopback path is
-        // taken but the owner shard drops, as a monolithic Nat would.
-        let mut cfg = NatConfig::cgn_default();
-        cfg.hairpinning = false;
-        let mut s = ShardedNat::new(cfg, pool(4), 4, 7);
-        s.set_cross_shard_hairpin(true);
-        let (a, b) = hosts_in_different_shards(&s);
-        let b_ext = match s.process_outbound(Packet::udp(b, server(), vec![]), t(0)) {
-            NatVerdict::Forward(p) => p.src,
-            v => panic!("{v:?}"),
-        };
-        assert_eq!(
-            s.process_outbound(Packet::udp(a, b_ext, vec![]), t(1)),
-            NatVerdict::Drop(crate::nat::DropReason::NoHairpin)
-        );
-    }
-
-    #[test]
-    fn cross_shard_loopback_passes_icmp_through_unmodified() {
-        // Router-originated ICMP addressed to a pool IP forwards
-        // untranslated in a monolithic Nat; the loopback must not
-        // route it into the flow-only hairpin path (which would
-        // panic on a protocol-less packet).
-        let mut s = ShardedNat::new(NatConfig::cgn_default(), pool(4), 4, 7);
-        s.set_cross_shard_hairpin(true);
-        let (a, b) = hosts_in_different_shards(&s);
-        let b_shard_ip = s.shards()[s.shard_of(b.ip)].external_ips()[0];
-        let orig = Packet::udp(a, server(), vec![]).with_ttl(1);
-        let mut icmp = orig.ttl_exceeded_reply(ip(100, 64, 255, 1));
-        icmp.dst = Endpoint::new(b_shard_ip, 0);
-        match s.process_outbound(icmp.clone(), t(0)) {
-            NatVerdict::Forward(p) => assert_eq!(p, icmp, "ICMP passes unmodified"),
-            v => panic!("expected ICMP pass-through, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn cross_shard_loopback_disabled_keeps_multi_chassis_forwarding() {
+    fn sibling_shard_pool_traffic_forwards_toward_the_core() {
         let mut cfg = NatConfig::cgn_default();
         cfg.filtering = crate::config::FilteringBehavior::EndpointIndependent;
         let mut s = ShardedNat::new(cfg, pool(4), 4, 7);
@@ -812,8 +630,6 @@ mod tests {
             NatVerdict::Forward(p) => p.src,
             v => panic!("{v:?}"),
         };
-        // Default: the packet is translated and forwarded toward the
-        // core, like traffic between two chassis of a multi-box CGN.
         match s.process_outbound(Packet::udp(a, b_ext, vec![]), t(1)) {
             NatVerdict::Forward(p) => assert_eq!(p.dst, b_ext),
             v => panic!("expected multi-chassis Forward, got {v:?}"),

@@ -55,12 +55,9 @@
 //!   index bytes. A burst overlaps its misses in two steps: prefetch
 //!   the cell each key's probe starts at, then read the cached cells
 //!   with a tag-only probe and [`MappingStore::prefetch_slot`] the
-//!   candidate's rows, before any packet is translated. A key the
-//!   probe finds nothing for is a create about to happen: for those
-//!   the burst prefetches as many of the lowest free rows
-//!   ([`MappingStore::prefetch_free_slots`]). The one cell no stage
-//!   can know in advance — the ext-index cell of a port not yet
-//!   chosen — is prefetched when the port is, and written a few
+//!   candidate's rows, before any packet is translated. The one cell
+//!   no stage can know in advance — the ext-index cell of a port not
+//!   yet chosen — is prefetched when the port is, and written a few
 //!   creates later ([`MappingStore::insert`]).
 //!
 //! * **Hierarchical timer wheel** — instead of scanning the whole
@@ -585,11 +582,9 @@ impl OpenIndex {
 /// free id — slot ids reach the trace index and telemetry, so that
 /// order is part of the engine's observable behaviour — in one
 /// `trailing_zeros` per level, where a binary heap would sift through
-/// `log2(len)` data-dependent comparisons. And unlike a heap the set
-/// can be *read* in order ([`FreeSet::for_lowest`]), which is what
-/// lets a burst prefetch the rows its creates are about to fill. One
-/// bit per slot rather than four bytes per free id, and nothing is
-/// allocated until the first id is pushed.
+/// `log2(len)` data-dependent comparisons. One bit per slot rather
+/// than four bytes per free id, and nothing is allocated until the
+/// first id is pushed.
 #[derive(Debug, Default)]
 struct FreeSet {
     levels: Vec<Vec<u64>>,
@@ -625,7 +620,11 @@ impl FreeSet {
         if self.len == 0 {
             return None;
         }
-        let mut i = self.lowest_under(self.levels.len(), 0);
+        // Descend from the single top word to the lowest id.
+        let mut i = 0;
+        for words in self.levels.iter().rev() {
+            i = i * 64 + words[i].trailing_zeros() as usize;
+        }
         let id = i as u32;
         for words in &mut self.levels {
             let word = &mut words[i / 64];
@@ -637,44 +636,6 @@ impl FreeSet {
         }
         self.len -= 1;
         Some(id)
-    }
-
-    /// Call `f` with the `n` lowest ids (all of them, if fewer), in
-    /// the order `n` pops would return them; the set is unchanged.
-    fn for_lowest(&self, n: usize, mut f: impl FnMut(u32)) {
-        let mut from = 0;
-        for _ in 0..n.min(self.len) {
-            let id = self.lowest_from(from).expect("len counts the ids");
-            f(id as u32);
-            from = id + 1;
-        }
-    }
-
-    /// The lowest id that is at least `from`.
-    fn lowest_from(&self, from: usize) -> Option<usize> {
-        // Climb until some level has a bit at or after the position:
-        // first inside the word holding it, then from the next word on,
-        // which is the next bit of the level above.
-        let (mut level, mut i) = (0, from);
-        loop {
-            let word = self.levels.get(level)?.get(i / 64)? & !0 << (i % 64);
-            if word != 0 {
-                i = i / 64 * 64 + word.trailing_zeros() as usize;
-                break;
-            }
-            (level, i) = (level + 1, i / 64 + 1);
-        }
-        Some(self.lowest_under(level, i))
-    }
-
-    /// Descend from bit `i` of `levels[level]`, which is set, to the
-    /// lowest id it summarises. One level past the top, `i = 0` stands
-    /// for the single top word of a non-empty set.
-    fn lowest_under(&self, level: usize, mut i: usize) -> usize {
-        for words in self.levels[..level].iter().rev() {
-            i = i * 64 + words[i].trailing_zeros() as usize;
-        }
-        i
     }
 
     /// Make room for `id`: lengthen every level to cover the one below
@@ -1093,19 +1054,6 @@ impl MappingStore {
             prefetch_line(hot);
             prefetch_line(cold);
         }
-    }
-
-    /// Burst stage 2, outbound, for the packets [`MappingStore::hint_out`]
-    /// found nothing for: each of those is about to create a mapping,
-    /// and the next `creates` inserts fill the `creates` lowest free
-    /// slots in order, so prefetch those rows. Inserts beyond the
-    /// free-list append to the arena, where there is no row to fetch
-    /// yet. A hint like any other: a create that does not happen, or
-    /// a lower slot freed in between, makes some of it useless.
-    #[inline]
-    pub fn prefetch_free_slots(&self, creates: usize) {
-        self.free
-            .for_lowest(creates, |slot| self.prefetch_slot(slot));
     }
 
     /// Look-ahead for a caller that removes the slots of `due` in
@@ -1878,11 +1826,20 @@ mod tests {
     /// leaf word, 64 leaf words to a level-1 word, and so on up.
     const FREE_SET_EDGES: [u32; 5] = [64, 4096, 262_144, 524_288, 2_097_152];
 
+    /// The `n` lowest ids of `set` (all of them, if fewer), in pop
+    /// order, read by popping them and pushing them back.
+    fn lowest(set: &mut FreeSet, n: usize) -> Vec<u32> {
+        let ids: Vec<u32> = std::iter::from_fn(|| set.pop()).take(n).collect();
+        for &id in &ids {
+            set.push(id);
+        }
+        ids
+    }
+
     #[test]
     fn free_set_grows_from_empty_and_pops_lowest_first() {
         let mut set = FreeSet::default();
         assert_eq!((set.pop(), set.len), (None, 0));
-        set.for_lowest(3, |id| panic!("empty set named {id}"));
         assert!(set.levels.is_empty(), "nothing allocated before a push");
         // Both sides of every edge, lowest first, so every other push
         // grows the set by a word or a level under the ids it holds.
@@ -1891,9 +1848,12 @@ mod tests {
         for (pushed, &id) in ids.iter().enumerate() {
             set.push(id);
             assert_eq!(set.len, pushed + 1);
-            let mut read = Vec::new();
-            set.for_lowest(usize::MAX, |id| read.push(id));
-            assert_eq!(read, ids[..=pushed], "after pushing {id}");
+            assert_eq!(
+                lowest(&mut set, usize::MAX),
+                ids[..=pushed],
+                "after pushing {id}"
+            );
+            assert_eq!(set.len, pushed + 1, "read back in full");
         }
         assert_eq!(
             set.levels.len(),
@@ -1913,10 +1873,11 @@ mod tests {
     }
 
     proptest! {
-        /// The free-set is a min-heap that can be read: random pushes
-        /// (clustered on both sides of every summary-word edge, up to
-        /// three million), pops and in-order reads agree with a
-        /// `BTreeSet` on every id, every length and every order.
+        /// The free-set is a min-heap: random pushes (clustered on both
+        /// sides of every summary-word edge, up to three million), pops
+        /// and in-order reads of the lowest ids (popped and pushed
+        /// back) agree with a `BTreeSet` on every id, every length and
+        /// every order.
         #[test]
         fn prop_free_set_is_a_readable_min_heap(
             ops in proptest::collection::vec((0u8..10, 0usize..6, 0u32..3_000_000), 1..400),
@@ -1937,10 +1898,8 @@ mod tests {
                     6..=7 => prop_assert_eq!(set.pop(), model.pop_first()),
                     _ => {
                         let n = any as usize % 70;
-                        let mut lowest = Vec::new();
-                        set.for_lowest(n, |id| lowest.push(id));
                         let want: Vec<u32> = model.iter().take(n).copied().collect();
-                        prop_assert_eq!(lowest, want);
+                        prop_assert_eq!(lowest(&mut set, n), want);
                     }
                 }
                 prop_assert_eq!(set.len, model.len());

@@ -78,14 +78,8 @@ struct HostNode {
 /// [`ShardedNat`] whose state is partitioned across external-IP shards
 /// — the ISP-scale deployment shape ([`Network::add_nat_sharded`]).
 ///
-/// The walk treats both identically. A sharded node keeps the
-/// engine's multi-chassis default (no cross-shard hairpin): an
-/// internal packet addressed to a sibling shard's pool address is
-/// translated, ascends to the external realm, resolves back to this
-/// same node and re-enters through the inbound path — the loop a real
-/// multi-box CGN routes through its core. This keeps the shard-batch
-/// path ([`Network::nat_sharded_mut`] + `ShardedNat::process_bursts`)
-/// available for multi-threaded background load.
+/// The walk treats both identically. A packet to a sibling shard's
+/// pool address is forwarded toward the core, as between chassis.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // NAT nodes are few; boxing would cost every packet hop
 pub(crate) enum Translator {

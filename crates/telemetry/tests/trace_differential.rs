@@ -3,7 +3,7 @@
 //! produced through the real engine must attribute every mapping to
 //! the right subscriber.
 
-use cgn_telemetry::{linear_scan, BinaryLogSink, Record, TraceIndex};
+use cgn_telemetry::{decode_bytes, linear_scan, BinaryLogSink, Record, TraceIndex};
 use nat_engine::config::{MappingBehavior, NatConfig, PortAllocation};
 use nat_engine::telemetry::TelemetryMode;
 use nat_engine::Nat;
@@ -25,6 +25,11 @@ fn pool() -> Vec<Ipv4Addr> {
 
 /// Drive a Nat with a seeded flow schedule and recover its log.
 fn engine_log(port_alloc: PortAllocation, mode: TelemetryMode, seed: u64) -> Vec<Record> {
+    decode_bytes(&engine_log_bytes(port_alloc, mode, seed)).expect("engine log decodes")
+}
+
+/// The encoded bytes of [`engine_log`]'s log.
+fn engine_log_bytes(port_alloc: PortAllocation, mode: TelemetryMode, seed: u64) -> Vec<u8> {
     let mut cfg = NatConfig::cgn_default();
     cfg.port_alloc = port_alloc;
     cfg.mapping = MappingBehavior::AddressAndPortDependent; // one mapping per flow
@@ -44,7 +49,7 @@ fn engine_log(port_alloc: PortAllocation, mode: TelemetryMode, seed: u64) -> Vec
     let log = BinaryLogSink::from_sink(nat.take_sink().expect("sink installed"))
         .expect("concrete sink")
         .into_log();
-    log.decode().expect("engine log decodes")
+    log.bytes().to_vec()
 }
 
 #[test]
@@ -232,5 +237,99 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Build an index over `records` and put every probe to it, each at
+/// both pool addresses and both protocols, plus the four corners of
+/// port and time. Only a panic can fail this.
+fn probe_everything(records: &[Record], probes: &[(u16, u64)]) {
+    let index = TraceIndex::build(records);
+    let corners = [(0, 0), (0, u64::MAX), (u16::MAX, 0), (u16::MAX, u64::MAX)];
+    for &(port, at_ms) in probes.iter().chain(&corners) {
+        for ext_ip in pool() {
+            for proto in [Protocol::Udp, Protocol::Tcp] {
+                let _ = index.query(proto, Endpoint::new(ext_ip, port), at_ms);
+            }
+        }
+    }
+}
+
+fn record_strategy() -> impl Strategy<Value = Record> {
+    // Block lengths: 0, 0xFFFF or any.
+    let len = (0u8..3, any::<u16>()).prop_map(|(edge, any)| [0, 0xFFFF, any][edge as usize]);
+    (0u8..16, any::<u64>(), any::<u8>(), any::<u16>(), len).prop_map(
+        |(bits, at_ms, sub, port, block_len)| {
+            let subscriber = Ipv4Addr::from(u32::from(ip(100, 64, 0, 0)) + sub as u32);
+            let proto = [Protocol::Udp, Protocol::Tcp][(bits >> 2 & 1) as usize];
+            let ext_ip = pool()[(bits >> 3) as usize];
+            let external = Endpoint::new(ext_ip, port);
+            match bits & 3 {
+                0 => Record::MapCreate {
+                    at_ms,
+                    subscriber,
+                    proto,
+                    external,
+                },
+                1 => Record::MapExpire {
+                    at_ms,
+                    proto,
+                    external,
+                },
+                2 => Record::BlockAlloc {
+                    at_ms,
+                    subscriber,
+                    proto,
+                    ext_ip,
+                    block_start: port,
+                    block_len,
+                },
+                _ => Record::BlockRelease {
+                    at_ms,
+                    proto,
+                    ext_ip,
+                    block_start: port,
+                },
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `TraceIndex` is total. An engine-written log in either mode, cut
+    /// short and with one byte flipped, builds an index and answers 64
+    /// probes (at time 0 and `u64::MAX`, ports 0 and 65535 among them)
+    /// without panicking whenever it still decodes; so does an
+    /// arbitrary unsorted record list with blocks of length 0 and
+    /// 0xFFFF and blocks running past port 65535. Agreement with
+    /// `linear_scan` is not asked: overlapping block grants in a
+    /// damaged log can legitimately disagree.
+    #[test]
+    fn prop_trace_index_total(
+        block_log in any::<bool>(),
+        seed in any::<u64>(),
+        flip in (any::<usize>(), any::<u8>()),
+        cut in any::<usize>(),
+        records in proptest::collection::vec(record_strategy(), 0..40),
+        probes in proptest::collection::vec((any::<u16>(), any::<u64>()), 60),
+    ) {
+        let log = if block_log {
+            engine_log_bytes(PortAllocation::PortBlock { block_size: 8 }, TelemetryMode::PerBlock, seed)
+        } else {
+            engine_log_bytes(PortAllocation::Random, TelemetryMode::PerConnection, seed)
+        };
+        prop_assert!(!log.is_empty());
+        let mut bytes = log.clone();
+        let at = flip.0 % bytes.len();
+        bytes[at] ^= flip.1;
+        let cut = cut % bytes.len();
+        for mutated in [&bytes[..], &log[..cut], &bytes[..cut]] {
+            if let Ok(decoded) = decode_bytes(mutated) {
+                probe_everything(&decoded, &probes);
+            }
+        }
+        probe_everything(&records, &probes);
     }
 }

@@ -79,16 +79,6 @@ pub struct DriverConfig {
     /// instrument at each sample barrier and folds the snapshots into
     /// `w`-second windows.
     pub metrics_window_secs: Option<u64>,
-    /// Maximum metrics windows retained in memory (`0` = the
-    /// [`DEFAULT_METRICS_RETENTION`] ring). The series stays
-    /// telescoping-safe across evictions
-    /// (`cgn_metrics::WindowSeries::drain_closed`), so an always-on
-    /// run is bounded-memory regardless of simulated length; any run
-    /// shorter than `retention × window` — every batch sweep in this
-    /// repo — sees identical [`RunSummary::metrics`] to the old
-    /// unbounded series. An execution/retention detail like `threads`:
-    /// windows that *are* retained are bit-identical for every value.
-    pub metrics_retention: usize,
     /// Packets the driver gathers before it calls the engine's burst
     /// pipeline: a shard drains consecutive millisecond buckets of its
     /// event wheel into one **window** until the window holds at least
@@ -132,11 +122,13 @@ pub struct DriverConfig {
 /// still L1-resident when they are translated.
 pub const DEFAULT_BURST: usize = 32;
 
-/// Metrics windows retained when [`DriverConfig::metrics_retention`]
-/// is `0`: far above every batch sweep in this repo (their window
-/// counts are in the tens), small enough that an always-on soak never
-/// holds more than ~a day of minute windows resident.
-pub const DEFAULT_METRICS_RETENTION: usize = 4096;
+/// Metrics windows retained in memory: far above every batch sweep in
+/// this repo (their window counts are in the tens), small enough that
+/// an always-on soak never holds more than ~a day of minute windows
+/// resident. The series stays telescoping-safe across evictions
+/// (`cgn_metrics::WindowSeries::drain_closed`), so an always-on run is
+/// bounded-memory regardless of simulated length.
+pub const METRICS_RETENTION: usize = 4096;
 
 impl DriverConfig {
     /// A mid-size default: 8k subscribers behind one shard, sequential.
@@ -154,7 +146,6 @@ impl DriverConfig {
             sweep_secs: 30,
             telemetry: TelemetryMode::Off,
             metrics_window_secs: None,
-            metrics_retention: 0,
             burst: 0,
             inbound_reply_permille: 0,
             trace: TraceConfig::off(),
@@ -1166,11 +1157,6 @@ impl DriverSession {
             .metrics_window_secs
             .unwrap_or(config.sample_secs)
             .max(1);
-        let retention = if config.metrics_retention == 0 {
-            DEFAULT_METRICS_RETENTION
-        } else {
-            config.metrics_retention
-        };
 
         DriverSession {
             threads,
@@ -1186,7 +1172,7 @@ impl DriverSession {
             peak_dist: Vec::new(),
             metrics_on,
             window_secs,
-            windows: WindowSeries::new(window_secs, retention),
+            windows: WindowSeries::new(window_secs, METRICS_RETENTION),
             prev_shard_flows: vec![0; config.shards as usize],
             prev_sample_secs: 0,
             worst_window_imbalance: 0.0,

@@ -65,7 +65,7 @@ pub use cgn_trace::TraceConfig;
 pub use driver::{
     run, run_with_logs, shard_of_subscriber, shard_pool, subscriber_ip, DriverConfig,
     DriverSession, MetricsSummary, MetricsWindow, RunSummary, SessionHealth, TelemetrySummary,
-    DEFAULT_BURST, DEFAULT_METRICS_RETENTION,
+    DEFAULT_BURST, METRICS_RETENTION,
 };
 pub use modulation::{DiurnalCurve, FlashCrowd, Modulation};
 pub use workload::{AppParams, AppProfile, WorkloadMix};
