@@ -614,7 +614,7 @@ mod tests {
 
     #[test]
     fn first_chunk_is_eight_rows_at_every_row_size() {
-        // Rows, not bytes: a 32-byte hot row and an 8 KiB row both
+        // Rows, not bytes: a 32-byte row and an 8 KiB row both
         // start at eight, and only a row so large that a whole chunk
         // holds fewer starts at CAP.
         assert_eq!(Arena::<[u64; 4]>::FIRST, 8);

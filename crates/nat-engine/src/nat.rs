@@ -790,7 +790,7 @@ impl Nat {
         let internal = h.src;
 
         // Reuse an existing mapping if present and fresh. The expiry
-        // check reads the store's hot array — one 32-byte row — not
+        // check reads the store's hot array — one 16-byte row — not
         // the cold mapping.
         let slot = match self.store.lookup_out(key) {
             Some(slot) if !self.store.expired_at(slot, now) => Some(slot),
@@ -1514,7 +1514,11 @@ mod tests {
         // another 786 432 off chunk 0's 16 384 rows, for 2 254 336.
         // 16-byte timer entries (one ticket for a generation and a
         // sequence) take 131 072 more off the one bucket's 16 384
-        // entries: 2 123 264.
+        // entries: 2 123 264. 16-byte hot rows take 262 144 off hot
+        // chunk 0's 16 384 rows, and the one bucket's 10 000 entries
+        // in forty 4 KiB segments (163 840) rather than a doubled
+        // 16 384-entry `Vec` (262 144) take 98 304 more: 1 762 816,
+        // plus the bucket's 1 536 bytes of segment headers.
         let mut cgn = nat(NatConfig::cgn_default());
         for k in 0..10_000u32 {
             let src = Endpoint::new(ip(100, 64, (k / 100) as u8, 1), 20_000 + (k % 100) as u16);
@@ -1522,7 +1526,7 @@ mod tests {
         }
         assert_eq!(cgn.mapping_count(), 10_000);
         let reserved = cgn.reserved_bytes() as f64;
-        let large = 2_123_264.0;
+        let large = 1_762_816.0;
         assert!(
             (reserved / large - 1.0).abs() <= 0.01,
             "{reserved} bytes against {large}"

@@ -38,14 +38,18 @@
 //!   ([`mix64`]) instead of SipHash over tuples.
 //!
 //! * **Hot/cold slot split** — the fields every sweep and every
-//!   expiry check touch (timer ticket, wheel bookkeeping, the expiry —
-//!   its only copy — and the owning host id) live in a dense parallel
-//!   array of 32-byte `HotSlot` rows; the cold remainder (packed keys,
-//!   the full [`Mapping`] with its filter state) is one 64-byte,
-//!   line-aligned row in the slab, so a lookup misses on one line of
-//!   each. A sweep or a demand sample walks only the hot array — a
-//!   third of the cache traffic of dragging whole slots through the
-//!   LLC.
+//!   expiry check touch (the expiry, which is its only copy, the timer
+//!   ticket, and how far the expiry has run past the parked timer
+//!   entry) live in a dense parallel array of 16-byte `HotSlot` rows;
+//!   the cold remainder (packed keys, the full [`Mapping`] with its
+//!   filter state) is one 64-byte, line-aligned row in the slab, so a
+//!   lookup misses on one line of each. A sweep walks only the hot
+//!   array — a fifth of the cache traffic of dragging whole slots
+//!   through the LLC. Nothing in a hot row says whether the slot is
+//!   live: a timer entry is current exactly when its ticket matches
+//!   (a free moves the ticket on after the slot's last filing, and a
+//!   free slot files nothing), and the owning host is read from the
+//!   cold row's out-key on the two paths that need it.
 //!
 //! * **Open-addressed indices** — the out-key and ext-key maps are
 //!   flat linear-probe tables with 8-byte cells (a 32-bit fingerprint
@@ -70,6 +74,8 @@
 //!   to the next instead of turning tick by tick, not the time since
 //!   the last sweep either. A level's bucket table is allocated when
 //!   its first entry arrives: an idle NAT's wheel is four empty `Vec`s.
+//!   A bucket holds its entries in 4 KiB segments, so a drained CGN
+//!   bucket hands back pages rather than one large doubled buffer.
 //!
 //! # Out-key layout (`u128`)
 //!
@@ -102,7 +108,9 @@
 //! Stale entries are recognised by a per-slot ticket, bumped on every
 //! free and on every filing, so at most one entry per slot is
 //! authoritative; a stale one costs one comparison when its bucket is
-//! drained.
+//! drained. The slot remembers its parked entry's deadline as a lag
+//! behind the expiry — zero after every filing, raised only by a lazy
+//! extension.
 
 use crate::arena::{Arena, ARENA_CHUNK_BYTES};
 use crate::config::MappingBehavior;
@@ -244,20 +252,81 @@ const WHEEL_GEOM: WheelGeometry = WheelGeometry {
 
 /// One parked expiry: 16 bytes, four to a cache line.
 ///
-/// The entry is authoritative exactly when `ticket == hot.ticket &&
-/// hot.live` for its slot's [`HotSlot`]. The slot's ticket moves on
-/// every free and on every filing, so an entry for a freed or reused
-/// slot and an entry superseded by a later filing (a shortening, or a
-/// lazy extension re-parked by the sweep) both fail the check; at most
-/// one entry can ever expire or reschedule a slot — duplicates (e.g. a
-/// shorten followed by an extension back to the old deadline) die
-/// stale on it.
+/// The entry is authoritative exactly when `ticket == hot.ticket` for
+/// its slot's [`HotSlot`]. The slot's ticket moves on every free and
+/// on every filing, and a free slot files nothing, so an entry for a
+/// freed or reused slot and an entry superseded by a later filing (a
+/// shortening, or a lazy extension re-parked by the sweep) both fail
+/// the check; at most one entry can ever expire or reschedule a slot —
+/// duplicates (e.g. a shorten followed by an extension back to the old
+/// deadline) die stale on it.
 #[derive(Debug, Clone, Copy)]
 struct TimerEntry {
     slot: u32,
     /// The slot's [`HotSlot::ticket`] when this entry was filed.
     ticket: u32,
     deadline_ms: u64,
+}
+
+/// Entries in one bucket segment: 4 KiB of them.
+const SEGMENT: usize = 256;
+
+/// One wheel bucket: its entries in filing order, in segments of at
+/// most [`SEGMENT`]. The first segment grows by doubling like a plain
+/// `Vec`, so a bucket of a few entries costs that `Vec` and one
+/// 24-byte segment header; every later one is allocated at exactly
+/// [`SEGMENT`] entries, so entry `i` is `segs[i / SEGMENT][i %
+/// SEGMENT]`. A CGN bucket of ten thousand entries is forty 4 KiB
+/// segments, not a 256 KiB buffer that doubled on the way there and,
+/// drained, leaves glibc's heap fragmented.
+#[derive(Debug, Default)]
+struct Bucket {
+    segs: Vec<Vec<TimerEntry>>,
+}
+
+impl Bucket {
+    #[inline]
+    fn push(&mut self, e: TimerEntry) {
+        match self.segs.last_mut() {
+            Some(seg) if seg.len() < SEGMENT => seg.push(e),
+            Some(_) => {
+                let mut seg = Vec::with_capacity(SEGMENT);
+                seg.push(e);
+                self.segs.push(seg);
+            }
+            None => {
+                self.segs.reserve_exact(1);
+                self.segs.push(Vec::new());
+                self.segs[0].push(e);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.segs.is_empty()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&TimerEntry> {
+        self.segs.get(i / SEGMENT)?.get(i % SEGMENT)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &TimerEntry> {
+        self.segs.iter().flatten()
+    }
+
+    /// The entries in filing order, each segment freed once it has
+    /// been read.
+    fn into_entries(self) -> impl Iterator<Item = TimerEntry> {
+        self.segs.into_iter().flatten()
+    }
+
+    #[cfg(test)]
+    fn reserved_bytes(&self) -> usize {
+        self.segs.capacity() * std::mem::size_of::<Vec<TimerEntry>>()
+            + self.segs.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<TimerEntry>()
+    }
 }
 
 /// The expiry wheel: [`WHEEL_LEVELS`] levels of [`WHEEL_BUCKETS`]
@@ -291,7 +360,7 @@ struct TimerWheel {
     horizon_ms: u64,
     /// Each level's buckets: empty until an entry lands on the level,
     /// [`WHEEL_BUCKETS`] headers from then on.
-    levels: [Vec<Vec<TimerEntry>>; WHEEL_LEVELS],
+    levels: [Vec<Bucket>; WHEEL_LEVELS],
     /// Bit `b` of word `l`: bucket `b` of level `l` is not empty.
     occupied: [u64; WHEEL_LEVELS],
     /// Entries currently parked in buckets (live + stale).
@@ -331,13 +400,13 @@ impl TimerWheel {
     /// Allocate a level's bucket headers: at most once per level.
     #[cold]
     fn open_level(&mut self, level: usize) {
-        self.levels[level].resize_with(WHEEL_BUCKETS, Vec::new);
+        self.levels[level].resize_with(WHEEL_BUCKETS, Bucket::default);
     }
 
     /// Empty one bucket and hand its entries over.
-    fn take(&mut self, level: usize, bucket: usize) -> Vec<TimerEntry> {
+    fn take(&mut self, level: usize, bucket: usize) -> Bucket {
         if self.occupied[level] >> bucket & 1 == 0 {
-            return Vec::new();
+            return Bucket::default();
         }
         self.occupied[level] &= !(1 << bucket);
         std::mem::take(&mut self.levels[level][bucket])
@@ -352,9 +421,8 @@ impl TimerWheel {
     /// Re-distribute one higher-level bucket downward (called when the
     /// level below wraps around).
     fn cascade(&mut self, level: usize, bucket: usize) {
-        let drained = self.take(level, bucket);
-        self.cascaded += drained.len() as u64;
-        for e in drained {
+        for e in self.take(level, bucket).into_entries() {
+            self.cascaded += 1;
             self.park(e);
         }
     }
@@ -376,18 +444,17 @@ impl TimerWheel {
     }
 
     /// Bytes of heap storage currently allocated: bucket headers and
-    /// the entries behind them.
+    /// the segments behind them.
     #[cfg(test)]
     fn reserved_bytes(&self) -> usize {
         let headers = self.levels.iter().map(Vec::capacity).sum::<usize>();
-        let entries = self
+        let segments = self
             .levels
             .iter()
             .flatten()
-            .map(Vec::capacity)
+            .map(Bucket::reserved_bytes)
             .sum::<usize>();
-        headers * std::mem::size_of::<Vec<TimerEntry>>()
-            + entries * std::mem::size_of::<TimerEntry>()
+        headers * std::mem::size_of::<Bucket>() + segments
     }
 }
 
@@ -673,28 +740,31 @@ struct HostEntry {
 }
 
 /// The per-slot fields every sweep and expiry check reads, split into
-/// a dense parallel array (32 bytes per row) so those paths never pull
-/// the 64-byte cold row through the cache.
+/// a dense parallel array (16 bytes per row, four to a cache line) so
+/// those paths never pull the 64-byte cold row through the cache.
 #[derive(Debug, Clone, Copy)]
 struct HotSlot {
+    /// The mapping's expiry in ms — its only copy, written by
+    /// [`MappingStore::insert`] and [`MappingStore::set_expiry`]; 0
+    /// while the slot is free.
+    expiry_ms: u64,
     /// Bumped on every free and every time a timer entry is filed for
     /// this slot. A [`TimerEntry`] is authoritative exactly when it
-    /// carries the current ticket and the slot is live: a free stales
-    /// every parked entry, a filing every earlier one. An entry parked
-    /// across 2^32 bumps of its slot would pass for current: billions
-    /// of packets to one slot inside one mapping timeout.
+    /// carries the current ticket: a free stales every parked entry,
+    /// and nothing files on a free slot; a filing stales every earlier
+    /// entry. An entry parked across 2^32 bumps of its slot would pass
+    /// for current: billions of packets to one slot inside one mapping
+    /// timeout.
     ticket: u32,
-    /// Deadline of this slot's authoritative timer entry (used to
-    /// decide whether a new expiry shortens or lazily extends it).
-    wheel_deadline: u64,
-    /// The mapping's expiry in ms — its only copy, written by
-    /// [`MappingStore::insert`] and [`MappingStore::set_expiry`].
-    expiry_ms: u64,
-    /// Interned internal-host id of the occupant.
-    host: u32,
-    /// Whether the slot holds a live mapping (mirrors
-    /// `Slot::mapping.is_some()` without touching the cold row).
-    live: bool,
+    /// How far `expiry_ms` lies past the deadline of the slot's
+    /// authoritative timer entry, which is how
+    /// [`MappingStore::set_expiry`] tells a shortening from a lazy
+    /// extension. Every filing parks at
+    /// the current expiry, so only a lazy extension raises it above 0.
+    /// Saturates at `u32::MAX` (49 days): an understated lag overstates
+    /// the parked deadline, which can only make a later shortening
+    /// file an entry it did not need, never skip one it did.
+    lag: u32,
 }
 
 /// Cold remainder of a slot: the packed keys (read on index verify and
@@ -713,24 +783,30 @@ struct Slot {
 // hugepage advice on a chunk covers its own rows and nothing else.
 const _: () = assert!(Arena::<Slot>::CAP * std::mem::size_of::<Slot>() == ARENA_CHUNK_BYTES);
 const _: () = assert!(Arena::<HotSlot>::CAP * std::mem::size_of::<HotSlot>() == ARENA_CHUNK_BYTES);
-// Four timer entries to a cache line, and the hot row's ticket leaves
-// it at 32 bytes.
+// Four timer entries and four hot rows to a cache line.
 const _: () = assert!(std::mem::size_of::<TimerEntry>() == 16);
-const _: () = assert!(std::mem::size_of::<HotSlot>() == 32);
+const _: () = assert!(std::mem::size_of::<HotSlot>() == 16);
 
 impl HotSlot {
-    /// Move the ticket on and point the wheel deadline at
-    /// `deadline_ms`: the entry returned is now `slot`'s only
-    /// authoritative one, ready to park.
+    /// Move the ticket on and file an entry at the current expiry: the
+    /// entry returned is now `slot`'s only authoritative one, ready to
+    /// park, and the lag is 0.
     #[inline]
-    fn file(&mut self, slot: u32, deadline_ms: u64) -> TimerEntry {
+    fn file(&mut self, slot: u32) -> TimerEntry {
         self.ticket = self.ticket.wrapping_add(1);
-        self.wheel_deadline = deadline_ms;
+        self.lag = 0;
         TimerEntry {
             slot,
             ticket: self.ticket,
-            deadline_ms,
+            deadline_ms: self.expiry_ms,
         }
+    }
+
+    /// Deadline of the slot's authoritative timer entry, or later (see
+    /// [`HotSlot::lag`]).
+    #[inline]
+    fn parked_deadline(&self) -> u64 {
+        self.expiry_ms - self.lag as u64
     }
 }
 
@@ -789,7 +865,7 @@ const KIND_APDM: u128 = 2;
 pub struct MappingStore {
     /// Cold rows (keys + full mappings), parallel to `hot`.
     slots: Arena<Slot>,
-    /// Hot rows (timer ticket, wheel bookkeeping, cached expiry, host).
+    /// Hot rows (expiry, timer ticket, lag behind the parked entry).
     hot: Arena<HotSlot>,
     /// Address-ordered free-list of reusable slot ids: `pop` returns
     /// the lowest free id, so reuse packs live slots toward the front
@@ -1000,7 +1076,7 @@ impl MappingStore {
     }
 
     /// Hot-array expiry check for a live slot — the burst pipeline's
-    /// reuse test, touching one 32-byte row instead of the cold
+    /// reuse test, touching one 16-byte row instead of the cold
     /// mapping.
     #[inline]
     pub fn expired_at(&self, slot: u32, now: SimTime) -> bool {
@@ -1042,8 +1118,8 @@ impl MappingStore {
         self.ext_index.hint(Self::hash_ext(key))
     }
 
-    /// Prefetch the whole of a slot's rows: one line each. The 32-byte
-    /// hot rows pack two to a line in a full (2 MiB-aligned) chunk, and
+    /// Prefetch the whole of a slot's rows: one line each. The 16-byte
+    /// hot rows pack four to a line in a full (2 MiB-aligned) chunk, and
     /// a cold row is one line-aligned 64-byte line of its own. A hint
     /// only: any slot id is accepted, out-of-range ones are ignored.
     #[inline]
@@ -1131,13 +1207,10 @@ impl MappingStore {
         let ext_key = Self::pack_ext(pool, mapping.external.port);
         let ext_hash = Self::hash_ext(ext_key);
         self.ext_index.prefetch(ext_hash);
-        let deadline = expiry.as_millis();
+        let expiry_ms = expiry.as_millis();
         let slot = match self.free.pop() {
             Some(s) => {
-                let hot = &mut self.hot[s as usize];
-                hot.expiry_ms = deadline;
-                hot.host = host;
-                hot.live = true;
+                self.hot[s as usize].expiry_ms = expiry_ms;
                 let cold = &mut self.slots[s as usize];
                 cold.out_key = out_key;
                 cold.ext_key = ext_key;
@@ -1147,11 +1220,9 @@ impl MappingStore {
             None => {
                 let s = u32::try_from(self.slots.len()).expect("more than 2^32 mapping slots");
                 self.hot.push(HotSlot {
+                    expiry_ms,
                     ticket: 0,
-                    wheel_deadline: deadline,
-                    expiry_ms: deadline,
-                    host,
-                    live: true,
+                    lag: 0,
                 });
                 self.slots.push(Slot {
                     out_key,
@@ -1161,7 +1232,7 @@ impl MappingStore {
                 s
             }
         };
-        let e = self.hot[slot as usize].file(slot, deadline);
+        let e = self.hot[slot as usize].file(slot);
         self.wheel.schedule(e);
         let slots = &self.slots;
         self.out_index.insert(Self::hash_out(out_key), slot, |s| {
@@ -1206,8 +1277,8 @@ impl MappingStore {
         let ext_key = cold.ext_key;
         let hot = &mut self.hot[slot as usize];
         hot.ticket = hot.ticket.wrapping_add(1);
-        hot.live = false;
-        let host = hot.host;
+        hot.expiry_ms = 0;
+        let host = Self::host_of_key(out_key);
         self.out_index.remove(Self::hash_out(out_key), slot);
         self.ext_index.remove(Self::hash_ext(ext_key), slot);
         let sessions = &mut self.hosts[host as usize].sessions;
@@ -1223,12 +1294,15 @@ impl MappingStore {
     /// the parked one.
     pub fn set_expiry(&mut self, slot: u32, expiry: SimTime) {
         let ms = expiry.as_millis();
+        assert!(self.slots[slot as usize].mapping.is_some(), "slot is free");
         let hot = &mut self.hot[slot as usize];
-        assert!(hot.live, "slot is free");
+        let parked = hot.parked_deadline();
         hot.expiry_ms = ms;
-        if ms < hot.wheel_deadline {
-            let e = hot.file(slot, ms);
+        if ms < parked {
+            let e = hot.file(slot);
             self.wheel.schedule(e);
+        } else {
+            hot.lag = u32::try_from(ms - parked).unwrap_or(u32::MAX);
         }
     }
 
@@ -1280,7 +1354,7 @@ impl MappingStore {
                 self.wheel.entries -= 1;
                 inspected += 1;
                 // Pure hot-array pass: stale check, expiry check, and
-                // lazy rescheduling all read the 32-byte row — the
+                // lazy rescheduling all read the 16-byte row — the
                 // cold slot is never touched during a sweep. Entries
                 // name rows in no order, so the row a few entries on
                 // is fetched while this one is judged.
@@ -1289,7 +1363,7 @@ impl MappingStore {
                     prefetch_line(hot);
                 }
                 let hot = &mut self.hot[e.slot as usize];
-                if hot.ticket != e.ticket || !hot.live {
+                if hot.ticket != e.ticket {
                     continue; // stale: freed, reused, or superseded entry
                 }
                 if hot.expiry_ms <= now_ms {
@@ -1300,7 +1374,7 @@ impl MappingStore {
                     // parked entry for this slot is already stale; the
                     // wheel insert is deferred until the ticks have
                     // finished turning.
-                    resched.push(hot.file(e.slot, hot.expiry_ms));
+                    resched.push(hot.file(e.slot));
                 }
             }
             match next(&self.wheel, tick) {
@@ -1331,11 +1405,12 @@ impl MappingStore {
     pub fn active_ports_per_host(&self, now: SimTime) -> Vec<u32> {
         let now_ms = now.as_millis();
         let mut counts = vec![0u32; self.hosts.len()];
-        // Hot-array scan: live flag, cached expiry, and host id are
-        // all in the 32-byte row.
-        for hot in self.hot.iter() {
-            if hot.live && hot.expiry_ms > now_ms {
-                counts[hot.host as usize] += 1;
+        // A free slot's expiry is 0, so the hot-array expiry check
+        // alone picks out the live, unexpired slots; only those read
+        // their host from the cold row's out-key.
+        for (hot, cold) in self.hot.iter().zip(self.slots.iter()) {
+            if hot.expiry_ms > now_ms {
+                counts[Self::host_of_key(cold.out_key) as usize] += 1;
             }
         }
         counts.retain(|&c| c > 0);
@@ -1686,7 +1761,7 @@ mod tests {
 
     #[test]
     fn wheel_tables_appear_with_the_first_entry_of_their_level() {
-        const TABLE: usize = WHEEL_BUCKETS * std::mem::size_of::<Vec<TimerEntry>>();
+        const TABLE: usize = WHEEL_BUCKETS * std::mem::size_of::<Bucket>();
         let tables = |s: &MappingStore| s.wheel.levels.iter().map(Vec::capacity).sum::<usize>();
         let (mut s, _) = store_with(0, 0);
         assert_eq!((s.wheel.reserved_bytes(), s.wheel.occupied), (0, [0; 4]));
@@ -1811,6 +1886,147 @@ mod tests {
                 }
                 assert_same_wheels(&jump, &ticks);
             }
+        }
+    }
+
+    #[test]
+    fn wheel_buckets_span_segments_in_filing_order() {
+        // Group A parks in one level-0 bucket (tick 30) from the start;
+        // group B in one level-2 bucket, which cascades through level 1
+        // into level-0 tick 7032. Interleaved shortenings file second
+        // entries at the end of the same bucket, and frees hand slot ids
+        // back to later inserts of either group, so both buckets hold
+        // stale entries between current ones, across segment edges.
+        const A: u64 = 30 << 10;
+        const B: u64 = 7032 << 10;
+        let (mut jump, mut ticks) = (MappingStore::new(), MappingStore::new());
+        // Every filing, in order: (slot, group base).
+        let mut filed: Vec<(u32, u64)> = Vec::new();
+        // Live slots: (slot, group base, expiry in ms).
+        let mut live: Vec<(u32, u64, u64)> = Vec::new();
+        for k in 0..1200u32 {
+            let base = if k % 3 == 2 { B } else { A };
+            let internal = Endpoint::new(ip(100, 64, 0, 1), 1024 + k as u16);
+            let external = Endpoint::new(ip(198, 51, 100, 1), 1024 + k as u16);
+            let expiry_ms = base + 512 + (k % 500) as u64;
+            let expiry = SimTime::from_millis(expiry_ms);
+            let mut slots = [0; 2];
+            for (s, slot) in [&mut jump, &mut ticks].into_iter().zip(&mut slots) {
+                let key = s.out_key(
+                    MappingBehavior::EndpointIndependent,
+                    Protocol::Udp,
+                    internal,
+                    Endpoint::new(ip(203, 0, 113, 1), 80),
+                );
+                *slot = insert(s, key, mapping(internal, external, expiry));
+            }
+            assert_eq!(slots[0], slots[1]);
+            filed.push((slots[0], base));
+            live.push((slots[0], base, expiry_ms));
+            let pick = k.wrapping_mul(2_654_435_761) as usize % live.len();
+            if k % 9 == 4 && live[pick].2 > live[pick].1 {
+                // Shorter, and still in the group's tick.
+                let (slot, base, expiry_ms) = &mut live[pick];
+                *expiry_ms = (*expiry_ms - 1 - (k % 100) as u64).max(*base);
+                let shorter = SimTime::from_millis(*expiry_ms);
+                jump.set_expiry(*slot, shorter);
+                ticks.set_expiry(*slot, shorter);
+                filed.push((*slot, *base));
+            } else if k % 13 == 6 {
+                let (slot, ..) = live.swap_remove(pick);
+                assert!(jump.remove(slot).is_some() && ticks.remove(slot).is_some());
+            }
+        }
+        let level0 = &jump.wheel.levels[0][30].segs;
+        let level2 = &jump.wheel.levels[2][1].segs;
+        assert!(
+            level0.len() > 3 && level2.len() > 1,
+            "buckets span segments"
+        );
+        for seg in level0
+            .iter()
+            .rev()
+            .skip(1)
+            .chain(level2.iter().rev().skip(1))
+        {
+            assert_eq!((seg.len(), seg.capacity()), (SEGMENT, SEGMENT));
+        }
+        // A bucket's due slots: its current entries, in filing order.
+        let expect = |group: u64| -> Vec<u32> {
+            let current = |i: usize, slot: u32| {
+                live.iter().any(|&(s, ..)| s == slot)
+                    && filed.iter().rposition(|&(s, _)| s == slot) == Some(i)
+            };
+            let filings = filed.iter().enumerate();
+            filings
+                .filter(|&(i, &(slot, base))| base == group && current(i, slot))
+                .map(|(_, &(slot, _))| slot)
+                .collect()
+        };
+        let timers = jump.occupancy().timers;
+        assert_eq!(timers, filed.len() as u64, "stale entries stay parked");
+        let sweeps = [
+            (10_000, vec![]),
+            (A + 1024, expect(A)),
+            (1_000_000, vec![]),
+            ((1 << 22) + 5, vec![]),    // group B cascades to level 1 ...
+            ((6976 << 10) + 3, vec![]), // ... and to level 0
+            (B - 1, vec![]),
+            (B + 1024, expect(B)),
+        ];
+        for (ms, want) in sweeps {
+            let at = SimTime::from_millis(ms);
+            let (inspected, due) = jump.sweep_due(at);
+            assert_eq!((inspected, due.clone()), ticks.sweep_due_by_ticks(at));
+            assert_eq!(due, want, "due at {ms} ms");
+            for &slot in &due {
+                assert!(jump.remove(slot).is_some() && ticks.remove(slot).is_some());
+            }
+            assert_same_wheels(&jump, &ticks);
+        }
+        assert_eq!(jump.occupancy().timers, 0, "every entry drained");
+        assert!(jump.timer_cascades() > 2 * 256, "group B cascaded twice");
+    }
+
+    #[test]
+    fn lag_saturates_without_expiring_early_or_skipping_a_filing() {
+        const P: u64 = 60_000;
+        let parked = |s: &MappingStore| s.occupancy().timers;
+        let due_at = |s: &mut MappingStore, ms: u64| s.sweep_due(SimTime::from_millis(ms)).1;
+
+        // Extend more than 2^32 ms past the parked deadline: the lag
+        // saturates, overstating that deadline by 10 000 001 ms. A
+        // shortening to halfway between stays clear of the overstatement,
+        // so it is lazy — a wrapped lag would overstate it by 2^32 and
+        // file. Either way the mapping lives until exactly its expiry.
+        let (mut s, _) = store_with(1, P / 1000);
+        let e = P + (1 << 32) + 10_000_000;
+        s.set_expiry(0, SimTime::from_millis(e));
+        assert_eq!(s.hot[0].lag, u32::MAX);
+        let shorter = P + (1 << 31);
+        s.set_expiry(0, SimTime::from_millis(shorter));
+        assert_eq!(
+            parked(&s),
+            1,
+            "a shortening above the parked deadline is lazy"
+        );
+        for ms in [P, P + 10_000_001, shorter - 1] {
+            assert_eq!(due_at(&mut s, ms), Vec::<u32>::new(), "early at {ms} ms");
+        }
+        assert_eq!(due_at(&mut s, shorter), vec![0]);
+        s.remove(0).expect("live");
+
+        // A lazy extension (saturating or not) then a shortening below
+        // the parked deadline files exactly one entry, which fires at
+        // the new expiry.
+        for extension in [1_000, 1 << 33] {
+            let (mut s, _) = store_with(1, P / 1000);
+            s.set_expiry(0, SimTime::from_millis(P + extension));
+            assert_eq!(parked(&s), 1, "an extension is lazy");
+            s.set_expiry(0, SimTime::from_millis(P - 30_000));
+            assert_eq!(parked(&s), 2, "one filing for the shortening");
+            assert_eq!(due_at(&mut s, P - 30_001), Vec::<u32>::new());
+            assert_eq!(due_at(&mut s, P - 30_000), vec![0]);
         }
     }
 
@@ -2214,14 +2430,14 @@ mod tests {
     #[test]
     fn prefetch_slot_covers_the_cold_row_it_assumes() {
         // `prefetch_slot` names one line of each row: a line-aligned
-        // 64-byte cold row is exactly one line, and 32-byte hot rows in
+        // 64-byte cold row is exactly one line, and 16-byte hot rows in
         // a full chunk never straddle two.
         assert_eq!(
             (std::mem::size_of::<Slot>(), std::mem::align_of::<Slot>()),
             (64, 64),
             "update prefetch_slot and its rustdoc"
         );
-        assert_eq!(std::mem::size_of::<HotSlot>(), 32);
+        assert_eq!(std::mem::size_of::<HotSlot>(), 16);
         // Any id is accepted; out-of-range ones are ignored.
         let (s, slots) = store_with(3, 60);
         for slot in slots.into_iter().chain([3, u32::MAX]) {
@@ -2294,6 +2510,9 @@ mod tests {
             "expired host dropped"
         );
         assert_eq!(s.active_ports_per_host(t(60)), Vec::<u32>::new());
+        // A freed slot counts for nobody, whatever `now` is.
+        s.remove(2).expect("live");
+        assert_eq!(s.active_ports_per_host(t(0)), vec![2]);
     }
 
     #[test]
