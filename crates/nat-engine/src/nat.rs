@@ -1534,6 +1534,142 @@ mod tests {
     }
 
     #[test]
+    fn a_churning_cgn_reserves_what_its_live_mappings_need() {
+        // A CGN at a rolling 10 000 live UDP mappings: 1 000 new flows
+        // every simulated second under a 10 s timeout, swept every
+        // second for a minute. From the first plateau on, the table
+        // holds as many mappings as it will ever hold, so it must not
+        // grow. With tombstone deletion it did: every expiry left a
+        // tombstone, and once live entries passed half of an index's
+        // 16 384 cells, the first rebuild doubled it (≥ 256 KiB for the
+        // two indices).
+        let mut cfg = NatConfig::cgn_default();
+        cfg.udp_timeout = SimDuration::from_secs(10);
+        let mut cgn = nat(cfg);
+        let mut plateau = None;
+        for secs in 0..60u64 {
+            cgn.sweep(t(secs));
+            for k in 0..1_000u32 {
+                let host = ip(100, 64, (k / 250) as u8, (k % 250) as u8 + 1);
+                let src = Endpoint::new(host, 1024 + secs as u16);
+                udp_out(&mut cgn, src, server(), t(secs));
+            }
+            assert_eq!(cgn.mapping_count(), 1_000 * (secs as usize + 1).min(10));
+            if secs == 9 {
+                plateau = Some(cgn.reserved_bytes() as f64);
+            }
+        }
+        let (plateau, reserved) = (plateau.expect("reached"), cgn.reserved_bytes() as f64);
+        assert!(
+            (reserved / plateau - 1.0).abs() <= 0.01,
+            "{reserved} bytes after a minute against {plateau} at the first plateau"
+        );
+    }
+
+    /// Table flood (ReDAN's threat model, PAPERS.md): subscriber A opens
+    /// new flows as fast as it can, past what it may hold — its session
+    /// limit under `PortBlock`, its computed block under
+    /// `Deterministic` (RFC 7422) — while subscriber B, on the same
+    /// external IP, opens a flow now and then. The bound:
+    /// - every one of B's flows is forwarded, from B's own ports;
+    /// - A holds exactly what its limit or its block allows, and every
+    ///   packet beyond it is refused and counted in exactly one
+    ///   `DropReason` (the `NatStats` delta is exact);
+    /// - the flood reserves no memory beyond that: the NAT's tables
+    ///   hold no more bytes than one where A sent only the flows it may
+    ///   hold.
+    ///
+    /// How `Random` and `Preserve` fail — nothing reserves B a port
+    /// there, so A can take the ports B would have had — is out of
+    /// scope.
+    #[test]
+    fn a_table_flood_leaves_the_neighbours_ports_and_memory_alone() {
+        use crate::config::PortAllocation;
+        let limit = 128;
+        let cases = [
+            (
+                PortAllocation::PortBlock { block_size: 64 },
+                128,
+                DropReason::SessionLimit,
+            ),
+            (
+                PortAllocation::Deterministic { ports_per_host: 64 },
+                64,
+                DropReason::PortExhausted,
+            ),
+        ];
+        let (a, b) = (internal_host(1), internal_host(2));
+        for (port_alloc, held, refusal) in cases {
+            let mut cfg = NatConfig::cgn_default();
+            cfg.port_alloc = port_alloc;
+            cfg.mapping = MappingBehavior::AddressAndPortDependent;
+            cfg.max_sessions_per_host = Some(limit);
+            // Over 1 000 rounds A sends its first `a_flows` flows, each
+            // to a new destination port and so a new mapping, and B one
+            // flow every 20 rounds.
+            let run = |a_flows: u16| {
+                let mut n = Nat::new(cfg.clone(), vec![ip(198, 51, 100, 1)], 7);
+                let (mut a_ports, mut b_ports, mut refused) = (HashSet::new(), vec![], 0);
+                for f in 0..1_000 {
+                    let dst = Endpoint::new(server().ip, 1000 + f);
+                    let verdict = (f < a_flows)
+                        .then(|| n.process_outbound(Packet::udp(a, dst, vec![]), t(1)));
+                    match verdict {
+                        None => {}
+                        Some(NatVerdict::Forward(p)) => assert!(a_ports.insert(p.src)),
+                        Some(NatVerdict::Drop(r)) => {
+                            assert_eq!(r, refusal, "{port_alloc:?}");
+                            refused += 1;
+                        }
+                        v => panic!("{v:?}"),
+                    }
+                    if f % 20 == 19 {
+                        let src = Endpoint::new(b.ip, 5000 + f);
+                        b_ports.push(udp_out(&mut n, src, server(), t(1)).src);
+                    }
+                }
+                (n, a_ports, b_ports, refused)
+            };
+            let (n, a_ports, b_ports, refused) = run(1_000);
+            assert_eq!(
+                (a_ports.len(), refused),
+                (held, 1_000 - held),
+                "{port_alloc:?}"
+            );
+            assert_eq!(b_ports.len(), 50);
+            assert!(b_ports.iter().all(|p| p.ip == ip(198, 51, 100, 1)));
+            assert!(
+                b_ports.iter().all(|p| !a_ports.contains(p)),
+                "B keeps its own ports"
+            );
+            let created = (held + b_ports.len()) as u64;
+            let (by_limit, by_ports) = match refusal {
+                DropReason::SessionLimit => (refused as u64, 0),
+                _ => (0, refused as u64),
+            };
+            let expected = NatStats {
+                out_packets: 1_050,
+                mappings_created: created,
+                peak_mappings: created,
+                drops: refused as u64,
+                drop_session_limit: by_limit,
+                drop_port_exhausted: by_ports,
+                ..NatStats::default()
+            };
+            assert_eq!(n.stats(), &expected, "{port_alloc:?}");
+            // The same traffic without the flood: A stops at what it
+            // may hold.
+            let (quiet, ..) = run(held as u16);
+            assert_eq!(quiet.mapping_count(), n.mapping_count());
+            let (flooded, bound) = (n.reserved_bytes(), quiet.reserved_bytes());
+            assert!(
+                flooded <= bound,
+                "{port_alloc:?}: {flooded} > {bound} bytes"
+            );
+        }
+    }
+
+    #[test]
     fn sweep_follows_tcp_fin_shortened_expiry() {
         let mut n = nat(NatConfig::cgn_default()); // established 7440 s, transitory 240 s
         let src = internal_host(1);

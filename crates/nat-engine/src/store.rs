@@ -52,12 +52,15 @@
 //!   cold row's out-key on the two paths that need it.
 //!
 //! * **Open-addressed indices** — the out-key and ext-key maps are
-//!   flat linear-probe tables with 8-byte cells (a 32-bit fingerprint
-//!   tag + the slot id); full keys are verified against the slab on
-//!   fingerprint hits. Compared to the previous `HashMap` (16/32-byte
-//!   entries plus per-group control metadata), probes touch half the
-//!   index bytes. A burst overlaps its misses in two steps: prefetch
-//!   the cell each key's probe starts at, then read the cached cells
+//!   flat linear-probe tables with 8-byte cells (a 32-bit hash tag +
+//!   the slot id); full keys are verified against the slab on tag
+//!   hits. A probe starts at the cell the tag's low bits name, so a
+//!   removal shifts its run back instead of leaving a tombstone, and a
+//!   table doubles only when its live entries pass ¾. Compared to the
+//!   previous `HashMap` (16/32-byte entries plus per-group control
+//!   metadata), probes touch half the index bytes. A burst overlaps
+//!   its misses in two steps: prefetch the line each key's probe
+//!   starts on and the line after it, then read the cached cells
 //!   with a tag-only probe and [`MappingStore::prefetch_slot`] the
 //!   candidate's rows, before any packet is translated. The one cell
 //!   no stage can know in advance — the ext-index cell of a port not
@@ -478,26 +481,25 @@ fn prefetch_line<T>(p: *const T) {
 
 /// An empty cell: tag 0, slot 0.
 const CELL_EMPTY: u64 = 0;
-/// A tombstone cell: tag 1, slot 0.
-const CELL_TOMB: u64 = 1 << 32;
 
 /// Open-addressed `key → slot` index over the store's packed integer
-/// keys: one `u64` cell per entry (key-fingerprint tag in the high 32
-/// bits, slot id in the low 32) with linear probing and tombstone
-/// deletion. Tag `0` = empty, `1` = tombstone, fingerprints are ≥ 2.
-/// Packing tag and slot into a single word matters on the hot path: a
-/// probe hit reads one cache line instead of touching parallel tag and
-/// slot arrays (two lines), and a table rebuild streams one array.
-/// On a fingerprint hit the caller verifies the full key against the
-/// slab, so the index never stores keys at all. Callers supply the
-/// hash — the store keys are already packed integers, so one [`mix64`]
-/// avalanche is the whole hash function.
+/// keys: one `u64` cell per entry (tag in the high 32 bits, slot id in
+/// the low 32), linear probing without tombstones. The tag is the
+/// hash's high half, and `0` — empty — is its only reserved value. A
+/// probe starts at `tag & mask`, so a cell's home is read from the
+/// cell alone: a removal shifts the rest of its run back (Knuth's
+/// Algorithm R), and growth re-places cells without the slab.
+/// Same-home keys differ in the tag's other `32 − log2(cap)` bits
+/// (`grow` asserts `cap <= 1 << 32`); on a tag hit the caller verifies
+/// the full key against the slab, so the index stores no keys. One
+/// word per cell means a probe hit reads one cache line, not parallel
+/// tag and slot arrays. Callers supply the hash — the keys are packed
+/// integers, so one [`mix64`] avalanche is the whole hash function.
 #[derive(Debug)]
 struct OpenIndex {
-    /// `CELL_EMPTY`, `CELL_TOMB`, or `fingerprint << 32 | slot`.
+    /// `CELL_EMPTY` or `tag << 32 | slot`.
     cells: Vec<u64>,
     live: usize,
-    tombstones: usize,
 }
 
 impl OpenIndex {
@@ -505,15 +507,18 @@ impl OpenIndex {
         OpenIndex {
             cells: vec![CELL_EMPTY; 16],
             live: 0,
-            tombstones: 0,
         }
     }
 
     #[inline]
-    fn fingerprint(hash: u64) -> u32 {
-        // High bits (the probe start uses the low bits) nudged off the
-        // two reserved tag values.
-        ((hash >> 32) as u32).max(2)
+    fn tag(hash: u64) -> u64 {
+        (hash >> 32).max(1)
+    }
+
+    /// The cell a probe for `tag` starts at.
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        tag as usize & self.mask()
     }
 
     #[inline]
@@ -530,59 +535,61 @@ impl OpenIndex {
     /// Insert a `(hash, slot)` cell. Keys are unique among live
     /// entries by construction — the engine only inserts after a miss
     /// or a removal — so no duplicate scan is needed and the first
-    /// reusable cell wins. `rehash` recomputes a stored slot's key
-    /// hash when the table grows.
-    fn insert(&mut self, hash: u64, slot: u32, rehash: impl Fn(u32) -> u64) {
-        if (self.live + self.tombstones + 1) * 4 > self.cells.len() * 3 {
-            self.grow(rehash);
+    /// empty cell wins. The table doubles when live entries pass ¾.
+    fn insert(&mut self, hash: u64, slot: u32) {
+        if (self.live + 1) * 4 > self.cells.len() * 3 {
+            self.grow();
         }
+        self.place(Self::tag(hash) << 32 | slot as u64);
+        self.live += 1;
+    }
+
+    /// Write `cell` into the first empty cell from its home on.
+    #[inline]
+    fn place(&mut self, cell: u64) {
         let mask = self.mask();
-        let mut i = hash as usize & mask;
-        loop {
-            let cell = self.cells[i];
-            if cell <= CELL_TOMB {
-                if cell == CELL_TOMB {
-                    self.tombstones -= 1;
-                }
-                self.cells[i] = (Self::fingerprint(hash) as u64) << 32 | slot as u64;
-                self.live += 1;
-                return;
-            }
+        let mut i = self.home(cell >> 32);
+        while self.cells[i] != CELL_EMPTY {
             i = (i + 1) & mask;
         }
+        self.cells[i] = cell;
     }
 
     /// Find the slot stored under `hash` whose full key matches
     /// (`verify` checks the slab). Probes stop at the first empty cell.
     #[inline]
     fn get(&self, hash: u64, verify: impl Fn(u32) -> bool) -> Option<u32> {
-        let fp = Self::fingerprint(hash);
+        let tag = Self::tag(hash);
         let mask = self.mask();
-        let mut i = hash as usize & mask;
+        let mut i = self.home(tag);
         loop {
             let cell = self.cells[i];
             if cell == CELL_EMPTY {
                 return None;
             }
-            if (cell >> 32) as u32 == fp && verify(cell as u32) {
+            if cell >> 32 == tag && verify(cell as u32) {
                 return Some(cell as u32);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Prefetch the cell a probe for `hash` starts at.
+    /// Prefetch the line a probe for `hash` starts on and the line
+    /// after it: a run that starts late in one line, or a removal's
+    /// back-shift, goes on into the next.
     #[inline]
     fn prefetch(&self, hash: u64) {
-        prefetch_line(&self.cells[hash as usize & self.mask()]);
+        let i = self.home(Self::tag(hash));
+        prefetch_line(&self.cells[i]);
+        prefetch_line(&self.cells[(i + 8) & self.mask()]);
     }
 
     /// Tag-only probe: the slot of the first cell on `hash`'s probe
-    /// path that carries its fingerprint, with no key verify — so it
-    /// reads index cells only. Returns a slot whenever [`get`] would
-    /// (the verified cell is on the same path), but under a tag
-    /// collision it may name another key's slot, or one for a key
-    /// that is not indexed at all. Good for prefetching, nothing else.
+    /// path that carries its tag, with no key verify — so it reads
+    /// index cells only. Returns a slot whenever [`get`] would (the
+    /// verified cell is on the same path), but under a tag collision
+    /// it may name another key's slot, or one for a key that is not
+    /// indexed at all. Good for prefetching, nothing else.
     ///
     /// [`get`]: OpenIndex::get
     #[inline]
@@ -591,49 +598,45 @@ impl OpenIndex {
     }
 
     /// Remove the cell holding exactly `slot` under `hash` (slot ids
-    /// are unique in the index, so identity is the full-key check).
+    /// are unique in the index, so identity is the full-key check),
+    /// then shift into the hole each later cell of the run whose home
+    /// is not between the hole and itself: no probe path holds a gap.
     fn remove(&mut self, hash: u64, slot: u32) -> bool {
-        let target = (Self::fingerprint(hash) as u64) << 32 | slot as u64;
+        let target = Self::tag(hash) << 32 | slot as u64;
         let mask = self.mask();
-        let mut i = hash as usize & mask;
-        loop {
-            let cell = self.cells[i];
-            if cell == CELL_EMPTY {
+        let mut hole = self.home(target >> 32);
+        while self.cells[hole] != target {
+            if self.cells[hole] == CELL_EMPTY {
                 return false;
             }
-            if cell == target {
-                self.cells[i] = CELL_TOMB;
-                self.live -= 1;
-                self.tombstones += 1;
-                return true;
-            }
-            i = (i + 1) & mask;
+            hole = (hole + 1) & mask;
         }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let cell = self.cells[i];
+            if cell == CELL_EMPTY {
+                break;
+            }
+            // Copied even if it stays (no branch): the hole is rewritten.
+            self.cells[hole] = cell;
+            let home = (cell >> 32) as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                hole = i;
+            }
+        }
+        self.cells[hole] = CELL_EMPTY;
+        self.live -= 1;
+        true
     }
 
-    /// Rebuild at double capacity when genuinely full, or in place
-    /// when tombstones are what crossed the load threshold.
-    fn grow(&mut self, rehash: impl Fn(u32) -> u64) {
-        let cap = if (self.live + 1) * 2 > self.cells.len() {
-            self.cells.len() * 2
-        } else {
-            self.cells.len()
-        };
+    /// Double the table, re-placing every cell from its tag alone.
+    fn grow(&mut self) {
+        let cap = self.cells.len() * 2;
+        assert!(cap <= 1 << 32, "a cell's home must fit in its 32-bit tag");
         let old = std::mem::replace(&mut self.cells, vec![CELL_EMPTY; cap]);
-        self.live = 0;
-        self.tombstones = 0;
-        let mask = cap - 1;
-        for cell in old {
-            if cell <= CELL_TOMB {
-                continue;
-            }
-            let slot = cell as u32;
-            let mut i = rehash(slot) as usize & mask;
-            while self.cells[i] != CELL_EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.cells[i] = cell;
-            self.live += 1;
+        for cell in old.into_iter().filter(|&c| c != CELL_EMPTY) {
+            self.place(cell);
         }
     }
 }
@@ -1136,8 +1139,9 @@ impl MappingStore {
     /// order and is about to remove `due[i]`: prefetch the rows of the
     /// slot `2 * SWEEP_LOOKAHEAD` places on, and — from the keys in
     /// the cold row fetched that way `SWEEP_LOOKAHEAD` removals ago —
-    /// the two index cells [`MappingStore::remove`] will tombstone for
-    /// the slot `SWEEP_LOOKAHEAD` places on.
+    /// the two index cells [`MappingStore::remove`] will clear for the
+    /// slot `SWEEP_LOOKAHEAD` places on, each with the line after it,
+    /// where the clear shifts the rest of the cell's run back.
     #[inline]
     pub fn prefetch_removals(&self, due: &[u32], i: usize) {
         if let Some(&slot) = due.get(i + 2 * SWEEP_LOOKAHEAD) {
@@ -1234,10 +1238,7 @@ impl MappingStore {
         };
         let e = self.hot[slot as usize].file(slot);
         self.wheel.schedule(e);
-        let slots = &self.slots;
-        self.out_index.insert(Self::hash_out(out_key), slot, |s| {
-            Self::hash_out(slots[s as usize].out_key)
-        });
+        self.out_index.insert(Self::hash_out(out_key), slot);
         self.ext_behind.push_back((ext_hash, slot));
         self.write_ext_behind(EXT_WRITE_BEHIND);
         self.hosts[host as usize].sessions += 1;
@@ -1251,9 +1252,7 @@ impl MappingStore {
     fn write_ext_behind(&mut self, keep: usize) {
         while self.ext_behind.len() > keep {
             let (hash, slot) = self.ext_behind.pop_front().expect("longer than `keep`");
-            let slots = &self.slots;
-            self.ext_index
-                .insert(hash, slot, |s| Self::hash_ext(slots[s as usize].ext_key));
+            self.ext_index.insert(hash, slot);
         }
     }
 
@@ -1470,7 +1469,7 @@ mod tests {
     use super::*;
     use netcore::ip;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -2364,12 +2363,31 @@ mod tests {
         );
     }
 
-    /// A hash with a chosen fingerprint (high 32 bits) and probe start
-    /// (low bits); `salt` lands in bits neither reads while the table
-    /// has fewer than 2^16 cells, so it makes distinct "keys" that
+    /// A hash whose tag is `high << 16 | start`: while the table has
+    /// fewer than 2^16 cells, `start` is the probe's home and `high`
+    /// the tag bits that tell same-home keys apart. `salt` lands in the
+    /// low half, which no probe reads, so it makes distinct "keys" that
     /// collide on both.
-    fn hash_of(fingerprint: u32, start: u16, salt: u16) -> u64 {
-        (fingerprint as u64) << 32 | (salt as u64) << 16 | start as u64
+    fn hash_of(high: u16, start: u16, salt: u32) -> u64 {
+        ((high as u64) << 16 | start as u64) << 32 | salt as u64
+    }
+
+    /// The index invariant back-shift keeps: no empty cell lies between
+    /// any live cell and its home, and `live` counts the cells.
+    fn assert_runs_unbroken(idx: &OpenIndex) {
+        let mask = idx.mask();
+        for (i, &cell) in idx.cells.iter().enumerate() {
+            let mut j = idx.home(cell >> 32);
+            while cell != CELL_EMPTY && j != i {
+                assert_ne!(
+                    idx.cells[j], CELL_EMPTY,
+                    "hole between cell {i} and its home"
+                );
+                j = (j + 1) & mask;
+            }
+        }
+        let filled = idx.cells.iter().filter(|&&c| c != CELL_EMPTY).count();
+        assert_eq!(filled, idx.live);
     }
 
     #[test]
@@ -2379,11 +2397,12 @@ mod tests {
         let mut idx = OpenIndex::new();
         let hashes: Vec<u64> = (0..500u64).map(mix64).collect();
         for (slot, &h) in hashes.iter().enumerate() {
-            idx.insert(h, slot as u32, |s| hashes[s as usize]);
+            idx.insert(h, slot as u32);
         }
         for slot in (0..500u32).step_by(3) {
             assert!(idx.remove(hashes[slot as usize], slot));
         }
+        assert_runs_unbroken(&idx);
         for (slot, &h) in hashes.iter().enumerate() {
             let slot = slot as u32;
             idx.prefetch(h);
@@ -2405,9 +2424,8 @@ mod tests {
             hash_of(0xABCD, 3, 1),
             hash_of(0xABCD, 3, 2),
         );
-        let rehash = |s: u32| if s == 10 { a } else { b };
-        idx.insert(a, 10, rehash);
-        idx.insert(b, 20, rehash);
+        idx.insert(a, 10);
+        idx.insert(b, 20);
         // Same start cell, same tag: `get` tells them apart by asking
         // the slab, the hint takes the first cell on the path.
         assert_eq!(idx.get(a, |s| s == 10), Some(10));
@@ -2419,12 +2437,116 @@ mod tests {
         assert_eq!(idx.hint(never), Some(10));
         // ... while another tag on the same path gets none.
         assert_eq!(idx.hint(hash_of(0xABCE, 3, 0)), None);
-        // Tombstones are skipped like any other foreign cell.
+        // b is shifted back into a's cell.
         assert!(idx.remove(a, 10));
+        assert_eq!((idx.cells[3] as u32, idx.cells[4]), (20, CELL_EMPTY));
         assert_eq!(idx.hint(a), Some(20), "stale: a is gone, b's cell answers");
         assert_eq!(idx.hint(b), Some(20));
         assert!(idx.remove(b, 20));
         assert_eq!(idx.hint(b), None);
+    }
+
+    #[test]
+    fn open_index_backshift_wraps_past_the_last_cell() {
+        // In a 16-cell table: four keys homed at `start`, two homed at
+        // cell 0 and one at cell 1, so the run wraps from the last cell
+        // to cell 0 and holds cells homed on both sides of the wrap.
+        // Remove the first key of each home's run: every later cell
+        // shifts back across the wrap, and none passes its home.
+        for start in 13..16u16 {
+            let mut idx = OpenIndex::new();
+            let homes = [start, start, start, start, 0, 0, 1];
+            let hashes: Vec<u64> = homes
+                .iter()
+                .enumerate()
+                .map(|(k, &home)| hash_of(k as u16 + 1, home, 0))
+                .collect();
+            for (slot, &h) in hashes.iter().enumerate() {
+                idx.insert(h, slot as u32);
+            }
+            assert_eq!(idx.cells.len(), 16);
+            let run = |idx: &OpenIndex| -> Vec<Option<u32>> {
+                (0..8)
+                    .map(|k| idx.cells[(start as usize + k) & 15])
+                    .map(|c| (c != CELL_EMPTY).then_some(c as u32))
+                    .collect()
+            };
+            assert_eq!(
+                run(&idx),
+                [0, 1, 2, 3, 4, 5, 6]
+                    .map(Some)
+                    .into_iter()
+                    .chain([None])
+                    .collect::<Vec<_>>()
+            );
+            let mut gone = Vec::new();
+            for first in [0u32, 4, 6] {
+                assert!(idx.remove(hashes[first as usize], first));
+                assert!(!idx.remove(hashes[first as usize], first), "removed once");
+                gone.push(first);
+                assert_runs_unbroken(&idx);
+                for (slot, &h) in hashes.iter().enumerate() {
+                    let slot = slot as u32;
+                    let want = (!gone.contains(&slot)).then_some(slot);
+                    assert_eq!(
+                        idx.get(h, |s| s == slot),
+                        want,
+                        "start {start}, slot {slot}"
+                    );
+                }
+            }
+            // The run is the survivors in their old order, packed from
+            // `start`: a cell never moves past its home.
+            let packed = [1, 2, 3, 5].map(Some).into_iter().chain([None; 4]);
+            assert_eq!(run(&idx), packed.collect::<Vec<_>>(), "start {start}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `OpenIndex` is a map from keys to slots, checked against a
+        /// `BTreeMap` after every op. Keys hash to at most 8 homes, so
+        /// runs are long and overlap, and key `k` shares its whole tag
+        /// with key `k + 8` (only `verify` tells them apart). After the
+        /// random ops every key is inserted — 120 live cells, past the
+        /// 96 a 128-cell table holds, so the index has doubled from 16
+        /// cells at least four times — and then every key is removed.
+        #[test]
+        fn prop_open_index_is_a_map(
+            ops in proptest::collection::vec((0u8..4, 0u32..120), 0..400),
+            drain_from in 0u32..120,
+        ) {
+            let hash = |k: u32| hash_of((k / 16) as u16, (k % 8) as u16 * 5, k);
+            let slot = |k: u32| k * 7 + 3;
+            let mut idx = OpenIndex::new();
+            let mut model = BTreeMap::new();
+            let mut apply = |idx: &mut OpenIndex, insert: bool, k: u32| {
+                if insert && !model.contains_key(&k) {
+                    idx.insert(hash(k), slot(k));
+                    model.insert(k, slot(k));
+                } else if !insert {
+                    prop_assert_eq!(idx.remove(hash(k), slot(k)), model.remove(&k).is_some());
+                }
+                assert_runs_unbroken(idx);
+                prop_assert_eq!(idx.live, model.len());
+                for k in 0..120 {
+                    prop_assert_eq!(idx.get(hash(k), |s| s == slot(k)), model.get(&k).copied());
+                }
+            };
+            for (op, k) in ops {
+                apply(&mut idx, op < 3, k);
+            }
+            for k in 0..120 {
+                apply(&mut idx, true, k);
+            }
+            prop_assert!(idx.cells.len() >= 256, "{} cells", idx.cells.len());
+            // 7 is prime to 120, so this stride visits every key once.
+            for i in 0..120 {
+                apply(&mut idx, false, (drain_from + 7 * i) % 120);
+            }
+            prop_assert!(idx.cells.iter().all(|&c| c == CELL_EMPTY));
+        }
     }
 
     #[test]
