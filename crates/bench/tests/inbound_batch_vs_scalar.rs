@@ -7,7 +7,7 @@
 //!   packets (identically on both twins), then each window is answered
 //!   by a generated inbound window: exact replies, same-IP/different-
 //!   port replies, stranger replies, inbound ICMP errors and packets to
-//!   unmapped ports — the full `ContactSet` filtering matrix. One twin
+//!   unmapped ports — the full contact-set filtering matrix. One twin
 //!   takes them via `process_inbound`, the other via
 //!   `stage_inbound_burst` / `translate_inbound_staged` (ICMP through
 //!   `process_inbound` in its place) at windows of {1, 7, 64}, under

@@ -52,6 +52,6 @@ pub use nat::{
 };
 pub use ports::PortAllocator;
 pub use sharded::ShardedNat;
-pub use store::{ContactSet, MappingStore, StoreOccupancy};
+pub use store::{MappingStore, StoreOccupancy};
 pub use telemetry::{BlockEvent, EventSink, MappingEvent, TelemetryMode};
 pub use wheel::WheelGeometry;

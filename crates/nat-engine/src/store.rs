@@ -22,41 +22,49 @@
 //!   address-ordered free-set — a hierarchical bitmap, one bit per
 //!   slot under summary words — and the next insert reuses the
 //!   *lowest* free id, packing live slots toward the front of the
-//!   arena for locality. Because the set can be read in order without
-//!   being taken apart, the rows the next few inserts will fill are
-//!   known in advance. Slot ids are `u32` (half the old `u64` ids) and
-//!   index the arena directly — no second hash lookup to reach the
+//!   arena for locality. Slot ids are `u32` (half the old `u64` ids)
+//!   and index the arena directly — no second hash lookup to reach the
 //!   mapping.
 //!
 //! * **Interned keys** — internal hosts intern to dense `u32` ids
 //!   ([`MappingStore::intern_host`]); `(external IP, protocol)` pairs
-//!   intern to dense `u32` pool ids ([`MappingStore::intern_pool`]).
-//!   Per-host state (session counts, paired-pooling assignment) lives
-//!   in a plain `Vec` indexed by host id. The outbound key packs into
-//!   one `u128` (layout below), the external key into one `u64`, and
-//!   both indices hash those integers with a SplitMix64-based hasher
+//!   intern to dense pool ids below 2^16 ([`MappingStore::intern_pool`]).
+//!   Per-host state (address, session count, paired-pooling assignment)
+//!   lives in a plain `Vec` indexed by host id. The outbound key packs
+//!   into one `u128` (layout below), the external key into one `u64`,
+//!   and both indices hash those integers with a SplitMix64-based hasher
 //!   ([`mix64`]) instead of SipHash over tuples.
 //!
 //! * **Hot/cold slot split** — the fields every sweep and every
 //!   expiry check touch (the expiry, which is its only copy, the timer
 //!   ticket, and how far the expiry has run past the parked timer
 //!   entry) live in a dense parallel array of 16-byte `HotSlot` rows;
-//!   the cold remainder (packed keys, the full [`Mapping`] with its
-//!   filter state) is one 64-byte, line-aligned row in the slab, so a
-//!   lookup misses on one line of each. A sweep walks only the hot
-//!   array — a fifth of the cache traffic of dragging whole slots
-//!   through the LLC. Nothing in a hot row says whether the slot is
-//!   live: a timer entry is current exactly when its ticket matches
-//!   (a free moves the ticket on after the slot's last filing, and a
-//!   free slot files nothing), and the owning host is read from the
-//!   cold row's out-key on the two paths that need it.
+//!   the cold remainder is one 32-byte row, two to a cache line, that
+//!   stores each fact of the mapping once: the interned host and pool
+//!   ids, the internal and external ports, the contacted endpoints (the
+//!   first two inline, the first of them the destination the mapping
+//!   was created for) and a flags byte (TCP state, mapping-behaviour
+//!   kind, free). The packed keys are not stored: an index verify
+//!   re-packs them from the row, the internal address is read from the
+//!   host table (one entry per subscriber) and the external address
+//!   and protocol from the pool table (one entry per pool address and
+//!   protocol). A lookup misses on one line of each row. A sweep walks
+//!   only the hot array — a third of the cache traffic of dragging
+//!   whole slots through the LLC. Nothing in a hot
+//!   row says whether the slot is live: a timer entry is current
+//!   exactly when its ticket matches (a free moves the ticket on after
+//!   the slot's last filing, and a free slot files nothing), and the
+//!   owning host is read from the cold row on the two paths that need
+//!   it.
 //!
 //! * **Open-addressed indices** — the out-key and ext-key maps are
 //!   flat linear-probe tables with 8-byte cells (a 32-bit hash tag +
 //!   the slot id); full keys are verified against the slab on tag
 //!   hits. A probe starts at the cell the tag's low bits name, so a
 //!   removal shifts its run back instead of leaving a tombstone, and a
-//!   table doubles only when its live entries pass ¾. Compared to the
+//!   table doubles only when its live entries pass ¾. A table holds no
+//!   cells until its first insert, so a NAT that never mapped anything
+//!   has allocated nothing for either. Compared to the
 //!   previous `HashMap` (16/32-byte entries plus per-group control
 //!   metadata), probes touch half the index bytes. A burst overlaps
 //!   its misses in two steps: prefetch the line each key's probe
@@ -95,7 +103,7 @@
 //!
 //! ```text
 //! bits   0..16   external port
-//! bits  16..48   interned (external IP, protocol) pool id (u32)
+//! bits  16..32   interned (external IP, protocol) pool id (< 2^16)
 //! ```
 //!
 //! # Timer-wheel resolution
@@ -125,77 +133,6 @@ use std::net::Ipv4Addr;
 
 pub use netcore::hash::{mix64, Mix64Hasher, MixMap};
 
-/// The destination endpoints a mapping has contacted — the filter
-/// state for restricted NATs. Semantically a set; physically the
-/// first two endpoints live inline (no heap allocation for the
-/// dominant 1-contact case) and further ones spill to a boxed vector
-/// scanned linearly — one pointer in the row, so the whole set is
-/// 24 bytes. At realistic fan-outs (tens of destinations) a short
-/// sequential scan beats a `HashSet`'s hash + random probe, and
-/// keepalive traffic hits its own destination in the first slot.
-#[derive(Debug, Clone)]
-pub struct ContactSet {
-    inline: [Endpoint; CONTACTS_INLINE],
-    inline_len: u8,
-    /// Boxed on purpose: one word in the row where a `Vec` takes three.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<Endpoint>>>,
-}
-
-impl Default for ContactSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-const CONTACTS_INLINE: usize = 2;
-
-impl ContactSet {
-    pub fn new() -> Self {
-        ContactSet {
-            inline: [Endpoint::new(Ipv4Addr::UNSPECIFIED, 0); CONTACTS_INLINE],
-            inline_len: 0,
-            spill: None,
-        }
-    }
-
-    fn spilled(&self) -> &[Endpoint] {
-        self.spill.as_deref().map_or(&[], Vec::as_slice)
-    }
-
-    pub fn len(&self) -> usize {
-        self.inline_len as usize + self.spilled().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inline_len == 0
-    }
-
-    pub fn contains(&self, e: &Endpoint) -> bool {
-        self.inline[..self.inline_len as usize].contains(e) || self.spilled().contains(e)
-    }
-
-    /// Insert with set semantics; returns `true` if newly added.
-    pub fn insert(&mut self, e: Endpoint) -> bool {
-        if self.contains(&e) {
-            return false;
-        }
-        if (self.inline_len as usize) < CONTACTS_INLINE {
-            self.inline[self.inline_len as usize] = e;
-            self.inline_len += 1;
-        } else {
-            self.spill.get_or_insert_with(Box::default).push(e);
-        }
-        true
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Endpoint> {
-        self.inline[..self.inline_len as usize]
-            .iter()
-            .chain(self.spilled())
-    }
-}
-
 /// Lifecycle of a tracked TCP connection (simplified RFC 5382 view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TcpConnState {
@@ -207,35 +144,21 @@ pub(crate) enum TcpConnState {
     Closing,
 }
 
-/// One translation table entry: who it translates and its filter and
-/// TCP state. Its expiry is not here — the store keeps the one copy in
-/// the slot's hot row ([`MappingStore::insert`],
-/// [`MappingStore::set_expiry`], [`MappingStore::expired_at`]). 40
-/// bytes as `Option<Mapping>`, so a cold row is one cache line.
-#[derive(Debug, Clone)]
+/// One translation table entry as a caller sees it: who it translates.
+/// A by-value view, built on demand from the slot's cold row and the
+/// host and pool tables ([`MappingStore::get`],
+/// [`MappingStore::iter_live`], [`MappingStore::remove`]); the row
+/// itself stores none of these endpoints whole. The filter and TCP
+/// state are read through the store's row methods
+/// ([`MappingStore::contact`], [`MappingStore::has_contacted`]), and
+/// the expiry lives in the slot's hot row ([`MappingStore::expired_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mapping {
     pub proto: Protocol,
     /// The subscriber-side endpoint (`IPint:portint`).
     pub internal: Endpoint,
     /// The public-side endpoint (`IPext:portext`).
     pub external: Endpoint,
-    /// Destination endpoints contacted through this mapping — the filter
-    /// state for restricted NATs.
-    pub contacted: ContactSet,
-    pub(crate) tcp: Option<TcpConnState>,
-}
-
-impl Mapping {
-    /// A fresh mapping with empty filter state and no TCP tracking.
-    pub fn new(proto: Protocol, internal: Endpoint, external: Endpoint) -> Self {
-        Mapping {
-            proto,
-            internal,
-            external,
-            contacted: ContactSet::new(),
-            tcp: None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,17 +418,24 @@ const CELL_EMPTY: u64 = 0;
 /// word per cell means a probe hit reads one cache line, not parallel
 /// tag and slot arrays. Callers supply the hash — the keys are packed
 /// integers, so one [`mix64`] avalanche is the whole hash function.
+/// A new table holds no cells: the first insert allocates
+/// [`INDEX_FIRST_CELLS`], and every read of an empty table returns at
+/// once.
 #[derive(Debug)]
 struct OpenIndex {
-    /// `CELL_EMPTY` or `tag << 32 | slot`.
+    /// `CELL_EMPTY` or `tag << 32 | slot`; empty, or a power of two
+    /// cells long.
     cells: Vec<u64>,
     live: usize,
 }
 
+/// Cells a table allocates at its first insert.
+const INDEX_FIRST_CELLS: usize = 16;
+
 impl OpenIndex {
     fn new() -> OpenIndex {
         OpenIndex {
-            cells: vec![CELL_EMPTY; 16],
+            cells: Vec::new(),
             live: 0,
         }
     }
@@ -559,6 +489,9 @@ impl OpenIndex {
     /// (`verify` checks the slab). Probes stop at the first empty cell.
     #[inline]
     fn get(&self, hash: u64, verify: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.cells.is_empty() {
+            return None;
+        }
         let tag = Self::tag(hash);
         let mask = self.mask();
         let mut i = self.home(tag);
@@ -579,6 +512,9 @@ impl OpenIndex {
     /// back-shift, goes on into the next.
     #[inline]
     fn prefetch(&self, hash: u64) {
+        if self.cells.is_empty() {
+            return;
+        }
         let i = self.home(Self::tag(hash));
         prefetch_line(&self.cells[i]);
         prefetch_line(&self.cells[(i + 8) & self.mask()]);
@@ -602,6 +538,9 @@ impl OpenIndex {
     /// then shift into the hole each later cell of the run whose home
     /// is not between the hole and itself: no probe path holds a gap.
     fn remove(&mut self, hash: u64, slot: u32) -> bool {
+        if self.cells.is_empty() {
+            return false;
+        }
         let target = Self::tag(hash) << 32 | slot as u64;
         let mask = self.mask();
         let mut hole = self.home(target >> 32);
@@ -630,9 +569,10 @@ impl OpenIndex {
         true
     }
 
-    /// Double the table, re-placing every cell from its tag alone.
+    /// Double the table (or allocate its first cells), re-placing
+    /// every cell from its tag alone.
     fn grow(&mut self) {
-        let cap = self.cells.len() * 2;
+        let cap = (self.cells.len() * 2).max(INDEX_FIRST_CELLS);
         assert!(cap <= 1 << 32, "a cell's home must fit in its 32-bit tag");
         let old = std::mem::replace(&mut self.cells, vec![CELL_EMPTY; cap]);
         for cell in old.into_iter().filter(|&c| c != CELL_EMPTY) {
@@ -744,7 +684,7 @@ struct HostEntry {
 
 /// The per-slot fields every sweep and expiry check reads, split into
 /// a dense parallel array (16 bytes per row, four to a cache line) so
-/// those paths never pull the 64-byte cold row through the cache.
+/// those paths never pull the 32-byte cold row through the cache.
 #[derive(Debug, Clone, Copy)]
 struct HotSlot {
     /// The mapping's expiry in ms — its only copy, written by
@@ -770,23 +710,140 @@ struct HotSlot {
     lag: u32,
 }
 
-/// Cold remainder of a slot: the packed keys (read on index verify and
-/// removal) and the full mapping (read on translation refresh). One
-/// 64-byte, line-aligned row: a lookup's verify, refresh and filter
-/// check touch a single cache line of it.
+/// Cold remainder of a slot: the mapping's facts, each stored once.
+/// One 32-byte, 32-byte-aligned row, two to a cache line: a lookup's
+/// verify, refresh and filter check touch a single line of it.
+///
+/// Everything else about the mapping is derived: the internal address
+/// is `hosts[host]`, the external address and the protocol are
+/// `pools[pool]`, the packed out-key is re-packed from the kind, the
+/// protocol, the host, the internal port and — under ADM and APDM —
+/// `contacts[0]` ([`MappingStore::out_key_of`]), and the ext-key is
+/// `pool << 16 | external_port`. A free slot has [`FLAG_FREE`] set, no
+/// contacts and no spill.
 #[derive(Debug)]
-#[repr(align(64))]
+#[repr(align(32))]
 struct Slot {
-    out_key: u128,
-    ext_key: u64,
-    mapping: Option<Mapping>,
+    /// Contacts past the two inline ones. Boxed on purpose: one word
+    /// in the row where a `Vec` takes three.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<Endpoint>>>,
+    /// The first `contacts_len` contacted destinations. `contacts[0]`
+    /// is the one the mapping was created for, written by
+    /// [`MappingStore::insert`], so the out-key can be re-packed from
+    /// the moment the slot is indexed.
+    contacts: [Endpoint; CONTACTS_INLINE],
+    /// Interned internal-host id.
+    host: u32,
+    /// Interned `(external IP, protocol)` pool id.
+    pool: u16,
+    internal_port: u16,
+    external_port: u16,
+    /// Inline contacts in use: 1 or 2 while live, 0 while free.
+    contacts_len: u8,
+    /// TCP state ([`FLAG_TCP`]), mapping-behaviour kind
+    /// ([`FLAG_KIND_SHIFT`]) and [`FLAG_FREE`].
+    flags: u8,
+}
+
+const CONTACTS_INLINE: usize = 2;
+
+/// [`Slot::flags`] bits 0..2: `None`, or the [`TcpConnState`] in
+/// declaration order from 1.
+const FLAG_TCP: u8 = 0b11;
+/// [`Slot::flags`] bits 2..4: the out-key's mapping-behaviour kind
+/// ([`KIND_EIM`], [`KIND_ADM`] or [`KIND_APDM`]).
+const FLAG_KIND_SHIFT: u32 = 2;
+/// [`Slot::flags`] bit 4: the slot is free.
+const FLAG_FREE: u8 = 1 << 4;
+
+impl Slot {
+    #[inline]
+    fn is_free(&self) -> bool {
+        self.flags & FLAG_FREE != 0
+    }
+
+    /// The ext-key the row is indexed under while live.
+    #[inline]
+    fn ext_key(&self) -> u64 {
+        MappingStore::pack_ext(self.pool as u32, self.external_port)
+    }
+
+    #[inline]
+    fn kind(&self) -> u128 {
+        (self.flags >> FLAG_KIND_SHIFT & 0b11) as u128
+    }
+
+    #[inline]
+    fn tcp(&self) -> Option<TcpConnState> {
+        match self.flags & FLAG_TCP {
+            0 => None,
+            1 => Some(TcpConnState::Transitory),
+            2 => Some(TcpConnState::Established),
+            _ => Some(TcpConnState::Closing),
+        }
+    }
+
+    #[inline]
+    fn set_tcp(&mut self, state: Option<TcpConnState>) {
+        let bits = match state {
+            None => 0,
+            Some(TcpConnState::Transitory) => 1,
+            Some(TcpConnState::Established) => 2,
+            Some(TcpConnState::Closing) => 3,
+        };
+        self.flags = self.flags & !FLAG_TCP | bits;
+    }
+
+    fn spilled(&self) -> &[Endpoint] {
+        self.spill.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The contacted destinations, inline ones first. A set: the short
+    /// sequential scan beats a hash set's random probe at realistic
+    /// fan-outs (tens of destinations), and keepalive traffic hits its
+    /// own destination in the first cell.
+    fn contacts(&self) -> impl Iterator<Item = &Endpoint> {
+        self.contacts[..self.contacts_len as usize]
+            .iter()
+            .chain(self.spilled())
+    }
+
+    #[inline]
+    fn has_contacted(&self, e: &Endpoint) -> bool {
+        self.contacts[..self.contacts_len as usize].contains(e) || self.spilled().contains(e)
+    }
+
+    /// Add `e` to the contacts; `true` if it is new.
+    #[inline]
+    fn contact(&mut self, e: Endpoint) -> bool {
+        if self.has_contacted(&e) {
+            return false;
+        }
+        if (self.contacts_len as usize) < CONTACTS_INLINE {
+            self.contacts[self.contacts_len as usize] = e;
+            self.contacts_len += 1;
+        } else {
+            self.spill.get_or_insert_with(Box::default).push(e);
+        }
+        true
+    }
+
+    /// Drop the row's contacts — the spill with them — and mark it free.
+    fn free(&mut self) {
+        self.spill = None;
+        self.contacts_len = 0;
+        self.flags = FLAG_FREE;
+    }
 }
 
 // A full chunk of either row is exactly one 2 MiB extent, so the
 // hugepage advice on a chunk covers its own rows and nothing else.
 const _: () = assert!(Arena::<Slot>::CAP * std::mem::size_of::<Slot>() == ARENA_CHUNK_BYTES);
 const _: () = assert!(Arena::<HotSlot>::CAP * std::mem::size_of::<HotSlot>() == ARENA_CHUNK_BYTES);
-// Four timer entries and four hot rows to a cache line.
+// Two cold rows, four timer entries and four hot rows to a cache line.
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+const _: () = assert!(std::mem::align_of::<Slot>() == 32);
 const _: () = assert!(std::mem::size_of::<TimerEntry>() == 16);
 const _: () = assert!(std::mem::size_of::<HotSlot>() == 16);
 
@@ -866,7 +923,7 @@ const KIND_APDM: u128 = 2;
 /// layout.
 #[derive(Debug)]
 pub struct MappingStore {
-    /// Cold rows (keys + full mappings), parallel to `hot`.
+    /// Cold rows (each mapping's facts, stored once), parallel to `hot`.
     slots: Arena<Slot>,
     /// Hot rows (expiry, timer ticket, lag behind the parked entry).
     hot: Arena<HotSlot>,
@@ -965,8 +1022,8 @@ impl MappingStore {
         if let Some(&id) = self.pool_ids.get(&(ip, proto)) {
             return id;
         }
-        let id = u32::try_from(self.pools.len()).expect("more than 2^32 (ip, proto) pools");
-        assert!(id < (1 << 31), "pool id must pack into 48-bit ext keys");
+        let id = self.pools.len() as u32;
+        assert!(id < (1 << 16), "pool id must fit a cold row's 16 bits");
         self.pools.push((ip, proto));
         self.pool_ids.insert((ip, proto), id);
         id
@@ -994,23 +1051,42 @@ impl MappingStore {
         dst: Endpoint,
     ) -> u128 {
         let host = self.intern_host(internal.ip);
-        let base = (host as u128) << 16 | internal.port as u128;
+        let kind = match behavior {
+            MappingBehavior::EndpointIndependent => KIND_EIM,
+            MappingBehavior::AddressDependent => KIND_ADM,
+            MappingBehavior::AddressAndPortDependent => KIND_APDM,
+        };
+        Self::pack_out(kind, proto, host, internal.port, dst)
+    }
+
+    /// The out-key layout (module docs): `dst` counts for its address
+    /// under ADM and for its whole endpoint under APDM.
+    #[inline]
+    fn pack_out(kind: u128, proto: Protocol, host: u32, port: u16, dst: Endpoint) -> u128 {
         let proto_bit = match proto {
             Protocol::Udp => 0u128,
             Protocol::Tcp => 1u128,
-        } << 98;
-        match behavior {
-            MappingBehavior::EndpointIndependent => base | (KIND_EIM << 96) | proto_bit,
-            MappingBehavior::AddressDependent => {
-                base | (u32::from(dst.ip) as u128) << 64 | (KIND_ADM << 96) | proto_bit
-            }
-            MappingBehavior::AddressAndPortDependent => {
-                base | (dst.port as u128) << 48
-                    | (u32::from(dst.ip) as u128) << 64
-                    | (KIND_APDM << 96)
-                    | proto_bit
-            }
-        }
+        };
+        let dst_ip = (u32::from(dst.ip) as u128) << 64;
+        let dst = match kind {
+            KIND_EIM => 0,
+            KIND_ADM => dst_ip,
+            _ => dst_ip | (dst.port as u128) << 48,
+        };
+        proto_bit << 98 | kind << 96 | dst | (host as u128) << 16 | port as u128
+    }
+
+    /// The out-key a live row is indexed under, re-packed from the row.
+    #[inline]
+    fn out_key_of(&self, row: &Slot) -> u128 {
+        let proto = self.pools[row.pool as usize].1;
+        Self::pack_out(
+            row.kind(),
+            proto,
+            row.host,
+            row.internal_port,
+            row.contacts[0],
+        )
     }
 
     /// The interned internal-host id packed inside an out-key.
@@ -1040,7 +1116,7 @@ impl MappingStore {
     /// Slot currently indexed under a packed out-key.
     pub fn lookup_out(&self, key: u128) -> Option<u32> {
         self.out_index.get(Self::hash_out(key), |s| {
-            self.slots[s as usize].out_key == key
+            self.out_key_of(&self.slots[s as usize]) == key
         })
     }
 
@@ -1071,7 +1147,7 @@ impl MappingStore {
     #[inline]
     pub fn lookup_ext_key(&self, key: u64) -> Option<u32> {
         let hash = Self::hash_ext(key);
-        let holds_key = |s: u32| self.slots[s as usize].ext_key == key;
+        let holds_key = |s: u32| self.slots[s as usize].ext_key() == key;
         self.ext_index.get(hash, holds_key).or_else(|| {
             let mut behind = self.ext_behind.iter();
             behind.find_map(|&(h, s)| (h == hash && holds_key(s)).then_some(s))
@@ -1122,9 +1198,11 @@ impl MappingStore {
     }
 
     /// Prefetch the whole of a slot's rows: one line each. The 16-byte
-    /// hot rows pack four to a line in a full (2 MiB-aligned) chunk, and
-    /// a cold row is one line-aligned 64-byte line of its own. A hint
-    /// only: any slot id is accepted, out-of-range ones are ignored.
+    /// hot rows pack four to a line and the 32-byte cold rows two, in
+    /// a full (2 MiB-aligned) chunk and in a still-small chunk 0 alike
+    /// (its allocation is aligned to the row), so neither row straddles
+    /// two lines. A hint only: any slot id is accepted, out-of-range
+    /// ones are ignored.
     #[inline]
     pub fn prefetch_slot(&self, slot: u32) {
         if let (Some(hot), Some(cold)) =
@@ -1149,43 +1227,108 @@ impl MappingStore {
         }
         if let Some(&slot) = due.get(i + SWEEP_LOOKAHEAD) {
             let cold = &self.slots[slot as usize];
-            self.out_index.prefetch(Self::hash_out(cold.out_key));
-            self.ext_index.prefetch(Self::hash_ext(cold.ext_key));
+            self.out_index
+                .prefetch(Self::hash_out(self.out_key_of(cold)));
+            self.ext_index.prefetch(Self::hash_ext(cold.ext_key()));
         }
     }
 
-    /// Borrow a live mapping. Panics on a freed slot id.
-    pub fn get(&self, slot: u32) -> &Mapping {
-        self.slots[slot as usize]
-            .mapping
-            .as_ref()
-            .expect("slot is free")
+    /// A live slot's cold row. Panics on a freed slot id.
+    #[inline]
+    fn live(&self, slot: u32) -> &Slot {
+        let row = &self.slots[slot as usize];
+        assert!(!row.is_free(), "slot is free");
+        row
     }
 
-    /// Mutably borrow a live mapping. Panics on a freed slot id.
-    pub fn get_mut(&mut self, slot: u32) -> &mut Mapping {
-        self.slots[slot as usize]
-            .mapping
-            .as_mut()
-            .expect("slot is free")
+    /// [`MappingStore::live`], mutably.
+    #[inline]
+    fn live_mut(&mut self, slot: u32) -> &mut Slot {
+        let row = &mut self.slots[slot as usize];
+        assert!(!row.is_free(), "slot is free");
+        row
+    }
+
+    /// The view of a live row.
+    fn view(&self, row: &Slot) -> Mapping {
+        let (ext_ip, proto) = self.pools[row.pool as usize];
+        Mapping {
+            proto,
+            internal: Endpoint::new(self.hosts[row.host as usize].ip, row.internal_port),
+            external: Endpoint::new(ext_ip, row.external_port),
+        }
+    }
+
+    /// A live mapping, by value. Panics on a freed slot id.
+    pub fn get(&self, slot: u32) -> Mapping {
+        self.view(self.live(slot))
+    }
+
+    /// A live mapping's subscriber-side endpoint.
+    #[inline]
+    pub fn internal(&self, slot: u32) -> Endpoint {
+        let row = self.live(slot);
+        Endpoint::new(self.hosts[row.host as usize].ip, row.internal_port)
+    }
+
+    /// A live mapping's public-side endpoint.
+    #[inline]
+    pub fn external(&self, slot: u32) -> Endpoint {
+        let row = self.live(slot);
+        Endpoint::new(self.pools[row.pool as usize].0, row.external_port)
+    }
+
+    /// A live mapping's TCP state (`None` until a segment is tracked).
+    #[inline]
+    pub(crate) fn tcp(&self, slot: u32) -> Option<TcpConnState> {
+        self.live(slot).tcp()
+    }
+
+    #[inline]
+    pub(crate) fn set_tcp(&mut self, slot: u32, state: Option<TcpConnState>) {
+        self.live_mut(slot).set_tcp(state);
+    }
+
+    /// Whether a live mapping has contacted exactly `e` — the filter
+    /// check of address-and-port-dependent filtering.
+    #[inline]
+    pub fn has_contacted(&self, slot: u32, e: &Endpoint) -> bool {
+        self.live(slot).has_contacted(e)
+    }
+
+    /// Whether a live mapping has contacted any endpoint at `ip` — the
+    /// filter check of address-dependent filtering.
+    #[inline]
+    pub fn has_contacted_ip(&self, slot: u32, ip: Ipv4Addr) -> bool {
+        self.live(slot).contacts().any(|e| e.ip == ip)
+    }
+
+    /// Add `e` to a live mapping's contacted destinations (a set);
+    /// `true` if it is new.
+    #[inline]
+    pub fn contact(&mut self, slot: u32, e: Endpoint) -> bool {
+        self.live_mut(slot).contact(e)
     }
 
     /// Iterate `(slot id, mapping)` over live slots in arena order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (u32, &Mapping)> {
+    pub fn iter_live(&self) -> impl Iterator<Item = (u32, Mapping)> + '_ {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.mapping.as_ref().map(|m| (i as u32, m)))
+            .filter(|(_, row)| !row.is_free())
+            .map(|(i, row)| (i as u32, self.view(row)))
     }
 
     // -- mutation ----------------------------------------------------------
 
-    /// Insert a mapping under its packed out-key, indexing the external
-    /// endpoint — `pool` is the interned id of its `(IP, protocol)`
-    /// ([`MappingStore::intern_pool`]) — and scheduling `expiry` on
-    /// the timer wheel; the slot's hot row keeps the expiry, the
-    /// mapping carries none. Returns the slot id. Increments the owning
-    /// host's session counter.
+    /// Insert a mapping under its packed out-key (from
+    /// [`MappingStore::out_key`], which interned its host), for a flow
+    /// to `dst`, on `external_port` of the pool `pool` — the interned id
+    /// of its `(IP, protocol)` ([`MappingStore::intern_pool`]) — and
+    /// schedule `expiry` on the timer wheel; the slot's hot row keeps
+    /// the expiry. `dst` becomes the mapping's first contact, which is
+    /// what lets the row re-pack `out_key` (debug-asserted). Returns
+    /// the slot id. Increments the owning host's session counter.
     ///
     /// The ext-index half is **written behind**: the external port is
     /// news to this call, so nothing could prefetch its index cell any
@@ -1202,23 +1345,34 @@ impl MappingStore {
     /// inside the deferred insert itself; [`MappingStore::hint_ext`]
     /// reads the index alone and asserts the queue empty. The engine
     /// flushes before each of its entry points returns.
-    pub fn insert(&mut self, out_key: u128, pool: u32, mapping: Mapping, expiry: SimTime) -> u32 {
-        debug_assert_eq!(
-            self.pools[pool as usize],
-            (mapping.external.ip, mapping.proto)
-        );
+    pub fn insert(
+        &mut self,
+        out_key: u128,
+        pool: u32,
+        external_port: u16,
+        dst: Endpoint,
+        expiry: SimTime,
+    ) -> u32 {
         let host = Self::host_of_key(out_key);
-        let ext_key = Self::pack_ext(pool, mapping.external.port);
+        let ext_key = Self::pack_ext(pool, external_port);
         let ext_hash = Self::hash_ext(ext_key);
         self.ext_index.prefetch(ext_hash);
+        let row = Slot {
+            spill: None,
+            contacts: [dst; CONTACTS_INLINE],
+            host,
+            pool: pool as u16,
+            internal_port: out_key as u16,
+            external_port,
+            contacts_len: 1,
+            flags: ((out_key >> 96) as u8 & 0b11) << FLAG_KIND_SHIFT,
+        };
+        debug_assert_eq!(self.out_key_of(&row), out_key, "dst is not the key's");
         let expiry_ms = expiry.as_millis();
         let slot = match self.free.pop() {
             Some(s) => {
                 self.hot[s as usize].expiry_ms = expiry_ms;
-                let cold = &mut self.slots[s as usize];
-                cold.out_key = out_key;
-                cold.ext_key = ext_key;
-                cold.mapping = Some(mapping);
+                self.slots[s as usize] = row;
                 s
             }
             None => {
@@ -1228,11 +1382,7 @@ impl MappingStore {
                     ticket: 0,
                     lag: 0,
                 });
-                self.slots.push(Slot {
-                    out_key,
-                    ext_key,
-                    mapping: Some(mapping),
-                });
+                self.slots.push(row);
                 s
             }
         };
@@ -1264,27 +1414,30 @@ impl MappingStore {
     }
 
     /// Remove a mapping: drop it from both indices, decrement its
-    /// host's session counter, free the slot (bumping the ticket so
-    /// parked timer entries die stale), and return the mapping plus the
-    /// pool id its external port came from (for the caller's port
-    /// release).
+    /// host's session counter, free the slot (dropping its contacts,
+    /// and bumping the ticket so parked timer entries die stale), and
+    /// return the mapping plus the pool id its external port came from
+    /// (for the caller's port release). `None` if the slot is free.
     pub fn remove(&mut self, slot: u32) -> Option<(Mapping, u32)> {
         self.flush_ext_index();
-        let cold = &mut self.slots[slot as usize];
-        let mapping = cold.mapping.take()?;
-        let out_key = cold.out_key;
-        let ext_key = cold.ext_key;
+        let cold = &self.slots[slot as usize];
+        if cold.is_free() {
+            return None;
+        }
+        let mapping = self.view(cold);
+        let (out_key, ext_key) = (self.out_key_of(cold), cold.ext_key());
+        let (host, pool) = (cold.host, cold.pool as u32);
+        self.slots[slot as usize].free();
         let hot = &mut self.hot[slot as usize];
         hot.ticket = hot.ticket.wrapping_add(1);
         hot.expiry_ms = 0;
-        let host = Self::host_of_key(out_key);
         self.out_index.remove(Self::hash_out(out_key), slot);
         self.ext_index.remove(Self::hash_ext(ext_key), slot);
         let sessions = &mut self.hosts[host as usize].sessions;
         *sessions = sessions.saturating_sub(1);
         self.free.push(slot);
         self.live -= 1;
-        Some((mapping, (ext_key >> 16) as u32))
+        Some((mapping, pool))
     }
 
     /// Set a mapping's expiry, keeping the timer wheel honest: an
@@ -1293,7 +1446,7 @@ impl MappingStore {
     /// the parked one.
     pub fn set_expiry(&mut self, slot: u32, expiry: SimTime) {
         let ms = expiry.as_millis();
-        assert!(self.slots[slot as usize].mapping.is_some(), "slot is free");
+        assert!(!self.slots[slot as usize].is_free(), "slot is free");
         let hot = &mut self.hot[slot as usize];
         let parked = hot.parked_deadline();
         hot.expiry_ms = ms;
@@ -1406,10 +1559,10 @@ impl MappingStore {
         let mut counts = vec![0u32; self.hosts.len()];
         // A free slot's expiry is 0, so the hot-array expiry check
         // alone picks out the live, unexpired slots; only those read
-        // their host from the cold row's out-key.
+        // their host from the cold row.
         for (hot, cold) in self.hot.iter().zip(self.slots.iter()) {
             if hot.expiry_ms > now_ms {
-                counts[Self::host_of_key(cold.out_key) as usize] += 1;
+                counts[cold.host as usize] += 1;
             }
         }
         counts.retain(|&c| c > 0);
@@ -1477,14 +1630,30 @@ mod tests {
 
     /// A UDP mapping and the expiry it is to be inserted with.
     fn mapping(internal: Endpoint, external: Endpoint, expiry: SimTime) -> (Mapping, SimTime) {
-        (Mapping::new(Protocol::Udp, internal, external), expiry)
+        let proto = Protocol::Udp;
+        (
+            Mapping {
+                proto,
+                internal,
+                external,
+            },
+            expiry,
+        )
+    }
+
+    /// The destination an out-key names: its address under ADM, its
+    /// endpoint under APDM, and `0.0.0.0:0` — as good as any — under
+    /// EIM.
+    fn dst_of(key: u128) -> Endpoint {
+        Endpoint::new(Ipv4Addr::from((key >> 64) as u32), (key >> 48) as u16)
     }
 
     /// `MappingStore::insert` with the pool interned on the way, as
-    /// the engine's create path does.
+    /// the engine's create path does, for a flow to the destination
+    /// the key names.
     fn insert(s: &mut MappingStore, key: u128, (m, expiry): (Mapping, SimTime)) -> u32 {
         let pool = s.intern_pool(m.external.ip, m.proto);
-        s.insert(key, pool, m, expiry)
+        s.insert(key, pool, m.external.port, dst_of(key), expiry)
     }
 
     fn store_with(n: u16, expiry_secs: u64) -> (MappingStore, Vec<u32>) {
@@ -2126,37 +2295,51 @@ mod tests {
         }
     }
 
-    /// Everything a caller can ask a `ContactSet` agrees with the model
-    /// set, for every endpoint of the alphabet.
-    fn assert_contacts_agree(set: &ContactSet, model: &BTreeSet<Endpoint>, alphabet: &[Endpoint]) {
+    /// Everything a caller can ask about a row's contacts agrees with
+    /// the model set, for every endpoint of the alphabet.
+    fn assert_contacts_agree(
+        s: &MappingStore,
+        slot: u32,
+        model: &BTreeSet<Endpoint>,
+        alphabet: &[Endpoint],
+    ) {
         for e in alphabet {
-            assert_eq!(set.contains(e), model.contains(e), "{e}");
+            assert_eq!(s.has_contacted(slot, e), model.contains(e), "{e}");
+            let ip_seen = model.iter().any(|m| m.ip == e.ip);
+            assert_eq!(s.has_contacted_ip(slot, e.ip), ip_seen, "{e}");
         }
-        assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
-        assert_eq!(set.iter().count(), set.len(), "iter repeats no endpoint");
-        assert_eq!(&set.iter().copied().collect::<BTreeSet<_>>(), model);
+        let row = &s.slots[slot as usize];
+        assert_eq!(row.contacts().count(), model.len(), "contacts repeat none");
+        assert_eq!(&row.contacts().copied().collect::<BTreeSet<_>>(), model);
     }
 
     proptest! {
-        /// `ContactSet` is a set: up to 40 inserts over nine endpoints
-        /// (three addresses × three ports, so most inserts repeat one
-        /// and every run that reaches three distinct ones spills) agree
-        /// with a `BTreeSet` on `insert`'s answer, and on `contains`,
-        /// `len`, `is_empty` and `iter` read as a set, before the first
-        /// insert and after every one.
+        /// A row's contacts are a set: a mapping created for one of
+        /// nine endpoints (three addresses × three ports), then up to
+        /// 40 contacts over the same nine (so most repeat one, and
+        /// every run that reaches three distinct ones spills), agree
+        /// with a `BTreeSet` on `contact`'s answer, and on
+        /// `has_contacted`, `has_contacted_ip` and the contacts read as
+        /// a set, from the create on and after every contact.
         #[test]
         fn prop_contact_set_is_a_set(
+            first in (0u8..3, 0u16..3),
             picks in proptest::collection::vec((0u8..3, 0u16..3), 0..=40),
         ) {
             let alphabet: Vec<Endpoint> = (0..3u8)
                 .flat_map(|a| (0..3u16).map(move |p| Endpoint::new(ip(203, 0, 113, a), 80 + p)))
                 .collect();
-            let (mut set, mut model) = (ContactSet::new(), BTreeSet::new());
-            assert_contacts_agree(&set, &model, &alphabet);
-            for (a, p) in picks {
-                let e = alphabet[a as usize * 3 + p as usize];
-                prop_assert_eq!(set.insert(e), model.insert(e));
-                assert_contacts_agree(&set, &model, &alphabet);
+            let pick = |(a, p): (u8, u16)| alphabet[a as usize * 3 + p as usize];
+            let mut s = MappingStore::new();
+            let internal = Endpoint::new(ip(100, 64, 0, 1), 40_000);
+            let apdm = MappingBehavior::AddressAndPortDependent;
+            let key = s.out_key(apdm, Protocol::Udp, internal, pick(first));
+            let slot = insert(&mut s, key, mapping(internal, internal, t(60)));
+            let mut model = BTreeSet::from([pick(first)]);
+            assert_contacts_agree(&s, slot, &model, &alphabet);
+            for e in picks.into_iter().map(pick) {
+                prop_assert_eq!(s.contact(slot, e), model.insert(e));
+                assert_contacts_agree(&s, slot, &model, &alphabet);
             }
         }
     }
@@ -2375,6 +2558,10 @@ mod tests {
     /// The index invariant back-shift keeps: no empty cell lies between
     /// any live cell and its home, and `live` counts the cells.
     fn assert_runs_unbroken(idx: &OpenIndex) {
+        if idx.cells.is_empty() {
+            assert_eq!(idx.live, 0, "live cells in an unallocated table");
+            return;
+        }
         let mask = idx.mask();
         for (i, &cell) in idx.cells.iter().enumerate() {
             let mut j = idx.home(cell >> 32);
@@ -2551,12 +2738,11 @@ mod tests {
 
     #[test]
     fn prefetch_slot_covers_the_cold_row_it_assumes() {
-        // `prefetch_slot` names one line of each row: a line-aligned
-        // 64-byte cold row is exactly one line, and 16-byte hot rows in
-        // a full chunk never straddle two.
+        // `prefetch_slot` names one line of each row: a 32-byte-aligned
+        // 32-byte cold row and a 16-byte hot row never straddle two.
         assert_eq!(
             (std::mem::size_of::<Slot>(), std::mem::align_of::<Slot>()),
-            (64, 64),
+            (32, 32),
             "update prefetch_slot and its rustdoc"
         );
         assert_eq!(std::mem::size_of::<HotSlot>(), 16);
@@ -2568,16 +2754,181 @@ mod tests {
     }
 
     #[test]
+    fn cold_row_rederives_its_keys() {
+        // The row stores no key: every verify re-packs it. Under each
+        // mapping behaviour, as a NAT and as a transparent firewall
+        // (the external endpoint is the internal one, on a pool of the
+        // internal address), a seeded run of inserts and removes over
+        // a small alphabet of hosts, ports, destinations and protocols
+        // frees slots and hands them to new tenants. After every op,
+        // every key ever inserted resolves through `lookup_out` and
+        // `lookup_ext` exactly as a `BTreeMap` model says, and every
+        // live slot's view is the mapping it was given.
+        use MappingBehavior::*;
+        for behavior in [
+            EndpointIndependent,
+            AddressDependent,
+            AddressAndPortDependent,
+        ] {
+            for transparent in [false, true] {
+                let mut s = MappingStore::new();
+                let mut outs: BTreeMap<u128, u32> = BTreeMap::new();
+                let mut exts: BTreeMap<(Protocol, Endpoint), u32> = BTreeMap::new();
+                let mut live: BTreeMap<u32, (u128, Mapping)> = BTreeMap::new();
+                let mut seen_out = BTreeSet::new();
+                let mut seen_ext = BTreeSet::new();
+                let (mut next_port, mut reused) = (5_000u16, 0);
+                for op in 0..160u64 {
+                    let r = mix64(op ^ (behavior as u64) << 8 ^ (transparent as u64) << 12);
+                    if r % 3 == 0 && !live.is_empty() {
+                        let nth = (r >> 8) as usize % live.len();
+                        let slot = *live.keys().nth(nth).expect("in range");
+                        let (key, m) = live.remove(&slot).expect("live");
+                        let pool = s.pool_ids[&(m.external.ip, m.proto)];
+                        assert_eq!(s.remove(slot), Some((m, pool)));
+                        outs.remove(&key);
+                        exts.remove(&(m.proto, m.external));
+                    } else {
+                        let internal = Endpoint::new(
+                            ip(100, 64, 0, (r >> 8) as u8 % 3 + 1),
+                            40_000 + (r >> 16) as u16 % 3,
+                        );
+                        let dst = Endpoint::new(
+                            ip(203, 0, 113, (r >> 24) as u8 % 3),
+                            80 + (r >> 32) as u16 % 2,
+                        );
+                        let proto = if r >> 40 & 1 == 0 {
+                            Protocol::Udp
+                        } else {
+                            Protocol::Tcp
+                        };
+                        let key = s.out_key(behavior, proto, internal, dst);
+                        let external = if transparent {
+                            internal
+                        } else {
+                            next_port += 1;
+                            Endpoint::new(ip(198, 51, 100, 1 + (r >> 48) as u8 % 2), next_port)
+                        };
+                        // The engine inserts only after a miss, and a
+                        // firewall's second mapping of one internal
+                        // endpoint would share its external one.
+                        if outs.contains_key(&key) || exts.contains_key(&(proto, external)) {
+                            continue;
+                        }
+                        let pool = s.intern_pool(external.ip, proto);
+                        let slot = s.insert(key, pool, external.port, dst, t(60));
+                        reused += (s.occupancy().slots > slot as u64 + 1) as usize;
+                        let m = Mapping {
+                            proto,
+                            internal,
+                            external,
+                        };
+                        outs.insert(key, slot);
+                        exts.insert((proto, external), slot);
+                        live.insert(slot, (key, m));
+                        seen_out.insert(key);
+                        seen_ext.insert((proto, external));
+                    }
+                    for key in &seen_out {
+                        assert_eq!(s.lookup_out(*key), outs.get(key).copied(), "op {op}");
+                    }
+                    for &(proto, ext) in &seen_ext {
+                        let want = exts.get(&(proto, ext)).copied();
+                        assert_eq!(s.lookup_ext(proto, ext), want, "op {op}");
+                    }
+                    for (&slot, &(_, m)) in &live {
+                        assert_eq!(s.get(slot), m);
+                        assert_eq!(
+                            (s.internal(slot), s.external(slot)),
+                            (m.internal, m.external)
+                        );
+                    }
+                    assert_eq!(s.len(), live.len());
+                }
+                assert!(reused > 0, "{behavior:?}: no slot was reused");
+            }
+        }
+    }
+
+    #[test]
+    fn cold_row_spill_is_freed_with_the_slot() {
+        // A mapping that contacts five destinations — two inline, three
+        // spilled — admits exactly those under either restricted
+        // filter; removal drops the spill with the slot, and the next
+        // tenant of the slot starts from its own destination alone.
+        let alphabet: Vec<Endpoint> = (1..=4u8)
+            .flat_map(|a| [53, 80, 443].map(|p| Endpoint::new(ip(203, 0, 113, a), p)))
+            .collect();
+        let contacted = [
+            alphabet[0],
+            alphabet[4],
+            alphabet[5],
+            alphabet[9],
+            alphabet[1],
+        ];
+        let internal = Endpoint::new(ip(100, 64, 0, 1), 40_000);
+        let external = Endpoint::new(ip(198, 51, 100, 1), 10_000);
+        let (mut s, _) = store_with(2, 60);
+        s.remove(0).expect("live");
+        let key = s.out_key(
+            MappingBehavior::EndpointIndependent,
+            Protocol::Udp,
+            internal,
+            contacted[0],
+        );
+        let pool = s.intern_pool(external.ip, Protocol::Udp);
+        let slot = s.insert(key, pool, external.port, contacted[0], t(60));
+        assert_eq!(slot, 0);
+        for &e in &contacted[1..] {
+            assert!(s.contact(slot, e));
+            assert!(!s.contact(slot, e), "a set");
+        }
+        assert_eq!(s.slots[0].spilled().len(), 3);
+        for e in &alphabet {
+            assert_eq!(s.has_contacted(slot, e), contacted.contains(e), "APDF {e}");
+            let ip_seen = contacted.iter().any(|c| c.ip == e.ip);
+            assert_eq!(s.has_contacted_ip(slot, e.ip), ip_seen, "ADF {e}");
+        }
+        assert_eq!(
+            s.get(slot),
+            Mapping {
+                proto: Protocol::Udp,
+                internal,
+                external
+            }
+        );
+
+        s.remove(slot).expect("live");
+        assert!(s.slots[0].spill.is_none(), "the spill went with the slot");
+        assert_eq!(s.slots[0].contacts().count(), 0);
+        let next = Endpoint::new(ip(203, 0, 113, 9), 8080);
+        let key = s.out_key(
+            MappingBehavior::EndpointIndependent,
+            Protocol::Udp,
+            internal,
+            next,
+        );
+        assert_eq!(s.insert(key, pool, external.port, next, t(90)), slot);
+        assert_eq!(s.slots[0].contacts().copied().collect::<Vec<_>>(), [next]);
+        for e in &alphabet {
+            assert!(
+                !s.has_contacted(slot, e) && !s.has_contacted_ip(slot, e.ip),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
     fn store_hints_follow_lookups_and_survive_removal() {
         let (mut s, slots) = store_with(40, 60);
         s.flush_ext_index(); // `hint_ext` reads the index alone
-        let key_of = |s: &MappingStore, slot: u32| s.slots[slot as usize].out_key;
+        let key_of = |s: &MappingStore, slot: u32| s.out_key_of(&s.slots[slot as usize]);
         for &slot in &slots {
             let key = key_of(&s, slot);
             s.prefetch_out_cell(key);
             assert_eq!(s.lookup_out(key), Some(slot));
             assert_eq!(s.hint_out(key), Some(slot), "no collisions among 40 keys");
-            let ext = s.slots[slot as usize].ext_key;
+            let ext = s.slots[slot as usize].ext_key();
             s.prefetch_ext_cell(ext);
             assert_eq!(s.hint_ext(ext), s.lookup_ext_key(ext));
         }

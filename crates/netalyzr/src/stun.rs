@@ -521,17 +521,39 @@ mod tests {
 
     #[test]
     fn decode_is_total() {
-        let messages = [
-            (StunMessage::request([3; 12], true, true), 1),
-            (
-                StunMessage::response(
-                    [5; 12],
-                    Endpoint::new(ip(198, 51, 100, 7), 54321),
-                    Endpoint::new(ip(203, 0, 113, 51), 3479),
-                ),
-                2,
-            ),
-        ];
+        // Every binding request and response shape the encoder can
+        // emit, with its attribute count: each type with and without
+        // CHANGE-REQUEST (under each flag pair), XOR-MAPPED-ADDRESS and
+        // OTHER-ADDRESS. Each round-trips unmutated; every prefix of
+        // it, every byte of it XORed with each non-zero mask, and every
+        // length field rewritten decode without panicking.
+        let mapped = Endpoint::new(ip(198, 51, 100, 7), 54321);
+        let other = Endpoint::new(ip(203, 0, 113, 51), 3479);
+        let mut messages = Vec::new();
+        for msg_type in [BINDING_REQUEST, BINDING_RESPONSE] {
+            for change in 0..4u8 {
+                for (xor_mapped, other_address) in [
+                    (None, None),
+                    (Some(mapped), None),
+                    (None, Some(other)),
+                    (Some(mapped), Some(other)),
+                ] {
+                    let msg = StunMessage {
+                        msg_type,
+                        transaction: [change ^ 0x5A; 12],
+                        xor_mapped,
+                        change_ip: change & 2 != 0,
+                        change_port: change & 1 != 0,
+                        other_address,
+                    };
+                    let attrs = usize::from(change != 0)
+                        + usize::from(xor_mapped.is_some())
+                        + usize::from(other_address.is_some());
+                    messages.push((msg, attrs));
+                }
+            }
+        }
+        assert_eq!(messages.len(), 32);
         for (msg, attrs) in &messages {
             let enc = msg.encode();
             assert_eq!(StunMessage::decode(&enc).as_ref(), Some(msg));
@@ -539,9 +561,11 @@ mod tests {
                 decodes_totally(&enc[..cut]);
             }
             for i in 0..enc.len() {
-                let mut flipped = enc.clone();
-                flipped[i] ^= 0xFF;
-                decodes_totally(&flipped);
+                for mask in 1..=255u8 {
+                    let mut flipped = enc.clone();
+                    flipped[i] ^= mask;
+                    decodes_totally(&flipped);
+                }
             }
             let fields = length_fields(&enc);
             assert_eq!(fields.len(), 1 + attrs, "header + attributes");
