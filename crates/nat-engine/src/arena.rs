@@ -9,25 +9,22 @@
 //! set the burst pipeline just prefetched.
 //!
 //! [`Arena`] bounds that cost. Storage is a list of chunks of
-//! [`Arena::CAP`] elements — as many as fit in 2 MiB — each allocated
-//! at 2 MiB alignment (the x86-64 hugepage size, so a chunk maps onto
-//! a single TLB entry under transparent hugepages). Growth appends a
-//! chunk: elements in a full-size chunk never move, and growth is
-//! O(1). Indexing stays as cheap as a `Vec`: the per-chunk capacity is
-//! a power of two, so `index -> (chunk, offset)` is one shift and one
-//! mask.
+//! [`Arena::CAP`] elements — as many as fit in [`ARENA_CHUNK_BYTES`],
+//! 2 MiB — each page-aligned. Growth appends a chunk: elements in a
+//! full-size chunk never move, and growth is O(1). Indexing stays as
+//! cheap as a `Vec`: the per-chunk capacity is a power of two, so
+//! `index -> (chunk, offset)` is one shift and one mask.
 //!
-//! The exception is **chunk 0 while it is young**. A zeroed 2 MiB
-//! hugepage is the wrong price for a home CPE NAT holding a handful of
-//! mappings — the paper's own pipeline (§4–§6) builds hundreds of
-//! those — so chunk 0 starts as a plain allocation of **eight rows**
-//! — rows, not a page: a page is 64 of the store's cold rows, and a
-//! home NAT holds six — and doubles (allocate, copy, free) until it
-//! holds `CAP` elements.
-//! That last step lands it in the same aligned, hugepage-advised 2 MiB
-//! chunk every later chunk is, and from then on nothing moves again.
-//! The copies total less than one chunk (under 2 MiB) over an arena's
-//! whole life and all happen inside its first `CAP` pushes, which a
+//! The exception is **chunk 0 while it is young**. A 2 MiB chunk is
+//! the wrong price for a home CPE NAT holding a handful of mappings —
+//! the paper's own pipeline (§4–§6) builds hundreds of those — so
+//! chunk 0 starts as a plain allocation of **eight rows** — rows, not
+//! a page: a page is 128 of the store's cold rows, and a home NAT
+//! holds six — and doubles (allocate, copy, free) until it holds `CAP`
+//! elements. That last step lands it in the same full-size chunk every
+//! later chunk is, and from then on nothing moves again. The copies
+//! total less than one chunk (under 2 MiB) over an arena's whole life
+//! and all happen inside its first `CAP` pushes, which a
 //! dimensioning-scale shard leaves behind in its first few thousand
 //! flows. What callers may rely on:
 //!
@@ -35,7 +32,10 @@
 //!   it holds `CAP` elements; before that a `push` may move them, so
 //!   no raw element pointer may be held across a `push` (the store
 //!   only ever reaches rows through `&self` / `&mut self` borrows);
-//! * chunks ≥ 1, and chunk 0 from `CAP` elements on, are 2 MiB-aligned;
+//! * chunks ≥ 1, and chunk 0 from `CAP` elements on, are page-aligned,
+//!   and every chunk is aligned at least to its element, so a row
+//!   aligned to its own size (up to a cache line) never straddles two
+//!   lines;
 //! * [`Arena::chunks`] is `len.div_ceil(CAP)` whatever chunk 0's
 //!   current size.
 //!
@@ -44,79 +44,49 @@
 //! is itself dropped.
 //!
 //! **A full-size chunk is an anonymous mapping of its own**, not a
-//! heap block. Through `std::alloc` a 2 MiB-aligned request is a glibc
-//! `memalign`, and glibc serves it from the `brk` heap as soon as its
-//! dynamic mmap threshold has risen past 2 MiB — which it does each
-//! time a large block is freed (an index rebuild, a drained wheel
-//! bucket). Measured on a 2-core x86-64 Linux host with the
-//! benchmark's `replay-churn` (forty steps), that put 289–305 MB of the
-//! process in the heap, 137–141 MB of it hugepage-backed arena chunks;
-//! on both replays the heap held 35–45 MB more than the live
-//! structures, and `replay-hit` peak RSS swung between 158 and 205 MiB
-//! across seeds at fixed work. So on Linux x86-64 a full-size chunk
-//! maps twice 2 MiB, unmaps the misaligned head and the tail, advises
-//! the aligned 2 MiB that is left, and is unmapped on drop: it costs
-//! exactly its own pages wherever the heap stands. Young chunk 0 stays
-//! a plain allocation, so a home NAT still pays kilobytes. Elsewhere,
-//! and under Miri, full-size chunks take the `std::alloc` path.
+//! heap block. Through `std::alloc` a 2 MiB request is served from
+//! glibc's `brk` heap as soon as its dynamic mmap threshold has risen
+//! past 2 MiB — which it does each time a large block is freed (the
+//! old table of an index that doubled). Measured on a 2-core x86-64
+//! Linux host with the benchmark's `replay-churn` (forty steps), that
+//! once put 289–305 MB of the process in the heap, 137–141 MB of it
+//! arena chunks; on both replays the heap held 35–45 MB more than the
+//! live structures, and `replay-hit` peak RSS swung between 158 and
+//! 205 MiB across seeds at fixed work. So on Linux x86-64 a full-size
+//! chunk is one `mmap` of [`ARENA_CHUNK_BYTES`], unmapped on drop, and
+//! asks for no paging treatment: the kernel backs it page by page as
+//! rows reach them, so a chunk the table has only begun to fill costs
+//! the 4 KiB pages its rows occupy, not 2 MiB. (Measured on a host
+//! whose transparent hugepages back only ranges advised to use them;
+//! a host set to back every anonymous mapping with hugepages does so
+//! for chunks too.) Young chunk 0 stays a plain allocation, so a
+//! home NAT still pays kilobytes. Elsewhere, and under Miri, full-size
+//! chunks are page-aligned `std::alloc` blocks.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 use std::ptr::NonNull;
 
-/// Best-effort `madvise(MADV_HUGEPAGE)` on a fresh full-size chunk.
-/// The chunks are already 2 MiB-aligned, but on hosts with transparent
-/// hugepages in `madvise` mode (the common server default) an aligned
-/// mapping alone is *not* backed by a hugepage — without the advice
-/// every random slot access at dimensioning scale pays a 4 KiB-page
-/// TLB walk (tens of thousands of pages for a 16× working set vs. ~one
-/// TLB entry per chunk). Advisory only: the return value is ignored.
-/// The kernel backs an extent with a hugepage only if the advice
-/// covers all 2 MiB of it, so [`map_chunk`] passes its whole mapping.
+/// A full-size chunk as an anonymous mapping of its own: one `mmap` of
+/// [`ARENA_CHUNK_BYTES`], page-aligned like every mapping. Null if the
+/// kernel refuses it. Release it with [`unmap_chunk`], never `dealloc`.
 ///
 /// # Safety
 ///
-/// `ptr..ptr + len` lies in a live mapping. The call reads and writes
-/// no memory; it only sets a paging hint on the range.
-#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-unsafe fn advise_hugepage(ptr: *mut u8, len: usize) {
-    const SYS_MADVISE: u64 = 28;
-    const MADV_HUGEPAGE: u64 = 14;
-    let _ret: i64;
-    std::arch::asm!(
-        "syscall",
-        inlateout("rax") SYS_MADVISE => _ret,
-        in("rdi") ptr,
-        in("rsi") len,
-        in("rdx") MADV_HUGEPAGE,
-        lateout("rcx") _,
-        lateout("r11") _,
-        options(nostack),
-    );
-}
-
-/// A full-size chunk as an anonymous mapping of its own: map twice
-/// [`ARENA_CHUNK_BYTES`], unmap the misaligned head and the tail, and
-/// advise the aligned 2 MiB that is left. Null if the kernel refuses
-/// the mapping. Release it with [`unmap_chunk`], never `dealloc`.
-///
-/// # Safety
-///
-/// `layout` is a full-size chunk's (2 MiB, 2 MiB-aligned). The call
-/// maps fresh memory and unmaps only parts of that same mapping.
+/// `layout` is a full-size chunk's ([`ARENA_CHUNK_BYTES`] at
+/// [`CHUNK_ALIGN`]). The call maps fresh memory and touches no other.
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 unsafe fn map_chunk(_layout: Layout) -> *mut u8 {
     const SYS_MMAP: u64 = 9;
     const PROT_READ_WRITE: u64 = 0x1 | 0x2;
     const MAP_PRIVATE_ANONYMOUS: u64 = 0x02 | 0x20;
-    let span = 2 * ARENA_CHUNK_BYTES;
     let ret: i64;
     std::arch::asm!(
         "syscall",
         inlateout("rax") SYS_MMAP => ret,
         in("rdi") 0u64,
-        in("rsi") span,
+        in("rsi") ARENA_CHUNK_BYTES,
         in("rdx") PROT_READ_WRITE,
         in("r10") MAP_PRIVATE_ANONYMOUS,
         in("r8") -1i64,
@@ -128,25 +98,12 @@ unsafe fn map_chunk(_layout: Layout) -> *mut u8 {
     if ret < 0 {
         return std::ptr::null_mut();
     }
-    let base = ret as usize;
-    let start = base.next_multiple_of(ARENA_CHUNK_BYTES);
-    let end = start + ARENA_CHUNK_BYTES;
-    // The head is empty when the kernel handed out an aligned base
-    // (munmap refuses a zero length); the tail never is, since `base`
-    // is page-aligned and so `start - base < ARENA_CHUNK_BYTES`.
-    // SAFETY (both unmaps): page-aligned ranges of the mapping made
-    // above, outside the chunk, never handed to anyone.
-    if start > base {
-        unmap(base, start - base);
-    }
-    unmap(end, base + span - end);
-    // SAFETY: `start` begins a live mapping of exactly 2 MiB, so the
-    // advice names this chunk and nothing else.
-    advise_hugepage(start as *mut u8, ARENA_CHUNK_BYTES);
-    start as *mut u8
+    ret as *mut u8
 }
 
-/// Release a chunk made by [`map_chunk`].
+/// Release a chunk made by [`map_chunk`]: `munmap` of the whole
+/// mapping, return value ignored (it fails only on a misaligned or
+/// empty range, and this one is neither).
 ///
 /// # Safety
 ///
@@ -154,25 +111,13 @@ unsafe fn map_chunk(_layout: Layout) -> *mut u8 {
 /// again: the range is gone afterwards.
 #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
 unsafe fn unmap_chunk(ptr: *mut u8, _layout: Layout) {
-    unmap(ptr as usize, ARENA_CHUNK_BYTES);
-}
-
-/// `munmap(addr, len)`, return value ignored: it fails only on a
-/// misaligned or empty range, which the two callers above never pass.
-///
-/// # Safety
-///
-/// `addr..addr + len` is page-aligned, lies inside a mapping
-/// [`map_chunk`] made, and holds nothing anyone will read again.
-#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
-unsafe fn unmap(addr: usize, len: usize) {
     const SYS_MUNMAP: u64 = 11;
     let _ret: i64;
     std::arch::asm!(
         "syscall",
         inlateout("rax") SYS_MUNMAP => _ret,
-        in("rdi") addr,
-        in("rsi") len,
+        in("rdi") ptr,
+        in("rsi") ARENA_CHUNK_BYTES,
         lateout("rcx") _,
         lateout("r11") _,
         options(nostack),
@@ -180,8 +125,8 @@ unsafe fn unmap(addr: usize, len: usize) {
 }
 
 /// Off Linux x86-64, and under Miri (no inline assembly), a full-size
-/// chunk is the 2 MiB-aligned `std::alloc` allocation every chunk
-/// once was, so Miri keeps checking the arena's pointer arithmetic.
+/// chunk is a page-aligned `std::alloc` allocation, so Miri keeps
+/// checking the arena's pointer arithmetic.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
 unsafe fn map_chunk(layout: Layout) -> *mut u8 {
     alloc(layout)
@@ -192,10 +137,14 @@ unsafe fn unmap_chunk(ptr: *mut u8, layout: Layout) {
     dealloc(ptr, layout);
 }
 
-/// Bytes per full-size arena chunk: 2 MiB, the x86-64 hugepage size.
-/// `cgn_arena_chunks` × this bounds the slab's footprint from above
-/// (chunk 0 of a small arena is smaller).
+/// Bytes per full-size arena chunk: 2 MiB. `cgn_arena_chunks` × this
+/// bounds the slab's footprint from above (chunk 0 of a small arena is
+/// smaller, and a chunk's untouched pages cost nothing resident).
 pub const ARENA_CHUNK_BYTES: usize = 2 * 1024 * 1024;
+
+/// Alignment of a full-size chunk: a page, which is what an anonymous
+/// mapping guarantees.
+const CHUNK_ALIGN: usize = 4096;
 
 /// Elements in chunk 0's first allocation (fewer only if a whole
 /// chunk holds fewer).
@@ -211,7 +160,7 @@ const fn floor_pow2(n: usize) -> usize {
 /// storage proportional to the population before that. See the module
 /// docs for the exact movement and alignment contract.
 pub(crate) struct Arena<T> {
-    /// Chunks of [`Arena::CAP`] elements each, 2 MiB-aligned; all but
+    /// Chunks of [`Arena::CAP`] elements each, page-aligned; all but
     /// the last are full. While `cap < CAP` there is at most one, and
     /// it is a plain allocation of `cap` elements.
     chunks: Vec<NonNull<T>>,
@@ -230,6 +179,10 @@ impl<T> Arena<T> {
     pub(crate) const CAP: usize = {
         let per = ARENA_CHUNK_BYTES / std::mem::size_of::<T>();
         assert!(per > 0, "arena element larger than a chunk");
+        assert!(
+            std::mem::align_of::<T>() <= CHUNK_ALIGN,
+            "arena element aligned past a page"
+        );
         floor_pow2(per)
     };
     const SHIFT: u32 = Self::CAP.trailing_zeros();
@@ -252,12 +205,12 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Layout of a chunk holding `cap` elements: the 2 MiB-aligned
-    /// hugepage shape at `CAP`, a plain array below it.
+    /// Layout of a chunk holding `cap` elements: page-aligned at
+    /// `CAP`, a plain array below it.
     fn chunk_layout(cap: usize) -> Layout {
         let align = if cap == Self::CAP {
-            // Dominates any element alignment.
-            ARENA_CHUNK_BYTES
+            // Dominates any element alignment (asserted by `CAP`).
+            CHUNK_ALIGN
         } else {
             std::mem::align_of::<T>()
         };
@@ -267,8 +220,8 @@ impl<T> Arena<T> {
     }
 
     /// Allocate an uninitialised chunk of `cap` (1..=`CAP`) elements:
-    /// a hugepage-advised mapping of its own when it is full-size, a
-    /// plain allocation below that.
+    /// a mapping of its own when it is full-size, a plain allocation
+    /// below that.
     fn alloc_chunk(cap: usize) -> NonNull<T> {
         let layout = Self::chunk_layout(cap);
         let ptr = if cap == Self::CAP {
@@ -517,20 +470,42 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_two_mib_aligned() {
-        // Aligned once chunk 0 holds CAP rows; chunks >= 1 always.
+    fn chunks_are_page_aligned_and_rows_never_straddle_a_line() {
+        // Page-aligned once chunk 0 holds CAP rows; chunks >= 1 always.
         let mut a: Arena<Row> = Arena::new();
         for i in 0..2 * ROW_CAP + 1 {
             a.push(row(i));
         }
         for c in 0..3 {
             let addr = &a[c * ROW_CAP] as *const Row as usize;
-            assert_eq!(addr % ARENA_CHUNK_BYTES, 0, "chunk {c}");
+            assert_eq!(addr % CHUNK_ALIGN, 0, "chunk {c}");
         }
+        // What `prefetch_slot` relies on: a 32-byte row aligned like
+        // the store's cold row sits inside one 64-byte line, at every
+        // size of chunk 0 (checked each time it is about to double)
+        // and in a full chunk after it.
+        #[repr(align(32))]
+        struct Line([u64; 4]);
+        let within_a_line = |a: &Arena<Line>| {
+            a.iter().all(|r| {
+                let addr = r as *const Line as usize;
+                addr / 64 == (addr + 31) / 64
+            })
+        };
+        let mut b: Arena<Line> = Arena::new();
+        for i in 0..Arena::<Line>::CAP + 64 {
+            b.push(Line([i as u64; 4]));
+            if b.len().is_power_of_two() {
+                assert!(within_a_line(&b), "{} rows", b.len());
+            }
+        }
+        assert!(within_a_line(&b));
+        assert_eq!(b.chunks(), 2);
+        assert!(b.iter().enumerate().all(|(i, r)| r.0[0] == i as u64));
     }
 
-    /// Full-size chunks are anonymous mappings of their own: aligned,
-    /// outside glibc's `[heap]`, and returned to the kernel on drop.
+    /// Full-size chunks are anonymous mappings of their own: outside
+    /// glibc's `[heap]`, and returned to the kernel on drop.
     #[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
     #[test]
     fn full_chunks_are_their_own_mappings() {
@@ -559,7 +534,6 @@ mod tests {
             .map(|c| &a[c * ROW_CAP] as *const Row as usize)
             .collect();
         for (c, &start) in starts.iter().enumerate() {
-            assert_eq!(start % ARENA_CHUNK_BYTES, 0, "chunk {c}");
             let line = covering(start, start + ARENA_CHUNK_BYTES).expect("chunk is mapped");
             // Anonymous: no path and no pseudo-path such as `[heap]`.
             // Adjacent chunks may share one line, since the kernel

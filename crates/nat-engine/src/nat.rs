@@ -1528,7 +1528,12 @@ mod tests {
         // 16 384-entry `Vec` (262 144) take 98 304 more: 1 762 816,
         // plus the bucket's 1 536 bytes of segment headers. 32-byte
         // cold rows take cold chunk 0's 16 384 rows from 1 048 576 to
-        // 524 288 bytes: 1 762 816 − 524 288 = 1 238 528.
+        // 524 288 bytes: 1 762 816 − 524 288 = 1 238 528, or 1 240 064
+        // with the headers. 8-byte timer entries, 512 to a 4 KiB
+        // segment, hold the bucket's 10 000 entries in twenty segments
+        // rather than forty (81 920 off), and its 20 segment headers in
+        // a 32-slot table rather than 40 in a 64-slot one (24 bytes
+        // each, 768 off): 1 240 064 − 81 920 − 768 = 1 157 376.
         let mut cgn = nat(NatConfig::cgn_default());
         for k in 0..10_000u32 {
             let src = Endpoint::new(ip(100, 64, (k / 100) as u8, 1), 20_000 + (k % 100) as u16);
@@ -1536,7 +1541,7 @@ mod tests {
         }
         assert_eq!(cgn.mapping_count(), 10_000);
         let reserved = cgn.reserved_bytes() as f64;
-        let large = 1_238_528.0;
+        let large = 1_157_376.0;
         assert!(
             (reserved / large - 1.0).abs() <= 0.01,
             "{reserved} bytes against {large}"

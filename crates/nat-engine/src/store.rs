@@ -11,12 +11,13 @@
 //! storage:
 //!
 //! * **Slab arena** — mappings live inline in chunked arenas (the
-//!   crate-private `arena` module): 2 MiB-aligned chunks, so growth
+//!   crate-private `arena` module): 2 MiB chunks, each one anonymous
+//!   mapping that costs only the pages its rows reach, so growth
 //!   appends a chunk instead of reallocating and copying the slab (no
 //!   copy storms at CGN populations). Only the first chunk, while it
 //!   holds less than a chunkful, is a small allocation that doubles —
 //!   a home CPE NAT with ten mappings reserves kilobytes, not two
-//!   hugepages. Rows are only ever reached by slot id through the
+//!   chunks. Rows are only ever reached by slot id through the
 //!   store's own borrows, never by a pointer held across an insert,
 //!   so that early movement is invisible. A freed slot goes into an
 //!   address-ordered free-set — a hierarchical bitmap, one bit per
@@ -119,9 +120,11 @@
 //! Stale entries are recognised by a per-slot ticket, bumped on every
 //! free and on every filing, so at most one entry per slot is
 //! authoritative; a stale one costs one comparison when its bucket is
-//! drained. The slot remembers its parked entry's deadline as a lag
-//! behind the expiry — zero after every filing, raised only by a lazy
-//! extension.
+//! drained or cascaded, and a cascade drops it there. The slot
+//! remembers its parked entry's deadline as a lag behind the expiry —
+//! zero after every filing, raised only by a lazy extension — so an
+//! entry is 8 bytes, a slot id and a ticket: a cascade re-parks a
+//! current entry at the deadline the hot row gives back.
 
 use crate::arena::{Arena, ARENA_CHUNK_BYTES};
 use crate::config::MappingBehavior;
@@ -176,7 +179,7 @@ const WHEEL_GEOM: WheelGeometry = WheelGeometry {
     buckets: &[WHEEL_BUCKETS as u64; WHEEL_LEVELS],
 };
 
-/// One parked expiry: 16 bytes, four to a cache line.
+/// One parked expiry: 8 bytes, eight to a cache line.
 ///
 /// The entry is authoritative exactly when `ticket == hot.ticket` for
 /// its slot's [`HotSlot`]. The slot's ticket moves on every free and
@@ -186,24 +189,29 @@ const WHEEL_GEOM: WheelGeometry = WheelGeometry {
 /// the check; at most one entry can ever expire or reschedule a slot —
 /// duplicates (e.g. a shorten followed by an extension back to the old
 /// deadline) die stale on it.
+///
+/// The entry carries no deadline. The bucket it sits in is where that
+/// deadline placed it; whoever files it passes the deadline to
+/// [`TimerWheel::schedule`], and a cascade reads the current entry's
+/// deadline back from the hot row ([`HotSlot::parked_deadline`]) and
+/// drops a stale entry on the spot.
 #[derive(Debug, Clone, Copy)]
 struct TimerEntry {
     slot: u32,
     /// The slot's [`HotSlot::ticket`] when this entry was filed.
     ticket: u32,
-    deadline_ms: u64,
 }
 
-/// Entries in one bucket segment: 4 KiB of them.
-const SEGMENT: usize = 256;
+/// Entries in one bucket segment: 512 of 8 bytes, 4 KiB.
+const SEGMENT: usize = 512;
 
 /// One wheel bucket: its entries in filing order, in segments of at
 /// most [`SEGMENT`]. The first segment grows by doubling like a plain
 /// `Vec`, so a bucket of a few entries costs that `Vec` and one
 /// 24-byte segment header; every later one is allocated at exactly
 /// [`SEGMENT`] entries, so entry `i` is `segs[i / SEGMENT][i %
-/// SEGMENT]`. A CGN bucket of ten thousand entries is forty 4 KiB
-/// segments, not a 256 KiB buffer that doubled on the way there and,
+/// SEGMENT]`. A CGN bucket of ten thousand entries is twenty 4 KiB
+/// segments, not a 128 KiB buffer that doubled on the way there and,
 /// drained, leaves glibc's heap fragmented.
 #[derive(Debug, Default)]
 struct Bucket {
@@ -242,12 +250,6 @@ impl Bucket {
         self.segs.iter().flatten()
     }
 
-    /// The entries in filing order, each segment freed once it has
-    /// been read.
-    fn into_entries(self) -> impl Iterator<Item = TimerEntry> {
-        self.segs.into_iter().flatten()
-    }
-
     #[cfg(test)]
     fn reserved_bytes(&self) -> usize {
         self.segs.capacity() * std::mem::size_of::<Vec<TimerEntry>>()
@@ -279,7 +281,8 @@ impl Bucket {
 ///   horizon themselves first. Nothing is filed while the wheel turns
 ///   (a sweep defers its re-schedules until it has stopped), so the
 ///   occupancy the next jump reads is the occupancy the skipped ticks
-///   would have found.
+///   would have found. The hot rows a cascade reads change while the
+///   wheel turns only at drains, which happen at visited ticks too.
 #[derive(Debug)]
 struct TimerWheel {
     /// Virtual time the wheel has been advanced to.
@@ -291,10 +294,11 @@ struct TimerWheel {
     occupied: [u64; WHEEL_LEVELS],
     /// Entries currently parked in buckets (live + stale).
     entries: usize,
-    /// Entries re-distributed downward by cascades since creation —
-    /// the wheel's background re-filing work, a pure function of the
-    /// deadline stream (one add per moved entry, cheap enough to
-    /// count unconditionally).
+    /// Current entries re-distributed downward by cascades since
+    /// creation — the wheel's background re-filing work, a pure
+    /// function of the deadline stream (one add per moved entry, cheap
+    /// enough to count unconditionally). Stale entries a cascade drops
+    /// are not counted.
     cascaded: u64,
 }
 
@@ -309,13 +313,13 @@ impl TimerWheel {
         }
     }
 
-    /// Park `e` where its deadline belongs relative to the current
+    /// Park `e` where `deadline_ms` belongs relative to the current
     /// horizon — the shared [`WheelGeometry::place`] arithmetic
     /// (already-due deadlines park in the horizon's own level-0
     /// bucket; beyond-span deadlines park farthest and re-cascade).
     #[inline]
-    fn park(&mut self, e: TimerEntry) {
-        let (level, bucket) = WHEEL_GEOM.place(self.horizon_ms, e.deadline_ms);
+    fn park(&mut self, e: TimerEntry, deadline_ms: u64) {
+        let (level, bucket) = WHEEL_GEOM.place(self.horizon_ms, deadline_ms);
         if self.levels[level].is_empty() {
             self.open_level(level);
         }
@@ -338,18 +342,42 @@ impl TimerWheel {
         std::mem::take(&mut self.levels[level][bucket])
     }
 
+    /// File a new entry, due at `deadline_ms`.
     #[inline]
-    fn schedule(&mut self, e: TimerEntry) {
-        self.park(e);
+    fn schedule(&mut self, e: TimerEntry, deadline_ms: u64) {
+        self.park(e, deadline_ms);
         self.entries += 1;
     }
 
     /// Re-distribute one higher-level bucket downward (called when the
-    /// level below wraps around).
-    fn cascade(&mut self, level: usize, bucket: usize) {
-        for e in self.take(level, bucket).into_entries() {
-            self.cascaded += 1;
-            self.park(e);
+    /// level below wraps around). A current entry is re-parked at the
+    /// deadline its hot row keeps for it
+    /// ([`HotSlot::parked_deadline`]); a stale one is dropped here
+    /// instead of being carried down to a level-0 drain, and is not
+    /// counted in `cascaded`. Entries name rows in no order, so the row
+    /// [`SWEEP_LOOKAHEAD`] entries on is fetched while this one is
+    /// placed, and each segment is freed once it has been read.
+    fn cascade(&mut self, level: usize, bucket: usize, hot: &Arena<HotSlot>) {
+        let mut segs = self.take(level, bucket).segs.into_iter().peekable();
+        while let Some(seg) = segs.next() {
+            for (i, e) in seg.iter().enumerate() {
+                let ahead = match seg.get(i + SWEEP_LOOKAHEAD) {
+                    Some(a) => Some(a),
+                    None => segs
+                        .peek()
+                        .and_then(|next| next.get(i + SWEEP_LOOKAHEAD - seg.len())),
+                };
+                if let Some(row) = ahead.and_then(|a| hot.get(a.slot as usize)) {
+                    prefetch_line(row);
+                }
+                let row = &hot[e.slot as usize];
+                if row.ticket == e.ticket {
+                    self.cascaded += 1;
+                    self.park(*e, row.parked_deadline());
+                } else {
+                    self.entries -= 1;
+                }
+            }
         }
     }
 
@@ -702,11 +730,13 @@ struct HotSlot {
     /// How far `expiry_ms` lies past the deadline of the slot's
     /// authoritative timer entry, which is how
     /// [`MappingStore::set_expiry`] tells a shortening from a lazy
-    /// extension. Every filing parks at
-    /// the current expiry, so only a lazy extension raises it above 0.
-    /// Saturates at `u32::MAX` (49 days): an understated lag overstates
-    /// the parked deadline, which can only make a later shortening
-    /// file an entry it did not need, never skip one it did.
+    /// extension, and where a cascade re-parks that entry. Every filing
+    /// parks at the current expiry, so only a lazy extension raises it
+    /// above 0. Saturates at `u32::MAX` (49 days): an understated lag
+    /// overstates the parked deadline, which can only make a later
+    /// shortening file an entry it did not need, never skip one it did,
+    /// and can only make a cascaded entry fire later than it was filed
+    /// for — never earlier, and never past the expiry itself.
     lag: u32,
 }
 
@@ -837,20 +867,20 @@ impl Slot {
     }
 }
 
-// A full chunk of either row is exactly one 2 MiB extent, so the
-// hugepage advice on a chunk covers its own rows and nothing else.
+// A full chunk of either row is exactly one 2 MiB mapping, with no
+// tail a row could not fill.
 const _: () = assert!(Arena::<Slot>::CAP * std::mem::size_of::<Slot>() == ARENA_CHUNK_BYTES);
 const _: () = assert!(Arena::<HotSlot>::CAP * std::mem::size_of::<HotSlot>() == ARENA_CHUNK_BYTES);
-// Two cold rows, four timer entries and four hot rows to a cache line.
+// Two cold rows, eight timer entries and four hot rows to a cache line.
 const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 const _: () = assert!(std::mem::align_of::<Slot>() == 32);
-const _: () = assert!(std::mem::size_of::<TimerEntry>() == 16);
+const _: () = assert!(std::mem::size_of::<TimerEntry>() == 8);
 const _: () = assert!(std::mem::size_of::<HotSlot>() == 16);
 
 impl HotSlot {
     /// Move the ticket on and file an entry at the current expiry: the
     /// entry returned is now `slot`'s only authoritative one, ready to
-    /// park, and the lag is 0.
+    /// park at `expiry_ms`, and the lag is 0.
     #[inline]
     fn file(&mut self, slot: u32) -> TimerEntry {
         self.ticket = self.ticket.wrapping_add(1);
@@ -858,12 +888,11 @@ impl HotSlot {
         TimerEntry {
             slot,
             ticket: self.ticket,
-            deadline_ms: self.expiry_ms,
         }
     }
 
     /// Deadline of the slot's authoritative timer entry, or later (see
-    /// [`HotSlot::lag`]).
+    /// [`HotSlot::lag`]): what a cascade re-parks that entry at.
     #[inline]
     fn parked_deadline(&self) -> u64 {
         self.expiry_ms - self.lag as u64
@@ -1199,7 +1228,7 @@ impl MappingStore {
 
     /// Prefetch the whole of a slot's rows: one line each. The 16-byte
     /// hot rows pack four to a line and the 32-byte cold rows two, in
-    /// a full (2 MiB-aligned) chunk and in a still-small chunk 0 alike
+    /// a full (page-aligned) chunk and in a still-small chunk 0 alike
     /// (its allocation is aligned to the row), so neither row straddles
     /// two lines. A hint only: any slot id is accepted, out-of-range
     /// ones are ignored.
@@ -1387,7 +1416,7 @@ impl MappingStore {
             }
         };
         let e = self.hot[slot as usize].file(slot);
-        self.wheel.schedule(e);
+        self.wheel.schedule(e, expiry_ms);
         self.out_index.insert(Self::hash_out(out_key), slot);
         self.ext_behind.push_back((ext_hash, slot));
         self.write_ext_behind(EXT_WRITE_BEHIND);
@@ -1452,7 +1481,7 @@ impl MappingStore {
         hot.expiry_ms = ms;
         if ms < parked {
             let e = hot.file(slot);
-            self.wheel.schedule(e);
+            self.wheel.schedule(e, ms);
         } else {
             hot.lag = u32::try_from(ms - parked).unwrap_or(u32::MAX);
         }
@@ -1497,7 +1526,9 @@ impl MappingStore {
             return (0, due);
         }
         let mut inspected = 0usize;
-        let mut resched: Vec<TimerEntry> = Vec::new();
+        // Re-filings deferred until the wheel stops: each entry with
+        // the expiry it is to park at.
+        let mut resched: Vec<(TimerEntry, u64)> = Vec::new();
         let mut tick = self.wheel.horizon_ms >> WHEEL_SHIFTS[0];
         let end = now_ms >> WHEEL_SHIFTS[0];
         loop {
@@ -1526,7 +1557,7 @@ impl MappingStore {
                     // parked entry for this slot is already stale; the
                     // wheel insert is deferred until the ticks have
                     // finished turning.
-                    resched.push(hot.file(e.slot));
+                    resched.push((hot.file(e.slot), hot.expiry_ms));
                 }
             }
             match next(&self.wheel, tick) {
@@ -1538,12 +1569,12 @@ impl MappingStore {
             // wrapped, highest first so entries settle downward
             // (the shared schedule of [`WheelGeometry::cascades`]).
             for (level, bucket) in WHEEL_GEOM.cascades(tick) {
-                self.wheel.cascade(level, bucket);
+                self.wheel.cascade(level, bucket, &self.hot);
             }
         }
         self.wheel.horizon_ms = now_ms;
-        for e in resched {
-            self.wheel.schedule(e);
+        for (e, deadline_ms) in resched {
+            self.wheel.schedule(e, deadline_ms);
         }
         (inspected, due)
     }
@@ -1928,6 +1959,85 @@ mod tests {
     }
 
     #[test]
+    fn cascade_refiles_current_entries_and_sheds_stale_ones() {
+        // Seven entries share level-1 bucket 2 ([131 072, 196 608) ms),
+        // which cascades when the wheel reaches 131 072 ms. Four are
+        // current: a plain one (slot 0), a lazily extended one (slot 1,
+        // lag 30 s), one whose lag saturated (slot 2) and the second
+        // tenant of a reused slot (slot 4). Three are stale: a freed
+        // slot's (3), the first tenant's of the reused slot (4), and
+        // one a shortening superseded (5).
+        let mut s = MappingStore::new();
+        let ms = SimTime::from_millis;
+        let add = |s: &mut MappingStore, k: u16, expiry_ms: u64| {
+            let internal = Endpoint::new(ip(100, 64, 2, 1), 40_000 + k);
+            let external = Endpoint::new(ip(198, 51, 100, 1), 10_000 + k);
+            let key = s.out_key(
+                MappingBehavior::EndpointIndependent,
+                Protocol::Udp,
+                internal,
+                Endpoint::new(ip(203, 0, 113, 1), 80),
+            );
+            insert(s, key, mapping(internal, external, ms(expiry_ms)))
+        };
+        for (k, expiry_ms) in [150_000, 140_000, 160_000, 145_000, 155_000, 190_000]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(add(&mut s, k as u16, expiry_ms), k as u32);
+        }
+        s.set_expiry(1, ms(170_000)); // lazy: parked at 140 s
+        let far = 160_000 + (1 << 32) + 5_000;
+        s.set_expiry(2, ms(far)); // lazy, and the lag saturates
+        assert_eq!(s.hot[2].lag, u32::MAX);
+        // Parked 1 ms later than filed: far - u32::MAX.
+        assert_eq!(s.hot[2].parked_deadline(), 165_001);
+        s.remove(4).expect("live");
+        assert_eq!(add(&mut s, 6, 180_000), 4, "the freed slot is reused");
+        s.remove(3).expect("live");
+        s.set_expiry(5, ms(40_000)); // files at level 0, tick 39
+        assert_eq!((s.occupancy().timers, s.timer_cascades()), (8, 0));
+
+        // (at, entries inspected, due, entries parked after, entries
+        // cascaded so far). No stale entry is ever inspected.
+        let sweeps: [(u64, usize, &[u32], u64, u64); 12] = [
+            (40_000, 1, &[5], 7, 0),
+            (131_071, 0, &[], 7, 0),
+            // The cascade: four re-filed, three dropped.
+            (131_072, 0, &[], 4, 4),
+            // Slot 1 fires at its parked 140 s and re-files at 170 s.
+            (140_000, 1, &[], 4, 4),
+            (150_000, 1, &[0], 3, 4),
+            // Slot 2 parked at 165 001 ms, in tick 161 (from 164 864
+            // ms), not at the 160 s of tick 156 it was filed for: later,
+            // never earlier, and re-filed at its expiry.
+            (164_863, 0, &[], 3, 4),
+            (164_864, 1, &[], 3, 4),
+            (170_000, 1, &[1], 2, 4),
+            (180_000, 1, &[4], 1, 4),
+            // Down from level 3 to level 1 at 16 << 28 ms, then to
+            // level 0: two more cascades. Inspected in its tick a
+            // millisecond before its expiry, the entry re-files, and
+            // the slot is due exactly at expiry.
+            ((far & !1023) - 1, 0, &[], 1, 6),
+            (far - 1, 1, &[], 1, 6),
+            (far, 1, &[2], 0, 6),
+        ];
+        for (at, inspected, want, timers, cascades) in sweeps {
+            assert_eq!(
+                s.sweep_due(ms(at)),
+                (inspected, want.to_vec()),
+                "at {at} ms"
+            );
+            for &slot in want {
+                s.remove(slot).expect("due slots are live");
+            }
+            assert_eq!(s.occupancy().timers, timers, "parked after {at} ms");
+            assert_eq!(s.timer_cascades(), cascades, "cascaded by {at} ms");
+        }
+    }
+
+    #[test]
     fn wheel_tables_appear_with_the_first_entry_of_their_level() {
         const TABLE: usize = WHEEL_BUCKETS * std::mem::size_of::<Bucket>();
         let tables = |s: &MappingStore| s.wheel.levels.iter().map(Vec::capacity).sum::<usize>();
@@ -2065,6 +2175,9 @@ mod tests {
         // entries at the end of the same bucket, and frees hand slot ids
         // back to later inserts of either group, so both buckets hold
         // stale entries between current ones, across segment edges.
+        // Group A's stay parked until its bucket drains; group B's are
+        // dropped by its first cascade, so only current entries reach
+        // level 0.
         const A: u64 = 30 << 10;
         const B: u64 = 7032 << 10;
         let (mut jump, mut ticks) = (MappingStore::new(), MappingStore::new());
@@ -2072,7 +2185,7 @@ mod tests {
         let mut filed: Vec<(u32, u64)> = Vec::new();
         // Live slots: (slot, group base, expiry in ms).
         let mut live: Vec<(u32, u64, u64)> = Vec::new();
-        for k in 0..1200u32 {
+        for k in 0..2400u32 {
             let base = if k % 3 == 2 { B } else { A };
             let internal = Endpoint::new(ip(100, 64, 0, 1), 1024 + k as u16);
             let external = Endpoint::new(ip(198, 51, 100, 1), 1024 + k as u16);
@@ -2131,29 +2244,41 @@ mod tests {
                 .map(|(_, &(slot, _))| slot)
                 .collect()
         };
-        let timers = jump.occupancy().timers;
-        assert_eq!(timers, filed.len() as u64, "stale entries stay parked");
+        let filed_b = filed.iter().filter(|&&(_, base)| base == B).count() as u64;
+        let current_b = expect(B).len() as u64;
+        assert!(current_b < filed_b, "group B holds stale entries");
+        assert_eq!(
+            jump.occupancy().timers,
+            filed.len() as u64,
+            "every filing parked"
+        );
+        // (at, due, entries parked after, entries cascaded so far).
         let sweeps = [
-            (10_000, vec![]),
-            (A + 1024, expect(A)),
-            (1_000_000, vec![]),
-            ((1 << 22) + 5, vec![]),    // group B cascades to level 1 ...
-            ((6976 << 10) + 3, vec![]), // ... and to level 0
-            (B - 1, vec![]),
-            (B + 1024, expect(B)),
+            (10_000, vec![], filed.len() as u64, 0),
+            (A + 1024, expect(A), filed_b, 0),
+            (1_000_000, vec![], filed_b, 0),
+            // Group B cascades to level 1, shedding its stale entries ...
+            ((1 << 22) + 5, vec![], current_b, current_b),
+            // ... and to level 0, where only current entries remain.
+            ((6976 << 10) + 3, vec![], current_b, 2 * current_b),
+            (B - 1, vec![], current_b, 2 * current_b),
+            (B + 1024, expect(B), 0, 2 * current_b),
         ];
-        for (ms, want) in sweeps {
+        for (ms, want, timers, cascades) in sweeps {
             let at = SimTime::from_millis(ms);
             let (inspected, due) = jump.sweep_due(at);
             assert_eq!((inspected, due.clone()), ticks.sweep_due_by_ticks(at));
             assert_eq!(due, want, "due at {ms} ms");
+            if ms == B + 1024 {
+                assert_eq!(inspected as u64, current_b, "no stale entry drained");
+            }
             for &slot in &due {
                 assert!(jump.remove(slot).is_some() && ticks.remove(slot).is_some());
             }
             assert_same_wheels(&jump, &ticks);
+            assert_eq!(jump.occupancy().timers, timers, "parked after {ms} ms");
+            assert_eq!(jump.timer_cascades(), cascades, "cascaded by {ms} ms");
         }
-        assert_eq!(jump.occupancy().timers, 0, "every entry drained");
-        assert!(jump.timer_cascades() > 2 * 256, "group B cascaded twice");
     }
 
     #[test]

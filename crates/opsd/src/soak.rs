@@ -348,9 +348,11 @@ fn fnv_fold(hash: u64, text: &str) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Modeled resident bytes — an upper bound on the slab's share: every
-/// chunk is charged at full size, though a shard's first hot and cold
-/// chunks are allocated smaller until they hold a chunkful of rows.
+/// Modeled resident bytes — still an upper bound on the slab's share:
+/// every chunk is charged at its full 2 MiB, though a shard's first hot
+/// and cold chunks are allocated smaller until they hold a chunkful of
+/// rows, and a full-size chunk is resident only in the pages its rows
+/// have reached.
 fn rss_proxy(chunks: u64, health: &SessionHealth) -> u64 {
     chunks * ARENA_CHUNK_BYTES as u64
         + health.windows_retained as u64 * WINDOW_RESIDENT_BYTES

@@ -244,7 +244,9 @@ pub fn linear_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcore::ip;
+    use crate::codec::{decode_bytes, EventLog};
+    use netcore::{ip, SimTime};
+    use proptest::prelude::*;
 
     fn ep(port: u16) -> Endpoint {
         Endpoint::new(ip(198, 51, 100, 1), port)
@@ -383,5 +385,112 @@ mod tests {
             None,
             "between grants"
         );
+    }
+
+    /// One event of a generated log: kind, subscriber, pool, port (or
+    /// block start), block length, milliseconds since the previous
+    /// event.
+    type Event = (bool, u8, u8, u16, u16, u32);
+
+    /// A per-connection log (creates and expiries) or a per-block log
+    /// (grants and releases) of `events`, over two pool addresses and
+    /// both protocols.
+    fn encode(per_block: bool, events: &[Event]) -> EventLog {
+        let mut log = EventLog::new();
+        let mut at = 0u64;
+        for &(open, sub, pool, port, len, gap) in events {
+            at += gap as u64;
+            let (at, sub) = (SimTime::from_millis(at), ip(100, 64, 0, sub % 4));
+            let proto = [Protocol::Udp, Protocol::Tcp][pool as usize % 2];
+            let ext_ip = ip(198, 51, 100, pool % 2);
+            match (per_block, open) {
+                (false, true) => log.map_create(at, sub, proto, Endpoint::new(ext_ip, port)),
+                (false, false) => log.map_expire(at, proto, Endpoint::new(ext_ip, port)),
+                (true, true) => log.block_alloc(at, sub, proto, ext_ip, port, len),
+                (true, false) => log.block_release(at, proto, ext_ip, port),
+            }
+        }
+        log
+    }
+
+    /// Every `(protocol, external endpoint)` a record names: its
+    /// mapping's, its block's first port and, for a grant, its last.
+    fn probes(r: &Record) -> Vec<(Protocol, Endpoint)> {
+        match *r {
+            Record::MapCreate {
+                proto, external, ..
+            }
+            | Record::MapExpire {
+                proto, external, ..
+            } => vec![(proto, external)],
+            Record::BlockAlloc {
+                proto,
+                ext_ip,
+                block_start,
+                block_len,
+                ..
+            } => {
+                let last = block_start.saturating_add(block_len.saturating_sub(1));
+                vec![
+                    (proto, Endpoint::new(ext_ip, block_start)),
+                    (proto, Endpoint::new(ext_ip, last)),
+                ]
+            }
+            Record::BlockRelease {
+                proto,
+                ext_ip,
+                block_start,
+                ..
+            } => vec![(proto, Endpoint::new(ext_ip, block_start))],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The index is total over whatever the decoder accepts: a
+        /// per-connection or per-block log, whole, cut short at any
+        /// byte, with one byte flipped, or both, builds an index
+        /// whenever it decodes, holds no more intervals than records,
+        /// and answers a query for every endpoint any record names, at
+        /// every record's instant and a millisecond either side,
+        /// without panicking. (`tests/trace_differential.rs` probes
+        /// engine-written logs at random ports and instants; these
+        /// probes sit on the interval edges the records make.)
+        #[test]
+        fn prop_index_total_at_every_record_edge(
+            per_block in any::<bool>(),
+            events in proptest::collection::vec(
+                (any::<bool>(), any::<u8>(), any::<u8>(), any::<u16>(), any::<u16>(), any::<u32>()),
+                0..24,
+            ),
+            flip in (any::<usize>(), any::<u8>()),
+            cut in any::<usize>(),
+        ) {
+            let log = encode(per_block, &events);
+            let whole = log.bytes();
+            let mut flipped = whole.to_vec();
+            let mut inputs = vec![whole.to_vec()];
+            if !whole.is_empty() {
+                flipped[flip.0 % whole.len()] ^= flip.1;
+                let cut = cut % whole.len();
+                inputs.extend([flipped.clone(), whole[..cut].to_vec(), flipped[..cut].to_vec()]);
+            }
+            for bytes in inputs {
+                let Ok(records) = decode_bytes(&bytes) else {
+                    continue;
+                };
+                let index = TraceIndex::build(&records);
+                prop_assert!(index.port_intervals() + index.block_intervals() <= records.len());
+                for r in &records {
+                    let at = r.at_ms();
+                    for (proto, external) in records.iter().flat_map(probes) {
+                        for t in [at.saturating_sub(1), at, at.saturating_add(1)] {
+                            let _ = index.query(proto, external, t);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
