@@ -1045,11 +1045,15 @@ impl Nat {
     /// destination to the internal endpoint.
     ///
     /// The bound on an off-path scan: no inbound packet creates state,
-    /// so a stranger sending to every port of every pool address leaves
-    /// mappings, store and port occupancy as they were. Under EIF with
-    /// `refresh_inbound`, the scan keeps every live mapping it reaches
-    /// alive, and so pins that mapping's port, for as long as it keeps
-    /// sending.
+    /// so a stranger sending UDP or TCP to every port of every pool
+    /// address leaves mappings, store and port occupancy and the bytes
+    /// the NAT reserves as they were, and each of its packets is
+    /// forwarded or counted in exactly one of `drop_no_mapping` (no
+    /// mapping on the port) and `drop_filtered`. Under EIF with
+    /// `refresh_inbound`, the scan keeps exactly the live mappings it
+    /// reaches alive, and so pins their ports, for as long as it keeps
+    /// sending; every other mapping expires on time
+    /// (`an_inbound_scan_creates_no_state`).
     fn translate_inbound(
         &mut self,
         h: &mut Header,
@@ -1511,6 +1515,10 @@ mod tests {
             home.sweep(t(secs + 1));
         }
         assert_eq!(home.mapping_count(), 6);
+        // 5 248 bytes: each index is one 64-byte bucket of ten cells
+        // (six entries fit under its 0.85 load), where a 16-cell table
+        // of 8-byte cells took 128 — 2 × 64 = 128 bytes of indices, not
+        // 256, so 5 376 − 128.
         let reserved = home.reserved_bytes();
         assert!(reserved <= 10 * 1024, "{reserved} bytes for six mappings");
 
@@ -1534,6 +1542,10 @@ mod tests {
         // rather than forty (81 920 off), and its 20 segment headers in
         // a 32-slot table rather than 40 in a 64-slot one (24 bytes
         // each, 768 off): 1 240 064 − 81 920 − 768 = 1 157 376.
+        // Bucketed indices leave it there: 10 000 entries pass 0.85 ×
+        // 10 × 1 024 = 8 704 and fit 17 408, so each index is 2 048
+        // buckets × 64 bytes = 131 072, what 16 384 cells × 8 bytes
+        // (10 000 ≤ ¾ × 16 384) took before.
         let mut cgn = nat(NatConfig::cgn_default());
         for k in 0..10_000u32 {
             let src = Endpoint::new(ip(100, 64, (k / 100) as u8, 1), 20_000 + (k % 100) as u16);
@@ -2005,6 +2017,105 @@ mod tests {
             // scan has refreshed them to 90 s.
             n.sweep(t(60));
             assert_eq!(n.mapping_count(), if eif { k as usize } else { 0 });
+        }
+    }
+
+    /// The bound `translate_inbound` states, on `cgn_default`: eight
+    /// UDP flows and two TCP connections are live, spread over the pool
+    /// by paired pooling, and a stranger sends a forged UDP and a
+    /// forged TCP ACK to every port of the first flow's address.
+    /// Nothing is created: the mapping count, store and port occupancy
+    /// and the bytes reserved are as before, and the `NatStats` delta
+    /// is exact — under APDF every packet is dropped, as
+    /// `drop_filtered` where it reaches a mapping and `drop_no_mapping`
+    /// everywhere else; under EIF with `refresh_inbound` the packets
+    /// that reach a mapping are forwarded instead. Then the sweeps:
+    /// under EIF the mappings the scan reached live one timeout past
+    /// it, and every other mapping expires when it would have without
+    /// the scan.
+    #[test]
+    fn an_inbound_scan_creates_no_state() {
+        for filtering in [
+            FilteringBehavior::AddressAndPortDependent,
+            FilteringBehavior::EndpointIndependent,
+        ] {
+            let mut cfg = NatConfig::cgn_default(); // 60 s UDP, 2 h established
+            cfg.filtering = filtering;
+            let eif = filtering == FilteringBehavior::EndpointIndependent;
+            let (lo, hi) = cfg.port_range;
+            let mut n = nat(cfg);
+            let mut live: Vec<(Protocol, Endpoint)> = (1..=8)
+                .map(|k| {
+                    (
+                        Protocol::Udp,
+                        udp_out(&mut n, internal_host(k), server(), t(0)).src,
+                    )
+                })
+                .collect();
+            for k in 1..=2 {
+                let src = Endpoint::new(ip(100, 64, 0, k), 6000);
+                live.push((Protocol::Tcp, tcp_connect(&mut n, src, t(0))));
+            }
+            let target = live[0].1.ip;
+            let hit = |&(_, ext): &(Protocol, Endpoint)| ext.ip == target;
+            let hits = live.iter().filter(|m| hit(m)).count() as u64;
+            assert!(
+                hits < live.len() as u64,
+                "a mapping off the scanned address"
+            );
+            let state = |n: &Nat| {
+                let occupancy = (n.store_occupancy(), n.port_occupancy());
+                (n.mapping_count(), occupancy, n.reserved_bytes())
+            };
+            let before = state(&n);
+            let mut want = n.stats().clone();
+
+            // The scan, at 30 s: every mapping is still live, so no
+            // packet meets an expire-on-touch.
+            let mut forwarded = 0u64;
+            for port in lo..=hi {
+                let dst = Endpoint::new(target, port);
+                for pkt in [
+                    Packet::udp(stranger(), dst, vec![]),
+                    Packet::tcp(stranger(), dst, TcpFlags::ACK, vec![]),
+                ] {
+                    match n.process_inbound(pkt, t(30)) {
+                        NatVerdict::Forward(_) => forwarded += 1,
+                        NatVerdict::Drop(DropReason::NoMapping | DropReason::Filtered) => {}
+                        v => panic!("{v:?}"),
+                    }
+                }
+            }
+            let sent = 2 * (hi - lo + 1) as u64;
+            want.in_packets += sent;
+            want.drop_no_mapping += sent - hits;
+            if eif {
+                want.drops += sent - hits;
+            } else {
+                want.drops += sent;
+                want.drop_filtered += hits;
+            }
+            assert_eq!(forwarded, if eif { hits } else { 0 }, "{filtering:?}");
+            assert_eq!(n.stats(), &want, "{filtering:?}: no mapping created");
+            assert_eq!(state(&n), before, "{filtering:?}");
+
+            // Who is left after each sweep: a mapping expires one
+            // timeout after its flow's last packet at 0 s (60 s for UDP,
+            // 7 200 s for an established connection), or after the
+            // scan's at 30 s if the EIF scan reached it.
+            let expiry = |m: &(Protocol, Endpoint)| {
+                let timeout = if m.0 == Protocol::Udp { 60 } else { 7_200 };
+                timeout + if eif && hit(m) { 30 } else { 0 }
+            };
+            for secs in [60, 90, 7_200, 7_230] {
+                n.sweep(t(secs));
+                let mut left: Vec<_> = n.mappings().map(|m| (m.proto, m.external)).collect();
+                let alive = live.iter().copied().filter(|m| expiry(m) > secs);
+                let mut expect: Vec<_> = alive.collect();
+                left.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(left, expect, "{filtering:?} at {secs} s");
+            }
         }
     }
 

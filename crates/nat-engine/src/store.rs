@@ -58,23 +58,27 @@
 //!   owning host is read from the cold row on the two paths that need
 //!   it.
 //!
-//! * **Open-addressed indices** — the out-key and ext-key maps are
-//!   flat linear-probe tables with 8-byte cells (a 32-bit hash tag +
-//!   the slot id); full keys are verified against the slab on tag
-//!   hits. A probe starts at the cell the tag's low bits name, so a
-//!   removal shifts its run back instead of leaving a tombstone, and a
-//!   table doubles only when its live entries pass ¾. A table holds no
-//!   cells until its first insert, so a NAT that never mapped anything
-//!   has allocated nothing for either. Compared to the
+//! * **Bucketed indices** — the out-key and ext-key maps are tables
+//!   of 64-byte buckets, one cache line each, holding ten 6-byte
+//!   entries (a slot id and a 16-bit tag: a 12-bit hash fingerprint
+//!   and how many buckets past its home the entry sits); full keys are
+//!   verified against the slab on tag hits. A probe scans its home
+//!   bucket and moves on only past full buckets, so it reads one line
+//!   while the home has room; a removal moves a later entry back into
+//!   a full bucket's hole instead of leaving a tombstone; and a table
+//!   doubles only when its live entries pass 0.85 of its cells, by
+//!   re-placing the rows it indexes, re-hashed from the slab. A table
+//!   holds no buckets until its first insert, so a NAT that never
+//!   mapped anything has allocated nothing for either. Compared to the
 //!   previous `HashMap` (16/32-byte entries plus per-group control
-//!   metadata), probes touch half the index bytes. A burst overlaps
-//!   its misses in two steps: prefetch the line each key's probe
-//!   starts on and the line after it, then read the cached cells
-//!   with a tag-only probe and [`MappingStore::prefetch_slot`] the
-//!   candidate's rows, before any packet is translated. The one cell
-//!   no stage can know in advance — the ext-index cell of a port not
-//!   yet chosen — is prefetched when the port is, and written a few
-//!   creates later ([`MappingStore::insert`]).
+//!   metadata), probes touch a fraction of the index bytes. A burst
+//!   overlaps its misses in two steps: prefetch the bucket each key's
+//!   probe starts at, then read the cached bucket with a tag-only
+//!   probe and [`MappingStore::prefetch_slot`] the candidate's rows,
+//!   before any packet is translated. The one bucket no stage can know
+//!   in advance — the ext-index bucket of a port not yet chosen — is
+//!   prefetched when the port is, and written a few creates later
+//!   ([`MappingStore::insert`]).
 //!
 //! * **Hierarchical timer wheel** — instead of scanning the whole
 //!   table on [`sweep`](MappingStore::sweep_due) (or short-circuiting
@@ -427,128 +431,234 @@ fn prefetch_line<T>(p: *const T) {
 }
 
 // ---------------------------------------------------------------------------
-// Open-addressed key index
+// Bucketed key index
 // ---------------------------------------------------------------------------
 
-/// An empty cell: tag 0, slot 0.
-const CELL_EMPTY: u64 = 0;
+/// Cells in one [`IndexBucket`].
+const BUCKET_CELLS: usize = 10;
+/// A tag's low bits hold its entry's displacement; the twelve above
+/// them the hash's fingerprint.
+const DISP_BITS: u32 = 4;
+const DISP_MASK: u16 = (1 << DISP_BITS) - 1;
+/// The largest displacement a tag stores: an entry this many buckets
+/// past its home or more.
+const DISP_SATURATED: usize = DISP_MASK as usize;
 
-/// Open-addressed `key → slot` index over the store's packed integer
-/// keys: one `u64` cell per entry (tag in the high 32 bits, slot id in
-/// the low 32), linear probing without tombstones. The tag is the
-/// hash's high half, and `0` — empty — is its only reserved value. A
-/// probe starts at `tag & mask`, so a cell's home is read from the
-/// cell alone: a removal shifts the rest of its run back (Knuth's
-/// Algorithm R), and growth re-places cells without the slab.
-/// Same-home keys differ in the tag's other `32 − log2(cap)` bits
-/// (`grow` asserts `cap <= 1 << 32`); on a tag hit the caller verifies
-/// the full key against the slab, so the index stores no keys. One
-/// word per cell means a probe hit reads one cache line, not parallel
-/// tag and slot arrays. Callers supply the hash — the keys are packed
-/// integers, so one [`mix64`] avalanche is the whole hash function.
-/// A new table holds no cells: the first insert allocates
-/// [`INDEX_FIRST_CELLS`], and every read of an empty table returns at
-/// once.
-#[derive(Debug)]
-struct OpenIndex {
-    /// `CELL_EMPTY` or `tag << 32 | slot`; empty, or a power of two
-    /// cells long.
-    cells: Vec<u64>,
-    live: usize,
+/// How many entries ahead [`OpenIndex::grow`] prefetches the bucket
+/// an entry goes to.
+const GROW_LOOKAHEAD: usize = 8;
+
+/// One cache line of the index: ten entries, each a slot id and a
+/// 16-bit tag, and four bytes of padding. The occupied cells are always
+/// the first `len` (a removal moves the bucket's last entry into the
+/// hole), so a bucket is full exactly when its last tag is set.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct IndexBucket {
+    slots: [u32; BUCKET_CELLS],
+    /// `fingerprint << DISP_BITS | displacement`; 0 marks an empty cell.
+    tags: [u16; BUCKET_CELLS],
 }
 
-/// Cells a table allocates at its first insert.
-const INDEX_FIRST_CELLS: usize = 16;
+const _: () = assert!(std::mem::size_of::<IndexBucket>() == 64);
+
+impl IndexBucket {
+    const EMPTY: IndexBucket = IndexBucket {
+        slots: [0; BUCKET_CELLS],
+        tags: [0; BUCKET_CELLS],
+    };
+
+    /// Bit `i` set where cell `i` carries `tag`: one pass over the ten
+    /// tags with no early exit, so it compiles to vector compares.
+    #[inline]
+    fn matching(&self, tag: u16) -> u32 {
+        let bits = self.tags.iter().enumerate();
+        bits.fold(0, |m, (i, &t)| m | ((t == tag) as u32) << i)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        (self.matching(0).trailing_zeros() as usize).min(BUCKET_CELLS)
+    }
+
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.tags[BUCKET_CELLS - 1] != 0
+    }
+
+    /// Write an entry into the first free cell; the bucket is not full.
+    #[inline]
+    fn push(&mut self, tag: u16, slot: u32) {
+        let i = self.len();
+        self.tags[i] = tag;
+        self.slots[i] = slot;
+    }
+
+    /// Clear cell `i`, moving the last entry into it: the cells stay
+    /// packed, and the one free cell is the last of those that were
+    /// occupied.
+    #[inline]
+    fn take(&mut self, i: usize) -> (u16, u32) {
+        let last = self.len() - 1;
+        let cell = (self.tags[i], self.slots[i]);
+        (self.tags[i], self.slots[i]) = (self.tags[last], self.slots[last]);
+        (self.tags[last], self.slots[last]) = (0, 0);
+        cell
+    }
+}
+
+/// Bucketed `key → slot` index over the store's packed integer keys,
+/// without tombstones. Callers supply the hash — the keys are packed
+/// integers, so one [`mix64`] avalanche is the whole hash function.
+///
+/// * **Layout.** One [`IndexBucket`] per cache line, ten entries to a
+///   bucket, a power of two buckets. An entry's home bucket is the
+///   hash's low bits; its tag keeps a 12-bit fingerprint of the hash's
+///   top bits and its displacement, how many buckets past its home it
+///   sits (saturating at 15). On a tag hit the caller verifies the
+///   full key against the slab, so the index stores no keys.
+/// * **The run invariant.** Every bucket from an entry's home up to its
+///   own is full. An insert takes the first free cell from the home
+///   bucket on, and a lookup scans the home bucket for
+///   `(fingerprint, 0)`, the next one for `(fingerprint, 1)`, and so
+///   on, moving on only while the bucket it scanned is full: one line
+///   per probe while its home bucket has room. A removal that empties a
+///   cell of a full bucket moves back into it a later entry whose home
+///   is at or before it, and repeats from the bucket that entry left
+///   while that bucket was full.
+/// * **Size.** The table doubles when live entries would pass 0.85 ×
+///   ten cells per bucket: 6.4 bytes a cell, ≈ 7.5 bytes per live entry
+///   just below a doubling and ≈ 15 just past it. A new table
+///   holds no buckets: the first insert allocates one, and every read
+///   of an empty table returns at once. The tags keep too few hash bits
+///   to re-home an entry, so [`OpenIndex::grow`] re-places what the
+///   index holds from hashes the store re-derives from its rows, and so
+///   does a back-shift for an entry whose displacement saturated.
+/// * **Colliding keys cost probe time, never memory** (ReDAN's threat
+///   model, PAPERS.md). Displacement never triggers growth: `n` keys
+///   under one identical 64-bit hash fill `n / 10` consecutive
+///   buckets, and each probe for one of them walks and verifies its
+///   way along that run, but the table's size is a function of the
+///   live count alone: the smallest power of two of buckets, 64 bytes
+///   each, at 8.5 entries a bucket for the most entries it has held at
+///   once (`open_index_hash_flood_costs_time_not_memory`).
+#[derive(Debug)]
+struct OpenIndex {
+    /// Empty, or a power of two buckets long.
+    buckets: Vec<IndexBucket>,
+    live: usize,
+}
 
 impl OpenIndex {
     fn new() -> OpenIndex {
         OpenIndex {
-            cells: Vec::new(),
+            buckets: Vec::new(),
             live: 0,
         }
     }
 
+    /// The fingerprint bits of `hash`'s tags: its top 12 bits, never 0,
+    /// so no tag is.
     #[inline]
-    fn tag(hash: u64) -> u64 {
-        (hash >> 32).max(1)
+    fn fingerprint(hash: u64) -> u16 {
+        ((hash >> 52) as u16).max(1) << DISP_BITS
     }
 
-    /// The cell a probe for `tag` starts at.
+    /// The tag of an entry with `fingerprint`, `disp` buckets past its
+    /// home.
     #[inline]
-    fn home(&self, tag: u64) -> usize {
-        tag as usize & self.mask()
+    fn tag(fingerprint: u16, disp: usize) -> u16 {
+        fingerprint | disp.min(DISP_SATURATED) as u16
+    }
+
+    /// The bucket a probe for `hash` starts at.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & self.mask()
     }
 
     #[inline]
     fn mask(&self) -> usize {
-        self.cells.len() - 1
+        self.buckets.len() - 1
     }
 
     /// Bytes of heap storage currently allocated.
     #[cfg(test)]
     fn reserved_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<u64>()
+        self.buckets.capacity() * std::mem::size_of::<IndexBucket>()
     }
 
-    /// Insert a `(hash, slot)` cell. Keys are unique among live
-    /// entries by construction — the engine only inserts after a miss
-    /// or a removal — so no duplicate scan is needed and the first
-    /// empty cell wins. The table doubles when live entries pass ¾.
+    /// Whether one more entry keeps the load at or below 0.85 — if not,
+    /// [`OpenIndex::grow`] before the next [`OpenIndex::insert`].
+    #[inline]
+    fn has_room(&self) -> bool {
+        (self.live + 1) * 20 <= self.buckets.len() * BUCKET_CELLS * 17
+    }
+
+    /// Insert a `(hash, slot)` entry; the table [`has room`]. Keys are
+    /// unique among live entries by construction — the engine only
+    /// inserts after a miss or a removal — so no duplicate scan is
+    /// needed and the first free cell from the home bucket on wins.
+    ///
+    /// [`has room`]: OpenIndex::has_room
     fn insert(&mut self, hash: u64, slot: u32) {
-        if (self.live + 1) * 4 > self.cells.len() * 3 {
-            self.grow();
+        debug_assert!(self.has_room(), "insert without room");
+        let (fingerprint, mask) = (Self::fingerprint(hash), self.mask());
+        let mut b = self.home(hash);
+        let mut disp = 0;
+        while self.buckets[b].is_full() {
+            b = (b + 1) & mask;
+            disp += 1;
         }
-        self.place(Self::tag(hash) << 32 | slot as u64);
+        self.buckets[b].push(Self::tag(fingerprint, disp), slot);
         self.live += 1;
     }
 
-    /// Write `cell` into the first empty cell from its home on.
+    /// The bucket and cell of the first entry on `hash`'s probe path
+    /// whose tag matches and for which `accept` holds.
     #[inline]
-    fn place(&mut self, cell: u64) {
-        let mask = self.mask();
-        let mut i = self.home(cell >> 32);
-        while self.cells[i] != CELL_EMPTY {
-            i = (i + 1) & mask;
+    fn find(&self, hash: u64, accept: impl Fn(u32) -> bool) -> Option<(usize, usize)> {
+        if self.buckets.is_empty() {
+            return None;
         }
-        self.cells[i] = cell;
+        let (fingerprint, mask) = (Self::fingerprint(hash), self.mask());
+        let mut b = self.home(hash);
+        let mut disp = 0;
+        loop {
+            let bucket = &self.buckets[b];
+            let mut hits = bucket.matching(Self::tag(fingerprint, disp));
+            while hits != 0 {
+                let i = hits.trailing_zeros() as usize;
+                if accept(bucket.slots[i]) {
+                    return Some((b, i));
+                }
+                hits &= hits - 1;
+            }
+            if !bucket.is_full() {
+                return None;
+            }
+            b = (b + 1) & mask;
+            disp += 1;
+        }
     }
 
     /// Find the slot stored under `hash` whose full key matches
-    /// (`verify` checks the slab). Probes stop at the first empty cell.
+    /// (`verify` checks the slab).
     #[inline]
     fn get(&self, hash: u64, verify: impl Fn(u32) -> bool) -> Option<u32> {
-        if self.cells.is_empty() {
-            return None;
-        }
-        let tag = Self::tag(hash);
-        let mask = self.mask();
-        let mut i = self.home(tag);
-        loop {
-            let cell = self.cells[i];
-            if cell == CELL_EMPTY {
-                return None;
-            }
-            if cell >> 32 == tag && verify(cell as u32) {
-                return Some(cell as u32);
-            }
-            i = (i + 1) & mask;
-        }
+        self.find(hash, verify)
+            .map(|(b, i)| self.buckets[b].slots[i])
     }
 
-    /// Prefetch the line a probe for `hash` starts on and the line
-    /// after it: a run that starts late in one line, or a removal's
-    /// back-shift, goes on into the next.
+    /// Prefetch the bucket a probe for `hash` starts at: one line.
     #[inline]
     fn prefetch(&self, hash: u64) {
-        if self.cells.is_empty() {
-            return;
+        if !self.buckets.is_empty() {
+            prefetch_line(&self.buckets[self.home(hash)]);
         }
-        let i = self.home(Self::tag(hash));
-        prefetch_line(&self.cells[i]);
-        prefetch_line(&self.cells[(i + 8) & self.mask()]);
     }
 
-    /// Tag-only probe: the slot of the first cell on `hash`'s probe
+    /// Tag-only probe: the slot of the first entry on `hash`'s probe
     /// path that carries its tag, with no key verify — so it reads
     /// index cells only. Returns a slot whenever [`get`] would (the
     /// verified cell is on the same path), but under a tag collision
@@ -561,51 +671,90 @@ impl OpenIndex {
         self.get(hash, |_| true)
     }
 
-    /// Remove the cell holding exactly `slot` under `hash` (slot ids
-    /// are unique in the index, so identity is the full-key check),
-    /// then shift into the hole each later cell of the run whose home
-    /// is not between the hole and itself: no probe path holds a gap.
-    fn remove(&mut self, hash: u64, slot: u32) -> bool {
-        if self.cells.is_empty() {
+    /// Remove the entry holding exactly `slot` under `hash` (slot ids
+    /// are unique in the index, so identity is the full-key check). If
+    /// its bucket was full, close the hole (see the type docs);
+    /// `rehash` gives the hash of a slot's key, for an entry whose
+    /// displacement saturated.
+    fn remove(&mut self, hash: u64, slot: u32, rehash: impl Fn(u32) -> u64) -> bool {
+        let Some((b, i)) = self.find(hash, |s| s == slot) else {
             return false;
-        }
-        let target = Self::tag(hash) << 32 | slot as u64;
-        let mask = self.mask();
-        let mut hole = self.home(target >> 32);
-        while self.cells[hole] != target {
-            if self.cells[hole] == CELL_EMPTY {
-                return false;
-            }
-            hole = (hole + 1) & mask;
-        }
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let cell = self.cells[i];
-            if cell == CELL_EMPTY {
-                break;
-            }
-            // Copied even if it stays (no branch): the hole is rewritten.
-            self.cells[hole] = cell;
-            let home = (cell >> 32) as usize & mask;
-            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
-                hole = i;
-            }
-        }
-        self.cells[hole] = CELL_EMPTY;
+        };
+        let was_full = self.buckets[b].is_full();
+        self.buckets[b].take(i);
         self.live -= 1;
+        if was_full {
+            self.close_hole(b, rehash);
+        }
         true
     }
 
-    /// Double the table (or allocate its first cells), re-placing
-    /// every cell from its tag alone.
-    fn grow(&mut self) {
-        let cap = (self.cells.len() * 2).max(INDEX_FIRST_CELLS);
-        assert!(cap <= 1 << 32, "a cell's home must fit in its 32-bit tag");
-        let old = std::mem::replace(&mut self.cells, vec![CELL_EMPTY; cap]);
-        for cell in old.into_iter().filter(|&c| c != CELL_EMPTY) {
-            self.place(cell);
+    /// Bucket `hole` has one free cell and was full: scan the buckets
+    /// after it for an entry whose home is at or before `hole` and move
+    /// it back there, then go on from the bucket it left if that one
+    /// was full. A bucket with no such entry is passed over while it is
+    /// full — an entry beyond it may still be homed at or before the
+    /// hole — and ends the scan when it is not. Some bucket is never
+    /// full (the load is at most 0.85), so the scan ends.
+    fn close_hole(&mut self, mut hole: usize, rehash: impl Fn(u32) -> u64) {
+        let mask = self.mask();
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let gap = b.wrapping_sub(hole) & mask;
+            let bucket = &self.buckets[b];
+            let full = bucket.is_full();
+            let back = (0..bucket.len()).find_map(|i| {
+                // An entry's displacement is its tag's unless that
+                // saturated; then its home is re-derived from its row.
+                let d = match (bucket.tags[i] & DISP_MASK) as usize {
+                    DISP_SATURATED => b.wrapping_sub(rehash(bucket.slots[i]) as usize) & mask,
+                    d => d,
+                };
+                (d >= gap).then_some((i, d))
+            });
+            match back {
+                Some((i, d)) => {
+                    let (tag, slot) = self.buckets[b].take(i);
+                    let fingerprint = tag & !DISP_MASK;
+                    self.buckets[hole].push(Self::tag(fingerprint, d - gap), slot);
+                    if !full {
+                        return;
+                    }
+                    hole = b;
+                }
+                None if !full => return,
+                None => {}
+            }
         }
+    }
+
+    /// Double the table, or allocate its first bucket, and re-place
+    /// the entries it holds: `held` yields exactly those, as `(hash,
+    /// slot)`, re-derived by the store from its rows. The old buckets
+    /// are freed before the new ones are allocated. Rows come in slot
+    /// order, which is no order of buckets, so each entry's bucket is
+    /// prefetched [`GROW_LOOKAHEAD`] entries before it is written.
+    fn grow(&mut self, held: impl Iterator<Item = (u64, u32)>) {
+        let buckets = (self.buckets.len() * 2).max(1);
+        self.buckets = Vec::new();
+        self.buckets = vec![IndexBucket::EMPTY; buckets];
+        let live = std::mem::replace(&mut self.live, 0);
+        let mut ahead = [(0, 0); GROW_LOOKAHEAD];
+        let mut n = 0;
+        for (hash, slot) in held {
+            self.prefetch(hash);
+            let (hash, slot) = std::mem::replace(&mut ahead[n % GROW_LOOKAHEAD], (hash, slot));
+            if n >= GROW_LOOKAHEAD {
+                self.insert(hash, slot);
+            }
+            n += 1;
+        }
+        for k in n.saturating_sub(GROW_LOOKAHEAD)..n {
+            let (hash, slot) = ahead[k % GROW_LOOKAHEAD];
+            self.insert(hash, slot);
+        }
+        assert_eq!(self.live, live, "a rebuild re-places what the index held");
     }
 }
 
@@ -748,7 +897,7 @@ struct HotSlot {
 /// is `hosts[host]`, the external address and the protocol are
 /// `pools[pool]`, the packed out-key is re-packed from the kind, the
 /// protocol, the host, the internal port and — under ADM and APDM —
-/// `contacts[0]` ([`MappingStore::out_key_of`]), and the ext-key is
+/// `contacts[0]` ([`Slot::out_key`]), and the ext-key is
 /// `pool << 16 | external_port`. A free slot has [`FLAG_FREE`] set, no
 /// contacts and no spill.
 #[derive(Debug)]
@@ -797,6 +946,15 @@ impl Slot {
     #[inline]
     fn ext_key(&self) -> u64 {
         MappingStore::pack_ext(self.pool as u32, self.external_port)
+    }
+
+    /// The out-key the row is indexed under while live, re-packed with
+    /// the protocol from the store's pool table.
+    #[inline]
+    fn out_key(&self, pools: &[(Ipv4Addr, Protocol)]) -> u128 {
+        let proto = pools[self.pool as usize].1;
+        let port = self.internal_port;
+        MappingStore::pack_out(self.kind(), proto, self.host, port, self.contacts[0])
     }
 
     #[inline]
@@ -933,7 +1091,7 @@ impl StoreOccupancy {
 
 /// How many entries ahead the expiry path prefetches: over a drained
 /// wheel bucket in [`MappingStore::sweep_due`], and (twice: rows, then
-/// index cells) over the due list in
+/// index buckets) over the due list in
 /// [`MappingStore::prefetch_removals`]. A removal costs a few hundred
 /// nanoseconds, a memory miss about one hundred.
 const SWEEP_LOOKAHEAD: usize = 8;
@@ -968,7 +1126,7 @@ pub struct MappingStore {
     /// Packed ext-key (`u64`) → slot id (open-addressed).
     ext_index: OpenIndex,
     /// Ext-index inserts written behind: `(hash, slot)` of the newest
-    /// mappings, oldest first, whose cells have been prefetched but
+    /// mappings, oldest first, whose buckets have been prefetched but
     /// not yet written (see [`MappingStore::insert`]).
     ext_behind: VecDeque<(u64, u32)>,
     hosts: Vec<HostEntry>,
@@ -1105,19 +1263,6 @@ impl MappingStore {
         proto_bit << 98 | kind << 96 | dst | (host as u128) << 16 | port as u128
     }
 
-    /// The out-key a live row is indexed under, re-packed from the row.
-    #[inline]
-    fn out_key_of(&self, row: &Slot) -> u128 {
-        let proto = self.pools[row.pool as usize].1;
-        Self::pack_out(
-            row.kind(),
-            proto,
-            row.host,
-            row.internal_port,
-            row.contacts[0],
-        )
-    }
-
     /// The interned internal-host id packed inside an out-key.
     pub fn host_of_key(key: u128) -> u32 {
         ((key >> 16) & 0xFFFF_FFFF) as u32
@@ -1145,7 +1290,7 @@ impl MappingStore {
     /// Slot currently indexed under a packed out-key.
     pub fn lookup_out(&self, key: u128) -> Option<u32> {
         self.out_index.get(Self::hash_out(key), |s| {
-            self.out_key_of(&self.slots[s as usize]) == key
+            self.slots[s as usize].out_key(&self.pools) == key
         })
     }
 
@@ -1191,22 +1336,22 @@ impl MappingStore {
         self.hot[slot as usize].expiry_ms <= now.as_millis()
     }
 
-    /// Burst stage 1, outbound: prefetch the out-index cell the probe
-    /// for `key` starts at.
+    /// Burst stage 1, outbound: prefetch the out-index bucket the probe
+    /// for `key` starts at — one line.
     #[inline]
     pub fn prefetch_out_cell(&self, key: u128) {
         self.out_index.prefetch(Self::hash_out(key));
     }
 
-    /// Burst stage 1, inbound: prefetch the ext-index cell the probe
-    /// for `key` starts at.
+    /// Burst stage 1, inbound: prefetch the ext-index bucket the probe
+    /// for `key` starts at — one line.
     #[inline]
     pub fn prefetch_ext_cell(&self, key: u64) {
         self.ext_index.prefetch(Self::hash_ext(key));
     }
 
     /// Burst stage 2, outbound: the slot a tag-only probe of the
-    /// out-index finds for `key`. Reads index cells only, never the
+    /// out-index finds for `key`. Reads the index only, never the
     /// slab, so it does not wait on a cold row — and is therefore
     /// unverified: it names a slot whenever
     /// [`MappingStore::lookup_out`] does, but under a fingerprint
@@ -1246,9 +1391,10 @@ impl MappingStore {
     /// order and is about to remove `due[i]`: prefetch the rows of the
     /// slot `2 * SWEEP_LOOKAHEAD` places on, and — from the keys in
     /// the cold row fetched that way `SWEEP_LOOKAHEAD` removals ago —
-    /// the two index cells [`MappingStore::remove`] will clear for the
-    /// slot `SWEEP_LOOKAHEAD` places on, each with the line after it,
-    /// where the clear shifts the rest of the cell's run back.
+    /// the home buckets of the two index entries
+    /// [`MappingStore::remove`] will clear for the slot
+    /// `SWEEP_LOOKAHEAD` places on: one line each, where the entry
+    /// sits unless its home bucket was full when it was placed.
     #[inline]
     pub fn prefetch_removals(&self, due: &[u32], i: usize) {
         if let Some(&slot) = due.get(i + 2 * SWEEP_LOOKAHEAD) {
@@ -1257,7 +1403,7 @@ impl MappingStore {
         if let Some(&slot) = due.get(i + SWEEP_LOOKAHEAD) {
             let cold = &self.slots[slot as usize];
             self.out_index
-                .prefetch(Self::hash_out(self.out_key_of(cold)));
+                .prefetch(Self::hash_out(cold.out_key(&self.pools)));
             self.ext_index.prefetch(Self::hash_ext(cold.ext_key()));
         }
     }
@@ -1360,18 +1506,20 @@ impl MappingStore {
     /// the slot id. Increments the owning host's session counter.
     ///
     /// The ext-index half is **written behind**: the external port is
-    /// news to this call, so nothing could prefetch its index cell any
-    /// earlier, and writing it now would stall on that miss. Instead
-    /// the cell is prefetched and `(hash, slot)` queued, and the write
+    /// news to this call, so nothing could prefetch its index bucket
+    /// any earlier, and writing it now would stall on that miss. Instead
+    /// the bucket is prefetched and `(hash, slot)` queued, and the write
     /// happens `EXT_WRITE_BEHIND` inserts later or at
     /// [`MappingStore::flush_ext_index`], whichever comes first — a
-    /// run of creates overlaps its ext-cell misses the way a burst's
-    /// out-cell misses already overlap. Who may read the ext index
+    /// run of creates overlaps its ext-bucket misses the way a burst's
+    /// out-bucket misses already overlap. Who may read the ext index
     /// when: [`MappingStore::lookup_ext_key`] also searches the queue;
     /// [`MappingStore::remove`] flushes it first, which keeps the
     /// index going through exactly the inserts and removes, in
     /// exactly the order, it would without the queue; growth happens
-    /// inside the deferred insert itself; [`MappingStore::hint_ext`]
+    /// inside the deferred insert itself and re-places the rows the
+    /// index holds, leaving the queued ones queued;
+    /// [`MappingStore::hint_ext`]
     /// reads the index alone and asserts the queue empty. The engine
     /// flushes before each of its entry points returns.
     pub fn insert(
@@ -1382,6 +1530,7 @@ impl MappingStore {
         dst: Endpoint,
         expiry: SimTime,
     ) -> u32 {
+        self.make_room_out();
         let host = Self::host_of_key(out_key);
         let ext_key = Self::pack_ext(pool, external_port);
         let ext_hash = Self::hash_ext(ext_key);
@@ -1396,7 +1545,7 @@ impl MappingStore {
             contacts_len: 1,
             flags: ((out_key >> 96) as u8 & 0b11) << FLAG_KIND_SHIFT,
         };
-        debug_assert_eq!(self.out_key_of(&row), out_key, "dst is not the key's");
+        debug_assert_eq!(row.out_key(&self.pools), out_key, "dst is not the key's");
         let expiry_ms = expiry.as_millis();
         let slot = match self.free.pop() {
             Some(s) => {
@@ -1425,11 +1574,35 @@ impl MappingStore {
         slot
     }
 
+    /// Grow the out-index if one more entry would pass its load. Every
+    /// live row is indexed there, so the rebuild walks them all, in
+    /// slot order; an insert calls this before it writes its row.
+    #[inline]
+    fn make_room_out(&mut self) {
+        if !self.out_index.has_room() {
+            let pools = &self.pools;
+            let rows = self.slots.iter().enumerate();
+            let held = rows.filter(|(_, row)| !row.is_free());
+            let held = held.map(|(s, row)| (Self::hash_out(row.out_key(pools)), s as u32));
+            self.out_index.grow(held);
+        }
+    }
+
     /// Perform the oldest ext-index inserts written behind until at
-    /// most `keep` are left.
+    /// most `keep` are left. A growth on the way re-places the rows
+    /// the index holds: every live row but those still queued, which
+    /// stay queued.
     #[inline]
     fn write_ext_behind(&mut self, keep: usize) {
         while self.ext_behind.len() > keep {
+            if !self.ext_index.has_room() {
+                let behind = &self.ext_behind;
+                let queued = |s: usize| behind.iter().any(|&(_, q)| q as usize == s);
+                let rows = self.slots.iter().enumerate();
+                let held = rows.filter(|&(s, row)| !row.is_free() && !queued(s));
+                let held = held.map(|(s, row)| (Self::hash_ext(row.ext_key()), s as u32));
+                self.ext_index.grow(held);
+            }
             let (hash, slot) = self.ext_behind.pop_front().expect("longer than `keep`");
             self.ext_index.insert(hash, slot);
         }
@@ -1454,14 +1627,20 @@ impl MappingStore {
             return None;
         }
         let mapping = self.view(cold);
-        let (out_key, ext_key) = (self.out_key_of(cold), cold.ext_key());
+        let (out_key, ext_key) = (cold.out_key(&self.pools), cold.ext_key());
         let (host, pool) = (cold.host, cold.pool as u32);
         self.slots[slot as usize].free();
         let hot = &mut self.hot[slot as usize];
         hot.ticket = hot.ticket.wrapping_add(1);
         hot.expiry_ms = 0;
-        self.out_index.remove(Self::hash_out(out_key), slot);
-        self.ext_index.remove(Self::hash_ext(ext_key), slot);
+        // A back-shift re-derives a saturated entry's home from its row.
+        let (slots, pools) = (&self.slots, &self.pools);
+        let out_hash = |s: u32| Self::hash_out(slots[s as usize].out_key(pools));
+        let ext_hash = |s: u32| Self::hash_ext(slots[s as usize].ext_key());
+        self.out_index
+            .remove(Self::hash_out(out_key), slot, out_hash);
+        self.ext_index
+            .remove(Self::hash_ext(ext_key), slot, ext_hash);
         let sessions = &mut self.hosts[host as usize].sessions;
         *sessions = sessions.saturating_sub(1);
         self.free.push(slot);
@@ -2498,8 +2677,8 @@ mod tests {
 
     #[test]
     fn ext_write_behind_is_bounded_and_never_hides_a_mapping() {
-        // Forty inserts take the ext index (16 cells at first) through
-        // two growths with the queue non-empty throughout.
+        // Forty inserts take the ext index (one bucket at first)
+        // through two growths with the queue non-empty throughout.
         let mut s = MappingStore::new();
         let mut placed = Vec::new();
         for k in 0..40 {
@@ -2516,7 +2695,7 @@ mod tests {
                 );
             }
         }
-        assert!(s.ext_index.cells.len() >= 64, "the index grew on the way");
+        assert!(s.ext_index.buckets.len() >= 4, "the index grew on the way");
         s.flush_ext_index();
         assert_eq!((s.ext_behind.len(), s.ext_index.live), (0, 40));
         for &(ext, slot) in &placed {
@@ -2553,6 +2732,49 @@ mod tests {
         assert_eq!(insert(&mut s, key, m), slot);
         assert_eq!(s.lookup_ext(Protocol::Udp, gone), Some(slot));
         for &(ext, slot) in &placed {
+            assert_eq!(s.lookup_ext(Protocol::Udp, ext), Some(slot));
+        }
+    }
+
+    #[test]
+    fn ext_write_behind_survives_a_rebuild() {
+        // Sixty creates with no flush between them take the ext index
+        // from nothing to eight buckets — at its 1st, 9th, 18th and
+        // 35th entry — each time with eight inserts still written
+        // behind. A growth re-places the rows the index holds and
+        // leaves the queued ones queued: after every create each live
+        // mapping is held once, by the index or by the queue, and is
+        // found; a flush then writes each queued one once.
+        let mut s = MappingStore::new();
+        let mut placed = Vec::new();
+        let mut growths = 0;
+        // (index cells, queue entries) holding `slot`.
+        let held = |s: &MappingStore, slot: u32| {
+            let buckets = s.ext_index.buckets.iter();
+            let cells = buckets.flat_map(|b| &b.slots[..b.len()]);
+            let queued = s.ext_behind.iter().filter(|&&(_, q)| q == slot).count();
+            (cells.filter(|&&c| c == slot).count(), queued)
+        };
+        for k in 0..60 {
+            let buckets = s.ext_index.buckets.len();
+            let (key, m) = behind_flow(&mut s, k);
+            let ext = m.0.external;
+            placed.push((ext, insert(&mut s, key, m)));
+            if s.ext_index.buckets.len() != buckets {
+                assert_eq!(s.ext_behind.len(), EXT_WRITE_BEHIND, "insert {k}");
+                growths += 1;
+            }
+            for &(ext, slot) in &placed {
+                let (cells, queued) = held(&s, slot);
+                assert_eq!(cells + queued, 1, "slot {slot} after insert {k}");
+                assert_eq!(s.lookup_ext(Protocol::Udp, ext), Some(slot));
+            }
+        }
+        assert_eq!((growths, s.ext_index.buckets.len()), (4, 8));
+        s.flush_ext_index();
+        assert_eq!((s.ext_behind.len(), s.ext_index.live), (0, 60));
+        for &(ext, slot) in &placed {
+            assert_eq!(held(&s, slot), (1, 0), "slot {slot} written once");
             assert_eq!(s.lookup_ext(Protocol::Udp, ext), Some(slot));
         }
     }
@@ -2671,42 +2893,122 @@ mod tests {
         );
     }
 
-    /// A hash whose tag is `high << 16 | start`: while the table has
-    /// fewer than 2^16 cells, `start` is the probe's home and `high`
-    /// the tag bits that tell same-home keys apart. `salt` lands in the
-    /// low half, which no probe reads, so it makes distinct "keys" that
-    /// collide on both.
-    fn hash_of(high: u16, start: u16, salt: u32) -> u64 {
-        ((high as u64) << 16 | start as u64) << 32 | salt as u64
+    /// A hash with fingerprint `fp` (12 bits, not 0) and home bucket
+    /// `home` while the table has at most 2^20 buckets. `salt` fills
+    /// the bits between, which no probe reads, so it makes distinct
+    /// "keys" that collide on both.
+    fn hash_of(fp: u16, home: u32, salt: u32) -> u64 {
+        assert!(fp != 0 && fp < 1 << 12 && home < 1 << 20);
+        (fp as u64) << 52 | (salt as u64) << 20 | home as u64
     }
 
-    /// The index invariant back-shift keeps: no empty cell lies between
-    /// any live cell and its home, and `live` counts the cells.
-    fn assert_runs_unbroken(idx: &OpenIndex) {
-        if idx.cells.is_empty() {
-            assert_eq!(idx.live, 0, "live cells in an unallocated table");
-            return;
-        }
-        let mask = idx.mask();
-        for (i, &cell) in idx.cells.iter().enumerate() {
-            let mut j = idx.home(cell >> 32);
-            while cell != CELL_EMPTY && j != i {
-                assert_ne!(
-                    idx.cells[j], CELL_EMPTY,
-                    "hole between cell {i} and its home"
-                );
-                j = (j + 1) & mask;
+    /// An `OpenIndex` used the way the store uses it, with a table of
+    /// each slot's hash in the rows' place: a table without room grows
+    /// from what it holds before an insert, and a back-shift re-derives
+    /// a saturated entry's home from the table.
+    struct Indexed {
+        idx: OpenIndex,
+        /// The hash each indexed slot is held under.
+        rows: Vec<Option<u64>>,
+    }
+
+    impl Indexed {
+        fn new() -> Indexed {
+            Indexed {
+                idx: OpenIndex::new(),
+                rows: Vec::new(),
             }
         }
-        let filled = idx.cells.iter().filter(|&&c| c != CELL_EMPTY).count();
-        assert_eq!(filled, idx.live);
+
+        fn insert(&mut self, hash: u64, slot: u32) {
+            if !self.idx.has_room() {
+                let held = self.rows.iter().enumerate();
+                let held = held.filter_map(|(s, h)| Some(((*h)?, s as u32)));
+                self.idx.grow(held);
+            }
+            self.idx.insert(hash, slot);
+            let s = slot as usize;
+            if self.rows.len() <= s {
+                self.rows.resize(s + 1, None);
+            }
+            assert_eq!(
+                self.rows[s].replace(hash),
+                None,
+                "slot {slot} indexed twice"
+            );
+        }
+
+        fn remove(&mut self, hash: u64, slot: u32) -> bool {
+            let rows = &self.rows;
+            let rehash = |s: u32| rows[s as usize].expect("an indexed slot");
+            let removed = self.idx.remove(hash, slot, rehash);
+            if removed {
+                self.rows[slot as usize] = None;
+            }
+            removed
+        }
+
+        /// `get`, verifying by slot identity: the caller knows which
+        /// slot each hash went in under.
+        fn get(&self, hash: u64, slot: u32) -> Option<u32> {
+            self.idx.get(hash, |s| s == slot)
+        }
+
+        /// The run invariant — every bucket from an entry's home up to
+        /// its own is full — and the bookkeeping around it: each
+        /// bucket's entries are packed at its front, every tag carries
+        /// its hash's fingerprint and its displacement (saturated at
+        /// 15), every indexed slot is held exactly once, and `live`
+        /// counts the entries.
+        fn assert_runs_unbroken(&self) {
+            let idx = &self.idx;
+            let want: BTreeSet<u32> = (0..self.rows.len() as u32)
+                .filter(|&s| self.rows[s as usize].is_some())
+                .collect();
+            assert_eq!(idx.live, want.len());
+            if idx.buckets.is_empty() {
+                assert_eq!(idx.live, 0, "live entries in an unallocated table");
+                return;
+            }
+            let mask = idx.mask();
+            let mut held = BTreeSet::new();
+            for (b, bucket) in idx.buckets.iter().enumerate() {
+                let len = bucket.len();
+                for (i, &tag) in bucket.tags.iter().enumerate() {
+                    assert_eq!(tag != 0, i < len, "bucket {b} cell {i}: not packed");
+                }
+                for &slot in &bucket.slots[..len] {
+                    assert!(held.insert(slot), "slot {slot} held twice");
+                }
+                for (&tag, &slot) in bucket.tags.iter().zip(&bucket.slots).take(len) {
+                    let hash = self.rows[slot as usize].expect("an indexed slot");
+                    let home = idx.home(hash);
+                    let disp = b.wrapping_sub(home) & mask;
+                    let want = OpenIndex::tag(OpenIndex::fingerprint(hash), disp);
+                    assert_eq!(tag, want, "slot {slot}'s tag in bucket {b}");
+                    for d in 0..disp {
+                        let between = (home + d) & mask;
+                        assert!(
+                            idx.buckets[between].is_full(),
+                            "bucket {between}, between slot {slot} and its home, is not full"
+                        );
+                    }
+                }
+            }
+            assert_eq!(held, want);
+        }
+
+        /// Entries whose displacement saturated.
+        fn saturated(&self) -> usize {
+            let tags = self.idx.buckets.iter().flat_map(|b| b.tags);
+            tags.filter(|&t| t != 0 && t & DISP_MASK == DISP_MASK)
+                .count()
+        }
     }
 
     #[test]
     fn open_index_hint_names_a_slot_whenever_get_does() {
-        // `get` verifies by slot identity here: the model knows which
-        // slot each hash was inserted under.
-        let mut idx = OpenIndex::new();
+        let mut idx = Indexed::new();
         let hashes: Vec<u64> = (0..500u64).map(mix64).collect();
         for (slot, &h) in hashes.iter().enumerate() {
             idx.insert(h, slot as u32);
@@ -2714,150 +3016,231 @@ mod tests {
         for slot in (0..500u32).step_by(3) {
             assert!(idx.remove(hashes[slot as usize], slot));
         }
-        assert_runs_unbroken(&idx);
+        idx.assert_runs_unbroken();
         for (slot, &h) in hashes.iter().enumerate() {
             let slot = slot as u32;
-            idx.prefetch(h);
-            let got = idx.get(h, |s| s == slot);
+            idx.idx.prefetch(h);
+            let got = idx.get(h, slot);
             if slot % 3 == 0 {
                 assert_eq!(got, None, "removed");
             } else {
                 assert_eq!(got, Some(slot));
-                assert!(idx.hint(h).is_some(), "hint misses what get finds");
+                assert!(idx.idx.hint(h).is_some(), "hint misses what get finds");
             }
         }
     }
 
     #[test]
     fn open_index_hint_is_unverified_under_a_tag_collision() {
-        let mut idx = OpenIndex::new();
+        let mut idx = Indexed::new();
         let (a, b, never) = (
-            hash_of(0xABCD, 3, 0),
-            hash_of(0xABCD, 3, 1),
-            hash_of(0xABCD, 3, 2),
+            hash_of(0xABC, 0, 0),
+            hash_of(0xABC, 0, 1),
+            hash_of(0xABC, 0, 2),
         );
         idx.insert(a, 10);
         idx.insert(b, 20);
-        // Same start cell, same tag: `get` tells them apart by asking
+        // Same home bucket, same tag: `get` tells them apart by asking
         // the slab, the hint takes the first cell on the path.
-        assert_eq!(idx.get(a, |s| s == 10), Some(10));
-        assert_eq!(idx.get(b, |s| s == 20), Some(20));
-        assert_eq!(idx.hint(a), Some(10));
-        assert_eq!(idx.hint(b), Some(10), "a different slot than get's");
+        assert_eq!(idx.get(a, 10), Some(10));
+        assert_eq!(idx.get(b, 20), Some(20));
+        assert_eq!(idx.idx.hint(a), Some(10));
+        assert_eq!(idx.idx.hint(b), Some(10), "a different slot than get's");
         // A key that was never indexed still gets a candidate ...
-        assert_eq!(idx.get(never, |_| false), None);
-        assert_eq!(idx.hint(never), Some(10));
-        // ... while another tag on the same path gets none.
-        assert_eq!(idx.hint(hash_of(0xABCE, 3, 0)), None);
-        // b is shifted back into a's cell.
+        assert_eq!(idx.idx.get(never, |_| false), None);
+        assert_eq!(idx.idx.hint(never), Some(10));
+        // ... while another fingerprint on the same path gets none.
+        assert_eq!(idx.idx.hint(hash_of(0xABD, 0, 0)), None);
+        // b moves into a's cell: a bucket's entries stay packed.
         assert!(idx.remove(a, 10));
-        assert_eq!((idx.cells[3] as u32, idx.cells[4]), (20, CELL_EMPTY));
-        assert_eq!(idx.hint(a), Some(20), "stale: a is gone, b's cell answers");
-        assert_eq!(idx.hint(b), Some(20));
+        let home = &idx.idx.buckets[0];
+        assert_eq!((home.slots[0], home.tags[1]), (20, 0));
+        assert_eq!(
+            idx.idx.hint(a),
+            Some(20),
+            "stale: a is gone, b's cell answers"
+        );
         assert!(idx.remove(b, 20));
-        assert_eq!(idx.hint(b), None);
+        assert_eq!(idx.idx.hint(b), None);
+
+        // The displacement is part of the tag. Ten keys homed at bucket
+        // 0 of a two-bucket table fill it, so an eleventh with
+        // fingerprint 0xABC sits in bucket 1 as (0xABC, 1): a probe
+        // from bucket 0 finds it there, and one for a key with the same
+        // fingerprint homed at bucket 1, which looks for (0xABC, 0),
+        // does not.
+        let mut idx = Indexed::new();
+        for k in 0..10 {
+            idx.insert(hash_of(0x100 + k, 0, 0), k as u32);
+        }
+        idx.insert(hash_of(0xABC, 0, 0), 10);
+        idx.assert_runs_unbroken();
+        assert_eq!(idx.idx.buckets.len(), 2);
+        assert_eq!(idx.idx.buckets[1].tags[0], 0xABC << DISP_BITS | 1);
+        assert_eq!(
+            idx.idx.hint(hash_of(0xABC, 0, 7)),
+            Some(10),
+            "one bucket on"
+        );
+        assert_eq!(
+            idx.idx.hint(hash_of(0xABC, 1, 0)),
+            None,
+            "another displacement"
+        );
     }
 
     #[test]
     fn open_index_backshift_wraps_past_the_last_cell() {
-        // In a 16-cell table: four keys homed at `start`, two homed at
-        // cell 0 and one at cell 1, so the run wraps from the last cell
-        // to cell 0 and holds cells homed on both sides of the wrap.
-        // Remove the first key of each home's run: every later cell
-        // shifts back across the wrap, and none passes its home.
-        for start in 13..16u16 {
-            let mut idx = OpenIndex::new();
-            let homes = [start, start, start, start, 0, 0, 1];
-            let hashes: Vec<u64> = homes
-                .iter()
-                .enumerate()
-                .map(|(k, &home)| hash_of(k as u16 + 1, home, 0))
-                .collect();
-            for (slot, &h) in hashes.iter().enumerate() {
-                idx.insert(h, slot as u32);
-            }
-            assert_eq!(idx.cells.len(), 16);
-            let run = |idx: &OpenIndex| -> Vec<Option<u32>> {
-                (0..8)
-                    .map(|k| idx.cells[(start as usize + k) & 15])
-                    .map(|c| (c != CELL_EMPTY).then_some(c as u32))
-                    .collect()
-            };
-            assert_eq!(
-                run(&idx),
-                [0, 1, 2, 3, 4, 5, 6]
-                    .map(Some)
-                    .into_iter()
-                    .chain([None])
-                    .collect::<Vec<_>>()
-            );
-            let mut gone = Vec::new();
-            for first in [0u32, 4, 6] {
-                assert!(idx.remove(hashes[first as usize], first));
-                assert!(!idx.remove(hashes[first as usize], first), "removed once");
-                gone.push(first);
-                assert_runs_unbroken(&idx);
-                for (slot, &h) in hashes.iter().enumerate() {
-                    let slot = slot as u32;
-                    let want = (!gone.contains(&slot)).then_some(slot);
-                    assert_eq!(
-                        idx.get(h, |s| s == slot),
-                        want,
-                        "start {start}, slot {slot}"
-                    );
-                }
-            }
-            // The run is the survivors in their old order, packed from
-            // `start`: a cell never moves past its home.
-            let packed = [1, 2, 3, 5].map(Some).into_iter().chain([None; 4]);
-            assert_eq!(run(&idx), packed.collect::<Vec<_>>(), "start {start}");
+        // In a four-bucket table: twelve keys homed at the last bucket,
+        // so two wrap into bucket 0; nine homed at bucket 0, so one is
+        // pushed on into bucket 1; two homed at bucket 1. Removing the
+        // first three keys homed at the last bucket empties a cell of a
+        // full bucket each time, and the back-shift pulls entries back
+        // across the wrap — and bucket 0's displaced one back out of
+        // bucket 1 — until every entry sits in its home bucket.
+        let homes = [3; 12].into_iter().chain([0; 9]).chain([1; 2]);
+        let hashes: Vec<u64> = homes
+            .enumerate()
+            .map(|(k, home)| hash_of(k as u16 + 1, home, 0))
+            .collect();
+        let mut idx = Indexed::new();
+        for (slot, &h) in hashes.iter().enumerate() {
+            idx.insert(h, slot as u32);
         }
+        idx.assert_runs_unbroken();
+        // Each bucket's slots, in ascending order.
+        let layout = |idx: &Indexed| -> Vec<Vec<u32>> {
+            let buckets = idx.idx.buckets.iter();
+            buckets
+                .map(|b| BTreeSet::from_iter(b.slots[..b.len()].iter().copied()))
+                .map(|slots| slots.into_iter().collect())
+                .collect()
+        };
+        let range = |r: std::ops::Range<u32>| r.collect::<Vec<_>>();
+        assert_eq!(
+            layout(&idx),
+            [range(10..20), range(20..23), vec![], range(0..10)]
+        );
+        let mut gone = Vec::new();
+        for first in [0u32, 1, 2] {
+            assert!(idx.remove(hashes[first as usize], first));
+            assert!(!idx.remove(hashes[first as usize], first), "removed once");
+            gone.push(first);
+            idx.assert_runs_unbroken();
+            for (slot, &h) in hashes.iter().enumerate() {
+                let slot = slot as u32;
+                let want = (!gone.contains(&slot)).then_some(slot);
+                assert_eq!(idx.get(h, slot), want, "slot {slot}");
+            }
+        }
+        assert_eq!(
+            layout(&idx),
+            [range(12..21), range(21..23), vec![], range(3..12)]
+        );
+        let mut tags = idx.idx.buckets.iter().flat_map(|b| b.tags);
+        assert!(tags.all(|t| t & DISP_MASK == 0), "every entry is home");
+    }
+
+    #[test]
+    fn open_index_hash_flood_costs_time_not_memory() {
+        // 2 000 keys under one identical 64-bit hash (ReDAN's threat
+        // model): they make one run of 200 full buckets, and a probe
+        // for one of them verifies its way along that run. The table's
+        // size follows the live count alone: the 0.85 load rule gives
+        // 2 000 live entries 256 buckets (1 088 < 2 000 ≤ 2 176
+        // entries), 16 KiB, and no insert or removal ever holds more.
+        const N: u32 = 2_000;
+        const BOUND: usize = 256 * std::mem::size_of::<IndexBucket>();
+        let h = hash_of(0x5A5, 77, 0);
+        let mut idx = Indexed::new();
+        for slot in 0..N {
+            idx.insert(h, slot);
+            assert!(idx.idx.reserved_bytes() <= BOUND, "after {slot} inserts");
+        }
+        assert_eq!(idx.idx.buckets.len(), 256);
+        idx.assert_runs_unbroken();
+        assert!(
+            idx.saturated() > 1_800,
+            "past 15 buckets from home, most of the run"
+        );
+        let every_get_is_exact = |idx: &Indexed| {
+            for slot in 0..N {
+                let want = idx.rows[slot as usize].map(|_| slot);
+                assert_eq!(idx.get(h, slot), want, "slot {slot}");
+            }
+            assert_eq!(idx.idx.get(h, |_| false), None);
+        };
+        every_get_is_exact(&idx);
+        // Drain in a stride (7 is prime to 2 000): each removal closes
+        // its hole from the run behind it, re-deriving saturated homes
+        // from the rows.
+        for i in 0..N {
+            let slot = i * 7 % N;
+            assert!(idx.remove(h, slot), "slot {slot}");
+            assert!(idx.idx.reserved_bytes() <= BOUND);
+            if i % 500 == 499 {
+                assert!(!idx.remove(h, slot), "slot {slot} removed once");
+                idx.assert_runs_unbroken();
+                every_get_is_exact(&idx);
+            }
+        }
+        assert_eq!(idx.idx.live, 0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// `OpenIndex` is a map from keys to slots, checked against a
-        /// `BTreeMap` after every op. Keys hash to at most 8 homes, so
-        /// runs are long and overlap, and key `k` shares its whole tag
-        /// with key `k + 8` (only `verify` tells them apart). After the
-        /// random ops every key is inserted — 120 live cells, past the
-        /// 96 a 128-cell table holds, so the index has doubled from 16
-        /// cells at least four times — and then every key is removed.
+        /// `BTreeMap` and the run invariant after every op. Keys `2j`
+        /// and `2j + 1` share their whole 64-bit hash (only `verify`
+        /// tells them apart), and the hashes sit on 8 home buckets: 160
+        /// keys on the last bucket — so their run wraps past it to
+        /// bucket 0, and its tail lies 15 buckets and more from home,
+        /// on the saturated-displacement path — and 40 on seven others,
+        /// three of them inside that run. Fingerprints take five
+        /// values, so same-bucket tags collide often. After the random
+        /// ops every key is inserted — 200 entries, past the 136 a
+        /// 16-bucket table holds, so the index has doubled from one
+        /// bucket five times — and then every key is removed.
         #[test]
         fn prop_open_index_is_a_map(
-            ops in proptest::collection::vec((0u8..4, 0u32..120), 0..400),
-            drain_from in 0u32..120,
+            ops in proptest::collection::vec((0u8..4, 0u32..200), 0..400),
+            drain_from in 0u32..200,
         ) {
-            let hash = |k: u32| hash_of((k / 16) as u16, (k % 8) as u16 * 5, k);
+            const HOMES: [u32; 8] = [31, 0, 5, 9, 17, 26, 29, 30];
+            let hash = |k: u32| {
+                let j = k / 2;
+                let home = if j < 80 { HOMES[0] } else { HOMES[1 + j as usize % 7] };
+                hash_of(1 + (j % 5) as u16, home, j)
+            };
             let slot = |k: u32| k * 7 + 3;
-            let mut idx = OpenIndex::new();
+            let mut idx = Indexed::new();
             let mut model = BTreeMap::new();
-            let mut apply = |idx: &mut OpenIndex, insert: bool, k: u32| {
+            let mut apply = |idx: &mut Indexed, insert: bool, k: u32| {
                 if insert && !model.contains_key(&k) {
                     idx.insert(hash(k), slot(k));
                     model.insert(k, slot(k));
                 } else if !insert {
                     prop_assert_eq!(idx.remove(hash(k), slot(k)), model.remove(&k).is_some());
                 }
-                assert_runs_unbroken(idx);
-                prop_assert_eq!(idx.live, model.len());
-                for k in 0..120 {
-                    prop_assert_eq!(idx.get(hash(k), |s| s == slot(k)), model.get(&k).copied());
+                idx.assert_runs_unbroken();
+                for k in 0..200 {
+                    prop_assert_eq!(idx.get(hash(k), slot(k)), model.get(&k).copied());
                 }
             };
             for (op, k) in ops {
                 apply(&mut idx, op < 3, k);
             }
-            for k in 0..120 {
+            for k in 0..200 {
                 apply(&mut idx, true, k);
             }
-            prop_assert!(idx.cells.len() >= 256, "{} cells", idx.cells.len());
-            // 7 is prime to 120, so this stride visits every key once.
-            for i in 0..120 {
-                apply(&mut idx, false, (drain_from + 7 * i) % 120);
+            prop_assert_eq!(idx.idx.buckets.len(), 32);
+            prop_assert!(idx.saturated() > 0, "no displacement saturated");
+            // 7 is prime to 200, so this stride visits every key once.
+            for i in 0..200 {
+                apply(&mut idx, false, (drain_from + 7 * i) % 200);
             }
-            prop_assert!(idx.cells.iter().all(|&c| c == CELL_EMPTY));
+            prop_assert!(idx.idx.buckets.iter().all(|b| b.len() == 0));
         }
     }
 
@@ -3047,7 +3430,7 @@ mod tests {
     fn store_hints_follow_lookups_and_survive_removal() {
         let (mut s, slots) = store_with(40, 60);
         s.flush_ext_index(); // `hint_ext` reads the index alone
-        let key_of = |s: &MappingStore, slot: u32| s.out_key_of(&s.slots[slot as usize]);
+        let key_of = |s: &MappingStore, slot: u32| s.slots[slot as usize].out_key(&s.pools);
         for &slot in &slots {
             let key = key_of(&s, slot);
             s.prefetch_out_cell(key);
